@@ -13,6 +13,7 @@ from .counting import (
     c_weight,
     counting_direct,
     g_bessel,
+    g_limit,
     g_residual,
     g_sine_form,
     sandwich_check,
@@ -73,7 +74,7 @@ __all__ = [
     # transforms
     "laplace", "bromwich", "weighted_inverse", "InversionResult",
     # counting
-    "counting_direct", "c_weight", "g_bessel", "g_sine_form", "g_residual",
+    "counting_direct", "c_weight", "g_bessel", "g_limit", "g_sine_form", "g_residual",
     "sandwich_check", "balance_epsilon",
     # sweeps
     "Schedule", "SweepRow", "SweepResult", "run_sweep", "thread_cap",

@@ -514,6 +514,9 @@ def _print_config(args, doc: InputDocument | None, out) -> None:
 def dispatch(argv) -> int:
     """Parse argv, run the named operation, write rows to stdout."""
     args = _build_parser().parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise SchemaError("--" + name.replace("_", "-"), "must be finite")
     doc = None
     if getattr(args, "input", None) is not None:
         doc = parse_input(Path(args.input).read_bytes())

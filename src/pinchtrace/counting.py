@@ -12,15 +12,54 @@ is the closed Bessel series
                * (sqrt(a)/(n ell_k/2))^{w+1/2} J_{w+1/2}(n ell_k sqrt(a))
 
 with a = T - 1/4, identically zero for T <= 1/4. As the lengths pinch,
-G_w(T) = c_w(T) sum_k log(1/ell_k) + O(1); c_weight is that constant and
-g_residual isolates the O(1) remainder.
+G_w(T) = c_w(T) sum_k log(1/ell_k) + O(1); c_weight is that constant,
+g_residual isolates the O(1) remainder and g_limit is its limit per
+length.
 
-Series truncation is certified: past the adaptive cut the terms are
-dominated by |J_nu(x)| <= min(1, 1.1 sqrt(2/(pi x))) times the sinh
-decay, and successive terms shrink by at least e^{-ell/2}, closing the
-tail with a geometric sum. Blocks are vectorized (the deepest pinching
-depths need tens of millions of terms) in a fixed order, so results are
-deterministic.
+With nu = w + 1/2, phi(x) = (2 sqrt(a)/x)^nu J_nu(sqrt(a) x) and
+g(x) = phi(x)/sinh(x/2), each length contributes pref * S(ell), where
+pref = Gamma(w+1)/(16 pi)^{1/2} and S(ell) = sum_{n>=1} ell g(n ell).
+phi is even and entire with |phi(z)| <= phi0 e^{sqrt(a) |Im z|},
+phi0 = a^nu/Gamma(nu+1), and |sinh(z/2)| >= sinh(Re z/2); the bounds
+below rest on these two facts. Each S(ell) is certified to
+policy.tol(S) by one of two routes, chosen per length by a fixed rule.
+
+Direct route (ell > 1/32, and the fallback). Terms are summed up to an
+adaptive cut. Past it |J_nu(x)| <= min(1, sqrt(2/(pi x))) for nu = 1/2
+and <= min(1, 0.674886 nu^{-1/3}, 0.785747 x^{-1/3}) otherwise (Landau,
+J. London Math. Soc. 61, 2000), each non-increasing in x; times the
+sinh decay, successive terms shrink by at least e^{-ell/2}, closing the
+tail with a geometric sum. Blocks are vectorized in a fixed order, so
+results are deterministic. The cost grows like 1/ell.
+
+Euler-Maclaurin route (ell <= 1/32). With N = 64 and X = N ell <= 2,
+
+    S(ell) = sum_{n<N} ell g(n ell) + ell g(X)/2 + int_X^{x1} g + C(x1)
+             - sum_{k<=6} B_2k/(2k)! ell^2k g^(2k-1)(X) + R.
+
+The integral and the derivatives come from the odd Laurent series
+x g(x) = sum_{j<=24} c_j x^2j (phi's power series times the Bernoulli
+series of csch); C(x1) = int_{x1}^inf g comes from fixed 20-node
+Gauss-Legendre panels, x1 = min(1, 2/sqrt(a)), and is shared by every
+length of a call, so the cost does not depend on ell. Stated bounds:
+
+- R: |R| <= 2|B_14|/14! ell^14 int_X^inf |g^(14)|, the derivative
+  bounded by Cauchy's estimate on circles of radius X/2;
+- Laurent tail: |c_j| <= M rho^{-2j} with M = rho phi0 e^{sqrt(a) rho}
+  / sin(rho/2) for rho < 2 pi, as |sinh(z/2)| >= sin(rho/2) on
+  |z| = rho; the dropped terms of the integral and of each derivative
+  are summed against this as geometric series;
+- quadrature: per panel (64/15) M' h rho^{2-2m}/(rho^2 - 1) over the
+  Bernstein ellipse E_rho, h the half-width, m = 20 nodes and M' the
+  bound on |g| over E_rho;
+- the cut at x_max: 2 phi0 log coth(x_max/4);
+- rounding: 1e-15 of the absolute size of the alternating Laurent sums.
+
+A length takes this route only when the bounds sum to within
+policy.tol(S), its 64 terms fit max_terms and its panels fit
+max_quad_evals; otherwise it falls back to the direct route. The
+Laurent tail and rounding bounds grow like e^{sqrt(a) X}, so at large
+T the shallower of these lengths fall back.
 """
 
 from __future__ import annotations
@@ -41,6 +80,7 @@ __all__ = [
     "g_bessel",
     "g_sine_form",
     "g_residual",
+    "g_limit",
     "sandwich_check",
     "balance_epsilon",
 ]
@@ -49,18 +89,53 @@ _BLOCK = 1 << 21
 _XCUT_START = 12.0   # first cut at n ~ 2*12/ell, extended 1.5x until certified
 _XCUT_GROWTH = 1.5
 
+# Landau's uniform bounds |J_nu(x)| <= b nu^{-1/3} and <= c x^{-1/3},
+# constants rounded up
+_LANDAU_NU = 0.674886
+_LANDAU_X = 0.785747
+
+_EM_HEAD = 64               # N: terms summed directly, the same for every length
+_EM_ELL_MAX = 1.0 / 32.0    # keeps X = N ell <= 2, well inside the Laurent disc
+_EM_ORDER = 6               # K Bernoulli corrections; the remainder carries B_{2K+2}
+_EM_THETA = 0.5             # remainder Cauchy circles have radius theta X
+_GL_NODES = 20
+_LAURENT_RHOS = (3.5, 4.0, 4.5, 5.0, 5.5, 6.0)   # Cauchy radii tried, all < 2 pi
+_ELLIPSE_RHOS = np.array([1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0])
+_ROUNDING = 1e-15
+_ZETA4 = math.pi**4 / 90.0  # zeta(p) <= zeta(4) for every p >= 4
+_EULER_GAMMA = 0.5772156649015329
+
+# Bernoulli numbers B_2, B_4, ..., B_48
+_BERNOULLI = (
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+    (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
+    (-236364091, 2730), (8553103, 6), (-23749461029, 870),
+    (8615841276005, 14322), (-7709321041217, 510), (2577687858367, 6),
+    (-26315271553053477373, 1919190), (2929993913841559, 6),
+    (-261082718496449122051, 13530), (1520097643918070802691, 1806),
+    (-27833269579301024235023, 690), (596451111593912163277961, 282),
+    (-5609403368997817686249127547, 46410),
+)
+_LAURENT_TERMS = len(_BERNOULLI)  # J
+# B_2k/(2k)! for k = 1..J
+_B_FACT = tuple(
+    num / (den * math.factorial(2 * k)) for k, (num, den) in enumerate(_BERNOULLI, 1)
+)
+# coefficients of x^2k in (x/2)/sinh(x/2), k = 0..J
+_CSCH = (1.0,) + tuple((2.0 ** (1 - 2 * k) - 1.0) * b for k, b in enumerate(_B_FACT, 1))
+
 
 def _check_weight(w: float) -> float:
     w = float(w)
-    if not w >= 0.0:
-        raise DomainError(f"weight must be >= 0, got {w}")
+    if not 0.0 <= w < math.inf:
+        raise DomainError(f"weight must be finite and >= 0, got {w}")
     return w
 
 
 def _check_threshold(T: float) -> float:
     T = float(T)
-    if not T >= 0.0:
-        raise DomainError(f"threshold must be >= 0, got {T}")
+    if not 0.0 <= T < math.inf:
+        raise DomainError(f"threshold must be finite and >= 0, got {T}")
     return T
 
 
@@ -90,7 +165,13 @@ def c_weight(w: float, T: float) -> float:
 
 
 def _log_sinh(x):
-    return x - math.log(2.0) + np.log1p(-np.exp(-2.0 * x))
+    # expm1 keeps 1 - e^{-2x} accurate as x -> 0, where the deepest
+    # Euler-Maclaurin heads evaluate it
+    return x - math.log(2.0) + np.log(-np.expm1(-2.0 * x))
+
+
+def _log_coth(y: float) -> float:
+    return math.log1p(math.exp(-2.0 * y)) - math.log(-math.expm1(-2.0 * y))
 
 
 def _series_sum(ell: float, term_fn, env_fn, policy: TruncationPolicy) -> float:
@@ -119,6 +200,213 @@ def _series_sum(ell: float, term_fn, env_fn, policy: TruncationPolicy) -> float:
         ncut = int(math.ceil(ncut * _XCUT_GROWTH))
 
 
+def _j_envelope(nu: float, x: float) -> float:
+    """Bound on |J_nu(y)| for all y >= x > 0, non-increasing in x (nu >= 1/2)."""
+    if nu <= 0.5:
+        return min(1.0, math.sqrt(2.0 / (math.pi * x)))
+    return min(1.0, _LANDAU_NU * nu ** (-1.0 / 3.0), _LANDAU_X * x ** (-1.0 / 3.0))
+
+
+def _gauss_legendre(m: int):
+    """Nodes and weights of the m-point Gauss-Legendre rule (Golub-Welsch)."""
+    k = np.arange(1.0, m)
+    x, v = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), UPLO="U")
+    return x, 2.0 * v[0] ** 2
+
+
+class _BesselSeries:
+    """The per-length sums S(ell) of G_w(T) at one (w, a = T - 1/4 > 0).
+
+    The Laurent coefficients and C(x1) are built on first use of the
+    Euler-Maclaurin route and shared by every length of the instance.
+    """
+
+    def __init__(self, w: float, a: float, policy: TruncationPolicy):
+        self.policy = policy
+        self.a = a
+        self.sa = math.sqrt(a)
+        self.nu = w + 0.5
+        self.phi0 = math.exp(self.nu * math.log(a) - math.lgamma(self.nu + 1.0))
+        self.pref = gamma(w + 1.0) / math.sqrt(16.0 * math.pi)
+        self.spherical = int(w) if w.is_integer() else None
+        self._pieces = None
+
+    def term(self, ell: float, n):
+        """ell * g(n ell), vectorized over n."""
+        nl2 = 0.5 * ell * n
+        x = 2.0 * nl2 * self.sa
+        coef = ell * np.exp(-_log_sinh(nl2))
+        power = np.exp(self.nu * (math.log(self.sa) - np.log(nl2)))
+        if self.spherical is not None:
+            j = bessel_j_half(self.spherical, x)
+        else:
+            j = _sp.jv(self.nu, x)
+        return coef * power * j
+
+    def length_sum(self, ell: float) -> float:
+        """S(ell) by the Euler-Maclaurin route where it certifies, else directly."""
+        if ell <= _EM_ELL_MAX:
+            em = self.euler_maclaurin(ell)
+            if em is not None and em[1] <= self.policy.tol(em[0]):
+                return em[0]
+        return self.direct(ell)
+
+    def direct(self, ell: float) -> float:
+        """S(ell) summed term by term; raises TruncationBudgetError past max_terms."""
+        nu, sa = self.nu, self.sa
+
+        def env(n):
+            nl2 = 0.5 * ell * n
+            return (
+                ell * math.exp(-float(_log_sinh(np.float64(nl2))))
+                * (sa / nl2) ** nu * _j_envelope(nu, 2.0 * nl2 * sa)
+            )
+
+        return _series_sum(ell, lambda n: self.term(ell, n), env, self.policy)
+
+    def euler_maclaurin(self, ell: float):
+        """(S(ell), stated error bound), or None where the route cannot run.
+
+        Only the head, the half term and the Laurent evaluations at X
+        depend on ell; see the module docstring for the formula.
+        """
+        if _EM_HEAD > self.policy.max_terms:
+            return None
+        pieces = self._shared_pieces()
+        if pieces is None:
+            return None
+        c, x1, far, far_bound = pieces
+        N, J = _EM_HEAD, _LAURENT_TERMS
+        X = N * ell
+        t = self.term(ell, np.arange(1.0, N + 1.0))
+        head = float(np.sum(t[:-1])) + 0.5 * float(t[-1])
+        if not math.isfinite(head):
+            return None
+
+        # int_X^{x1} g from the Laurent series; mass is the absolute size
+        # of every alternating Laurent sum, for the rounding allowance
+        integral = c[0] * math.log(x1 / X)
+        mass = 0.0
+        for j in range(1, J + 1):
+            u, v = x1 ** (2 * j), X ** (2 * j)
+            integral += c[j] * (u - v) / (2 * j)
+            mass += abs(c[j]) * (u + v) / (2 * j)
+        # ell^2k g^(2k-1)(X): the c_0/x part gives -(2k-1)! c_0 / N^2k
+        correction = 0.0
+        for k in range(1, _EM_ORDER + 1):
+            d = -math.factorial(2 * k - 1) * c[0] / N ** (2 * k)
+            for j in range(k, J + 1):
+                r = (c[j] * math.factorial(2 * j - 1) / math.factorial(2 * j - 2 * k)
+                     * ell ** (2 * k) * X ** (2 * j - 2 * k))
+                d += r
+                mass += abs(_B_FACT[k - 1] * r)
+            correction -= _B_FACT[k - 1] * d
+
+        p = 2 * _EM_ORDER + 2
+        r = _EM_THETA * X
+        remainder = (
+            8.0 * _ZETA4 * math.factorial(p) * (2.0 * math.pi * _EM_THETA * N) ** (-p)
+            * self.phi0 * math.exp(self.sa * r) * _log_coth(0.25 * (X - r))
+        )
+        laurent = math.inf
+        for rho in _LAURENT_RHOS:
+            M = self._laurent_majorant(rho)
+            tails = self._laurent_tail(M, rho, x1) + self._laurent_tail(M, rho, X)
+            # dropped derivative terms: |c_j| (2j-1)!/(2j-2k)! ell^2k X^{2j-2k}
+            # <= M q^j (2j)^{2k-1} / N^2k, a series whose ratio past J is
+            # at most q ((J+2)/(J+1))^{2k-1} < 1
+            q = (X / rho) ** 2
+            for k in range(1, _EM_ORDER + 1):
+                ratio = q * ((J + 2) / (J + 1)) ** (2 * k - 1)
+                tails += (abs(_B_FACT[k - 1]) * M * q ** (J + 1) * (2 * J + 2) ** (2 * k - 1)
+                          / (N ** (2 * k) * (1.0 - ratio)))
+            laurent = min(laurent, tails)
+        bound = remainder + laurent + far_bound + _ROUNDING * mass
+        return head + integral + far + correction, bound
+
+    def limit(self) -> float:
+        """pref [c_0 (gamma + log x1) + sum_j c_j x1^2j/(2j) + C(x1)], certified."""
+        pieces = self._shared_pieces()
+        if pieces is None:
+            raise TruncationBudgetError("g_limit quadrature exceeds max_quad_evals")
+        c, x1, far, far_bound = pieces
+        value = c[0] * (_EULER_GAMMA + math.log(x1))
+        mass = abs(value)
+        for j in range(1, _LAURENT_TERMS + 1):
+            t = c[j] * x1 ** (2 * j) / (2 * j)
+            value += t
+            mass += abs(t)
+        value += far
+        laurent = min(
+            self._laurent_tail(self._laurent_majorant(rho), rho, x1)
+            for rho in _LAURENT_RHOS
+        )
+        bound = laurent + far_bound + _ROUNDING * mass
+        if not bound <= self.policy.tol(value):
+            raise TruncationBudgetError(
+                f"g_limit bound {bound:.3e} exceeds tolerance at value {value:.6g}"
+            )
+        return self.pref * value
+
+    def _laurent_majorant(self, rho: float) -> float:
+        """M >= |x g(x)| on |z| = rho < 2 pi, so |c_j| <= M rho^{-2j}."""
+        return rho * self.phi0 * math.exp(self.sa * rho) / math.sin(0.5 * rho)
+
+    @staticmethod
+    def _laurent_tail(M: float, rho: float, x: float) -> float:
+        """Bound on sum_{j>J} |c_j| x^2j/(2j)."""
+        q = (x / rho) ** 2
+        J = _LAURENT_TERMS
+        return M * q ** (J + 1) / ((1.0 - q) * 2.0 * (J + 1))
+
+    def _shared_pieces(self):
+        if self._pieces is None:
+            self._pieces = self._build_pieces()
+        return self._pieces
+
+    def _build_pieces(self):
+        """(c_0..c_J, x1, C(x1), bound on C's error), or None when the
+        panels exceed max_quad_evals."""
+        a, sa, nu, phi0 = self.a, self.sa, self.nu, self.phi0
+        # panels double in width from x1 until they reach `width`, then
+        # stay at it, so sqrt(a) |Im z| stays bounded on their ellipses;
+        # the cut at x_max costs at most abs_tol/16
+        x1 = min(1.0, 2.0 / sa)
+        width = min(4.0, 3.0 / sa)
+        x_max = max(2.0 * x1, 2.0 * math.log(max(64.0 * phi0 / self.policy.abs_tol, 1.0)))
+        edges = [x1]
+        while edges[-1] < width and edges[-1] < x_max:
+            edges.append(2.0 * edges[-1])
+        uniform = max(0, math.ceil((x_max - edges[-1]) / width))
+        if (len(edges) - 1 + uniform) * _GL_NODES > self.policy.max_quad_evals:
+            return None
+        edges = np.concatenate([edges, edges[-1] + width * np.arange(1.0, uniform + 1.0)])
+
+        p = [phi0]
+        for m in range(1, _LAURENT_TERMS + 1):
+            p.append(p[-1] * (-0.25 * a) / (m * (m + nu)))
+        c = [2.0 * sum(p[m] * _CSCH[j - m] for m in range(j + 1))
+             for j in range(_LAURENT_TERMS + 1)]
+
+        lo, hi = edges[:-1], edges[1:]
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        gx, gw = _gauss_legendre(_GL_NODES)
+        x = mid[:, None] + half[:, None] * gx
+        far = float(np.sum(self.term(1.0, x) @ gw * half))
+
+        rho = _ELLIPSE_RHOS
+        re_min = mid[:, None] - 0.5 * half[:, None] * (rho + 1.0 / rho)
+        im_max = 0.5 * half[:, None] * (rho - 1.0 / rho)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            m_ellipse = phi0 * np.exp(sa * im_max) / np.sinh(0.5 * re_min)
+            err = (64.0 / 15.0) * half[:, None] * m_ellipse * rho ** (2 - 2 * _GL_NODES) / (
+                rho**2 - 1.0)
+        err = np.where(re_min > 0.0, err, math.inf)
+        quad = float(np.sum(np.min(err, axis=1)))
+        cut = 2.0 * phi0 * _log_coth(0.25 * float(edges[-1]))
+        return c, x1, far, quad + cut
+
+
 def g_bessel(ps, w: float, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """The degeneration counting series G_w(T); zero for T <= 1/4."""
     ps = PinchingSet.of(ps)
@@ -127,35 +415,24 @@ def g_bessel(ps, w: float, T: float, policy: TruncationPolicy = DEFAULT_POLICY) 
     a = T - 0.25
     if a <= 0.0:
         return 0.0
-    sa = math.sqrt(a)
-    nu = w + 0.5
-    spherical = int(w) if float(w).is_integer() else None
-    pref = gamma(w + 1.0) / math.sqrt(16.0 * math.pi)
+    series = _BesselSeries(w, a, policy)
+    return series.pref * sum(series.length_sum(ell) for ell in ps.ells)
 
-    def one_length(ell: float) -> float:
-        def term(n):
-            nl2 = 0.5 * ell * n
-            x = 2.0 * nl2 * sa
-            coef = ell * np.exp(-_log_sinh(nl2))
-            power = np.exp(nu * (math.log(sa) - np.log(nl2)))
-            if spherical is not None:
-                j = bessel_j_half(spherical, x)
-            else:
-                j = _sp.jv(nu, x)
-            return coef * power * j
 
-        def env(n):
-            nl2 = 0.5 * ell * n
-            x = 2.0 * nl2 * sa
-            jbound = min(1.0, 1.1 * math.sqrt(2.0 / (math.pi * x)))
-            return (
-                ell * math.exp(-float(_log_sinh(np.float64(nl2))))
-                * (sa / nl2) ** nu * jbound
-            )
+def g_limit(w: float, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+    """R_w(T), the limit of G_w(T) - c_w(T) log(1/ell) for one length ell -> 0.
 
-        return _series_sum(ell, term, env, policy)
-
-    return pref * sum(one_length(ell) for ell in ps.ells)
+    Certified to policy.tol(R) from the Euler-Maclaurin pieces; zero at
+    T = 1/4. Raises TruncationBudgetError where the bound cannot meet
+    that tolerance or the quadrature exceeds max_quad_evals.
+    """
+    w = _check_weight(w)
+    T = _check_threshold(T)
+    if T < 0.25:
+        raise DomainError(f"g_limit requires T >= 1/4, got {T}")
+    if T == 0.25:
+        return 0.0
+    return _BesselSeries(w, T - 0.25, policy).limit()
 
 
 def g_sine_form(ps, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
@@ -164,6 +441,9 @@ def g_sine_form(ps, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> floa
     With J_{1/2}(x) = sqrt(2/(pi x)) sin x the w = 0 series reduces to
 
         (1/2 pi) sum_{n>=1} sum_k sin(n ell_k sqrt(a)) / (n sinh(n ell_k/2)).
+
+    Always summed term by term, so it stays an independent check on
+    both routes of g_bessel.
     """
     ps = PinchingSet.of(ps)
     T = _check_threshold(T)

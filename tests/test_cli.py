@@ -6,10 +6,13 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from pinchtrace import SchemaError, bessel_j, c_weight, counting_direct, SpectralData
+from pinchtrace import (
+    SchemaError, bessel_j, c_weight, counting_direct, g_limit, SpectralData,
+)
 from pinchtrace.cli import main, parse_input
 
 
@@ -202,6 +205,37 @@ class TestMainInProcess:
         row = _csv_rows(captured.out)[1]
         assert row[2] == "nan"
         assert "failed" in captured.err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["cweight", "--w", "0", "--T", "inf"], "--T"),
+        (["balance", "--f-ell", "inf", "--log-sum", "4"], "--f-ell"),
+        (["bessel", "--p", "0.5", "--x", "inf"], "--x"),
+        (["cweight", "--w", "nan", "--T", "1"], "--w"),
+    ])
+    def test_nonfinite_flag_exits_one(self, argv, flag, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning may leak
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"{flag}: must be finite" in captured.err
+
+    def test_deep_length_certified_within_default_budget(self, tmp_path, capsys):
+        # 2^-30 needs ~6e10 direct terms, far past max_terms; the
+        # Euler-Maclaurin route certifies it with a fixed amount of work
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps({"version": 1, "pinching": [2.0**-30]}))
+        code, out = _run_main(
+            ["residual", "--input", str(f), "--w", "2", "--T", "1"], capsys)
+        assert code == 0
+        assert float(_csv_rows(out)[1][4]) == pytest.approx(g_limit(2.0, 1.0), abs=1e-9)
+
+    def test_budget_still_enforced_on_shallow_lengths(self, tmp_path, capsys):
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps({"version": 1, "pinching": [0.05]}))
+        assert main(["gfunc", "--input", str(f), "--w", "0", "--T", "1",
+                     "--max-terms", "100"]) == 2
 
     def test_trace_complex_columns(self, tmp_path, capsys):
         f = tmp_path / "ls.json"

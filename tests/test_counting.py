@@ -2,21 +2,30 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 from pinchtrace import (
+    DEFAULT_POLICY,
     DomainError,
     PinchingSet,
     PinchtraceError,
     SpectralData,
+    TruncationBudgetError,
+    TruncationPolicy,
     balance_epsilon,
     c_weight,
     counting_direct,
     g_bessel,
+    g_limit,
     g_residual,
     g_sine_form,
     sandwich_check,
 )
+from pinchtrace.counting import _BesselSeries, _j_envelope
 
 
 def test_counting_examples():
@@ -191,3 +200,140 @@ def test_g_derivative_recursion():
         for T in (0.5, 1.0):
             slope = (g_bessel(ps, w + 1.0, T + h) - g_bessel(ps, w + 1.0, T - h)) / (2.0 * h)
             assert slope == pytest.approx((w + 1.0) * g_bessel(ps, w, T), rel=1e-4)
+
+
+# ------------------------------------------------- the two routes of g_bessel
+#
+# Each length's sum S(ell) is certified to policy.tol(S) by either route, so
+# the routes may differ by at most the sum of their two tolerances.
+
+EM_GRID_W = (0.0, 0.7, 1.0, 2.0, 5.0)
+EM_GRID_T = (0.3, 0.5, 1.0, 2.0, 10.0)
+EM_GRID_K = (5, 8, 11, 14)
+
+# R_w(T) = lim [G_w(T) - c_w(T) log(1/ell)] for one length, computed with
+# mpmath quadrature independently of this package
+R_LIMITS = {
+    (0.0, 1.0): 0.2984030427,
+    (2.0, 1.0): 0.1201772567,
+    (0.0, 0.5): 0.2389645269,
+    (0.7, 1.0): 0.2093638895,
+}
+
+
+def _routes(w, T, ell, policy=DEFAULT_POLICY):
+    series = _BesselSeries(float(w), T - 0.25, policy)
+    em = series.euler_maclaurin(ell)
+    return series, em, series.direct(ell)
+
+
+@pytest.mark.parametrize("w", EM_GRID_W)
+@pytest.mark.parametrize("T", EM_GRID_T)
+def test_em_route_matches_direct_route(w, T):
+    for k in EM_GRID_K:
+        _, (em, bound), direct = _routes(w, T, 2.0**-k)
+        assert bound <= DEFAULT_POLICY.tol(em)
+        assert abs(em - direct) <= DEFAULT_POLICY.tol(em) + DEFAULT_POLICY.tol(direct)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    w=st.floats(0.0, 6.0),
+    T=st.floats(0.26, 12.0),
+    k=st.floats(5.0, 11.0),
+)
+def test_em_route_matches_direct_route_property(w, T, k):
+    ell = 2.0**-k
+    series, em, direct = _routes(w, T, ell)
+    got = g_bessel(PinchingSet.of([ell]), w, T)
+    chosen = em[0] if em[1] <= DEFAULT_POLICY.tol(em[0]) else direct
+    assert got == series.pref * chosen
+    assert abs(chosen - direct) <= DEFAULT_POLICY.tol(chosen) + DEFAULT_POLICY.tol(direct)
+
+
+def test_em_route_falls_back_when_its_bound_misses():
+    # at large T the Laurent sums at X = 64 ell cancel badly; the route
+    # must hand such a length to the direct series, never return it
+    ell, w, T = 2.0**-5, 0.0, 100.0
+    series, (em, bound), direct = _routes(w, T, ell)
+    assert bound > DEFAULT_POLICY.tol(em)
+    assert g_bessel(PinchingSet.of([ell]), w, T) == series.pref * direct
+
+
+def test_em_route_falls_back_when_quadrature_budget_is_short():
+    tight = TruncationPolicy(max_quad_evals=10)
+    ell = 2.0**-10
+    series, em, direct = _routes(0.0, 1.0, ell, tight)
+    assert em is None
+    assert g_bessel(PinchingSet.of([ell]), 0.0, 1.0, tight) == series.pref * direct
+
+
+def test_budget_still_raises_on_every_route():
+    tight = TruncationPolicy(max_terms=1)
+    for ell in (0.5, 0.05, 2.0**-10, 2.0**-20):
+        with pytest.raises(TruncationBudgetError):
+            g_bessel(PinchingSet.of([ell]), 0.0, 1.0, tight)
+
+
+def test_deep_lengths_certified_within_default_budget():
+    # the direct route would need ~24/ell > max_terms terms here
+    for w, T in R_LIMITS:
+        for k in (24, 30):
+            ps = PinchingSet.of([2.0**-k])
+            residual = g_bessel(ps, w, T) - c_weight(w, T) * ps.log_sum
+            assert residual == pytest.approx(R_LIMITS[(w, T)], abs=1e-9)
+
+
+def test_sine_form_stays_on_the_direct_series():
+    # same policy: the Euler-Maclaurin route fits 1000 terms, the sine
+    # form's term-by-term sum (about 24/ell terms) does not
+    budget = TruncationPolicy(max_terms=1000)
+    ps = PinchingSet.of([2.0**-10])
+    g_bessel(ps, 0.0, 1.0, budget)
+    with pytest.raises(TruncationBudgetError):
+        g_sine_form(ps, 1.0, budget)
+
+
+@pytest.mark.parametrize("T", (0.3, 1.0, 10.0))
+def test_sine_form_checks_em_route(T):
+    ps = PinchingSet.of([2.0**-12])
+    sine = g_sine_form(ps, T)
+    pref = 1.0 / math.sqrt(16.0 * math.pi)
+    tol = pref * 2.0 * DEFAULT_POLICY.tol(sine / pref) + 1e-15
+    assert abs(g_bessel(ps, 0.0, T) - sine) <= tol
+
+
+@pytest.mark.parametrize("w,T", sorted(R_LIMITS))
+def test_g_limit_matches_independent_constants(w, T):
+    assert g_limit(w, T) == pytest.approx(R_LIMITS[(w, T)], abs=1e-9)
+
+
+def test_g_limit_domain():
+    assert g_limit(1.0, 0.25) == 0.0
+    with pytest.raises(DomainError):
+        g_limit(0.0, 0.2)
+    with pytest.raises(DomainError):
+        g_limit(-1.0, 1.0)
+    with pytest.raises(DomainError):
+        g_limit(0.0, math.inf)
+    with pytest.raises(TruncationBudgetError):
+        g_limit(0.0, 1.0, TruncationPolicy(max_quad_evals=10))
+
+
+def test_nonfinite_arguments_rejected():
+    ps = PinchingSet.of([0.1])
+    for w, T in ((0.0, math.inf), (math.inf, 1.0), (0.0, math.nan)):
+        with pytest.raises(DomainError):
+            g_bessel(ps, w, T)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(nu=st.floats(0.5, 60.0), x=st.floats(1e-3, 200.0))
+@example(nu=2.5, x=3.0)
+@example(nu=20.5, x=22.0)
+@example(nu=50.5, x=53.0)
+def test_bessel_envelope_dominates_forward_supremum(nu, x):
+    # the old envelope min(1, 1.1 sqrt(2/(pi x))) fails at these examples
+    y = np.linspace(x, x + 2.0 * nu + 100.0, 8001)
+    sup = float(np.max(np.abs(special.jv(nu, y))))
+    assert sup <= _j_envelope(nu, x)
