@@ -55,7 +55,6 @@ from .xform import (
     DEFAULT_INVERSION_POLICY,
     InversionResult,
     bromwich,
-    laplace,
     weighted_inverse,
 )
 
@@ -72,7 +71,7 @@ __all__ = [
     # traces
     "hyperbolic_trace", "degenerating_trace", "spectral_trace", "regularized_trace",
     # transforms
-    "laplace", "bromwich", "weighted_inverse", "InversionResult",
+    "bromwich", "weighted_inverse", "InversionResult",
     # counting
     "counting_direct", "c_weight", "g_bessel", "g_limit", "g_sine_form", "g_residual",
     "sandwich_check", "balance_epsilon",

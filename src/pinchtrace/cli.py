@@ -15,9 +15,19 @@ Input documents are versioned JSON objects carrying exactly one payload:
     {"version": 1, "schedule": {"kind": "geometric", "start": 0.5,
      "ratio": 0.5, "count": 10}}
 
-plus optional "policy" and "contour" override objects. Precedence is
-flags over document overrides over built-in defaults; --print-config
-dumps the effective merged configuration without running anything.
+plus optional "policy" and "contour" override objects.
+
+Every subcommand is one row of _COMMANDS: its name, help, extra flags,
+the payload kinds it accepts and a handler returning (header, rows).
+The parser, the payload check and the dispatch are built from it.
+
+Each call runs under a pair of policies: the series policy (built on
+DEFAULT_POLICY) for every series, traces evaluated on a contour
+included, and the inversion policy (built on DEFAULT_INVERSION_POLICY)
+for contour inversions. Document overrides, then flags, apply to both.
+A contour override fills its missing fields from policy.default_contour;
+without one, inversions use bromwich's own default contour.
+--print-config dumps the merged configuration without running anything.
 """
 
 from __future__ import annotations
@@ -27,13 +37,13 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .counting import balance_epsilon, c_weight, counting_direct, g_bessel
 from .errors import DomainError, NonConvergenceError, SchemaError
 from .hyperbolic import cylinder_trace, heat_kernel, heat_kernel_origin
-from .policy import ContourSpec, DEFAULT_POLICY, TruncationPolicy
+from .policy import ContourSpec, DEFAULT_POLICY, TruncationPolicy, default_contour
 from .specfun import bessel_j, bessel_j_oracle
 from .spectrum import LengthSpectrum, PinchingSet, SpectralData
 from .sweep import Schedule, run_sweep, thread_cap
@@ -50,7 +60,6 @@ __all__ = ["InputDocument", "parse_input", "dispatch", "main"]
 _POLICY_FIELDS = ("rel_tol", "abs_tol", "max_terms", "max_quad_evals")
 _CONTOUR_FIELDS = ("a", "s_max", "n_nodes")
 _PAYLOAD_KINDS = ("length_spectrum", "eigenvalues", "pinching", "schedule")
-_INVERSION_COMMANDS = frozenset({"invert", "gfunc", "sweep"})
 
 
 @dataclass(frozen=True)
@@ -66,17 +75,17 @@ class InputDocument:
     contour: dict = field(default_factory=dict)
 
 
-def _num(value, path: str, *, minimum=None, strict=False) -> float:
+def _num(value, path: str, *, strict=True) -> float:
+    """A finite number > 0 (strict) or >= 0."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, "must be a number")
     x = float(value)
     if not math.isfinite(x):
         raise SchemaError(path, "must be finite")
-    if minimum is not None:
-        if strict and not x > minimum:
-            raise SchemaError(path, f"must be > {minimum}, got {value}")
-        if not strict and not x >= minimum:
-            raise SchemaError(path, f"must be >= {minimum}, got {value}")
+    if strict and not x > 0.0:
+        raise SchemaError(path, f"must be > 0.0, got {value}")
+    if not strict and not x >= 0.0:
+        raise SchemaError(path, f"must be >= 0.0, got {value}")
     return x
 
 
@@ -86,6 +95,68 @@ def _mult(value, path: str) -> int:
     if value < 1:
         raise SchemaError(path, f"must be >= 1, got {value}")
     return value
+
+
+def _array(value, path: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise SchemaError(path, "must be a non-empty array")
+    return value
+
+
+def _pairs(items, kind: str, key: str, *, strict: bool) -> list:
+    """(value, multiplicity) pairs from an array of {key, multiplicity} objects."""
+    pairs = []
+    for i, item in enumerate(_array(items, kind)):
+        path = f"{kind}[{i}]"
+        if not isinstance(item, dict):
+            raise SchemaError(path, "must be an object")
+        if set(item) != {key, "multiplicity"}:
+            raise SchemaError(path, f"needs exactly {key} and multiplicity")
+        pairs.append((_num(item[key], f"{path}.{key}", strict=strict),
+                      _mult(item["multiplicity"], f"{path}.multiplicity")))
+    return pairs
+
+
+def _schedule(spec) -> Schedule:
+    if not isinstance(spec, dict):
+        raise SchemaError("schedule", "must be an object")
+    kind = spec.get("kind")
+    if kind not in ("geometric", "explicit"):
+        raise SchemaError("schedule.kind", "must be geometric or explicit")
+    fields = {"kind", "start", "ratio", "count"} if kind == "geometric" else {"kind", "values"}
+    extra = set(spec) - fields
+    if extra:
+        raise SchemaError(f"schedule.{sorted(extra)[0]}", "unknown field")
+    try:
+        if kind == "geometric":
+            return Schedule.geometric(
+                _num(spec.get("start"), "schedule.start"),
+                _num(spec.get("ratio"), "schedule.ratio"),
+                _mult(spec.get("count"), "schedule.count"),
+            )
+        return Schedule.explicit([
+            tuple(_num(v, f"schedule.values[{i}][{j}]")
+                  for j, v in enumerate(_array(entry, f"schedule.values[{i}]")))
+            for i, entry in enumerate(_array(spec.get("values"), "schedule.values"))
+        ])
+    except DomainError as exc:
+        raise SchemaError("schedule", str(exc)) from None
+
+
+def _parse_overrides(obj, path: str, fields: tuple[str, ...]) -> dict:
+    if obj is None:
+        return {}
+    if not isinstance(obj, dict):
+        raise SchemaError(path, "must be an object")
+    out = {}
+    for key, value in obj.items():
+        if key not in fields:
+            raise SchemaError(f"{path}.{key}", "unknown field")
+        if key in ("max_terms", "max_quad_evals", "n_nodes"):
+            out[key] = _mult(value, f"{path}.{key}")
+        else:
+            out[key] = _num(value, f"{path}.{key}")
+    return out
 
 
 def parse_input(data: bytes) -> InputDocument:
@@ -120,100 +191,187 @@ def parse_input(data: bytes) -> InputDocument:
     contour = _parse_overrides(doc.get("contour"), "contour", _CONTOUR_FIELDS)
 
     if kind == "length_spectrum":
-        items = doc[kind]
-        if not isinstance(items, list) or not items:
-            raise SchemaError(kind, "must be a non-empty array")
-        pairs = []
-        for i, item in enumerate(items):
-            if not isinstance(item, dict):
-                raise SchemaError(f"{kind}[{i}]", "must be an object")
-            if set(item) != {"length", "multiplicity"}:
-                raise SchemaError(f"{kind}[{i}]", "needs exactly length and multiplicity")
-            ell = _num(item["length"], f"{kind}[{i}].length", minimum=0.0, strict=True)
-            m = _mult(item["multiplicity"], f"{kind}[{i}].multiplicity")
-            pairs.append((ell, m))
-        return InputDocument(kind=kind, length_spectrum=LengthSpectrum.of(pairs),
-                             policy=policy, contour=contour)
-
-    if kind == "eigenvalues":
-        items = doc[kind]
-        if not isinstance(items, list) or not items:
-            raise SchemaError(kind, "must be a non-empty array")
-        pairs = []
-        for i, item in enumerate(items):
-            if not isinstance(item, dict):
-                raise SchemaError(f"{kind}[{i}]", "must be an object")
-            if set(item) != {"lambda", "multiplicity"}:
-                raise SchemaError(f"{kind}[{i}]", "needs exactly lambda and multiplicity")
-            lam = _num(item["lambda"], f"{kind}[{i}].lambda", minimum=0.0)
-            m = _mult(item["multiplicity"], f"{kind}[{i}].multiplicity")
-            pairs.append((lam, m))
+        pairs = _pairs(doc[kind], kind, "length", strict=True)
+        payload = {"length_spectrum": LengthSpectrum.of(pairs)}
+    elif kind == "eigenvalues":
+        pairs = _pairs(doc[kind], kind, "lambda", strict=False)
         if "volume" not in doc:
             raise SchemaError("volume", "required alongside eigenvalues")
-        vol = _num(doc["volume"], "volume", minimum=0.0, strict=True)
-        return InputDocument(kind=kind, spectral=SpectralData.of(pairs, vol),
-                             policy=policy, contour=contour)
-
-    if kind == "pinching":
-        items = doc[kind]
-        if not isinstance(items, list) or not items:
-            raise SchemaError(kind, "must be a non-empty array")
-        ells = [_num(v, f"{kind}[{i}]", minimum=0.0, strict=True)
-                for i, v in enumerate(items)]
-        return InputDocument(kind=kind, pinching=PinchingSet(tuple(ells)),
-                             policy=policy, contour=contour)
-
-    spec = doc["schedule"]
-    if not isinstance(spec, dict):
-        raise SchemaError("schedule", "must be an object")
-    sk = spec.get("kind")
-    try:
-        if sk == "geometric":
-            extra = set(spec) - {"kind", "start", "ratio", "count"}
-            if extra:
-                raise SchemaError(f"schedule.{sorted(extra)[0]}", "unknown field")
-            sch = Schedule.geometric(
-                _num(spec.get("start"), "schedule.start", minimum=0.0, strict=True),
-                _num(spec.get("ratio"), "schedule.ratio", minimum=0.0, strict=True),
-                _mult(spec.get("count"), "schedule.count"),
-            )
-        elif sk == "explicit":
-            extra = set(spec) - {"kind", "values"}
-            if extra:
-                raise SchemaError(f"schedule.{sorted(extra)[0]}", "unknown field")
-            vals = spec.get("values")
-            if not isinstance(vals, list) or not vals:
-                raise SchemaError("schedule.values", "must be a non-empty array")
-            sets = []
-            for i, entry in enumerate(vals):
-                if not isinstance(entry, list) or not entry:
-                    raise SchemaError(f"schedule.values[{i}]", "must be a non-empty array")
-                sets.append(tuple(
-                    _num(v, f"schedule.values[{i}][{j}]", minimum=0.0, strict=True)
-                    for j, v in enumerate(entry)
-                ))
-            sch = Schedule.explicit(sets)
-        else:
-            raise SchemaError("schedule.kind", "must be geometric or explicit")
-    except DomainError as exc:
-        raise SchemaError("schedule", str(exc)) from None
-    return InputDocument(kind=kind, schedule=sch, policy=policy, contour=contour)
+        payload = {"spectral": SpectralData.of(pairs, _num(doc["volume"], "volume"))}
+    elif kind == "pinching":
+        ells = [_num(v, f"{kind}[{i}]") for i, v in enumerate(_array(doc[kind], kind))]
+        payload = {"pinching": PinchingSet(tuple(ells))}
+    else:
+        payload = {"schedule": _schedule(doc[kind])}
+    return InputDocument(kind=kind, policy=policy, contour=contour, **payload)
 
 
-def _parse_overrides(obj, path: str, fields: tuple[str, ...]) -> dict:
-    if obj is None:
-        return {}
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "must be an object")
-    out = {}
-    for key, value in obj.items():
-        if key not in fields:
-            raise SchemaError(f"{path}.{key}", "unknown field")
-        if key in ("max_terms", "max_quad_evals", "n_nodes"):
-            out[key] = _mult(value, f"{path}.{key}")
-        else:
-            out[key] = _num(value, f"{path}.{key}", minimum=0.0, strict=True)
-    return out
+def _policies(doc: InputDocument, args) -> tuple[TruncationPolicy, TruncationPolicy]:
+    """(series, inversion): defaults, then document overrides, then flags."""
+    over = dict(doc.policy)
+    over.update((f, getattr(args, f)) for f in _POLICY_FIELDS if getattr(args, f) is not None)
+    return replace(DEFAULT_POLICY, **over), replace(DEFAULT_INVERSION_POLICY, **over)
+
+
+def _contour(doc: InputDocument, args) -> ContourSpec | None:
+    """Document contour overrides, then flags; None when neither sets a field."""
+    given = dict(doc.contour)
+    for name, v in (("a", args.contour_a), ("s_max", args.contour_smax),
+                    ("n_nodes", args.contour_nodes)):
+        if v is not None:
+            given[name] = v
+    return default_contour(args.T, **given) if given else None
+
+
+# payload kind -> (column label, heat trace of the payload at time z)
+_TRACES = {
+    "length_spectrum": ("htr", lambda doc, z, pol: hyperbolic_trace(doc.length_spectrum, z, pol)),
+    "pinching": ("dtr", lambda doc, z, pol: degenerating_trace(doc.pinching, z, pol)),
+    "eigenvalues": ("str", lambda doc, z, pol: spectral_trace(doc.spectral, z)),
+}
+
+
+def _time_rows(a, doc, series, inversion):
+    label, trace = _TRACES[doc.kind]
+    if a.s == 0.0:
+        return ["t", label], [[a.t, trace(doc, a.t, series)]]
+    val = trace(doc, complex(a.t, a.s), series)
+    return ["t", "s", f"{label}_re", f"{label}_im"], [[a.t, a.s, val.real, val.imag]]
+
+
+def _trace(a, doc, series, inversion):
+    if a.volume is None:
+        return _time_rows(a, doc, series, inversion)
+    if a.s != 0.0:
+        raise DomainError("regularized trace is defined for real time only")
+    return ["t", "rtr"], [[a.t, regularized_trace(doc.length_spectrum, a.volume, a.t, series)]]
+
+
+def _bessel(a, doc, series, inversion):
+    value = bessel_j_oracle(a.p, a.x, a.terms) if a.oracle else bessel_j(a.p, a.x)
+    return ["p", "x", "value"], [[a.p, a.x, value]]
+
+
+def _heatkernel(a, doc, series, inversion):
+    if a.rho is None:
+        return ["t", "rho", "value"], [[a.t, 0.0, heat_kernel_origin(a.t, series)]]
+    return ["t", "rho", "value"], [[a.t, a.rho, heat_kernel(a.t, a.rho, series)]]
+
+
+def _invert(a, doc, series, inversion):
+    trace = _TRACES[doc.kind][1]
+    value = weighted_inverse(lambda z: trace(doc, z, series), a.w, a.T,
+                             contour=_contour(doc, a), policy=inversion)
+    return ["w", "T", "value"], [[a.w, a.T, value]]
+
+
+def _gfunc(a, doc, series, inversion):
+    g = g_bessel(doc.pinching, a.w, a.T, series)
+    if not a.check_bromwich:
+        return ["w", "T", "g"], [[a.w, a.T, g]]
+    b = weighted_inverse(lambda z: degenerating_trace(doc.pinching, z, series), a.w, a.T,
+                         contour=_contour(doc, a), policy=inversion)
+    gap = abs(g - b) / max(abs(g), abs(b), 1e-300)
+    return ["w", "T", "g", "bromwich", "rel_gap"], [[a.w, a.T, g, b, gap]]
+
+
+def _residual(a, doc, series, inversion):
+    ps = doc.pinching
+    if any(ell >= 1.0 for ell in ps.ells):
+        raise DomainError("residual requires all pinching lengths < 1")
+    if a.T < 0.25:
+        raise DomainError(f"residual requires T >= 1/4, got {a.T}")
+    g = g_bessel(ps, a.w, a.T, series)
+    res = g - c_weight(a.w, a.T) * ps.log_sum
+    return ["w", "T", "g", "log_sum", "residual"], [[a.w, a.T, g, ps.log_sum, res]]
+
+
+def _sweep(a, doc, series, inversion):
+    result = run_sweep(doc.schedule, a.w, a.T, series, inversion,
+                       contour=_contour(doc, a), use_bromwich=a.bromwich)
+    rows = []
+    for row in result.rows:
+        if row.error is not None:
+            print(f"sweep row ell_sup={row.ell_sup:g} failed: {row.error}", file=sys.stderr)
+        rows.append([row.ell_sup, row.log_sum, row.g_value, row.residual, row.normalized])
+    return ["ell_sup", "log_sum", "g_value", "residual", "normalized"], rows
+
+
+def _flag(name, type=float, **kw):
+    return name, {"type": type, **kw}
+
+
+def _switch(name, help_text):
+    return name, {"action": "store_true", "help": help_text}
+
+
+_WT = (_flag("--w", required=True, help="weight, w >= 0"),
+       _flag("--T", required=True, help="threshold"))
+_TIME = (_flag("--t", required=True, help="time, t > 0"),
+         _flag("--s", default=0.0, help="imaginary part of the evaluation time"))
+_CONTOUR = (_flag("--contour-a"), _flag("--contour-smax"), _flag("--contour-nodes", int))
+
+
+@dataclass(frozen=True)
+class _Command:
+    name: str
+    help: str
+    flags: tuple
+    needs: tuple[str, ...]  # payload kinds accepted; empty means no --input
+    run: object  # handler(args, doc, series, inversion) -> (header, rows)
+
+
+_COMMANDS = (
+    _Command("bessel", "J-Bessel value (fast path or series oracle)", (
+        _flag("--p", required=True, help="order, p >= -1/2"),
+        _flag("--x", required=True, help="argument, x >= 0"),
+        _switch("--oracle", "use the series oracle"),
+        _flag("--terms", int, default=60, help="oracle series terms"),
+    ), (), _bessel),
+    _Command("heatkernel", "plane heat kernel at time t, distance rho", (
+        _flag("--t", required=True),
+        _flag("--rho", help="distance; omit for the origin value"),
+    ), (), _heatkernel),
+    _Command("cylinder", "regularized cylinder trace by unfolding", (
+        _flag("--ell", required=True), _flag("--t", required=True),
+    ), (), lambda a, doc, series, inversion: (
+        ["ell", "t", "value"], [[a.ell, a.t, cylinder_trace(a.ell, a.t, series)]])),
+    _Command("trace", "geodesic heat trace of a length spectrum", _TIME + (
+        _flag("--volume", help="add volume * K(t, 0): the regularized trace (real t only)"),
+    ), ("length_spectrum",), _trace),
+    _Command("dtrace", "degenerating heat trace of a pinching set", _TIME,
+             ("pinching",), _time_rows),
+    _Command("strace", "spectral heat trace of an eigenvalue list", _TIME,
+             ("eigenvalues",), _time_rows),
+    _Command("invert", "weighted counting value by contour inversion of a trace",
+             _WT + _CONTOUR, tuple(_TRACES), _invert),
+    _Command("count", "direct weighted eigenvalue count", _WT, ("eigenvalues",),
+             lambda a, doc, series, inversion: (
+                 ["w", "T", "value"], [[a.w, a.T, counting_direct(doc.spectral, a.w, a.T)]])),
+    _Command("cweight", "asymptotic constant c_w(T)", _WT, (),
+             lambda a, doc, series, inversion: (
+                 ["w", "T", "value"], [[a.w, a.T, c_weight(a.w, a.T)]])),
+    _Command("gfunc", "degeneration counting series G_w(T)", _WT + _CONTOUR + (
+        _switch("--check-bromwich", "also invert the degenerating trace and report the gap"),
+    ), ("pinching",), _gfunc),
+    _Command("residual", "G_w(T) minus its logarithmic lead term", _WT,
+             ("pinching",), _residual),
+    _Command("sweep", "counting series along a degeneration schedule", _WT + _CONTOUR + (
+        _switch("--bromwich", "compute rows by contour inversion (dual route)"),
+    ), ("schedule",), _sweep),
+    _Command("balance", "error-balancing epsilon", (
+        _flag("--f-ell", required=True), _flag("--log-sum", required=True),
+    ), (), lambda a, doc, series, inversion: (
+        ["f_ell", "log_sum", "epsilon"],
+        [[a.f_ell, a.log_sum, balance_epsilon(a.f_ell, a.log_sum)]])),
+)
+
+_COMMON = (
+    ("--format", {"choices": ("csv", "json"), "default": "csv"}),
+    _switch("--print-config", "emit the effective configuration and exit"),
+    _flag("--rel-tol"), _flag("--abs-tol"),
+    _flag("--max-terms", int), _flag("--max-quad-evals", int),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -227,240 +385,14 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     top = _Parser(prog="pinchtrace", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def cmd(name, help_text, *, needs_input=False, wt=False, time=False,
-            contour=False):
-        p = sub.add_parser(name, help=help_text)
-        if needs_input:
+    for cmd in _COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        p.set_defaults(spec=cmd)
+        if cmd.needs:
             p.add_argument("--input", required=True, help="input JSON document")
-        if wt:
-            p.add_argument("--w", type=float, required=True, help="weight, w >= 0")
-            p.add_argument("--T", type=float, required=True, help="threshold")
-        if time:
-            p.add_argument("--t", type=float, required=True, help="time, t > 0")
-            p.add_argument("--s", type=float, default=0.0,
-                           help="imaginary part of the evaluation time")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--print-config", action="store_true",
-                       help="emit the effective configuration and exit")
-        p.add_argument("--rel-tol", type=float, default=None)
-        p.add_argument("--abs-tol", type=float, default=None)
-        p.add_argument("--max-terms", type=int, default=None)
-        p.add_argument("--max-quad-evals", type=int, default=None)
-        if contour:
-            p.add_argument("--contour-a", type=float, default=None)
-            p.add_argument("--contour-smax", type=float, default=None)
-            p.add_argument("--contour-nodes", type=int, default=None)
-        return p
-
-    p = cmd("bessel", "J-Bessel value (fast path or series oracle)")
-    p.add_argument("--p", type=float, required=True, help="order, p >= -1/2")
-    p.add_argument("--x", type=float, required=True, help="argument, x >= 0")
-    p.add_argument("--oracle", action="store_true", help="use the series oracle")
-    p.add_argument("--terms", type=int, default=60, help="oracle series terms")
-
-    p = cmd("heatkernel", "plane heat kernel at time t, distance rho")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--rho", type=float, default=None,
-                   help="distance; omit for the origin value")
-
-    p = cmd("cylinder", "regularized cylinder trace by unfolding")
-    p.add_argument("--ell", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
-
-    p = cmd("trace", "geodesic heat trace of a length spectrum", needs_input=True,
-            time=True)
-    p.add_argument("--volume", type=float, default=None,
-                   help="add volume * K(t, 0): the regularized trace (real t only)")
-
-    cmd("dtrace", "degenerating heat trace of a pinching set", needs_input=True,
-        time=True)
-    cmd("strace", "spectral heat trace of an eigenvalue list", needs_input=True,
-        time=True)
-    cmd("invert", "weighted counting value by contour inversion of a trace",
-        needs_input=True, wt=True, contour=True)
-    cmd("count", "direct weighted eigenvalue count", needs_input=True, wt=True)
-    cmd("cweight", "asymptotic constant c_w(T)", wt=True)
-
-    p = cmd("gfunc", "degeneration counting series G_w(T)", needs_input=True,
-            wt=True, contour=True)
-    p.add_argument("--check-bromwich", action="store_true",
-                   help="also invert the degenerating trace and report the gap")
-
-    cmd("residual", "G_w(T) minus its logarithmic lead term", needs_input=True,
-        wt=True)
-
-    p = cmd("sweep", "counting series along a degeneration schedule",
-            needs_input=True, wt=True, contour=True)
-    p.add_argument("--bromwich", action="store_true",
-                   help="compute rows by contour inversion (dual route)")
-
-    p = cmd("balance", "error-balancing epsilon")
-    p.add_argument("--f-ell", type=float, required=True)
-    p.add_argument("--log-sum", type=float, required=True)
-
+        for name, kw in cmd.flags + _COMMON:
+            p.add_argument(name, **kw)
     return top
-
-
-def _merged_policy(base: TruncationPolicy, doc: InputDocument, args) -> TruncationPolicy:
-    vals = {f: getattr(base, f) for f in _POLICY_FIELDS}
-    vals.update(doc.policy)
-    for flag, name in (("rel_tol", "rel_tol"), ("abs_tol", "abs_tol"),
-                       ("max_terms", "max_terms"), ("max_quad_evals", "max_quad_evals")):
-        v = getattr(args, flag, None)
-        if v is not None:
-            vals[name] = v
-    return TruncationPolicy(**vals)
-
-
-def _merged_contour(doc: InputDocument, args) -> ContourSpec | None:
-    vals = dict(doc.contour)
-    for flag, name in (("contour_a", "a"), ("contour_smax", "s_max"),
-                       ("contour_nodes", "n_nodes")):
-        v = getattr(args, flag, None)
-        if v is not None:
-            vals[name] = v
-    if not vals:
-        return None
-    T = getattr(args, "T", None)
-    if "a" not in vals:
-        if T is None or T <= 0:
-            raise DomainError("contour abscissa missing and no threshold to derive it")
-        vals["a"] = 1.0 / T
-    if "s_max" not in vals:
-        if T is None or T <= 0:
-            raise DomainError("contour height missing and no threshold to derive it")
-        vals["s_max"] = 16.0 / T
-    if "n_nodes" not in vals:
-        width = math.pi / (4.0 * T) if T else vals["s_max"] / 64.0
-        vals["n_nodes"] = max(64, 16 * (int(2.0 * vals["s_max"] / width) + 1))
-    return ContourSpec(**vals)
-
-
-def _need(doc: InputDocument, kind: str, command: str):
-    if doc.kind != kind:
-        raise DomainError(f"{command} requires a {kind} document, got {doc.kind}")
-
-
-def _complex_trace_rows(fn, args, label: str):
-    if args.s == 0.0:
-        return ["t", label], [[args.t, fn(args.t)]]
-    val = fn(complex(args.t, args.s))
-    return ["t", "s", f"{label}_re", f"{label}_im"], [[args.t, args.s, val.real, val.imag]]
-
-
-def _run_command(args, doc: InputDocument | None) -> tuple[list[str], list[list]]:
-    name = args.command
-    if doc is None:
-        doc = InputDocument(kind="none")
-    base = DEFAULT_INVERSION_POLICY if name == "invert" else DEFAULT_POLICY
-    policy = _merged_policy(base, doc, args)
-
-    if name == "bessel":
-        if args.oracle:
-            value = bessel_j_oracle(args.p, args.x, args.terms)
-        else:
-            value = bessel_j(args.p, args.x)
-        return ["p", "x", "value"], [[args.p, args.x, value]]
-
-    if name == "heatkernel":
-        if args.rho is None:
-            return ["t", "rho", "value"], [[args.t, 0.0, heat_kernel_origin(args.t, policy)]]
-        return ["t", "rho", "value"], [[args.t, args.rho, heat_kernel(args.t, args.rho, policy)]]
-
-    if name == "cylinder":
-        return ["ell", "t", "value"], [[args.ell, args.t, cylinder_trace(args.ell, args.t, policy)]]
-
-    if name == "trace":
-        _need(doc, "length_spectrum", name)
-        ls = doc.length_spectrum
-        if args.volume is not None:
-            if args.s != 0.0:
-                raise DomainError("regularized trace is defined for real time only")
-            val = regularized_trace(ls, args.volume, args.t, policy)
-            return ["t", "rtr"], [[args.t, val]]
-        return _complex_trace_rows(lambda z: hyperbolic_trace(ls, z, policy), args, "htr")
-
-    if name == "dtrace":
-        _need(doc, "pinching", name)
-        ps = doc.pinching
-        return _complex_trace_rows(lambda z: degenerating_trace(ps, z, policy), args, "dtr")
-
-    if name == "strace":
-        _need(doc, "eigenvalues", name)
-        sd = doc.spectral
-        return _complex_trace_rows(lambda z: spectral_trace(sd, z), args, "str")
-
-    if name == "invert":
-        contour = _merged_contour(doc, args)
-        series = _merged_policy(DEFAULT_POLICY, doc, args)
-        if doc.kind == "length_spectrum":
-            trace = lambda z: hyperbolic_trace(doc.length_spectrum, z, series)
-        elif doc.kind == "pinching":
-            trace = lambda z: degenerating_trace(doc.pinching, z, series)
-        elif doc.kind == "eigenvalues":
-            trace = lambda z: spectral_trace(doc.spectral, z)
-        else:
-            raise DomainError("invert requires a spectrum document, not a schedule")
-        value = weighted_inverse(trace, args.w, args.T, contour=contour, policy=policy)
-        return ["w", "T", "value"], [[args.w, args.T, value]]
-
-    if name == "count":
-        _need(doc, "eigenvalues", name)
-        return ["w", "T", "value"], [[args.w, args.T, counting_direct(doc.spectral, args.w, args.T)]]
-
-    if name == "cweight":
-        return ["w", "T", "value"], [[args.w, args.T, c_weight(args.w, args.T)]]
-
-    if name == "gfunc":
-        _need(doc, "pinching", name)
-        g = g_bessel(doc.pinching, args.w, args.T, policy)
-        if not args.check_bromwich:
-            return ["w", "T", "g"], [[args.w, args.T, g]]
-        contour = _merged_contour(doc, args)
-        inv = _merged_policy(DEFAULT_INVERSION_POLICY, doc, args)
-        b = weighted_inverse(
-            lambda z: degenerating_trace(doc.pinching, z, policy),
-            args.w, args.T, contour=contour, policy=inv,
-        )
-        gap = abs(g - b) / max(abs(g), abs(b), 1e-300)
-        return (["w", "T", "g", "bromwich", "rel_gap"],
-                [[args.w, args.T, g, b, gap]])
-
-    if name == "residual":
-        _need(doc, "pinching", name)
-        ps = doc.pinching
-        if any(ell >= 1.0 for ell in ps.ells):
-            raise DomainError("residual requires all pinching lengths < 1")
-        if args.T < 0.25:
-            raise DomainError(f"residual requires T >= 1/4, got {args.T}")
-        g = g_bessel(ps, args.w, args.T, policy)
-        res = g - c_weight(args.w, args.T) * ps.log_sum
-        return (["w", "T", "g", "log_sum", "residual"],
-                [[args.w, args.T, g, ps.log_sum, res]])
-
-    if name == "sweep":
-        _need(doc, "schedule", name)
-        contour = _merged_contour(doc, args)
-        override = any(getattr(args, f, None) is not None
-                       for f in ("rel_tol", "abs_tol", "max_terms", "max_quad_evals"))
-        pol = policy if (override or doc.policy) else None
-        result = run_sweep(doc.schedule, args.w, args.T, policy=pol,
-                           contour=contour, use_bromwich=args.bromwich)
-        rows = []
-        for row in result.rows:
-            if row.error is not None:
-                print(f"sweep row ell_sup={row.ell_sup:g} failed: {row.error}",
-                      file=sys.stderr)
-            rows.append([row.ell_sup, row.log_sum, row.g_value,
-                         row.residual, row.normalized])
-        return ["ell_sup", "log_sum", "g_value", "residual", "normalized"], rows
-
-    if name == "balance":
-        return (["f_ell", "log_sum", "epsilon"],
-                [[args.f_ell, args.log_sum, balance_epsilon(args.f_ell, args.log_sum)]])
-
-    raise DomainError(f"unknown subcommand {name!r}")
 
 
 def _format_cell(v) -> str:
@@ -488,25 +420,14 @@ def _emit(header: list[str], rows: list[list], fmt: str, out) -> None:
         out.write("\n")
 
 
-def _print_config(args, doc: InputDocument | None, out) -> None:
-    name = args.command
-    base = DEFAULT_INVERSION_POLICY if name == "invert" else DEFAULT_POLICY
-    d = doc if doc else InputDocument(kind="none")
-    policy = _merged_policy(base, d, args)
-    config = {
-        "subcommand": name,
-        "format": args.format,
-        "policy": {f: getattr(policy, f) for f in _POLICY_FIELDS},
-    }
-    if name in _INVERSION_COMMANDS:
-        inv = _merged_policy(DEFAULT_INVERSION_POLICY, d, args)
-        config["inversion_policy"] = {f: getattr(inv, f) for f in _POLICY_FIELDS}
-        contour = _merged_contour(d, args)
-        config["contour"] = None if contour is None else {
-            f: getattr(contour, f) for f in _CONTOUR_FIELDS}
-    if name == "sweep":
-        config["threads"] = thread_cap(
-            len(d.schedule.points()) if d.schedule else 1)
+def _print_config(args, doc: InputDocument, series, inversion, out) -> None:
+    config = {"subcommand": args.command, "format": args.format, "policy": asdict(series)}
+    if hasattr(args, "contour_a"):  # the subcommands that invert along a contour
+        contour = _contour(doc, args)
+        config["inversion_policy"] = asdict(inversion)
+        config["contour"] = None if contour is None else asdict(contour)
+    if args.command == "sweep":
+        config["threads"] = thread_cap(len(doc.schedule.points()) if doc.schedule else 1)
     json.dump(config, out, indent=2)
     out.write("\n")
 
@@ -517,13 +438,18 @@ def dispatch(argv) -> int:
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise SchemaError("--" + name.replace("_", "-"), "must be finite")
-    doc = None
-    if getattr(args, "input", None) is not None:
+    cmd = args.spec
+    doc = InputDocument(kind="none")
+    if cmd.needs:
         doc = parse_input(Path(args.input).read_bytes())
+    series, inversion = _policies(doc, args)
     if args.print_config:
-        _print_config(args, doc, sys.stdout)
+        _print_config(args, doc, series, inversion, sys.stdout)
         return 0
-    header, rows = _run_command(args, doc)
+    if cmd.needs and doc.kind not in cmd.needs:
+        raise DomainError(
+            f"{cmd.name} requires a {' or '.join(cmd.needs)} document, got {doc.kind}")
+    header, rows = cmd.run(args, doc, series, inversion)
     _emit(header, rows, args.format, sys.stdout)
     return 0
 

@@ -71,7 +71,7 @@ from scipy import special as _sp
 
 from .errors import DomainError, PinchtraceError, TruncationBudgetError
 from .policy import DEFAULT_POLICY, TruncationPolicy
-from .specfun import bessel_j_half, gamma
+from .specfun import bessel_j_half, gamma, leggauss, log_sinh
 from .spectrum import PinchingSet, SpectralData
 
 __all__ = [
@@ -164,12 +164,6 @@ def c_weight(w: float, T: float) -> float:
     )
 
 
-def _log_sinh(x):
-    # expm1 keeps 1 - e^{-2x} accurate as x -> 0, where the deepest
-    # Euler-Maclaurin heads evaluate it
-    return x - math.log(2.0) + np.log(-np.expm1(-2.0 * x))
-
-
 def _log_coth(y: float) -> float:
     return math.log1p(math.exp(-2.0 * y)) - math.log(-math.expm1(-2.0 * y))
 
@@ -207,13 +201,6 @@ def _j_envelope(nu: float, x: float) -> float:
     return min(1.0, _LANDAU_NU * nu ** (-1.0 / 3.0), _LANDAU_X * x ** (-1.0 / 3.0))
 
 
-def _gauss_legendre(m: int):
-    """Nodes and weights of the m-point Gauss-Legendre rule (Golub-Welsch)."""
-    k = np.arange(1.0, m)
-    x, v = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), UPLO="U")
-    return x, 2.0 * v[0] ** 2
-
-
 class _BesselSeries:
     """The per-length sums S(ell) of G_w(T) at one (w, a = T - 1/4 > 0).
 
@@ -235,7 +222,7 @@ class _BesselSeries:
         """ell * g(n ell), vectorized over n."""
         nl2 = 0.5 * ell * n
         x = 2.0 * nl2 * self.sa
-        coef = ell * np.exp(-_log_sinh(nl2))
+        coef = ell * np.exp(-log_sinh(nl2))
         power = np.exp(self.nu * (math.log(self.sa) - np.log(nl2)))
         if self.spherical is not None:
             j = bessel_j_half(self.spherical, x)
@@ -258,7 +245,7 @@ class _BesselSeries:
         def env(n):
             nl2 = 0.5 * ell * n
             return (
-                ell * math.exp(-float(_log_sinh(np.float64(nl2))))
+                ell * math.exp(-log_sinh(nl2))
                 * (sa / nl2) ** nu * _j_envelope(nu, 2.0 * nl2 * sa)
             )
 
@@ -390,7 +377,7 @@ class _BesselSeries:
 
         lo, hi = edges[:-1], edges[1:]
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        gx, gw = _gauss_legendre(_GL_NODES)
+        gx, gw = leggauss(_GL_NODES)
         x = mid[:, None] + half[:, None] * gx
         far = float(np.sum(self.term(1.0, x) @ gw * half))
 
@@ -456,10 +443,10 @@ def g_sine_form(ps, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> floa
 
     def one_length(ell: float) -> float:
         def term(n):
-            return np.sin(n * ell * sa) / n * np.exp(-_log_sinh(0.5 * ell * n))
+            return np.sin(n * ell * sa) / n * np.exp(-log_sinh(0.5 * ell * n))
 
         def env(n):
-            return math.exp(-float(_log_sinh(np.float64(0.5 * ell * n)))) / n
+            return math.exp(-log_sinh(0.5 * ell * n)) / n
 
         return _series_sum(ell, term, env, policy)
 

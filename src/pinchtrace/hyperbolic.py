@@ -20,12 +20,12 @@ Time is always the first argument.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, TruncationBudgetError
 from .policy import DEFAULT_POLICY, TruncationPolicy
+from .specfun import leggauss, log_sinh
 
 __all__ = [
     "heat_kernel",
@@ -42,22 +42,11 @@ _GAUSS_CUT = 49.0
 _GROWTH = 1.5
 
 
-@lru_cache(maxsize=32)
-def _leggauss(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
-def _log_sinh(x):
-    """log(sinh x) for x > 0, overflow-free: x - log 2 + log1p(-e^{-2x})."""
-    return x - math.log(2.0) + np.log1p(-np.exp(-2.0 * x))
-
-
 def _log_sinhc(x):
     """log(sinh(x)/x) for x >= 0, continuous through 0."""
     small = x < 1e-8
     xs = np.where(small, 1.0, x)
-    return np.where(small, np.log1p(x * x / 6.0), _log_sinh(xs) - np.log(xs))
+    return np.where(small, np.log1p(x * x / 6.0), log_sinh(xs) - np.log(xs))
 
 
 def _kernel_grid(t: float, rho: np.ndarray, nn: int) -> np.ndarray:
@@ -65,7 +54,7 @@ def _kernel_grid(t: float, rho: np.ndarray, nn: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=float)
     amp = math.sqrt(2.0) * math.exp(-t / 4.0) / (4.0 * math.pi * t) ** 1.5
     vmax = np.sqrt(np.sqrt(rho * rho + 4.0 * t * _GAUSS_CUT) - rho)
-    xg, wg = _leggauss(nn)
+    xg, wg = leggauss(nn)
     v = 0.5 * vmax[:, None] * (xg[None, :] + 1.0)
     wv = 0.5 * vmax[:, None] * wg[None, :]
     u = rho[:, None] + v * v
@@ -74,22 +63,26 @@ def _kernel_grid(t: float, rho: np.ndarray, nn: int) -> np.ndarray:
     lg = (
         np.log(2.0 * u)
         - u * u / (4.0 * t)
-        - 0.5 * (_log_sinh(rho[:, None] + 0.5 * v * v) + _log_sinhc(0.5 * v * v))
+        - 0.5 * (log_sinh(rho[:, None] + 0.5 * v * v) + _log_sinhc(0.5 * v * v))
     )
     return amp * np.sum(wv * np.exp(lg), axis=1)
 
 
-def _refine(levels, evaluate, policy: TruncationPolicy, label: str) -> float:
-    """Run `evaluate` over a mesh ladder until two levels agree."""
+def _refine(levels, evaluate, policy: TruncationPolicy, label: str,
+            cost=lambda level: level) -> float:
+    """Run `evaluate` over a mesh ladder until two levels agree.
+
+    Each level charges cost(level) quadrature nodes against max_quad_evals.
+    """
     spent = 0
     prev = None
-    for nn in levels:
-        spent += nn
+    for level in levels:
+        spent += cost(level)
         if spent > policy.max_quad_evals:
             raise NonConvergenceError(
                 f"{label}: quadrature budget {policy.max_quad_evals} exhausted"
             )
-        cur = evaluate(nn)
+        cur = evaluate(level)
         if prev is not None and abs(cur - prev) <= policy.tol(cur):
             return cur
         prev = cur
@@ -134,7 +127,7 @@ def heat_kernel_origin(t: float, policy: TruncationPolicy = DEFAULT_POLICY) -> f
     rmax = math.sqrt(_GAUSS_CUT / t) + 2.0
 
     def evaluate(nn: int) -> float:
-        xg, wg = _leggauss(nn)
+        xg, wg = leggauss(nn)
         r = 0.5 * rmax * (xg + 1.0)
         w = 0.5 * rmax * wg
         f = np.exp(-(0.25 + r * r) * t) * np.tanh(math.pi * r) * r
@@ -223,11 +216,7 @@ def cylinder_trace(ell: float, t: float, policy: TruncationPolicy = DEFAULT_POLI
 
     def evaluate(level) -> float:
         outer_nn, inner_nn = level
-        if count * outer_nn > policy.max_quad_evals:
-            raise NonConvergenceError(
-                "cylinder_trace: outer quadrature budget exhausted"
-            )
-        xg, wg = _leggauss(outer_nn)
+        xg, wg = leggauss(outer_nn)
         wn = 0.5 * wmax[:, None] * (xg[None, :] + 1.0)
         ww = 0.5 * wmax[:, None] * wg[None, :]
         v = np.expm1(wn)
@@ -242,14 +231,5 @@ def cylinder_trace(ell: float, t: float, policy: TruncationPolicy = DEFAULT_POLI
         rows = np.sum(ww * kern * (v + 1.0), axis=1)  # dv = (1+v) dw
         return 2.0 * ell * float(np.sum(rows))
 
-    spent = 0
-    prev = None
-    for level in ((96, 64), (160, 96), (288, 160), (512, 288)):
-        spent += count * level[0]
-        if spent > policy.max_quad_evals:
-            raise NonConvergenceError("cylinder_trace: quadrature budget exhausted")
-        cur = evaluate(level)
-        if prev is not None and abs(cur - prev) <= policy.tol(cur):
-            return cur
-        prev = cur
-    raise NonConvergenceError("cylinder_trace: mesh refinement did not converge")
+    return _refine(((96, 64), (160, 96), (288, 160), (512, 288)), evaluate, policy,
+                   "cylinder_trace", cost=lambda level: count * level[0])

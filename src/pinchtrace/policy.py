@@ -72,16 +72,19 @@ class ContourSpec:
 DEFAULT_POLICY = TruncationPolicy()
 
 
-def default_contour(T: float) -> ContourSpec:
-    """Starting contour for inversion at time T.
+def default_contour(T: float, a: float | None = None, s_max: float | None = None,
+                    n_nodes: int | None = None) -> ContourSpec:
+    """Contour for inversion at time T, deriving every field not given.
 
     a = 1/T balances the e^{aT} growth factor against decay along the
     line; s_max = 16/T is a deliberately low initial height, later
-    doubled adaptively until two refinements agree. Node count matches
-    16-point panels of width pi/(4T) over [-s_max, s_max].
+    doubled adaptively until two refinements agree. The node count
+    matches 16-point panels of width pi/(4T) over [-s_max, s_max].
     """
     if not T > 0.0:
         raise DomainError(f"inversion time must be > 0, got {T}")
-    # 2*s_max / (pi/(4T)) panels, 16 nodes each, both half-lines
-    panels = int(2.0 * (16.0 / T) / (3.141592653589793 / (4.0 * T))) + 1
-    return ContourSpec(a=1.0 / T, s_max=16.0 / T, n_nodes=max(64, 16 * panels))
+    a = 1.0 / T if a is None else a
+    s_max = 16.0 / T if s_max is None else s_max
+    if n_nodes is None:
+        n_nodes = max(64, 16 * (int(2.0 * s_max / (3.141592653589793 / (4.0 * T))) + 1))
+    return ContourSpec(a=a, s_max=s_max, n_nodes=n_nodes)

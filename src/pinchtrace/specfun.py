@@ -11,13 +11,16 @@ function, J_{n+1/2}(x) = sqrt(2x/pi) * j_n(x). This is both much faster
 than the general real-order routine (the counting series evaluates
 hundreds of millions of such terms) and accurate to machine precision
 for all x >= 0, including x -> 0 where naive trig closed forms cancel.
+
+The module also holds the two numerical helpers the other modules
+share: log_sinh and the cached Gauss-Legendre rule leggauss.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
-import mpmath
 import numpy as np
 from scipy import special as _sp
 
@@ -30,14 +33,33 @@ _ORACLE_DPS = 50     # worst-case cancellation at x=30 is ~1e11; 50 digits is am
 
 
 def gamma(x: float) -> float:
-    """Gamma function for x > 0.
+    """Gamma function for 0 < x <= 171.6, where it fits a double.
 
     Relative error of the libm implementation is a few ulp, well inside
-    the 1e-12 contract on (0, 50].
+    the 1e-12 contract on (0, 50]. Larger x raises DomainError.
     """
     if not x > 0.0:
         raise DomainError(f"gamma requires x > 0, got {x}")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise DomainError(f"gamma({x}) overflows a double") from None
+
+
+def log_sinh(x):
+    """log(sinh x) for x > 0, overflow-free and accurate as x -> 0."""
+    return x - math.log(2.0) + np.log(-np.expm1(-2.0 * x))
+
+
+@lru_cache(maxsize=32)
+def leggauss(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Cached and read-only, since every caller shares the same arrays.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _check_order(p: float) -> float:
@@ -122,6 +144,8 @@ def bessel_j_oracle(p: float, x: float, terms: int = 60) -> float:
         if p == -0.5:
             raise DomainError("J_{-1/2} diverges at x = 0")
         return 1.0 if p == 0.0 else 0.0
+    import mpmath  # only the oracle needs it; kept off the package import
+
     with mpmath.workdps(_ORACLE_DPS):
         half = mpmath.mpf(x) / 2
         acc = mpmath.mpf(0)

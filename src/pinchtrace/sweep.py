@@ -6,6 +6,11 @@ the asymptotic constant for each point. Rows are independent, may be
 computed concurrently (capped by the SPECTRA_THREADS environment
 variable), and are assembled in schedule order; a failed row is recorded
 with its error message instead of aborting the sweep.
+
+Rows come from the Bessel series or, on request, from the contour
+inversion of the degenerating trace (the dual route). Either way a
+sweep takes the same pair of policies as every other evaluation: the
+series policy for series, the inversion policy for the contour.
 """
 
 from __future__ import annotations
@@ -111,7 +116,8 @@ def run_sweep(
     sch: Schedule,
     w: float,
     T: float,
-    policy: TruncationPolicy | None = None,
+    policy: TruncationPolicy = DEFAULT_POLICY,
+    inversion_policy: TruncationPolicy = DEFAULT_INVERSION_POLICY,
     contour: ContourSpec | None = None,
     use_bromwich: bool = False,
 ) -> SweepResult:
@@ -119,12 +125,13 @@ def run_sweep(
 
     g_value comes from the closed Bessel series, or (use_bromwich) from
     the contour inversion of the degenerating trace, the dual route used
-    for cross-validation. residual subtracts c_weight(w, T) * log_sum
-    (the constant is zero below the T = 1/4 breakpoint); normalized is
-    g_value / log_sum, the quantity that approaches c_weight(w, T).
+    for cross-validation. Series evaluations, the trace on the contour
+    included, run under `policy`; the inversion runs under
+    `inversion_policy`, as in weighted_inverse. residual subtracts
+    c_weight(w, T) * log_sum (the constant is zero below the T = 1/4
+    breakpoint); normalized is g_value / log_sum, the quantity that
+    approaches c_weight(w, T).
     """
-    series_policy = policy if policy is not None else DEFAULT_POLICY
-    inv_policy = policy if policy is not None else DEFAULT_INVERSION_POLICY
     w = float(w)
     T = float(T)
     cw = c_weight(w, T) if T >= 0.25 else 0.0
@@ -134,11 +141,11 @@ def run_sweep(
         try:
             if use_bromwich:
                 g = weighted_inverse(
-                    lambda z: degenerating_trace(ps, z, series_policy),
-                    w, T, contour=contour, policy=inv_policy,
+                    lambda z: degenerating_trace(ps, z, policy),
+                    w, T, contour=contour, policy=inversion_policy,
                 )
             else:
-                g = g_bessel(ps, w, T, series_policy)
+                g = g_bessel(ps, w, T, policy)
         except PinchtraceError as exc:
             nan = float("nan")
             return SweepRow(ps.sup, log_sum, nan, nan, nan, error=str(exc))

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import DomainError, TruncationBudgetError
 from .hyperbolic import heat_kernel_origin
 from .policy import DEFAULT_POLICY, TruncationPolicy
+from .specfun import log_sinh
 from .spectrum import LengthSpectrum, PinchingSet, SpectralData
 
 __all__ = [
@@ -33,18 +34,10 @@ __all__ = [
     "degenerating_trace",
     "spectral_trace",
     "regularized_trace",
-    "LengthSpectrum",
-    "PinchingSet",
-    "SpectralData",
-    "TruncationPolicy",
 ]
 
 _NODE_CHUNK = 4096
 _N_CHUNK = 512
-
-
-def _log_sinh(x):
-    return x - math.log(2.0) + np.log1p(-np.exp(-2.0 * x))
 
 
 def _as_nodes(z):
@@ -75,10 +68,9 @@ def _term_cut(ell: float, mult: int, c_min: float, target: float, cap: int) -> i
     gap = -math.expm1(-0.5 * ell)  # 1 - e^{-ell/2}
 
     def ok(n: int) -> bool:
-        x = 0.5 * (n + 1) * ell
         log_env = (
             math.log(mult * ell)
-            - (x - math.log(2.0) + math.log1p(-math.exp(-2.0 * x)))
+            - log_sinh(0.5 * (n + 1) * ell)
             - (n + 1) * (n + 1) * ell * ell * c_min / 4.0
         )
         return log_env <= math.log(target * gap)
@@ -127,7 +119,7 @@ def _geodesic_sum(entries, zs: np.ndarray, policy: TruncationPolicy) -> np.ndarr
             )
         for n0 in range(1, ncut + 1, _N_CHUNK):
             n = np.arange(n0, min(ncut, n0 + _N_CHUNK - 1) + 1, dtype=float)
-            coef = mult * ell * np.exp(-_log_sinh(0.5 * n * ell))
+            coef = mult * ell * np.exp(-log_sinh(0.5 * n * ell))
             sq = (n * ell) ** 2 / 4.0
             for j0 in range(0, zs.size, _NODE_CHUNK):
                 sl = slice(j0, min(zs.size, j0 + _NODE_CHUNK))

@@ -1,8 +1,6 @@
-"""Laplace transform and Bromwich-contour inversion.
+"""Bromwich-contour inversion of Laplace transforms.
 
-The forward transform is adaptive quadrature of int_0^inf e^{-zt} f(t) dt
-truncated where the caller-supplied exponential growth envelope certifies
-the tail. The inverse runs along the vertical line Re z = a with composite
+Inversion runs along the vertical line Re z = a with composite
 Gauss-Legendre panels narrow enough (width <= pi/4T) to resolve the e^{isT}
 oscillation, doubling the truncation height s_max until two successive
 extensions agree; panels are appended, never recomputed, so refinement is
@@ -22,21 +20,18 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _integrate
 
 from .errors import (
     DomainError,
     ImaginaryResidueError,
-    NonConvergenceError,
     TailEstimateError,
     TruncationBudgetError,
     UncertifiedTailWarning,
 )
-from .policy import ContourSpec, DEFAULT_POLICY, TruncationPolicy
-from .specfun import gamma
+from .policy import ContourSpec, TruncationPolicy, default_contour
+from .specfun import gamma, leggauss
 
 __all__ = [
-    "laplace",
     "bromwich",
     "weighted_inverse",
     "InversionResult",
@@ -75,47 +70,12 @@ class InversionResult:
         return self.value
 
 
-def laplace(f, z: complex, policy: TruncationPolicy = DEFAULT_POLICY,
-            growth: float = 0.0) -> complex:
-    """Forward transform int_0^inf e^{-zt} f(t) dt.
-
-    growth is the caller's envelope rate c with |f(t)| <= M e^{ct}; it
-    must satisfy growth < Re z, and it decides where the integral is cut:
-    past t* = log(1/abs_tol)/(Re z - growth) the integrand tail is below
-    tolerance. Raises on growth-bound violation or quadrature failure.
-    """
-    zc = complex(z)
-    if not zc.real > 0.0:
-        raise DomainError(f"laplace requires Re(z) > 0, got {z}")
-    if growth >= zc.real:
-        raise DomainError(
-            f"growth bound violated: need growth < Re(z), got {growth} >= {zc.real}"
-        )
-    decay = zc.real - growth
-    t_cut = (math.log(1.0 / policy.abs_tol) + 5.0) / decay
-
-    def quad_part(g):
-        val, err, info = _integrate.quad(
-            g, 0.0, t_cut, epsabs=policy.abs_tol, epsrel=policy.rel_tol,
-            limit=200, full_output=1,
-        )[:3]
-        if err > 10.0 * policy.tol(val):
-            raise NonConvergenceError(
-                f"laplace quadrature error estimate {err:.3e} above tolerance"
-            )
-        return val
-
-    re = quad_part(lambda t: math.exp(-zc.real * t) * math.cos(zc.imag * t) * f(t))
-    im = quad_part(lambda t: -math.exp(-zc.real * t) * math.sin(zc.imag * t) * f(t))
-    return complex(re, im)
-
-
 def _panel_nodes(edges_lo: float, edges_hi: float, width_cap: float):
     """Gauss-Legendre nodes and weights covering [edges_lo, edges_hi]."""
     span = edges_hi - edges_lo
     n_panels = max(1, int(math.ceil(span / width_cap)))
     edges = np.linspace(edges_lo, edges_hi, n_panels + 1)
-    xg, wg = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    xg, wg = leggauss(_PANEL_NODES)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     s = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
@@ -132,22 +92,20 @@ def bromwich(
 ) -> InversionResult:
     """Invert a Laplace transform at time T > 0 along a vertical contour.
 
-    F must be vectorized over a complex ndarray. The starting height
-    comes from `contour` (or 16/T by default) and is doubled until the
-    two most recent extensions both land inside tolerance; the sum of
-    their magnitudes is the reported tail bound.
+    F must be vectorized over a complex ndarray. The line and starting
+    height come from `contour` (or default_contour(T)); the height is
+    doubled until the two most recent extensions both land inside
+    tolerance; the sum of their magnitudes is the reported tail bound.
     """
     if not T > 0.0:
         raise DomainError(f"bromwich requires T > 0, got {T}")
     width_cap = math.pi / (4.0 * T)
     if contour is None:
-        a = 1.0 / T
-        s_hi = 16.0 / T
+        contour = default_contour(T)
     else:
-        a = contour.a
-        s_hi = contour.s_max
         # honor a finer node density than the width cap implies
         width_cap = min(width_cap, 2.0 * contour.s_max / (contour.n_nodes / _PANEL_NODES))
+    a, s_hi = contour.a, contour.s_max
 
     evals = 0
     acc = 0.0 + 0.0j

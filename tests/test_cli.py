@@ -8,10 +8,15 @@ import subprocess
 import sys
 import warnings
 
+from dataclasses import asdict, replace
+
 import pytest
 
 from pinchtrace import (
-    SchemaError, bessel_j, c_weight, counting_direct, g_limit, SpectralData,
+    DEFAULT_INVERSION_POLICY, DEFAULT_POLICY, LengthSpectrum, PinchingSet, Schedule,
+    SchemaError, SpectralData, balance_epsilon, bessel_j, c_weight, counting_direct,
+    cylinder_trace, degenerating_trace, g_bessel, g_limit, g_residual, heat_kernel,
+    hyperbolic_trace, run_sweep, spectral_trace, weighted_inverse,
 )
 from pinchtrace.cli import main, parse_input
 
@@ -45,6 +50,11 @@ class TestParseInput:
         assert len(doc.schedule.points()) == 3
         doc2 = parse_input(_doc(schedule={"kind": "explicit", "values": [[0.5], [0.2]]}))
         assert doc2.schedule.points()[1].ells == (0.2,)
+
+    def test_schedule_kind_checked(self):
+        for kind in ("spiral", ["geometric"], None):
+            with pytest.raises(SchemaError, match=r"schedule\.kind"):
+                parse_input(_doc(schedule={"kind": kind, "values": [[0.5]]}))
 
     def test_version_required_and_checked(self):
         with pytest.raises(SchemaError, match="version"):
@@ -221,6 +231,13 @@ class TestMainInProcess:
         assert captured.out == ""
         assert f"{flag}: must be finite" in captured.err
 
+    def test_gamma_overflow_exits_one(self, capsys):
+        code = main(["cweight", "--w", "200", "--T", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("pinchtrace: error:")
+
     def test_deep_length_certified_within_default_budget(self, tmp_path, capsys):
         # 2^-30 needs ~6e10 direct terms, far past max_terms; the
         # Euler-Maclaurin route certifies it with a fixed amount of work
@@ -249,6 +266,133 @@ class TestMainInProcess:
         assert rows[0] == ["t", "s", "htr_re", "htr_im"]
 
 
+_LS = LengthSpectrum.of([(1.0, 1), (2.0, 2)])
+_SD = SpectralData.of([(0.0, 1), (0.2, 1), (0.7, 2)], volume=4.0 * math.pi)
+_PS = PinchingSet((0.1,))
+_SCH = Schedule.explicit([(0.5,), (0.25,)])
+
+
+@pytest.fixture
+def docs(tmp_path):
+    """Input documents for _LS, _SD, _PS and _SCH, keyed by payload kind."""
+    bodies = {
+        "length_spectrum": [{"length": ell, "multiplicity": m} for ell, m in _LS.entries],
+        "eigenvalues": [{"lambda": lam, "multiplicity": m} for lam, m in _SD.eigenvalues],
+        "pinching": list(_PS.ells),
+        "schedule": {"kind": "explicit", "values": [[0.5], [0.25]]},
+    }
+    paths = {}
+    for kind, body in bodies.items():
+        doc = {"version": 1, kind: body}
+        if kind == "eigenvalues":
+            doc["volume"] = _SD.volume
+        paths[kind] = tmp_path / f"{kind}.json"
+        paths[kind].write_text(json.dumps(doc))
+    return {kind: str(path) for kind, path in paths.items()}
+
+
+def _documented_csv(header, rows) -> str:
+    """Header row, then every value at 17 significant digits."""
+    lines = [",".join(header)] + [",".join(format(v, ".17g") for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _complex_row(t, s, value):
+    return [t, s, value.real, value.imag]
+
+
+# subcommand -> (argv after the name, with an input kind in place of its
+# path; header; the same rows from the library)
+LIBRARY_CALLS = {
+    "bessel": (["--p", "1.5", "--x", "2"], ["p", "x", "value"],
+               lambda: [[1.5, 2.0, bessel_j(1.5, 2.0)]]),
+    "heatkernel": (["--t", "1", "--rho", "0.5"], ["t", "rho", "value"],
+                   lambda: [[1.0, 0.5, heat_kernel(1.0, 0.5)]]),
+    "cylinder": (["--ell", "1", "--t", "1"], ["ell", "t", "value"],
+                 lambda: [[1.0, 1.0, cylinder_trace(1.0, 1.0)]]),
+    "trace": (["--input", "length_spectrum", "--t", "1"], ["t", "htr"],
+              lambda: [[1.0, hyperbolic_trace(_LS, 1.0)]]),
+    "dtrace": (["--input", "pinching", "--t", "1", "--s", "0.5"],
+               ["t", "s", "dtr_re", "dtr_im"],
+               lambda: [_complex_row(1.0, 0.5, degenerating_trace(_PS, 1.0 + 0.5j))]),
+    "strace": (["--input", "eigenvalues", "--t", "2"], ["t", "str"],
+               lambda: [[2.0, spectral_trace(_SD, 2.0)]]),
+    "invert": (["--input", "eigenvalues", "--w", "2", "--T", "1"], ["w", "T", "value"],
+               lambda: [[2.0, 1.0, weighted_inverse(lambda z: spectral_trace(_SD, z), 2.0, 1.0)]]),
+    "count": (["--input", "eigenvalues", "--w", "1", "--T", "1"], ["w", "T", "value"],
+              lambda: [[1.0, 1.0, counting_direct(_SD, 1.0, 1.0)]]),
+    "cweight": (["--w", "0.7", "--T", "3"], ["w", "T", "value"],
+                lambda: [[0.7, 3.0, c_weight(0.7, 3.0)]]),
+    "gfunc": (["--input", "pinching", "--w", "2", "--T", "1"], ["w", "T", "g"],
+              lambda: [[2.0, 1.0, g_bessel(_PS, 2.0, 1.0)]]),
+    "residual": (["--input", "pinching", "--w", "0", "--T", "1"],
+                 ["w", "T", "g", "log_sum", "residual"],
+                 lambda: [[0.0, 1.0, g_bessel(_PS, 0.0, 1.0), _PS.log_sum,
+                           g_residual(_PS, 0.0, 1.0)]]),
+    "sweep": (["--input", "schedule", "--w", "0", "--T", "1"],
+              ["ell_sup", "log_sum", "g_value", "residual", "normalized"],
+              lambda: [[r.ell_sup, r.log_sum, r.g_value, r.residual, r.normalized]
+                       for r in run_sweep(_SCH, 0.0, 1.0).rows]),
+    "balance": (["--f-ell", "0.01", "--log-sum", "4"], ["f_ell", "log_sum", "epsilon"],
+                lambda: [[0.01, 4.0, balance_epsilon(0.01, 4.0)]]),
+}
+
+
+def _argv(name, docs):
+    return [name] + [docs.get(a, a) for a in LIBRARY_CALLS[name][0]]
+
+
+class TestLibraryBytes:
+    """Each subcommand prints exactly the rows of the direct library call."""
+
+    @pytest.mark.parametrize("name", sorted(LIBRARY_CALLS))
+    def test_csv_equals_library(self, name, docs, capsys):
+        _, header, rows = LIBRARY_CALLS[name]
+        code, out = _run_main(_argv(name, docs), capsys)
+        assert code == 0
+        assert out == _documented_csv(header, rows())
+
+    def test_json_equals_library(self, docs, capsys):
+        _, header, rows = LIBRARY_CALLS["dtrace"]
+        code, out = _run_main(_argv("dtrace", docs) + ["--format", "json"], capsys)
+        assert code == 0
+        assert out == json.dumps([dict(zip(header, row)) for row in rows()], indent=2) + "\n"
+
+    def test_sweep_bromwich_default_flag_changes_nothing(self, tmp_path, capsys):
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps({
+            "version": 1, "schedule": {"kind": "explicit", "values": [[0.5]]}}))
+        argv = ["sweep", "--input", str(f), "--w", "2", "--T", "1", "--bromwich"]
+        plain = _run_main(argv, capsys)
+        flagged = _run_main(argv + ["--max-terms", str(DEFAULT_POLICY.max_terms)], capsys)
+        assert plain[0] == flagged[0] == 0
+        assert flagged[1] == plain[1]
+        g = tmp_path / "p.json"
+        g.write_text(json.dumps({"version": 1, "pinching": [0.5]}))
+        code, out = _run_main(["gfunc", "--input", str(g), "--w", "2", "--T", "1",
+                               "--check-bromwich"], capsys)
+        assert code == 0
+        assert _csv_rows(plain[1])[1][2] == _csv_rows(out)[1][3]
+
+    @pytest.mark.parametrize("name", ["invert", "gfunc", "sweep"])
+    def test_print_config_shows_both_policies(self, name, docs, tmp_path, capsys):
+        kind = "schedule" if name == "sweep" else "pinching"
+        f = tmp_path / "over.json"
+        doc = json.loads(open(docs[kind]).read())
+        doc["policy"] = {"abs_tol": 1e-12}
+        f.write_text(json.dumps(doc))
+        code, out = _run_main(
+            [name, "--input", str(f), "--w", "2", "--T", "1", "--rel-tol", "1e-6",
+             "--contour-smax", "20", "--print-config"], capsys)
+        assert code == 0
+        cfg = json.loads(out)
+        over = {"rel_tol": 1e-6, "abs_tol": 1e-12}
+        assert cfg["policy"] == asdict(replace(DEFAULT_POLICY, **over))
+        assert cfg["inversion_policy"] == asdict(replace(DEFAULT_INVERSION_POLICY, **over))
+        # missing contour fields derived for T = 1: a = 1/T, 16-node panels of width pi/4
+        assert cfg["contour"] == {"a": 1.0, "s_max": 20.0, "n_nodes": 816}
+
+
 class TestSubprocess:
     CMD = [sys.executable, "-m", "pinchtrace"]
 
@@ -265,6 +409,20 @@ class TestSubprocess:
         assert proc.returncode == 0
         val = float(proc.stdout.splitlines()[1].split(",")[2])
         assert val == pytest.approx(1.0 / math.pi, rel=1e-14)
+
+    def test_gamma_overflow_is_1_without_traceback(self):
+        proc = subprocess.run(self.CMD + ["cweight", "--w", "200", "--T", "1"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("pinchtrace: error:")
+        assert "Traceback" not in proc.stderr
+
+    def test_import_leaves_out_quadrature_and_mpmath(self):
+        code = ("import sys, pinchtrace; "
+                "print(sorted(m for m in ('scipy.integrate', 'mpmath') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_validation_failure_is_1(self, tmp_path):
         f = tmp_path / "bad.json"

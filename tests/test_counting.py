@@ -65,6 +65,14 @@ def test_c_weight_closed_forms():
     assert c_weight(3.0, 0.25) == 0.0
 
 
+def test_weight_past_gamma_range_is_a_domain_error():
+    # Gamma(w + 1) overflows a double for w > 170.6
+    with pytest.raises(DomainError, match="overflows"):
+        c_weight(200.0, 1.0)
+    with pytest.raises(DomainError, match="overflows"):
+        g_bessel([0.1], 200.0, 1.0)
+
+
 def test_c_weight_below_quarter_rejected():
     with pytest.raises(DomainError):
         c_weight(1.0, 0.2)

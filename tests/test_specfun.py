@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pinchtrace import DomainError, bessel_j, bessel_j_half, bessel_j_oracle, gamma
+from pinchtrace.specfun import log_sinh
 
 
 def test_gamma_known_values():
@@ -21,6 +22,21 @@ def test_gamma_rejects_nonpositive():
         gamma(0.0)
     with pytest.raises(DomainError):
         gamma(-1.5)
+
+
+def test_gamma_overflow_is_a_domain_error():
+    assert math.isfinite(gamma(171.5))
+    with pytest.raises(DomainError, match="overflows"):
+        gamma(172.0)
+
+
+@pytest.mark.parametrize("x", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 30.0, 400.0])
+def test_log_sinh_against_mpmath(x):
+    import mpmath
+
+    with mpmath.workdps(40):
+        want = float(mpmath.log(mpmath.sinh(mpmath.mpf(x))))
+    assert abs(float(log_sinh(x)) - want) <= 1e-15 * max(1.0, abs(want))
 
 
 def test_half_order_collapses_to_cosine():

@@ -1,4 +1,4 @@
-"""Laplace transform, Bromwich inversion, weighted counting inversion."""
+"""Bromwich inversion and weighted counting inversion."""
 
 import math
 
@@ -15,32 +15,9 @@ from pinchtrace import (
     TailEstimateError,
     UncertifiedTailWarning,
     bromwich,
-    laplace,
     spectral_trace,
     weighted_inverse,
 )
-
-
-class TestForward:
-    def test_identity_function(self):
-        assert complex(laplace(lambda t: t, 2.0)) == pytest.approx(0.25, rel=1e-9)
-
-    def test_constant(self):
-        assert complex(laplace(lambda t: 1.0, 3.0)) == pytest.approx(1.0 / 3.0, rel=1e-9)
-
-    def test_exponential(self):
-        got = laplace(lambda t: math.exp(-0.5 * t), 1.0)
-        assert complex(got) == pytest.approx(1.0 / 1.5, rel=1e-9)
-
-    def test_complex_argument(self):
-        got = laplace(lambda t: 1.0, 2.0 + 1.0j)
-        assert got == pytest.approx(1.0 / (2.0 + 1.0j), rel=1e-8)
-
-    def test_growth_bound_violation(self):
-        with pytest.raises(DomainError):
-            laplace(lambda t: math.exp(2.0 * t), 1.0, growth=2.0)
-        with pytest.raises(DomainError):
-            laplace(lambda t: 1.0, -1.0)
 
 
 class TestBromwich:
