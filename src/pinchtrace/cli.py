@@ -27,7 +27,7 @@ included, and the inversion policy (built on DEFAULT_INVERSION_POLICY)
 for contour inversions. Document overrides, then flags, apply to both.
 A contour override fills its missing fields from policy.default_contour;
 without one, inversions use bromwich's own default contour.
---print-config dumps the merged configuration without running anything.
+--print-config checks the payload kind, then dumps the merged configuration.
 """
 
 from __future__ import annotations
@@ -427,7 +427,7 @@ def _print_config(args, doc: InputDocument, series, inversion, out) -> None:
         config["inversion_policy"] = asdict(inversion)
         config["contour"] = None if contour is None else asdict(contour)
     if args.command == "sweep":
-        config["threads"] = thread_cap(len(doc.schedule.points()) if doc.schedule else 1)
+        config["threads"] = thread_cap(len(doc.schedule.points()))
     json.dump(config, out, indent=2)
     out.write("\n")
 
@@ -441,14 +441,18 @@ def dispatch(argv) -> int:
     cmd = args.spec
     doc = InputDocument(kind="none")
     if cmd.needs:
-        doc = parse_input(Path(args.input).read_bytes())
+        try:
+            data = Path(args.input).read_bytes()
+        except OSError as exc:  # missing, a directory, not readable
+            raise SchemaError("--input", str(exc)) from None
+        doc = parse_input(data)
+        if doc.kind not in cmd.needs:
+            raise DomainError(
+                f"{cmd.name} requires a {' or '.join(cmd.needs)} document, got {doc.kind}")
     series, inversion = _policies(doc, args)
     if args.print_config:
         _print_config(args, doc, series, inversion, sys.stdout)
         return 0
-    if cmd.needs and doc.kind not in cmd.needs:
-        raise DomainError(
-            f"{cmd.name} requires a {' or '.join(cmd.needs)} document, got {doc.kind}")
     header, rows = cmd.run(args, doc, series, inversion)
     _emit(header, rows, args.format, sys.stdout)
     return 0
@@ -463,9 +467,6 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"pinchtrace: did not converge: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"pinchtrace: error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

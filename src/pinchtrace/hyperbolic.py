@@ -23,9 +23,9 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, TruncationBudgetError
+from .errors import DomainError, NonConvergenceError
 from .policy import DEFAULT_POLICY, TruncationPolicy
-from .specfun import leggauss, log_sinh
+from .specfun import leggauss, log_sinh, tail_cut
 
 __all__ = [
     "heat_kernel",
@@ -160,15 +160,6 @@ def cylinder_displacement(ell: float, n: int, v: float) -> float:
     return max(d, abs(n) * ell)
 
 
-def _log_coshm1(x: np.ndarray) -> np.ndarray:
-    """log(cosh x - 1) for x > 0 without overflow."""
-    return np.where(
-        x > 20.0,
-        x - math.log(2.0),
-        np.log(np.cosh(np.minimum(x, 20.0)) - 1.0 + 1e-300),
-    )
-
-
 def cylinder_trace(ell: float, t: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """Regularized heat trace of the hyperbolic cylinder by unfolding.
 
@@ -177,11 +168,12 @@ def cylinder_trace(ell: float, t: float, policy: TruncationPolicy = DEFAULT_POLI
     v = e^w - 1 so the far field (where d ~ 2 log v) becomes Gaussian in
     w; symmetry reduces everything to n >= 1, v >= 0 with a factor 4.
 
-    The n-sum stops once the closed-form term envelope
-    ell/sinh(n ell/2) e^{-(n ell)^2/4t} drops below tolerance, with a
-    hard cap of 1e5 terms. ell below 0.05 is rejected: the pre-decay sum
-    length ~2/ell would blow the quadrature budget, and the closed-form
-    route in the trace module has no such limit.
+    The n-sum is certified: it is cut where the geometric tail of the
+    closed-form term envelope ell/sinh(n ell/2) e^{-(n ell)^2/4t} falls
+    within tolerance of the n = 1 term, with a hard cap of 1e5 terms.
+    ell below 0.05 is rejected: the pre-decay sum length ~2/ell would
+    blow the quadrature budget, and the closed-form route in the trace
+    module has no such limit.
     """
     if not t > 0.0:
         raise DomainError(f"cylinder_trace requires t > 0, got {t}")
@@ -193,25 +185,17 @@ def cylinder_trace(ell: float, t: float, policy: TruncationPolicy = DEFAULT_POLI
         )
 
     # n-cut from the closed-form envelope of the unfolded terms
-    cap = min(100_000, policy.max_terms)
-    count = 0
-    part = 0.0
-    while True:
-        count += 1
-        e = ell / math.sinh(0.5 * count * ell) * math.exp(-((count * ell) ** 2) / (4.0 * t))
-        part += e
-        if e <= policy.rel_tol * part + policy.abs_tol:
-            break
-        if count >= cap:
-            raise TruncationBudgetError(
-                f"cylinder_trace: n-sum cap {cap} hit before certification"
-            )
+    def log_env(n):
+        return math.log(ell) - log_sinh(0.5 * n * ell) - (n * ell) ** 2 / (4.0 * t)
+
+    count = tail_cut(log_env, ell, policy.tol(math.exp(log_env(1))),
+                     min(100_000, policy.max_terms))
     narr = np.arange(1, count + 1, dtype=float)
 
     # per-n outer range: displacements beyond D contribute below the
     # Gaussian cut, so v_max solves cosh d(v_max) = cosh D
     dcut = np.sqrt((narr * ell) ** 2 + 4.0 * t * _GAUSS_CUT)
-    log_vmax = 0.5 * (_log_coshm1(dcut) - _log_coshm1(narr * ell))
+    log_vmax = log_sinh(0.5 * dcut) - log_sinh(0.5 * narr * ell)
     wmax = np.log1p(np.exp(np.minimum(log_vmax, 700.0)))
 
     def evaluate(level) -> float:
@@ -220,8 +204,8 @@ def cylinder_trace(ell: float, t: float, policy: TruncationPolicy = DEFAULT_POLI
         wn = 0.5 * wmax[:, None] * (xg[None, :] + 1.0)
         ww = 0.5 * wmax[:, None] * wg[None, :]
         v = np.expm1(wn)
-        # log(cosh d - 1) = log(cosh(n ell) - 1) + log(1 + v^2); overflow-safe
-        lc = _log_coshm1(narr[:, None] * ell) + np.log1p(v * v)
+        # log(cosh d - 1) = log(2 sinh^2(n ell/2) (1 + v^2)); overflow-safe
+        lc = math.log(2.0) + 2.0 * log_sinh(0.5 * narr[:, None] * ell) + np.log1p(v * v)
         d = np.where(
             lc > 40.0,
             lc + math.log(2.0),

@@ -12,8 +12,9 @@ than the general real-order routine (the counting series evaluates
 hundreds of millions of such terms) and accurate to machine precision
 for all x >= 0, including x -> 0 where naive trig closed forms cancel.
 
-The module also holds the two numerical helpers the other modules
-share: log_sinh and the cached Gauss-Legendre rule leggauss.
+The module also holds the numerical helpers the other modules share:
+log_sinh, the geometric-tail cut tail_cut and the cached Gauss-Legendre
+rule leggauss.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as _sp
 
-from .errors import DomainError
+from .errors import DomainError, TruncationBudgetError
 
 __all__ = ["gamma", "bessel_j", "bessel_j_half", "bessel_j_oracle"]
 
@@ -47,8 +48,37 @@ def gamma(x: float) -> float:
 
 
 def log_sinh(x):
-    """log(sinh x) for x > 0, overflow-free and accurate as x -> 0."""
+    """log(sinh x) for x > 0, overflow-free and accurate as x -> 0.
+
+    A Python float takes the scalar math route, an array numpy's.
+    """
+    if isinstance(x, float):
+        return x - math.log(2.0) + math.log(-math.expm1(-2.0 * x))
     return x - math.log(2.0) + np.log(-np.expm1(-2.0 * x))
+
+
+def tail_cut(log_env, ell: float, target: float, cap: int) -> int:
+    """Smallest N >= 1 with env(N+1)/(1 - e^{-ell/2}) <= target.
+
+    log_env(n) is the log of a non-increasing envelope with
+    |term(m)| <= env(n) e^{-(m-n) ell/2} for all m >= n, so the tail
+    past N is at most that geometric sum. Doubling, then bisection;
+    raises TruncationBudgetError when N would exceed cap.
+    """
+    limit = math.log(target * -math.expm1(-0.5 * ell))
+    lo, n = 0, 1  # the answer lies in (lo, n] once n passes
+    while n > cap or log_env(n + 1) > limit:
+        if n >= cap:
+            raise TruncationBudgetError(
+                f"cannot certify tolerance within {cap} terms (length {ell})")
+        lo, n = n, min(2 * n, cap)
+    while n - lo > 1:
+        mid = (lo + n) // 2
+        if log_env(mid + 1) <= limit:
+            n = mid
+        else:
+            lo = mid
+    return n
 
 
 @lru_cache(maxsize=32)

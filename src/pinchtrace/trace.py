@@ -23,10 +23,10 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, TruncationBudgetError
+from .errors import DomainError
 from .hyperbolic import heat_kernel_origin
 from .policy import DEFAULT_POLICY, TruncationPolicy
-from .specfun import log_sinh
+from .specfun import log_sinh, tail_cut
 from .spectrum import LengthSpectrum, PinchingSet, SpectralData
 
 __all__ = [
@@ -57,66 +57,26 @@ def _give_back(value: np.ndarray, z):
     return value.reshape(np.shape(z))
 
 
-def _term_cut(ell: float, mult: int, c_min: float, target: float, cap: int) -> int:
-    """Smallest N with envelope(N+1)/(1 - e^{-ell/2}) <= target.
-
-    envelope(n) = mult * ell / sinh(n ell/2) * e^{-(n ell)^2 c_min / 4}
-    is decreasing in n, and successive terms shrink by at least
-    e^{-ell/2}, so the tail past N is a certified geometric sum.
-    """
-
-    gap = -math.expm1(-0.5 * ell)  # 1 - e^{-ell/2}
-
-    def ok(n: int) -> bool:
-        log_env = (
-            math.log(mult * ell)
-            - log_sinh(0.5 * (n + 1) * ell)
-            - (n + 1) * (n + 1) * ell * ell * c_min / 4.0
-        )
-        return log_env <= math.log(target * gap)
-
-    n = 1
-    while not ok(n):
-        if n >= cap:
-            raise TruncationBudgetError(
-                f"trace series: cannot certify tolerance within {cap} terms "
-                f"(length {ell})"
-            )
-        n *= 2
-    if n == 1:
-        return 1
-    lo, hi = n // 2, n  # ok(hi) holds, ok(lo) fails
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def _geodesic_sum(entries, zs: np.ndarray, policy: TruncationPolicy) -> np.ndarray:
     c = zs.real / np.abs(zs) ** 2  # Re(1/z) per node
     c_min = float(np.min(c))
     stretch = math.sqrt(1.0 + float(np.max((zs.imag / zs.real) ** 2)))
     budget = int(policy.max_terms * stretch)
 
+    def log_env(ell, mult):
+        """log of mult ell / sinh(n ell/2) e^{-(n ell)^2 c_min/4}, a bound on term n."""
+        return lambda n: (math.log(mult * ell) - log_sinh(0.5 * n * ell)
+                          - n * n * ell * ell * c_min / 4.0)
+
     # a priori scale: the n = 1 shell dominates the unprefixed sum
-    scale = sum(
-        m * ell / math.sinh(0.5 * ell) * math.exp(-ell * ell * c_min / 4.0)
-        for ell, m in entries
-    )
-    target = policy.rel_tol * scale + policy.abs_tol
+    scale = sum(math.exp(log_env(ell, m)(1)) for ell, m in entries)
+    target = policy.tol(scale)
 
     total = np.zeros_like(zs)
     used = 0
     for ell, mult in entries:  # ascending lengths (canonical order)
-        ncut = _term_cut(ell, mult, c_min, target / len(entries), budget - used)
+        ncut = tail_cut(log_env(ell, mult), ell, target / len(entries), budget - used)
         used += ncut
-        if used > budget:
-            raise TruncationBudgetError(
-                f"trace series: term budget {budget} exhausted"
-            )
         for n0 in range(1, ncut + 1, _N_CHUNK):
             n = np.arange(n0, min(ncut, n0 + _N_CHUNK - 1) + 1, dtype=float)
             coef = mult * ell * np.exp(-log_sinh(0.5 * n * ell))

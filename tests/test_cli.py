@@ -11,6 +11,8 @@ import warnings
 from dataclasses import asdict, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchtrace import (
     DEFAULT_INVERSION_POLICY, DEFAULT_POLICY, LengthSpectrum, PinchingSet, Schedule,
@@ -107,6 +109,33 @@ class TestParseInput:
         assert doc.policy == {"rel_tol": 1e-6}
 
 
+# document fields, so fuzzed objects reach the nested validators
+_KEYS = st.sampled_from([
+    "version", "volume", "policy", "contour", "length_spectrum", "eigenvalues",
+    "pinching", "schedule", "length", "lambda", "multiplicity", "kind", "start",
+    "ratio", "count", "values", "rel_tol", "abs_tol", "max_terms", "a", "n_nodes"])
+_LEAF = (st.none() | st.booleans() | st.integers(-2, 5) | st.floats()
+         | st.sampled_from(["geometric", "explicit", ""]))
+_VALUE = st.recursive(
+    _LEAF, lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_KEYS, kids, max_size=4),
+    max_leaves=12)
+_FUZZ = st.one_of(
+    st.binary(max_size=40),
+    st.dictionaries(_KEYS, _VALUE, max_size=4).map(lambda d: json.dumps(d).encode()),
+    st.dictionaries(_KEYS, _VALUE, max_size=3).map(
+        lambda d: json.dumps({**d, "version": 1}).encode()),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=_FUZZ)
+def test_parse_input_raises_only_schema_errors(data):
+    try:
+        parse_input(data)
+    except SchemaError:
+        pass
+
+
 def _run_main(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
@@ -189,6 +218,32 @@ class TestMainInProcess:
 
     def test_missing_file_exits_one(self, capsys):
         assert main(["dtrace", "--input", "/nonexistent.json", "--t", "1"]) == 1
+
+    def test_unreadable_input_exits_one(self, tmp_path, capsys):
+        assert main(["dtrace", "--input", str(tmp_path), "--t", "1"]) == 1
+        assert capsys.readouterr().err.startswith("pinchtrace: error:")
+
+    def test_print_config_checks_payload_kind(self, tmp_path, capsys):
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps({
+            "version": 1, "schedule": {"kind": "explicit", "values": [[0.5]]}}))
+        argv = ["invert", "--input", str(f), "--w", "2", "--T", "1"]
+        assert main(argv) == 1
+        plain = capsys.readouterr()
+        assert main(argv + ["--print-config"]) == 1
+        assert capsys.readouterr() == plain
+        assert plain.out == ""
+
+    def test_long_length_trace_is_zero(self, tmp_path, capsys):
+        # sinh(ell/2) overflows a double at this length
+        f = tmp_path / "ls.json"
+        f.write_text(json.dumps({
+            "version": 1, "length_spectrum": [{"length": 2000, "multiplicity": 1}]}))
+        code = main(["trace", "--input", str(f), "--t", "1"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert _csv_rows(captured.out) == [["t", "htr"], ["1", "0"]]
 
     def test_sweep_header_contract(self, tmp_path, capsys):
         f = tmp_path / "s.json"

@@ -164,6 +164,16 @@ def test_sandwich_tightens_as_epsilon_shrinks():
     assert m == pytest.approx(at_T, rel=1e-7)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    spectrum=st.lists(st.tuples(st.floats(0.0, 3.0), st.integers(1, 3)), min_size=1, max_size=12),
+    w=st.floats(0.0, 3.0), T=st.floats(0.0, 3.5), eps=st.floats(1e-3, 1.0),
+)
+def test_sandwich_ordering_on_random_spectra(spectrum, w, T, eps):
+    lo, mid, hi = sandwich_check(SpectralData.of(spectrum), w, T, eps)
+    assert lo <= mid <= hi
+
+
 def test_sandwich_rejects_bad_epsilon():
     with pytest.raises((DomainError, PinchtraceError)):
         sandwich_check(SpectralData.of([(0.0, 1)]), 1.0, 1.0, 0.0)
@@ -259,6 +269,26 @@ def test_em_route_matches_direct_route_property(w, T, k):
     assert abs(chosen - direct) <= DEFAULT_POLICY.tol(chosen) + DEFAULT_POLICY.tol(direct)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(w=st.floats(0.0, 5.0), T=st.floats(0.3, 40.0), ell=st.floats(0.05, 3.0))
+@example(w=10.0, T=1.0, ell=0.5)
+@example(w=40.0, T=1.0, ell=0.1)
+@example(w=40.0, T=5.0, ell=0.5)
+def test_direct_series_match_their_full_sums(w, T, ell):
+    # at large T both sums can cancel far below their first term, so the
+    # cut made for tol(env(1)) must be redone for the partial sum; at
+    # large w S is tiny next to abs_tol (about 1e-54 at w = 40, T = 1),
+    # so the tolerance must apply to pref * S, the length's share of G
+    series = _BesselSeries(w, T - 0.25, DEFAULT_POLICY)
+    n = np.arange(1.0, math.ceil(200.0 / ell))
+    full = series.pref * math.fsum(series.term(ell, n))
+    got = g_bessel(PinchingSet.of([ell]), w, T)
+    assert abs(got - full) <= DEFAULT_POLICY.tol(full) + 1e-15
+    sine = math.fsum(np.sin(n * ell * series.sa) / n / np.sinh(0.5 * n * ell))
+    got = 2.0 * math.pi * g_sine_form(PinchingSet.of([ell]), T)
+    assert abs(got - sine) <= DEFAULT_POLICY.tol(sine) + 1e-15
+
+
 def test_em_route_falls_back_when_its_bound_misses():
     # at large T the Laurent sums at X = 64 ell cancel badly; the route
     # must hand such a length to the direct series, never return it
@@ -283,8 +313,14 @@ def test_budget_still_raises_on_every_route():
             g_bessel(PinchingSet.of([ell]), 0.0, 1.0, tight)
 
 
+def test_overflowing_terms_raise_at_once():
+    # (sqrt(a)/(n ell/2))^nu overflows a double for nu = 100.5 at this length
+    with np.errstate(all="ignore"), pytest.raises(TruncationBudgetError, match="overflow"):
+        g_bessel(PinchingSet.of([2.0**-10]), 100.0, 1.0)
+
+
 def test_deep_lengths_certified_within_default_budget():
-    # the direct route would need ~24/ell > max_terms terms here
+    # the direct route would need ~36/ell > max_terms terms here
     for w, T in R_LIMITS:
         for k in (24, 30):
             ps = PinchingSet.of([2.0**-k])
@@ -294,7 +330,7 @@ def test_deep_lengths_certified_within_default_budget():
 
 def test_sine_form_stays_on_the_direct_series():
     # same policy: the Euler-Maclaurin route fits 1000 terms, the sine
-    # form's term-by-term sum (about 24/ell terms) does not
+    # form's term-by-term sum (about 36/ell terms) does not
     budget = TruncationPolicy(max_terms=1000)
     ps = PinchingSet.of([2.0**-10])
     g_bessel(ps, 0.0, 1.0, budget)

@@ -7,13 +7,16 @@ import pytest
 from scipy import integrate
 
 from pinchtrace import (
+    DEFAULT_POLICY,
     DomainError,
+    LengthSpectrum,
     NonConvergenceError,
     TruncationPolicy,
     cylinder_displacement,
     cylinder_trace,
     heat_kernel,
     heat_kernel_origin,
+    hyperbolic_trace,
 )
 
 
@@ -145,6 +148,20 @@ def test_displacement_domain():
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 def test_cylinder_positive(ell, t):
     assert cylinder_trace(ell, t) > 0.0
+
+
+@pytest.mark.parametrize("ell", [0.05, 0.1])
+@pytest.mark.parametrize("t", [2.0, 10.0])
+def test_cylinder_short_lengths_match_closed_form(ell, t):
+    # stopping at the first term under tolerance misses the tail here by
+    # 2.7e-9 to 1.35e-8 relative; the geometric tail bound does not
+    closed = hyperbolic_trace(LengthSpectrum.of([(ell, 1)]), t)
+    assert abs(cylinder_trace(ell, t) - closed) <= 2.0 * DEFAULT_POLICY.tol(closed)
+
+
+def test_cylinder_long_length_is_zero():
+    # sinh(ell/2) overflows a double here; the envelope lives in log space
+    assert cylinder_trace(1500.0, 1.0) == 0.0
 
 
 def test_cylinder_decreases_at_large_time():

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pinchtrace import DomainError, bessel_j, bessel_j_half, bessel_j_oracle, gamma
-from pinchtrace.specfun import log_sinh
+from pinchtrace import (
+    DomainError, TruncationBudgetError, bessel_j, bessel_j_half, bessel_j_oracle, gamma,
+)
+from pinchtrace.specfun import log_sinh, tail_cut
 
 
 def test_gamma_known_values():
@@ -37,6 +41,37 @@ def test_log_sinh_against_mpmath(x):
     with mpmath.workdps(40):
         want = float(mpmath.log(mpmath.sinh(mpmath.mpf(x))))
     assert abs(float(log_sinh(x)) - want) <= 1e-15 * max(1.0, abs(want))
+    assert abs(float(log_sinh(np.array([x]))[0]) - want) <= 1e-15 * max(1.0, abs(want))
+
+
+def _sine_envelope(ell, sa):
+    """log of min(1, n ell sa)/(n sinh(n ell/2)), which bounds the w = 0 term
+    |sin(n ell sa)|/(n sinh(n ell/2)) and every later one geometrically."""
+    return lambda n: math.log(min(1.0 / n, ell * sa)) - log_sinh(0.5 * n * ell)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(ell=st.floats(0.05, 3.0), sa=st.floats(0.1, 4.0), log_target=st.floats(-32.0, -2.0))
+def test_tail_cut_is_the_smallest_certified_cut(ell, sa, log_target):
+    target = math.exp(log_target)
+    log_env = _sine_envelope(ell, sa)
+    n = tail_cut(log_env, ell, target, 10**6)
+    limit = math.log(target * -math.expm1(-0.5 * ell))
+    assert log_env(n + 1) <= limit
+    assert n == 1 or log_env(n) > limit
+    # the true tail, summed until e^{-m ell/2} is below 1e-35
+    m = np.arange(n + 1.0, n + 2.0 + math.ceil(160.0 / ell))
+    tail = np.sum(np.abs(np.sin(m * ell * sa)) / m * np.exp(-log_sinh(0.5 * m * ell)))
+    assert tail <= target
+
+
+def test_tail_cut_raises_past_its_cap():
+    log_env = _sine_envelope(0.05, 1.0)
+    n = tail_cut(log_env, 0.05, 1e-10, 10**6)
+    assert tail_cut(log_env, 0.05, 1e-10, n) == n
+    for cap in (0, 1, n // 2, n - 1):
+        with pytest.raises(TruncationBudgetError):
+            tail_cut(log_env, 0.05, 1e-10, cap)
 
 
 def test_half_order_collapses_to_cosine():

@@ -122,6 +122,15 @@ def test_short_length_against_direct_sum():
     assert got == pytest.approx(want, rel=1e-8)
 
 
+def test_long_length_underflows_to_zero():
+    # sinh(ell/2) overflows a double here; the trace itself is 0 in doubles
+    long = LengthSpectrum.of([(1500.0, 1)])
+    assert hyperbolic_trace(long, 1.0) == 0.0
+    assert hyperbolic_trace(long, complex(1.0, 2.0)) == 0.0
+    mixed = LengthSpectrum.of([(1.0, 1), (1500.0, 1)])
+    assert hyperbolic_trace(mixed, 1.0) == hyperbolic_trace(LengthSpectrum.of([(1.0, 1)]), 1.0)
+
+
 def test_spectral_trace_examples():
     sd = SpectralData.of([(0.0, 1), (0.25, 2)])
     assert spectral_trace(sd, 2.0) == pytest.approx(1.0 + 2.0 * math.exp(-0.5), rel=1e-15)
