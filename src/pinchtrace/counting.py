@@ -56,11 +56,11 @@ length of a call, so the cost does not depend on ell. Stated bounds:
 - quadrature: per panel (64/15) M' h rho^{2-2m}/(rho^2 - 1) over the
   Bernstein ellipse E_rho, h the half-width, m = 20 nodes and M' the
   bound on |g| over E_rho;
-- the cut at x_max: 2 phi0 log coth(x_max/4);
+- the cut at x_max: 2 phi0 log coth(x_max/4), at most abs_tol/(16 pref);
 - rounding: 1e-15 of the absolute size of the alternating Laurent sums.
 
 A length takes this route only when the bounds sum to within
-policy.tol(S), its 64 terms fit max_terms and its panels fit
+tol(S), as on the direct route, its 64 terms fit max_terms and its panels fit
 max_quad_evals; otherwise it falls back to the direct route. The
 Laurent tail and rounding bounds grow like e^{sqrt(a) X}, so at large
 T the shallower of these lengths fall back.
@@ -104,6 +104,8 @@ _GL_NODES = 20
 _LAURENT_RHOS = (3.5, 4.0, 4.5, 5.0, 5.5, 6.0)   # Cauchy radii tried, all < 2 pi
 _ELLIPSE_RHOS = np.array([1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0])
 _ROUNDING = 1e-15
+_LOG_POWER_MAX = 600.0      # a larger power leaves J_nu too close to underflow
+_PHI_SERIES_TERMS = 60      # each term at most half the last: 2^-59 relative
 _ZETA4 = math.pi**4 / 90.0  # zeta(p) <= zeta(4) for every p >= 4
 _EULER_GAMMA = 0.5772156649015329
 
@@ -221,31 +223,54 @@ class _BesselSeries:
         self._pieces = None
 
     def term(self, ell: float, n):
-        """ell * g(n ell), vectorized over n."""
+        """ell * g(n ell), vectorized over n.
+
+        phi = (sqrt(a)/(n ell/2))^nu J_nu(x) is that product unless, at
+        the smallest n, the power could overflow or J_nu underflow. Then
+        phi comes from its ascending series where x^2 <= 2 (nu + 1), each
+        series term at most half the one before.
+        """
         nl2 = 0.5 * ell * n
         x = 2.0 * nl2 * self.sa
         coef = ell * np.exp(-log_sinh(nl2))
-        power = np.exp(self.nu * (math.log(self.sa) - np.log(nl2)))
+        log_sa = math.log(self.sa)
+        if self.nu * (log_sa - math.log(float(np.min(nl2)))) <= _LOG_POWER_MAX + min(
+                0.0, self.log_phi0):
+            power = np.exp(self.nu * (log_sa - np.log(nl2)))
+            return coef * power * self._bessel(x)
+        near = x * x <= 2.0 * (self.nu + 1.0)
+        phi = np.empty_like(x)
+        phi[~near] = np.exp(self.nu * (log_sa - np.log(nl2[~near]))) * self._bessel(x[~near])
+        s = -0.25 * x[near] ** 2
+        part = np.ones_like(s)
+        acc = np.ones_like(s)
+        for m in range(1, _PHI_SERIES_TERMS):
+            part *= s / (m * (m + self.nu))
+            acc += part
+        phi[near] = self.phi0 * acc
+        return coef * phi
+
+    def _bessel(self, x):
         if self.spherical is not None:
-            j = bessel_j_half(self.spherical, x)
-        else:
-            j = _sp.jv(self.nu, x)
-        return coef * power * j
+            return bessel_j_half(self.spherical, x)
+        return _sp.jv(self.nu, x)
 
     def length_sum(self, ell: float) -> float:
         """S(ell) by the Euler-Maclaurin route where it certifies, else directly."""
         if ell <= _EM_ELL_MAX:
             em = self.euler_maclaurin(ell)
-            if em is not None and em[1] <= self.policy.tol(em[0]):
+            if em is not None and em[1] <= self._tol(em[0]):
                 return em[0]
         return self.direct(ell)
 
-    def direct(self, ell: float) -> float:
-        """S(ell) summed term by term; raises TruncationBudgetError past max_terms.
+    def _tol(self, s: float) -> float:
+        """Tolerance on S: abs_tol bounds the error of pref S, not of S,
+        which is tiny at large w."""
+        return self.policy.tol(self.pref * s) / self.pref
 
-        abs_tol bounds the error of pref S, not of S, which is tiny at large w.
-        """
-        nu, sa, log_phi0, pref = self.nu, self.sa, self.log_phi0, self.pref
+    def direct(self, ell: float) -> float:
+        """S(ell) summed term by term; raises TruncationBudgetError past max_terms."""
+        nu, sa, log_phi0 = self.nu, self.sa, self.log_phi0
 
         def log_env(n):
             # |phi| <= phi0 on the reals, and past that the Bessel envelope
@@ -253,8 +278,8 @@ class _BesselSeries:
             return math.log(ell) - log_sinh(nl2) + min(
                 log_phi0, nu * math.log(sa / nl2) + math.log(_j_envelope(nu, 2.0 * nl2 * sa)))
 
-        return _series_sum(ell, lambda n: self.term(ell, n), log_env,
-                           lambda v: self.policy.tol(pref * v) / pref, self.policy.max_terms)
+        return _series_sum(ell, lambda n: self.term(ell, n), log_env, self._tol,
+                           self.policy.max_terms)
 
     def euler_maclaurin(self, ell: float):
         """(S(ell), stated error bound), or None where the route cannot run.
@@ -334,7 +359,7 @@ class _BesselSeries:
             for rho in _LAURENT_RHOS
         )
         bound = laurent + far_bound + _ROUNDING * mass
-        if not bound <= self.policy.tol(value):
+        if not bound <= self._tol(value):
             raise TruncationBudgetError(
                 f"g_limit bound {bound:.3e} exceeds tolerance at value {value:.6g}"
             )
@@ -362,10 +387,11 @@ class _BesselSeries:
         a, sa, nu, phi0 = self.a, self.sa, self.nu, self.phi0
         # panels double in width from x1 until they reach `width`, then
         # stay at it, so sqrt(a) |Im z| stays bounded on their ellipses;
-        # the cut at x_max costs at most abs_tol/16
+        # the cut at x_max costs pref S at most abs_tol/16
         x1 = min(1.0, 2.0 / sa)
         width = min(4.0, 3.0 / sa)
-        x_max = max(2.0 * x1, 2.0 * math.log(max(64.0 * phi0 / self.policy.abs_tol, 1.0)))
+        x_max = max(2.0 * x1, 2.0 * math.log(max(
+            64.0 * phi0 * self.pref / self.policy.abs_tol, 1.0)))
         edges = [x1]
         while edges[-1] < width and edges[-1] < x_max:
             edges.append(2.0 * edges[-1])
@@ -408,7 +434,10 @@ def g_bessel(ps, w: float, T: float, policy: TruncationPolicy = DEFAULT_POLICY) 
     if a <= 0.0:
         return 0.0
     series = _BesselSeries(w, a, policy)
-    return series.pref * sum(series.length_sum(ell) for ell in ps.ells)
+    g = series.pref * sum(series.length_sum(ell) for ell in ps.ells)
+    if not math.isfinite(g):
+        raise TruncationBudgetError(f"G_{w}({T}) overflows a double")
+    return g
 
 
 def g_limit(w: float, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:

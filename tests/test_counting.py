@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -314,9 +315,41 @@ def test_budget_still_raises_on_every_route():
 
 
 def test_overflowing_terms_raise_at_once():
-    # (sqrt(a)/(n ell/2))^nu overflows a double for nu = 100.5 at this length
+    # G_100(3e4) is past the largest double, by its terms or by its prefactor
     with np.errstate(all="ignore"), pytest.raises(TruncationBudgetError, match="overflow"):
-        g_bessel(PinchingSet.of([2.0**-10]), 100.0, 1.0)
+        g_bessel(PinchingSet.of([1.0 / 16.0]), 100.0, 3e4)
+
+
+def _full_sum(ell, w, T):
+    series = _BesselSeries(w, T - 0.25, DEFAULT_POLICY)
+    return series.pref * float(np.sum(series.term(ell, np.arange(1.0, 200.0 / ell + 1.0))))
+
+
+@pytest.mark.parametrize("T", [1.0, 5.0])
+@pytest.mark.parametrize("ell", [1.0 / 64.0, 2.0**-10])
+def test_large_weight_em_route_meets_tolerance_of_g(ell, T):
+    # abs_tol applies to G = pref S, and pref ~ 1e47 at w = 40
+    want = _full_sum(ell, 40.0, T)
+    got = g_bessel(PinchingSet.of([ell]), 40.0, T)
+    assert abs(got - want) <= DEFAULT_POLICY.tol(want)
+
+
+def test_large_order_terms_stay_finite():
+    # (sqrt(a)/(n ell/2))^nu overflows a double for nu = 100.5 at this length,
+    # and J_nu underflows, while their product phi stays near phi(0)
+    ell = 2.0**-10
+    series = _BesselSeries(100.0, 0.75, DEFAULT_POLICY)
+    with mpmath.workdps(40):
+        for n in (1, 7, 300):
+            nl2 = mpmath.mpf(ell) * n / 2
+            x = 2 * nl2 * mpmath.sqrt(mpmath.mpf(0.75))
+            want = (ell / mpmath.sinh(nl2) * (mpmath.sqrt(mpmath.mpf(0.75)) / nl2) ** 100.5
+                    * mpmath.besselj(100.5, x))
+            assert float(series.term(ell, np.array([float(n)]))[0]) == pytest.approx(
+                float(want), rel=1e-12)
+    want = _full_sum(ell, 100.0, 1.0)
+    got = g_bessel(PinchingSet.of([ell]), 100.0, 1.0)
+    assert math.isfinite(got) and abs(got - want) <= DEFAULT_POLICY.tol(want)
 
 
 def test_deep_lengths_certified_within_default_budget():

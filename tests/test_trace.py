@@ -2,10 +2,14 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pinchtrace import trace
 from pinchtrace import (
     DomainError,
     LengthSpectrum,
@@ -19,6 +23,7 @@ from pinchtrace import (
     regularized_trace,
     spectral_trace,
 )
+from pinchtrace.policy import DEFAULT_POLICY
 
 
 def _direct_sum(entries, z, nmax):
@@ -204,3 +209,71 @@ def test_spectrum_sorted_and_logsum():
     ps = PinchingSet.of([0.5, 0.1])
     assert ps.sup == 0.5
     assert ps.log_sum == pytest.approx(math.log(2.0) + math.log(10.0), rel=1e-15)
+
+
+def _routes(entries, zs, policy=DEFAULT_POLICY, max_cost=1e8):
+    """(Taylor route or None, direct route, per-node target) on one node block."""
+    log_env, target, cap = trace._plan(entries, zs, policy)
+    direct = trace._term_sum(entries, zs, trace._cuts(entries, log_env, target, cap))
+    return trace._taylor_sum(entries, zs, log_env, target, cap, max_cost), direct, target
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    a=st.floats(0.05, 20.0),
+    doublings=st.integers(-1, 8),  # -1: the band [0, 16/a]; k: [S, 2S] with S = 2^k 16/a
+    entries=st.lists(st.tuples(st.floats(1e-3, 3.0), st.integers(1, 4)), min_size=1,
+                     max_size=4, unique_by=lambda e: e[0]),
+)
+def test_taylor_route_matches_direct_route_on_contour_blocks(a, doublings, entries):
+    lo = 0.0 if doublings < 0 else 2.0**doublings * 16.0 / a
+    hi = 16.0 / a if doublings < 0 else 2.0 * lo
+    zs = a + 1j * np.linspace(lo, hi, 64)
+    entries = LengthSpectrum.of(entries).entries
+    taylor, direct, target = _routes(entries, zs)
+    if taylor is None:  # no centre certifies: the call falls back, bit for bit
+        assert np.array_equal(trace._geodesic_sum(entries, zs, DEFAULT_POLICY), direct)
+    else:  # each route is within target of the series
+        assert float(np.max(np.abs(taylor - direct))) <= 2.0 * target
+
+
+def test_taylor_route_serves_contour_extensions():
+    entries = ((0.01, 1),)
+    zs = 1.0 + 1j * np.linspace(16.0, 32.0, 2000)
+    taylor, direct, target = _routes(entries, zs)
+    assert taylor is not None
+    assert np.array_equal(trace._geodesic_sum(entries, zs, DEFAULT_POLICY), taylor)
+    assert float(np.max(np.abs(taylor - direct))) <= 2.0 * target
+
+
+@pytest.mark.parametrize("z", [1.3, np.array([0.5 + 0.0j, 1.0 + 1.0j, 2.0 - 0.5j])])
+def test_scalars_and_small_arrays_take_the_direct_route(z):
+    entries = LengthSpectrum.of([(0.9, 1), (1.4, 3)]).entries
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    _, direct, _ = _routes(entries, zs)
+    assert np.array_equal(trace._geodesic_sum(entries, zs, DEFAULT_POLICY), direct)
+
+
+@pytest.mark.parametrize("ell", [1500.0, 2000.0])
+def test_long_length_on_a_contour_gives_zero(ell):
+    zs = 1.0 + 1j * np.linspace(0.0, 64.0, 1000)
+    assert np.all(hyperbolic_trace(LengthSpectrum.of([(ell, 1)]), zs) == 0.0)
+
+
+def test_budget_exhaustion_is_reported_on_a_contour():
+    tight = TruncationPolicy(max_terms=1)
+    zs = 1.0 + 1j * np.linspace(0.0, 64.0, 1000)
+    with pytest.raises(TruncationBudgetError):
+        hyperbolic_trace(LengthSpectrum.of([(0.1, 1)]), zs, tight)
+
+
+def test_large_abscissa_overflows_nothing():
+    ls = LengthSpectrum.of([(0.01, 1), (0.3, 2)])
+    for lo, hi in ((0.0, 320.0), (320.0, 640.0), (20480.0, 40960.0)):
+        zs = 20.0 + 1j * np.linspace(lo, hi, 400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = hyperbolic_trace(ls, zs)
+            taylor, direct, target = _routes(ls.entries, zs)
+        assert np.all(np.isfinite(got)) and taylor is not None
+        assert float(np.max(np.abs(taylor - direct))) <= 2.0 * target

@@ -7,14 +7,18 @@ import pytest
 from scipy.special import jv
 
 from pinchtrace import (
+    DEFAULT_INVERSION_POLICY,
     ContourSpec,
     DomainError,
     ImaginaryResidueError,
     InversionResult,
+    PinchingSet,
     SpectralData,
     TailEstimateError,
     UncertifiedTailWarning,
     bromwich,
+    degenerating_trace,
+    g_bessel,
     spectral_trace,
     weighted_inverse,
 )
@@ -118,3 +122,11 @@ class TestWeightedInverse:
         v = weighted_inverse(lambda z: spectral_trace(sd, z), 2.0, 1.0)
         assert isinstance(v, float)
         assert v == pytest.approx(2.0 + 0.7**2, rel=1e-6)
+
+    def test_weight_zero_contour_route_matches_series(self):
+        # the dual route at w = 0 needs the longest contours of any weight
+        ps = PinchingSet.of([0.1])
+        with pytest.warns(UncertifiedTailWarning):
+            v = weighted_inverse(lambda z: degenerating_trace(ps, z), 0.0, 1.0)
+        want = g_bessel(ps, 0.0, 1.0)
+        assert abs(v - want) <= 10.0 * DEFAULT_INVERSION_POLICY.rel_tol * abs(want)
