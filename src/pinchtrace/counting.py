@@ -71,11 +71,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import DomainError, PinchtraceError, TruncationBudgetError
 from .policy import DEFAULT_POLICY, TruncationPolicy
-from .specfun import bessel_j_half, gamma, leggauss, log_sinh, tail_cut
+from .specfun import (
+    ascending_series, bessel_j, bessel_j_half, gamma, leggauss, log_sinh, tail_cut,
+)
 from .spectrum import PinchingSet, SpectralData
 
 __all__ = [
@@ -105,7 +106,7 @@ _LAURENT_RHOS = (3.5, 4.0, 4.5, 5.0, 5.5, 6.0)   # Cauchy radii tried, all < 2 p
 _ELLIPSE_RHOS = np.array([1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0])
 _ROUNDING = 1e-15
 _LOG_POWER_MAX = 600.0      # a larger power leaves J_nu too close to underflow
-_PHI_SERIES_TERMS = 60      # each term at most half the last: 2^-59 relative
+_LOG_DBL_MAX = math.log(np.finfo(float).max)
 _ZETA4 = math.pi**4 / 90.0  # zeta(p) <= zeta(4) for every p >= 4
 _EULER_GAMMA = 0.5772156649015329
 
@@ -168,6 +169,11 @@ def c_weight(w: float, T: float) -> float:
     )
 
 
+def _exp(x: float) -> float:
+    """e^x, inf where it passes a double: for bounds that then fail to certify."""
+    return math.exp(x) if x <= _LOG_DBL_MAX else math.inf
+
+
 def _log_coth(y: float) -> float:
     return math.log1p(math.exp(-2.0 * y)) - math.log(-math.expm1(-2.0 * y))
 
@@ -217,6 +223,9 @@ class _BesselSeries:
         self.sa = math.sqrt(a)
         self.nu = w + 0.5
         self.log_phi0 = self.nu * math.log(a) - math.lgamma(self.nu + 1.0)
+        if self.log_phi0 > _LOG_DBL_MAX:
+            raise TruncationBudgetError(
+                f"phi0 = a^nu/Gamma(nu+1) overflows a double (w = {w}, a = {a})")
         self.phi0 = math.exp(self.log_phi0)
         self.pref = gamma(w + 1.0) / math.sqrt(16.0 * math.pi)
         self.spherical = int(w) if w.is_integer() else None
@@ -241,19 +250,13 @@ class _BesselSeries:
         near = x * x <= 2.0 * (self.nu + 1.0)
         phi = np.empty_like(x)
         phi[~near] = np.exp(self.nu * (log_sa - np.log(nl2[~near]))) * self._bessel(x[~near])
-        s = -0.25 * x[near] ** 2
-        part = np.ones_like(s)
-        acc = np.ones_like(s)
-        for m in range(1, _PHI_SERIES_TERMS):
-            part *= s / (m * (m + self.nu))
-            acc += part
-        phi[near] = self.phi0 * acc
+        phi[near] = self.phi0 * ascending_series(self.nu, x[near])
         return coef * phi
 
     def _bessel(self, x):
         if self.spherical is not None:
             return bessel_j_half(self.spherical, x)
-        return _sp.jv(self.nu, x)
+        return bessel_j(self.nu, x)
 
     def length_sum(self, ell: float) -> float:
         """S(ell) by the Euler-Maclaurin route where it certifies, else directly."""
@@ -323,7 +326,7 @@ class _BesselSeries:
         r = _EM_THETA * X
         remainder = (
             8.0 * _ZETA4 * math.factorial(p) * (2.0 * math.pi * _EM_THETA * N) ** (-p)
-            * self.phi0 * math.exp(self.sa * r) * _log_coth(0.25 * (X - r))
+            * _exp(self.log_phi0 + self.sa * r) * _log_coth(0.25 * (X - r))
         )
         laurent = math.inf
         for rho in _LAURENT_RHOS:
@@ -366,8 +369,8 @@ class _BesselSeries:
         return self.pref * value
 
     def _laurent_majorant(self, rho: float) -> float:
-        """M >= |x g(x)| on |z| = rho < 2 pi, so |c_j| <= M rho^{-2j}."""
-        return rho * self.phi0 * math.exp(self.sa * rho) / math.sin(0.5 * rho)
+        """M >= |x g(x)| on |z| = rho < 2 pi, so |c_j| <= M rho^{-2j}; inf past a double."""
+        return rho * _exp(self.log_phi0 + self.sa * rho) / math.sin(0.5 * rho)
 
     @staticmethod
     def _laurent_tail(M: float, rho: float, x: float) -> float:
@@ -390,8 +393,8 @@ class _BesselSeries:
         # the cut at x_max costs pref S at most abs_tol/16
         x1 = min(1.0, 2.0 / sa)
         width = min(4.0, 3.0 / sa)
-        x_max = max(2.0 * x1, 2.0 * math.log(max(
-            64.0 * phi0 * self.pref / self.policy.abs_tol, 1.0)))
+        x_max = 2.0 * max(x1, self.log_phi0 + math.log(64.0 * self.pref)
+                          - math.log(self.policy.abs_tol), 0.0)
         edges = [x1]
         while edges[-1] < width and edges[-1] < x_max:
             edges.append(2.0 * edges[-1])

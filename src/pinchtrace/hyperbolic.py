@@ -41,6 +41,9 @@ _GAUSS_CUT = 49.0
 # mesh refinement ladder for the fixed-order Gauss-Legendre rules
 _GROWTH = 1.5
 
+# kernel grid points per block of cylinder_trace (64k doubles = 512 kB a temporary)
+_BLOCK_POINTS = 1 << 16
+
 
 def _log_sinhc(x):
     """log(sinh(x)/x) for x >= 0, continuous through 0."""
@@ -201,18 +204,25 @@ def cylinder_trace(ell: float, t: float, policy: TruncationPolicy = DEFAULT_POLI
     def evaluate(level) -> float:
         outer_nn, inner_nn = level
         xg, wg = leggauss(outer_nn)
-        wn = 0.5 * wmax[:, None] * (xg[None, :] + 1.0)
-        ww = 0.5 * wmax[:, None] * wg[None, :]
-        v = np.expm1(wn)
-        # log(cosh d - 1) = log(2 sinh^2(n ell/2) (1 + v^2)); overflow-safe
-        lc = math.log(2.0) + 2.0 * log_sinh(0.5 * narr[:, None] * ell) + np.log1p(v * v)
-        d = np.where(
-            lc > 40.0,
-            lc + math.log(2.0),
-            np.arccosh(1.0 + np.exp(np.minimum(lc, 41.0))),
-        )
-        kern = _kernel_grid(t, d.ravel(), inner_nn).reshape(d.shape)
-        rows = np.sum(ww * kern * (v + 1.0), axis=1)  # dv = (1+v) dw
+        rows = np.empty(count)
+        # blocks of n-rows keep every temporary near _BLOCK_POINTS doubles,
+        # so the allocator reuses them rather than mapping fresh pages
+        step = max(1, _BLOCK_POINTS // (outer_nn * inner_nn))
+        for i in range(0, count, step):
+            blk = slice(i, i + step)
+            wn = 0.5 * wmax[blk, None] * (xg[None, :] + 1.0)
+            ww = 0.5 * wmax[blk, None] * wg[None, :]
+            v = np.expm1(wn)
+            # log(cosh d - 1) = log(2 sinh^2(n ell/2) (1 + v^2)); overflow-safe
+            lc = (math.log(2.0) + 2.0 * log_sinh(0.5 * narr[blk, None] * ell)
+                  + np.log1p(v * v))
+            d = np.where(
+                lc > 40.0,
+                lc + math.log(2.0),
+                np.arccosh(1.0 + np.exp(np.minimum(lc, 41.0))),
+            )
+            kern = _kernel_grid(t, d.ravel(), inner_nn).reshape(d.shape)
+            rows[blk] = np.sum(ww * kern * (v + 1.0), axis=1)  # dv = (1+v) dw
         return 2.0 * ell * float(np.sum(rows))
 
     return _refine(((96, 64), (160, 96), (288, 160), (512, 288)), evaluate, policy,

@@ -1,20 +1,31 @@
-"""Gamma and J-Bessel functions of real order p >= -1/2.
+"""Gamma and J-Bessel functions of real order p >= -1/2, in numpy.
 
-The fast path delegates to compiled library code; the ascending power
-series oracle is an independent high-precision implementation used by the
-test suite to validate the fast path. Orders below -1/2 are rejected:
-the series here only ever need w + 1/2 with w >= 0, plus the collapse
-case p = -1/2.
+Half-integer orders p = n + 1/2, the ones the counting series needs at
+integer weights, are elementary (DLMF 10.49) and take three regions of
+x >= 0:
 
-Half-integer orders p = n + 1/2 are routed through the spherical Bessel
-function, J_{n+1/2}(x) = sqrt(2x/pi) * j_n(x). This is both much faster
-than the general real-order routine (the counting series evaluates
-hundreds of millions of such terms) and accurate to machine precision
-for all x >= 0, including x -> 0 where naive trig closed forms cancel.
+- x > n: upward recurrence of the spherical Bessel function from
+  j_0 = sin x/x and j_1 = (j_0 - cos x)/x, stable while the order stays
+  below x, then J_{n+1/2}(x) = sqrt(2x/pi) j_n(x);
+- x <= n with x^2 <= 2(p + 1): the ascending series, whose every term is
+  at most half the one before, so nothing cancels and the relative error
+  stays a few ulp as x -> 0;
+- the band between them, empty for n <= 3: Miller's backward recurrence.
+
+Other orders take the same ascending series near 0; Hankel's expansion
+at the order mu = p - round(p) and mu + 1, then upward recurrence, where
+x >= max(25, p); and Miller's backward recurrence, normalized with
+DLMF 10.23.15, everywhere else. p = -1/2 is sqrt(2/(pi x)) cos x. No
+order loads scipy.special, so what a call costs in import time and
+memory does not depend on its order. Orders below -1/2 are rejected: the
+series here only ever need w + 1/2 with w >= 0, plus the collapse case
+p = -1/2. The 50-digit ascending series oracle is an independent
+implementation the test suite checks every route against.
 
 The module also holds the numerical helpers the other modules share:
-log_sinh, the geometric-tail cut tail_cut and the cached Gauss-Legendre
-rule leggauss.
+log_sinh, the geometric-tail cut tail_cut, the ascending series
+ascending_series, the Poisson tail poisson_tail and the cached
+Gauss-Legendre rule leggauss.
 """
 
 from __future__ import annotations
@@ -23,7 +34,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import DomainError, TruncationBudgetError
 
@@ -31,6 +41,11 @@ __all__ = ["gamma", "bessel_j", "bessel_j_half", "bessel_j_oracle"]
 
 _ORACLE_XMAX = 30.0  # ascending series trusted only at moderate argument
 _ORACLE_DPS = 50     # worst-case cancellation at x=30 is ~1e11; 50 digits is ample
+_EPS = float(np.finfo(float).eps)
+_SERIES_DROP = 2.0**-56  # terms below this add nothing to a sum in [1/2, 1]
+_POISSON_X_MAX = 700.0   # e^{-x} stays a normal double
+_HANKEL_X = 25.0         # Hankel's expansion reaches eps at orders <= 3/2 from here
+_MILLER_LOG_TOP = math.log(2.0**-60)  # Miller starts where J has fallen this far
 
 
 def gamma(x: float) -> float:
@@ -107,13 +122,237 @@ def _half_integer_index(p: float) -> int | None:
     return None
 
 
+def ascending_series(nu: float, x):
+    """sum_m (-x^2/4)^m / (m! (nu+1)_m) = Gamma(nu+1) (2/x)^nu J_nu(x), vectorized.
+
+    For x^2 <= 2(nu + 1), where each term is at most half the one before,
+    so the sum lies in [1/2, 1] with no cancellation. Summing stops once
+    a bound on the next terms is below 2^-56, where they could no longer
+    change it.
+    """
+    s = -0.25 * x**2
+    q = float(np.max(-s, initial=0.0))
+    part = np.ones_like(s)
+    acc = np.ones_like(s)
+    m, bound = 0, 1.0
+    while bound > _SERIES_DROP:
+        m += 1
+        part *= s / (m * (m + nu))
+        acc += part
+        bound *= q / (m * (m + nu))
+    return acc
+
+
+def poisson_tail(k: int, x, term):
+    """P(k, x) = e^{-x} sum_{j>=k} x^j/j!, rounded up; integer k >= 1, 0 <= x <= 700.
+
+    The regularized lower incomplete gamma function at integer order
+    (DLMF 8.4), vectorized over x. `term` is e^{-x} x^k/k! as the
+    caller holds it from the recurrence t_0 = e^{-x}, t_j = t_{j-1} (x/j),
+    whose rounding the allowance below covers.
+
+    For x >= k, P is above 1/2, so 1 - e^{-x} sum_{j<k} x^j/j! loses
+    nothing to cancellation. For x < k the terms past k fall by
+    x/(j+1) < 1; they are summed forward, then a geometric bound on the
+    rest is added. The share of that rest grows with x, so the count of
+    terms is the one that takes it below eps/8 at the largest such x.
+    The result is scaled by 1 + (3j + 10) eps/2, j the last term's index,
+    which covers every rounding: it is never below P.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not (k >= 1 and np.all((x >= 0.0) & (x <= _POISSON_X_MAX))):
+        raise DomainError(f"poisson_tail needs k >= 1 and 0 <= x <= {_POISSON_X_MAX}")
+    term = np.atleast_1d(term)
+    out = np.empty_like(x)
+    high = x >= k
+    if high.any():
+        xh = x[high]
+        t = np.exp(-xh)
+        below = np.zeros_like(xh)
+        for j in range(1, k + 1):
+            below += t
+            t *= xh / j
+        out[high] = 1.0 - below
+    low = ~high
+    xs, t = x[low], term[low]
+    xm = float(np.max(xs, initial=0.0))
+    j, a, s = k, 1.0, 1.0  # term and partial sum at xm, relative to its term k
+    while a * xm / (j + 1 - xm) > 0.125 * _EPS * s:
+        j += 1
+        a *= xm / j
+        s += a
+    tail = t.copy()
+    for i in range(k + 1, j + 1):
+        t = t * (xs / i)
+        tail += t
+    out[low] = tail + t * xs / (j + 1 - xs)  # rest <= t r/(1 - r), r = x/(j+1)
+    return out * (1.0 + (3 * j + 10) * 0.5 * _EPS)
+
+
+def _power_over_gamma(nu: float, x):
+    """(x/2)^nu / Gamma(nu+1), in logs where Gamma overflows.
+
+    x is not halved first: at subnormal x that would round it.
+    """
+    if nu < 170.0:
+        return np.power(x, nu) * (2.0**-nu / math.gamma(nu + 1.0))
+    with np.errstate(divide="ignore"):
+        return np.exp(nu * (np.log(x) - math.log(2.0)) - math.lgamma(nu + 1.0))
+
+
+def _upward(n: int, x):
+    """sqrt(2x/pi) j_n(x) by upward recurrence, for x > n.
+
+    j_{k+1} = (2k+1)/x j_k - j_{k-1}, in place to spare the allocations.
+    """
+    s0 = np.sin(x)
+    s0 /= x
+    if n > 0:
+        s1 = np.cos(x)
+        np.subtract(s0, s1, out=s1)
+        s1 /= x
+        tmp = np.empty_like(s0)
+        for k in range(1, n):
+            np.multiply(s1, 2 * k + 1, out=tmp)
+            tmp /= x
+            np.subtract(tmp, s0, out=s0)
+            s0, s1 = s1, s0
+        s0 = s1
+    f = 2.0 * x
+    f /= np.pi
+    np.sqrt(f, out=f)
+    s0 *= f
+    return s0
+
+
+def _hankel(mu: float, x):
+    """(J_mu(x), J_{mu+1}(x)) for |mu| <= 1/2 and x >= 25 by Hankel's expansion.
+
+    J_m(x) = sqrt(2/(pi x)) (P cos chi - Q sin chi), chi = x - (m/2 + 1/4) pi
+    (DLMF 10.17.3), with cos chi and sin chi taken from cos x and sin x so
+    the phase keeps full accuracy at large x. P and Q stop at the first
+    term below eps/8 at the smallest x; at x >= 25 that comes near the
+    20th, long before the divergent series turns round near the 2x-th.
+    """
+    x_min = float(np.min(x))
+    z = 1.0 / x
+    w = -z * z
+    cx, sx = np.cos(x), np.sin(x)
+    amp = np.sqrt(2.0 / np.pi * z)
+    out = []
+    for m in (mu, mu + 1.0):
+        m4, coef, a, bound, k = 4.0 * m * m, [1.0], 1.0, 1.0, 0
+        while bound >= 0.125 * _EPS:
+            k += 1
+            a *= (m4 - (2 * k - 1) ** 2) / (8.0 * k)
+            bound = abs(a) * x_min**-k
+            coef.append(a)
+        p, q = np.zeros_like(x), np.zeros_like(x)
+        for c in coef[-1 - (len(coef) - 1) % 2::-2]:  # a_2j, highest first
+            p *= w
+            p += c
+        for c in coef[-1 - len(coef) % 2:0:-2]:  # a_2j+1, highest first
+            q *= w
+            q += c
+        q *= z
+        phase = (0.5 * m + 0.25) * math.pi
+        c, s = math.cos(phase), math.sin(phase)
+        out.append(amp * (p * (cx * c + sx * s) - q * (sx * c - cx * s)))
+    return out
+
+
+def _miller(mu: float, k: int, x):
+    """J_{mu+k}(x) for -1/2 <= mu < 1/2, integer k >= 0 and x > 0, by Miller's
+    backward recurrence (Gautschi, SIAM Review 9, 1967).
+
+    The ratios t_j = J_{mu+j+1}/J_{mu+j} recur downward from t = 0 past
+    an order where (x/2)^m/Gamma(m+1) is below 2^-60 of both 1 and of the
+    same lead at mu + k, at the largest x; the error of the ratios falls
+    as the square of that. The normalization (x/2)^mu = sum_i c_i
+    J_{mu+2i}(x), c_i = (mu+2i) Gamma(mu+i)/i! (DLMF 10.23.15), is
+    accumulated relative to the current order, so nothing overflows.
+    """
+    x_max = float(np.max(x))
+    h = math.log(0.5 * x_max)
+
+    def log_lead(j):
+        return (mu + j) * h - math.lgamma(mu + j + 1.0)
+
+    floor = _MILLER_LOG_TOP + min(0.0, log_lead(k))
+    top = max(k, math.ceil(x_max)) + 1
+    while log_lead(top) > floor:
+        top += 1
+    g = math.gamma(mu + 1.0)  # Gamma(mu+i)/i! at i = 1
+    c = [g]
+    for i in range(1, top // 2 + 1):
+        c.append((mu + 2 * i) * g)
+        g *= (mu + i) / (i + 1)
+    t, u, ratio, tmp = np.zeros_like(x), np.zeros_like(x), np.ones_like(x), np.empty_like(x)
+    for j in range(top, -1, -1):
+        np.multiply(x, t, out=tmp)
+        np.subtract(2.0 * (mu + j + 1.0), tmp, out=tmp)
+        np.divide(x, tmp, out=t)
+        u *= t
+        if j % 2 == 0:
+            u += c[j // 2]
+        if j < k:
+            ratio *= t
+    ratio *= np.power(0.5 * x, mu)
+    ratio /= u
+    return ratio
+
+
+def _jv(nu: float, x):
+    """J_nu(x) for real nu > -1/2 and a 1-d array x >= 0 (NaN passes through).
+
+    The ascending series where x^2 <= 2(nu + 1); Hankel's expansion at
+    the order mu = nu - round(nu) and mu + 1, then upward recurrence, where
+    x >= 25 and x >= nu; Miller's backward recurrence everywhere else.
+    """
+    k = math.floor(nu + 0.5)
+    mu = nu - k
+    out = np.full_like(x, np.nan)
+    near = x * x <= 2.0 * (nu + 1.0)
+    xn = x[near]
+    out[near] = _power_over_gamma(nu, xn) * ascending_series(nu, xn)
+    out[x == np.inf] = 0.0
+    far = ~near & (x >= max(_HANKEL_X, nu)) & (x < np.inf)
+    if far.any():
+        xf = x[far]
+        a, b = _hankel(mu, xf)
+        for m in range(1, k):
+            a, b = b, (2.0 * (mu + m) / xf) * b - a
+        out[far] = b if k else a
+    mid = ~(near | far) & (x < np.inf)
+    if mid.any():
+        out[mid] = _miller(mu, k, x[mid])
+    return out
+
+
 def bessel_j_half(n: int, x):
     """J_{n+1/2}(x) for integer n >= 0, vectorized over x >= 0.
 
-    Spherical-Bessel route; the hot path of the counting series.
+    The hot path of the counting series. Upward recurrence where x > n,
+    the ascending series where also x^2 <= 2n + 3, and Miller's backward
+    recurrence in the band left between them (n >= 4 only).
     """
+    if not n >= 0:
+        raise DomainError(f"bessel_j_half needs n >= 0, got {n}")
     x = np.asarray(x, dtype=float)
-    return _sp.spherical_jn(n, x) * np.sqrt(2.0 * x / np.pi)
+    xs = np.atleast_1d(x)
+    up = ~(xs <= n)  # NaN recurs to NaN
+    if up.all():
+        return _upward(n, xs).reshape(x.shape)[()]
+    nu = n + 0.5
+    out = np.empty_like(xs)
+    out[up] = _upward(n, xs[up])
+    near = ~up & (xs * xs <= 2.0 * (nu + 1.0))
+    xn = xs[near]
+    out[near] = _power_over_gamma(nu, xn) * ascending_series(nu, xn)
+    band = ~(up | near)
+    if band.any():
+        out[band] = _miller(-0.5, n + 1, xs[band])
+    return out.reshape(x.shape)[()]
 
 
 def bessel_j(p: float, x: float) -> float:
@@ -122,7 +361,7 @@ def bessel_j(p: float, x: float) -> float:
     Parameters
     ----------
     p : float
-        Order, p >= -1/2. For p = -1/2 the argument must be positive.
+        Order, p >= -1/2. For p < 0 the argument must be positive.
     x : float
         Argument, x >= 0. Arrays are accepted and mapped elementwise.
 
@@ -135,18 +374,16 @@ def bessel_j(p: float, x: float) -> float:
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0.0):
         raise DomainError("bessel_j requires x >= 0")
-    if p == -0.5 and np.any(xa == 0.0):
-        raise DomainError("J_{-1/2} diverges at x = 0")
+    if p < 0.0 and np.any(xa == 0.0):
+        raise DomainError(f"J_{p} diverges at x = 0")
 
     n = _half_integer_index(p)
     if n is not None:
         out = bessel_j_half(n, xa)
+    elif p == -0.5:
+        out = np.sqrt(2.0 / (np.pi * xa)) * np.cos(xa)
     else:
-        out = _sp.jv(p, xa)
-        if p == 0.0:
-            out = np.where(xa == 0.0, 1.0, out)
-        elif p > 0.0:
-            out = np.where(xa == 0.0, 0.0, out)
+        out = _jv(p, np.atleast_1d(xa)).reshape(xa.shape)
     if np.ndim(x) == 0:
         return float(out)
     return out

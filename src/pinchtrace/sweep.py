@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,6 +157,8 @@ def run_sweep(
     if workers == 1:
         rows = tuple(one(ps) for ps in points)
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only threaded sweeps pay for it
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = tuple(pool.map(one, points))
     return SweepResult(rows=rows, w=w, T=T, use_bromwich=use_bromwich)

@@ -29,7 +29,8 @@ and y = (n ell)^2, goes one of two routes per call:
 The Taylor route is certified at every node by three bounds whose sum is
 within the target: the n-cut, cut at half the target; the truncation
 after K terms, sum c e^{y (rho - Re v0)} P(K, y rho) with P the
-regularized lower incomplete gamma function; and a rounding allowance of
+regularized lower incomplete gamma function, at integer K the Poisson
+tail specfun.poisson_tail; and a rounding allowance of
 8 eps (K + log2 N) sum c e^{y (rho - Re v0)} for N terms. A call takes it
 when K (nodes + terms) < _COST_RATIO (direct terms) (nodes), the measured
 cost ratio, and that bound holds; otherwise it takes the direct route.
@@ -47,12 +48,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import DomainError, TruncationBudgetError
 from .hyperbolic import heat_kernel_origin
 from .policy import DEFAULT_POLICY, TruncationPolicy
-from .specfun import log_sinh, tail_cut
+from .specfun import log_sinh, poisson_tail, tail_cut
 from .spectrum import LengthSpectrum, PinchingSet, SpectralData
 
 __all__ = [
@@ -182,8 +182,9 @@ def _coefficients(log_c, y, v0: complex, rho: float, budget: float, k_max: int):
     sum_i w_i P(K, x_i) wherever |q| <= 1 (P the regularized lower
     incomplete gamma function), and rounding at most 8 eps (K + log2 N)
     sum_i w_i. K is found by subtracting each order's share from sum_i w_i
-    as the coefficients are built; the bound is then recomputed with
-    gammainc at that K. None when no K <= k_max meets budget.
+    as the coefficients are built; the bound is then recomputed without
+    that cancellation from poisson_tail, rounded up, at that K. None when
+    no K <= k_max meets budget.
     """
     x = y * rho
     log_w = log_c + y * (rho - v0.real)
@@ -211,11 +212,11 @@ def _coefficients(log_c, y, v0: complex, rho: float, budget: float, k_max: int):
         coeffs.append(complex(re, im))
         left -= share
         rounding = 8.0 * _EPS * (k + log2n) * mass
+        poisson *= x / k
         if left + rounding <= budget:
-            if float(np.dot(w, gammainc(k, x))) + rounding <= budget:
+            if float(np.dot(w, poisson_tail(k, x, poisson))) + rounding <= budget:
                 return coeffs
             return None
-        poisson *= x / k
     return None
 
 

@@ -293,6 +293,15 @@ class TestMainInProcess:
         assert captured.out == ""
         assert captured.err.startswith("pinchtrace: error:")
 
+    def test_phi0_overflow_exits_two(self, tmp_path, capsys):
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps({"version": 1, "pinching": [0.0625]}))
+        code = main(["gfunc", "--input", str(f), "--w", "100", "--T", "4.5e4"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("pinchtrace: did not converge: phi0")
+
     def test_deep_length_certified_within_default_budget(self, tmp_path, capsys):
         # 2^-30 needs ~6e10 direct terms, far past max_terms; the
         # Euler-Maclaurin route certifies it with a fixed amount of work
@@ -473,11 +482,66 @@ class TestSubprocess:
         assert "Traceback" not in proc.stderr
 
     def test_import_leaves_out_quadrature_and_mpmath(self):
-        code = ("import sys, pinchtrace; "
-                "print(sorted(m for m in ('scipy.integrate', 'mpmath') if m in sys.modules))")
+        code = ("import sys, pinchtrace; print(sorted(m for m in "
+                "('scipy.special', 'scipy.integrate', 'mpmath') if m in sys.modules))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_cli_calls_never_load_scipy_special(self, tmp_path):
+        # every Bessel order, the Poisson tail and every subcommand are
+        # computed with numpy: integer and fractional weights alike
+        eig = tmp_path / "eig.json"
+        eig.write_text(json.dumps({"version": 1, "eigenvalues": [
+            {"lambda": 0.0, "multiplicity": 1}, {"lambda": 0.7, "multiplicity": 2}],
+            "volume": 4.0 * math.pi}))
+        pinch = tmp_path / "pinch.json"
+        pinch.write_text(json.dumps({"version": 1, "pinching": [0.1]}))
+        sched = tmp_path / "sched.json"
+        sched.write_text(json.dumps({"version": 1, "schedule": {
+            "kind": "geometric", "start": 0.5, "ratio": 0.5, "count": 6}}))
+        calls = [["cweight", "--w", "1", "--T", "1.2"],
+                 ["count", "--input", str(eig), "--w", "1", "--T", "1"],
+                 ["strace", "--input", str(eig), "--t", "1"],
+                 ["dtrace", "--input", str(pinch), "--t", "1"]]
+        for w in ("0", "1", "2", "3", "4", "0.7"):
+            calls += [["gfunc", "--input", str(pinch), "--w", w, "--T", "1"],
+                      ["residual", "--input", str(pinch), "--w", w, "--T", "1"],
+                      ["sweep", "--input", str(sched), "--w", w, "--T", "1"]]
+        calls.append(["bessel", "--p", "1.2", "--x", "3.0"])
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from pinchtrace.cli import main\n"
+            "report = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        exit_code = main(argv)\n"
+            "    loaded = 'scipy.special' in sys.modules\n"
+            "    report.append([argv[0], exit_code, loaded, out.getvalue()])\n"
+            "print(json.dumps(report))\n")
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(calls)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert len(report) == len(calls)
+        for name, exit_code, loaded, _ in report:
+            assert exit_code == 0 and not loaded, name
+        import mpmath
+
+        got = float(report[-1][3].splitlines()[1].split(",")[2])
+        assert got == pytest.approx(float(mpmath.besselj(1.2, 3.0)), rel=1e-15)
+
+    def test_phi0_overflow_is_2_without_traceback(self, tmp_path):
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps({"version": 1, "pinching": [0.0625]}))
+        proc = subprocess.run(
+            self.CMD + ["gfunc", "--input", str(f), "--w", "100", "--T", "4.5e4"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("pinchtrace: did not converge: phi0")
+        assert "Traceback" not in proc.stderr
 
     def test_validation_failure_is_1(self, tmp_path):
         f = tmp_path / "bad.json"

@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -318,6 +318,76 @@ def test_overflowing_terms_raise_at_once():
     # G_100(3e4) is past the largest double, by its terms or by its prefactor
     with np.errstate(all="ignore"), pytest.raises(TruncationBudgetError, match="overflow"):
         g_bessel(PinchingSet.of([1.0 / 16.0]), 100.0, 3e4)
+
+
+def test_phi0_overflow_is_a_documented_error():
+    # phi0 = a^nu/Gamma(nu+1) is about e^713 here, past the largest double
+    ps = PinchingSet.of([1.0 / 16.0])
+    with pytest.raises(TruncationBudgetError, match="phi0"):
+        g_bessel(ps, 100.0, 4.5e4)
+    with pytest.raises(TruncationBudgetError, match="phi0"):
+        g_limit(100.0, 4.5e4)
+
+
+@pytest.mark.parametrize("T", [2e4, 4.5e4])
+def test_em_bounds_past_a_double_fall_back_to_the_direct_route(T):
+    # the Laurent majorant's e^{sqrt(a) rho} overflows at these T: the EM
+    # route cannot certify, the length takes the direct route instead, and
+    # g_limit reports its bound as failing
+    ps = PinchingSet.of([1.0 / 64.0])
+    got = g_bessel(ps, 0.0, T)
+    want = g_sine_form(ps, T)
+    assert abs(got - want) <= 2.0 * DEFAULT_POLICY.tol(want)
+    with pytest.raises(TruncationBudgetError):
+        g_limit(0.0, T)
+
+
+def test_tiny_abs_tol_does_not_overflow_the_panel_cut():
+    # 64 phi0 pref / abs_tol passes a double; the cut is taken in logs
+    ps = PinchingSet.of([1.0 / 64.0])
+    tight = TruncationPolicy(abs_tol=1e-300)
+    want = g_bessel(ps, 60.0, 100.0)
+    assert g_bessel(ps, 60.0, 100.0, tight) == pytest.approx(want, rel=2e-9)
+
+
+def _gl_integral(f, lo, hi, n=10):
+    x, wts = np.polynomial.legendre.leggauss(n)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return half * sum(wi * f(mid + half * xi) for xi, wi in zip(x, wts))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(ell=st.floats(0.05, 1.0), w=st.integers(0, 5), T=st.floats(0.5, 3.0))
+def test_g_derivative_recursion_property(ell, w, T):
+    # d/dT G_{w+1} = (w+1) G_w in integrated form over [T - h, T + h]. G is
+    # analytic there (its only singularity is at T = 1/4), so a 10-point
+    # Gauss-Legendre rule is exact to ~1e-14; what is left is the policy
+    # tolerance of each G. Lengths >= 0.05 take the direct route, and
+    # w >= 3 sends the orders 4.5 and up through the Miller band of bessel_j_half
+    ps, h = PinchingSet.of([ell]), 0.1
+    hi, lo = g_bessel(ps, w + 1, T + h), g_bessel(ps, w + 1, T - h)
+    rhs = (w + 1) * _gl_integral(lambda t: g_bessel(ps, w, t), T - h, T + h)
+    scale = max(abs(g_bessel(ps, w, t)) for t in (T - h, T, T + h))
+    tol = (DEFAULT_POLICY.tol(hi) + DEFAULT_POLICY.tol(lo)
+           + (w + 1) * 2 * h * DEFAULT_POLICY.tol(scale))
+    assert abs((hi - lo) - rhs) <= 2.0 * tol
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    spectrum=st.lists(st.tuples(st.floats(0.0, 3.0), st.integers(1, 3)), min_size=1, max_size=12),
+    w=st.integers(0, 5), T=st.floats(0.05, 3.5),
+)
+def test_counting_derivative_recursion_on_random_spectra(spectrum, w, T):
+    # on an interval free of eigenvalues N_w is a polynomial of degree w, so
+    # the integrated recursion holds up to rounding with a 10-point rule
+    sd = SpectralData.of(spectrum)
+    gap = min(abs(T - lam) for lam, _ in sd.eigenvalues)
+    assume(gap >= 1e-3)
+    h = min(0.1, 0.5 * gap, 0.5 * T)
+    hi, lo = counting_direct(sd, w + 1, T + h), counting_direct(sd, w + 1, T - h)
+    rhs = (w + 1) * _gl_integral(lambda t: counting_direct(sd, w, t), T - h, T + h)
+    assert abs((hi - lo) - rhs) <= 1e-12 * (abs(hi) + abs(lo) + abs(rhs)) + 1e-300
 
 
 def _full_sum(ell, w, T):

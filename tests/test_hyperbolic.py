@@ -18,6 +18,7 @@ from pinchtrace import (
     heat_kernel_origin,
     hyperbolic_trace,
 )
+from pinchtrace import hyperbolic
 
 
 def _mp_kernel(t: float, rho: float) -> float:
@@ -148,6 +149,18 @@ def test_displacement_domain():
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 def test_cylinder_positive(ell, t):
     assert cylinder_trace(ell, t) > 0.0
+
+
+@pytest.mark.parametrize("ell", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+def test_cylinder_blocks_change_no_bit(ell, t, monkeypatch):
+    # each n-row's sum and the final sum are the same calls whatever the
+    # block, so one block (the whole grid at once) and one row per block
+    # give the default's bits on the criterion-03 grid
+    value = cylinder_trace(ell, t)
+    for points in (1 << 62, 1):
+        monkeypatch.setattr(hyperbolic, "_BLOCK_POINTS", points)
+        assert cylinder_trace(ell, t) == value
 
 
 @pytest.mark.parametrize("ell", [0.05, 0.1])

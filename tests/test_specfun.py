@@ -1,16 +1,16 @@
-"""Special-function layer: gamma wrapper and the two Bessel routes."""
+"""Special-function layer: gamma wrapper, the Bessel routes and the shared helpers."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pinchtrace import (
     DomainError, TruncationBudgetError, bessel_j, bessel_j_half, bessel_j_oracle, gamma,
 )
-from pinchtrace.specfun import log_sinh, tail_cut
+from pinchtrace.specfun import ascending_series, log_sinh, poisson_tail, tail_cut
 
 
 def test_gamma_known_values():
@@ -147,3 +147,150 @@ def test_vectorized_half_order():
     assert vals.shape == x.shape
     for xi, vi in zip(x, vals):
         assert vi == pytest.approx(bessel_j(0.5, float(xi)), rel=1e-13)
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _mp_besselj(p, x):
+    import mpmath
+
+    with mpmath.workdps(40):
+        return float(mpmath.besselj(p, x))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(0, 12), x=st.floats(0.0, 200.0))
+@example(n=0, x=0.0)
+@example(n=3, x=3.0)                          # x = n: the last series point
+@example(n=3, x=float(np.nextafter(3.0, 4.0)))  # the first recurrence point
+@example(n=4, x=math.sqrt(11.0))              # the series edge x^2 = 2n + 3
+@example(n=4, x=float(np.nextafter(math.sqrt(11.0), 4.0)))  # first Miller point
+@example(n=12, x=12.0)
+@example(n=12, x=math.sqrt(27.0))
+@example(n=5, x=1e-3)
+@example(n=1, x=0.93)
+def test_bessel_j_half_matches_mpmath(n, x):
+    # the recurrence (x > n) comes within 4 eps max(1, |J|) and the series
+    # (x <= n, x^2 <= 2n + 3) within 4 eps of J itself, as the counting
+    # series scales J up by (2 sqrt(a)/x)^nu there; the band between them
+    # is Miller's recurrence, good to a few eps |J|
+    got = float(bessel_j_half(n, np.array([x]))[0])
+    want = _mp_besselj(n + 0.5, x)
+    if x > n:
+        assert abs(got - want) <= 4.0 * _EPS * max(1.0, abs(want))
+    elif x * x <= 2 * n + 3:
+        assert abs(got - want) <= 4.0 * _EPS * abs(want)
+    else:
+        assert abs(got - want) <= 8.0 * _EPS * abs(want)
+
+
+def test_bessel_j_half_scalar_and_large_order():
+    with pytest.raises(DomainError):
+        bessel_j_half(-1, 1.0)
+    assert isinstance(bessel_j_half(2, 3.0), float)
+    assert bessel_j_half(2, np.array(3.0)).shape == ()
+    # Gamma(n + 3/2) overflows a double past n = 169: the series lead goes by logs
+    for n, x in ((200, 1.0), (200, 5.0)):
+        want = _mp_besselj(n + 0.5, x)
+        assert float(bessel_j_half(n, x)) == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=st.floats(-0.49, 40.0), x=st.floats(0.0, 200.0))
+@example(p=1.2, x=math.sqrt(4.4))                       # series edge x^2 = 2(p + 1)
+@example(p=1.2, x=float(np.nextafter(math.sqrt(4.4), 3.0)))  # first Miller point
+@example(p=0.7, x=25.0)                                 # first Hankel point
+@example(p=0.7, x=float(np.nextafter(25.0, 0.0)))       # last Miller point
+@example(p=30.3, x=30.3)                                # Hankel, 30 steps up
+@example(p=30.3, x=float(np.nextafter(30.3, 0.0)))      # Miller at x just below p
+@example(p=-0.3, x=1e-3)
+@example(p=1e-9, x=7.0)
+def test_bessel_j_matches_mpmath_at_every_order(p, x):
+    # where J oscillates (x > p) the error is a few eps of its envelope,
+    # elsewhere a few eps of J, plus one eps per recurrence step above
+    # round(p): what the ratios of the upward and the Miller recurrence add
+    if p < 0.0 and x == 0.0:
+        return
+    got = bessel_j(p, x)
+    want = _mp_besselj(p, x)
+    scale = max(abs(want), min(1.0, math.sqrt(2.0 / (math.pi * x)))) if x > p else abs(want)
+    assert abs(got - want) <= (8.0 + p) * _EPS * scale
+
+
+def test_bessel_j_arrays_and_extremes():
+    x = np.array([0.0, 1e-300, 0.5, 24.9, 25.0, 1e3, 1e7, np.inf, np.nan])
+    got = bessel_j(1.2, x)
+    assert got.shape == x.shape and got[0] == 0.0 and got[-2] == 0.0 and np.isnan(got[-1])
+    for xi, gi in zip(x[1:-2], got[1:-2]):
+        assert gi == pytest.approx(_mp_besselj(1.2, float(xi)), rel=1e-14, abs=1e-300)
+    assert isinstance(bessel_j(1.2, 3.0), float)
+    with pytest.raises(DomainError, match="diverges"):
+        bessel_j(-0.3, np.array([1.0, 0.0]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(nu=st.floats(0.5, 60.0), frac=st.floats(0.0, 1.0))
+def test_ascending_series_equals_the_fixed_sixty_term_sum(nu, frac):
+    # terms past the stop are below half an ulp of the sum, so the early
+    # stop reproduces the 60-term loop it replaced bit for bit
+    x = frac * np.sqrt(2.0 * (nu + 1.0)) * np.linspace(0.0, 1.0, 17)
+    s = -0.25 * x**2
+    part, acc = np.ones_like(s), np.ones_like(s)
+    for m in range(1, 60):
+        part *= s / (m * (m + nu))
+        acc += part
+    assert np.array_equal(ascending_series(nu, x), acc)
+
+
+def _poisson_tail(k, x):
+    """poisson_tail with e^{-x} x^k/k! formed as trace._coefficients forms it."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    term = np.exp(-x)
+    for j in range(1, k + 1):
+        term *= x / j
+    return poisson_tail(k, x, term)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(k=st.integers(1, 40), x=st.floats(0.0, 300.0))
+@example(k=38, x=15.6)
+@example(k=40, x=40.0)
+@example(k=40, x=float(np.nextafter(40.0, 0.0)))
+@example(k=24, x=2.533375915826352e-10)
+def test_poisson_tail_matches_gammainc(k, x):
+    # never below scipy's value by more than scipy's own error (~5e-14 at
+    # k = 40 against mpmath), and within 1e-13 of it: the rounding-up
+    # allowance 3(k + m) eps/2 stays below that for k <= 40. At tiny x
+    # gammainc itself is off by up to ~1.1e-13 (k = 24, x = 2.5e-10), so
+    # there a 40-digit mpmath value decides: the tail bounds it from above
+    # within 2e-13
+    from scipy.special import gammainc
+
+    got = float(_poisson_tail(k, x)[0])
+    want = float(gammainc(k, x))
+    if got >= want * (1.0 - 5e-14) and abs(got - want) <= 1e-13 * want + 1e-300:
+        return
+    import mpmath
+
+    with mpmath.workdps(40):
+        true = float(mpmath.gammainc(k, 0, x, regularized=True))
+    assert true <= got <= true * (1.0 + 2e-13)
+
+
+@pytest.mark.parametrize("k, x", [
+    (1, 0.0), (1, 0.5), (4, 3.99), (4, 12.0), (60, 59.5), (60, 30.0), (335, 334.9), (335, 197.1),
+])
+def test_poisson_tail_is_an_upper_bound(k, x):
+    import mpmath
+
+    got = float(_poisson_tail(k, x)[0])
+    with mpmath.workdps(40):
+        want = float(mpmath.gammainc(k, 0, x, regularized=True))
+    assert want <= got <= want * (1.0 + 2e-13)
+
+
+def test_poisson_tail_domain():
+    for k, x in ((0, 1.0), (3, -1.0), (3, 701.0), (3, math.nan)):
+        with pytest.raises(DomainError):
+            poisson_tail(k, x, 1.0)
