@@ -13,6 +13,7 @@ from .counting import (
     c_weight,
     counting_direct,
     g_bessel,
+    g_expansion,
     g_limit,
     g_residual,
     g_sine_form,
@@ -73,8 +74,8 @@ __all__ = [
     # transforms
     "bromwich", "weighted_inverse", "InversionResult",
     # counting
-    "counting_direct", "c_weight", "g_bessel", "g_limit", "g_sine_form", "g_residual",
-    "sandwich_check", "balance_epsilon",
+    "counting_direct", "c_weight", "g_bessel", "g_limit", "g_expansion", "g_sine_form",
+    "g_residual", "sandwich_check", "balance_epsilon",
     # sweeps
     "Schedule", "SweepRow", "SweepResult", "run_sweep", "thread_cap",
     "fit_growth_exponent",

@@ -427,7 +427,7 @@ def _print_config(args, doc: InputDocument, series, inversion, out) -> None:
         config["inversion_policy"] = asdict(inversion)
         config["contour"] = None if contour is None else asdict(contour)
     if args.command == "sweep":
-        config["threads"] = thread_cap(len(doc.schedule.points()))
+        config["threads"] = thread_cap(len(doc.schedule.points()) if args.bromwich else 1)
     json.dump(config, out, indent=2)
     out.write("\n")
 

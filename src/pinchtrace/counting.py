@@ -12,63 +12,69 @@ is the closed Bessel series
                * (sqrt(a)/(n ell_k/2))^{w+1/2} J_{w+1/2}(n ell_k sqrt(a))
 
 with a = T - 1/4, identically zero for T <= 1/4. As the lengths pinch,
-G_w(T) = c_w(T) sum_k log(1/ell_k) + O(1); c_weight is that constant,
-g_residual isolates the O(1) remainder and g_limit is its limit per
-length.
+G_w(T) = c_w(T) sum_k log(1/ell_k) + O(1): c_weight, g_residual, its
+limit per length g_limit, and g_expansion in powers of ell^2.
 
 With nu = w + 1/2, phi(x) = (2 sqrt(a)/x)^nu J_nu(sqrt(a) x) and
-g(x) = phi(x)/sinh(x/2), each length contributes pref * S(ell), where
+g(x) = phi(x)/sinh(x/2), each length contributes pref S(ell), where
 pref = Gamma(w+1)/(16 pi)^{1/2} and S(ell) = sum_{n>=1} ell g(n ell).
 phi is even and entire with |phi(z)| <= phi0 e^{sqrt(a) |Im z|},
 phi0 = a^nu/Gamma(nu+1), and |sinh(z/2)| >= sinh(Re z/2); the bounds
-below rest on these two facts. Each S(ell) is certified by one of two
-routes, chosen per length by a fixed rule.
+below rest on these facts. S(ell) is certified to tol(S) =
+policy.tol(pref S)/pref by one of two routes, chosen per length.
 
 Direct route (ell > 1/32, and the fallback). Term n is at most
 env(n) = ell/sinh(n ell/2) min(phi0, (2 sqrt(a)/(n ell))^nu B(n ell sqrt(a))),
-with |J_nu| <= B non-increasing: B(x) = min(1, sqrt(2/(pi x)))
-for nu = 1/2, else min(1, 0.674886 nu^{-1/3}, 0.785747 x^{-1/3})
-(Landau, J. London Math. Soc. 61, 2000). With tol(S) = policy.tol(pref
-S)/pref, specfun.tail_cut cuts where the geometric tail env(N+1)/(1 -
-e^{-ell/2}) meets tol(env(1)), and cuts again, summing only the new
-terms, while tol of the partial sum is smaller. g_sine_form does the same
-with min(1, n ell sqrt(a))/(n sinh(n ell/2)) and policy.tol. Blocks are
-vectorized in a fixed order, so results are deterministic. The cost is
-about 36/ell terms at w = 0.
+with |J_nu| <= B non-increasing: B(x) = min(1, sqrt(2/(pi x))) for
+nu = 1/2, else min(1, 0.674886 nu^{-1/3}, 0.785747 x^{-1/3}) (Landau,
+J. London Math. Soc. 61, 2000). specfun.tail_cut cuts where the tail
+env(N+1)/(1 - e^{-ell/2}) meets tol(env(1)), and again, summing only the
+new terms, while tol of the partial sum is smaller; g_sine_form does the
+same with min(1, n ell sqrt(a))/(n sinh(n ell/2)). Blocks are vectorized
+in a fixed order. Rounding each x = n ell sqrt(a) (2^-51 relative) moves
+a term by at most 2^-51 ell/sinh(n ell/2) min(phi0 x^2/(2 nu + 2),
+(2a/x)^nu x B_{nu+1}(x)), as x d/dx (x^-nu J_nu) = -x^-nu x J_{nu+1}
+(ell sqrt(a)/sinh(n ell/2) for the sine form); a sum returns where its
+tail plus these meet the tolerance and raises where these alone exceed
+it (at w = 0 from about T = 1e12, ell = 0.05).
 
-Euler-Maclaurin route (ell <= 1/32). With N = 64 and X = N ell <= 2,
+Expansion route (ell <= 1/32). With x g(x) = sum_{j<=24} c_j x^2j (phi's
+power series times the Bernoulli series of csch), h = g - c_0 e^{-x}/x is
+analytic in |Im z| < 2 pi. Summing the pole part in closed form and h by
+Euler-Maclaurin from x = 0 (to all orders the c_0 terms cancel the log,
+leaving g_expansion's series),
 
-    S(ell) = sum_{n<N} ell g(n ell) + ell g(X)/2 + int_X^{x1} g + C(x1)
-             - sum_{k<=6} B_2k/(2k)! ell^2k g^(2k-1)(X) + R.
+    S(ell) = -c_0 log(1 - e^{-ell}) - c_0 ell/2 + R
+             - sum_{k<=K} (B_2k/2k)(c_k - c_0/(2k)!) ell^2k + R_K.
 
-The integral and the derivatives come from the odd Laurent series
-x g(x) = sum_{j<=24} c_j x^2j (phi's power series times the Bernoulli
-series of csch); C(x1) = int_{x1}^inf g comes from fixed 20-node
-Gauss-Legendre panels, x1 = min(1, 2/sqrt(a)), and is shared by every
-length of a call, so the cost does not depend on ell. Stated bounds:
+- |R_K| <= |B_2K|/(2K)! ell^2K int |h^(2K)|, and by Cauchy's estimate on
+  circles of radius r < 2 pi/3 (the best of a grid) int |h^(2K)| <=
+  (2K)! r^-2K [2r H(3r) + 2 phi0 e^{sqrt(a) r} log coth(r/4) + c_0 E_1(r)],
+  H(rho) = phi0 e^{sqrt(a) rho}/sin(rho/2) + c_0 e^rho/rho >= |h| on
+  |z| = rho; by the maximum principle H(3r) covers the circles about
+  x <= 2r, and past 2r, Re z >= r on them.
+- R = int_0^inf h = c_0 (gamma + log x1) + sum_j c_j x1^2j/(2j) +
+  int_{x1}^inf g, x1 = min(1, 2/sqrt(a)), the integral by 20-node
+  Gauss-Legendre panels. Its bound sums the Laurent tail, by |c_j| <= M
+  rho^{-2j}, M = rho phi0 e^{sqrt(a) rho}/sin(rho/2); per panel (64/15) M'
+  h rho^{2-2m}/(rho^2 - 1) on the Bernstein ellipse E_rho (h the
+  half-width, m = 20, M' >= |g| there); the cut, 2 phi0 log coth(x_max/4)
+  <= abs_tol/(16 pref); and the nodes' argument rounding.
+- Rounding: 1e-15 (1 + |log phi0|) of the absolute size of each sum
+  built from phi0, (k + 1) times that for the alternating c_k.
 
-- R: |R| <= 2|B_14|/14! ell^14 int_X^inf |g^(14)|, the derivative
-  bounded by Cauchy's estimate on circles of radius X/2;
-- Laurent tail: |c_j| <= M rho^{-2j} with M = rho phi0 e^{sqrt(a) rho}
-  / sin(rho/2) for rho < 2 pi, as |sinh(z/2)| >= sin(rho/2) on
-  |z| = rho; the dropped terms of the integral and of each derivative
-  are summed against this as geometric series;
-- quadrature: per panel (64/15) M' h rho^{2-2m}/(rho^2 - 1) over the
-  Bernstein ellipse E_rho, h the half-width, m = 20 nodes and M' the
-  bound on |g| over E_rho;
-- the cut at x_max: 2 phi0 log coth(x_max/4), at most abs_tol/(16 pref);
-- rounding: 1e-15 of the absolute size of the alternating Laurent sums.
-
-A length takes this route only when the bounds sum to within
-tol(S), as on the direct route, its 64 terms fit max_terms and its panels fit
-max_quad_evals; otherwise it falls back to the direct route. The
-Laurent tail and rounding bounds grow like e^{sqrt(a) X}, so at large
-T the shallower of these lengths fall back.
+These depend only on (w, T, policy): one cached build serves every
+length, which then costs O(K) float operations and no Bessel
+evaluation, K the smallest order whose bounds meet tol(S). A length
+takes the route only then, and when its 25 coefficients fit max_terms
+and the panels max_quad_evals; else the direct route, as shallow
+lengths at large T, where R_K grows like (ell sqrt(a)/pi)^2K.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,14 +86,8 @@ from .specfun import (
 from .spectrum import PinchingSet, SpectralData
 
 __all__ = [
-    "counting_direct",
-    "c_weight",
-    "g_bessel",
-    "g_sine_form",
-    "g_residual",
-    "g_limit",
-    "sandwich_check",
-    "balance_epsilon",
+    "counting_direct", "c_weight", "g_bessel", "g_sine_form", "g_residual", "g_limit",
+    "g_expansion", "sandwich_check", "balance_epsilon",
 ]
 
 _BLOCK = 1 << 21
@@ -97,17 +97,15 @@ _BLOCK = 1 << 21
 _LANDAU_NU = 0.674886
 _LANDAU_X = 0.785747
 
-_EM_HEAD = 64               # N: terms summed directly, the same for every length
-_EM_ELL_MAX = 1.0 / 32.0    # keeps X = N ell <= 2, well inside the Laurent disc
-_EM_ORDER = 6               # K Bernoulli corrections; the remainder carries B_{2K+2}
-_EM_THETA = 0.5             # remainder Cauchy circles have radius theta X
+_EXPANSION_ELL_MAX = 1.0 / 32.0
 _GL_NODES = 20
 _LAURENT_RHOS = (3.5, 4.0, 4.5, 5.0, 5.5, 6.0)   # Cauchy radii tried, all < 2 pi
+_CAUCHY_RADII = tuple(2.0 * 2.0 ** (-0.5 * i) for i in range(48))  # all < 2 pi/3
 _ELLIPSE_RHOS = np.array([1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0])
 _ROUNDING = 1e-15
+_ARG_ROUNDING = 2.0**-51  # relative rounding of x = n ell sqrt(a): three roundings
 _LOG_POWER_MAX = 600.0      # a larger power leaves J_nu too close to underflow
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
-_ZETA4 = math.pi**4 / 90.0  # zeta(p) <= zeta(4) for every p >= 4
 _EULER_GAMMA = 0.5772156649015329
 
 # Bernoulli numbers B_2, B_4, ..., B_48
@@ -122,34 +120,26 @@ _BERNOULLI = (
     (-5609403368997817686249127547, 46410),
 )
 _LAURENT_TERMS = len(_BERNOULLI)  # J
-# B_2k/(2k)! for k = 1..J
-_B_FACT = tuple(
-    num / (den * math.factorial(2 * k)) for k, (num, den) in enumerate(_BERNOULLI, 1)
-)
 # coefficients of x^2k in (x/2)/sinh(x/2), k = 0..J
-_CSCH = (1.0,) + tuple((2.0 ** (1 - 2 * k) - 1.0) * b for k, b in enumerate(_B_FACT, 1))
+_CSCH = (1.0,) + tuple(
+    (2.0 ** (1 - 2 * k) - 1.0) * (num / (den * math.factorial(2 * k)))
+    for k, (num, den) in enumerate(_BERNOULLI, 1)
+)
 
 
-def _check_weight(w: float) -> float:
-    w = float(w)
-    if not 0.0 <= w < math.inf:
-        raise DomainError(f"weight must be finite and >= 0, got {w}")
-    return w
-
-
-def _check_threshold(T: float) -> float:
-    T = float(T)
-    if not 0.0 <= T < math.inf:
-        raise DomainError(f"threshold must be finite and >= 0, got {T}")
-    return T
+def _check(x: float, what: str) -> float:
+    x = float(x)
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"{what} must be finite and >= 0, got {x}")
+    return x
 
 
 def counting_direct(sd: SpectralData, w: float, T: float) -> float:
     """N_w(T): weighted eigenvalue count below (and at) the threshold."""
     if not isinstance(sd, SpectralData):
         sd = SpectralData.of(sd)
-    w = _check_weight(w)
-    T = _check_threshold(T)
+    w = _check(w, "weight")
+    T = _check(T, "threshold")
     total = 0.0
     for lam, mult in sd.eigenvalues:
         if lam > T:
@@ -160,8 +150,8 @@ def counting_direct(sd: SpectralData, w: float, T: float) -> float:
 
 def c_weight(w: float, T: float) -> float:
     """Asymptotic constant Gamma(w+1)(T-1/4)^{w+1/2}/(sqrt(4 pi) Gamma(w+3/2))."""
-    w = _check_weight(w)
-    T = _check_threshold(T)
+    w = _check(w, "weight")
+    T = _check(T, "threshold")
     if T < 0.25:
         raise DomainError(f"c_weight requires T >= 1/4, got {T}")
     return gamma(w + 1.0) * (T - 0.25) ** (w + 0.5) / (
@@ -179,28 +169,38 @@ def _log_coth(y: float) -> float:
 
 
 def _series_sum(ell: float, term_fn, log_env, tol, cap: int) -> float:
-    """Sum over n >= 1 of term_fn, certified to tol(sum) within cap terms.
+    """Sum over n >= 1 of term_fn's terms, certified to tol(sum) within cap terms.
 
-    term_fn(n_array) -> term values; log_env(n) -> log of a scalar bound
-    with |term(m)| <= env(n) e^{-(m-n) ell/2} for m >= n. Cuts with
-    tail_cut for tol(env(1)), then again, summing only the new terms,
-    while tol of the partial sum is below the target cut for.
+    term_fn(n) -> (terms, bounds on |x d/dx| of each in its argument x);
+    log_env(n) -> log of a bound with |term(m)| <= env(n) e^{-(m-n) ell/2}
+    for m >= n. Cuts again while tol of the sum is below the target, or
+    the tail plus the argument rounding exceed tol.
     """
     target = tol(math.exp(log_env(1)))
-    total = 0.0
+    total = slope = 0.0
     n0 = 1
     while True:
         ncut = tail_cut(log_env, ell, target, cap)
         while n0 <= ncut:
             n1 = min(ncut, n0 + _BLOCK - 1)
             n = np.arange(n0, n1 + 1, dtype=np.float64)
-            total += float(np.sum(term_fn(n)))
+            terms, slopes = term_fn(n)
+            total += float(np.sum(terms))
+            slope += float(np.sum(slopes))
             n0 = n1 + 1
         if not math.isfinite(total):
             raise TruncationBudgetError(f"series terms overflow a double (length {ell})")
-        if tol(total) >= target:
+        rounding = _ARG_ROUNDING * slope
+        if tol(total) < target:
+            target = tol(total)
+        elif math.exp(log_env(ncut + 1)) / -math.expm1(-0.5 * ell) + rounding <= tol(total):
             return total
-        target = tol(total)
+        elif rounding < tol(total):
+            target = tol(total) - rounding
+        else:
+            raise TruncationBudgetError(
+                f"argument rounding {rounding:.3e} exceeds tolerance {tol(total):.3e} "
+                f"(length {ell})")
 
 
 def _j_envelope(nu: float, x: float) -> float:
@@ -211,15 +211,10 @@ def _j_envelope(nu: float, x: float) -> float:
 
 
 class _BesselSeries:
-    """The per-length sums S(ell) of G_w(T) at one (w, a = T - 1/4 > 0).
-
-    The Laurent coefficients and C(x1) are built on first use of the
-    Euler-Maclaurin route and shared by every length of the instance.
-    """
+    """The per-length sums S(ell) of G_w(T) at one (w, a = T - 1/4 > 0)."""
 
     def __init__(self, w: float, a: float, policy: TruncationPolicy):
-        self.policy = policy
-        self.a = a
+        self.policy, self.w, self.a = policy, w, a
         self.sa = math.sqrt(a)
         self.nu = w + 0.5
         self.log_phi0 = self.nu * math.log(a) - math.lgamma(self.nu + 1.0)
@@ -229,29 +224,34 @@ class _BesselSeries:
         self.phi0 = math.exp(self.log_phi0)
         self.pref = gamma(w + 1.0) / math.sqrt(16.0 * math.pi)
         self.spherical = int(w) if w.is_integer() else None
-        self._pieces = None
 
-    def term(self, ell: float, n):
-        """ell * g(n ell), vectorized over n.
+    def terms(self, ell: float, n):
+        """(ell g(n ell), a bound on its |x d/dx| at x = n ell sqrt(a)), vectorized.
 
-        phi = (sqrt(a)/(n ell/2))^nu J_nu(x) is that product unless, at
-        the smallest n, the power could overflow or J_nu underflow. Then
-        phi comes from its ascending series where x^2 <= 2 (nu + 1), each
-        series term at most half the one before.
+        Where the power (sqrt(a)/(n ell/2))^nu could overflow or J_nu
+        underflow, phi comes from its ascending series for x^2 <= 2 (nu + 1).
         """
         nl2 = 0.5 * ell * n
         x = 2.0 * nl2 * self.sa
         coef = ell * np.exp(-log_sinh(nl2))
         log_sa = math.log(self.sa)
-        if self.nu * (log_sa - math.log(float(np.min(nl2)))) <= _LOG_POWER_MAX + min(
-                0.0, self.log_phi0):
-            power = np.exp(self.nu * (log_sa - np.log(nl2)))
-            return coef * power * self._bessel(x)
-        near = x * x <= 2.0 * (self.nu + 1.0)
-        phi = np.empty_like(x)
-        phi[~near] = np.exp(self.nu * (log_sa - np.log(nl2[~near]))) * self._bessel(x[~near])
-        phi[near] = self.phi0 * ascending_series(self.nu, x[near])
-        return coef * phi
+        nu1 = self.nu + 1.0
+        with np.errstate(over="ignore", divide="ignore"):
+            slope = self.phi0 / (2.0 * nu1) * x * x
+            landau = np.minimum(min(1.0, _LANDAU_NU * nu1 ** (-1.0 / 3.0)), _LANDAU_X / np.cbrt(x))
+            if self.nu * (log_sa - math.log(float(np.min(nl2)))) <= _LOG_POWER_MAX + min(
+                    0.0, self.log_phi0):
+                power = np.exp(self.nu * (log_sa - np.log(nl2)))
+                slope = np.minimum(slope, power * x * landau)
+                return coef * power * self._bessel(x), coef * slope
+            near = x * x <= 2.0 * (self.nu + 1.0)
+            far = ~near
+            phi = np.empty_like(x)
+            power = np.exp(self.nu * (log_sa - np.log(nl2[far])))
+            phi[far] = power * self._bessel(x[far])
+            phi[near] = self.phi0 * ascending_series(self.nu, x[near])
+            slope[far] = np.minimum(slope[far], power * x[far] * landau[far])
+            return coef * phi, coef * slope
 
     def _bessel(self, x):
         if self.spherical is not None:
@@ -259,11 +259,11 @@ class _BesselSeries:
         return bessel_j(self.nu, x)
 
     def length_sum(self, ell: float) -> float:
-        """S(ell) by the Euler-Maclaurin route where it certifies, else directly."""
-        if ell <= _EM_ELL_MAX:
-            em = self.euler_maclaurin(ell)
-            if em is not None and em[1] <= self._tol(em[0]):
-                return em[0]
+        """S(ell) by the expansion route where it certifies, else directly."""
+        if ell <= _EXPANSION_ELL_MAX:
+            route = self.expansion(ell)
+            if route is not None and route[1] <= self._tol(route[0]):
+                return route[0]
         return self.direct(ell)
 
     def _tol(self, s: float) -> float:
@@ -281,158 +281,116 @@ class _BesselSeries:
             return math.log(ell) - log_sinh(nl2) + min(
                 log_phi0, nu * math.log(sa / nl2) + math.log(_j_envelope(nu, 2.0 * nl2 * sa)))
 
-        return _series_sum(ell, lambda n: self.term(ell, n), log_env, self._tol,
+        return _series_sum(ell, lambda n: self.terms(ell, n), log_env, self._tol,
                            self.policy.max_terms)
 
-    def euler_maclaurin(self, ell: float):
-        """(S(ell), stated error bound), or None where the route cannot run.
-
-        Only the head, the half term and the Laurent evaluations at X
-        depend on ell; see the module docstring for the formula.
-        """
-        if _EM_HEAD > self.policy.max_terms:
+    def expansion(self, ell: float):
+        """(S(ell), stated error bound) at the smallest order K whose bound
+        meets tol(S), else at K = J; None where the route cannot run."""
+        fits = _LAURENT_TERMS < self.policy.max_terms  # the 25 coefficients
+        e = _expansion(self.w, self.a, self.policy) if fits else None
+        if e is None:
             return None
-        pieces = self._shared_pieces()
-        if pieces is None:
-            return None
-        c, x1, far, far_bound = pieces
-        N, J = _EM_HEAD, _LAURENT_TERMS
-        X = N * ell
-        t = self.term(ell, np.arange(1.0, N + 1.0))
-        head = float(np.sum(t[:-1])) + 0.5 * float(t[-1])
-        if not math.isfinite(head):
-            return None
+        c, r, r_bound, b, b_mass, log_rem = e
+        pole = -c[0] * (math.log(-math.expm1(-ell)) + 0.5 * ell)
+        s = pole + r
+        fixed = r_bound + _ROUNDING * (1.0 + abs(self.log_phi0)) * abs(pole)
+        rounding, power, log_ell = 0.0, 1.0, math.log(ell)
+        for k in range(1, _LAURENT_TERMS + 1):
+            power *= ell * ell
+            s -= b[k - 1] * power
+            rounding += b_mass[k - 1] * power
+            bound = _exp(log_rem[k - 1] + 2 * k * log_ell) + fixed + rounding + _ROUNDING * abs(s)
+            if bound <= self._tol(s):
+                break
+        return s, bound
 
-        # int_X^{x1} g from the Laurent series; mass is the absolute size
-        # of every alternating Laurent sum, for the rounding allowance
-        integral = c[0] * math.log(x1 / X)
-        mass = 0.0
-        for j in range(1, J + 1):
-            u, v = x1 ** (2 * j), X ** (2 * j)
-            integral += c[j] * (u - v) / (2 * j)
-            mass += abs(c[j]) * (u + v) / (2 * j)
-        # ell^2k g^(2k-1)(X): the c_0/x part gives -(2k-1)! c_0 / N^2k
-        correction = 0.0
-        for k in range(1, _EM_ORDER + 1):
-            d = -math.factorial(2 * k - 1) * c[0] / N ** (2 * k)
-            for j in range(k, J + 1):
-                r = (c[j] * math.factorial(2 * j - 1) / math.factorial(2 * j - 2 * k)
-                     * ell ** (2 * k) * X ** (2 * j - 2 * k))
-                d += r
-                mass += abs(_B_FACT[k - 1] * r)
-            correction -= _B_FACT[k - 1] * d
 
-        p = 2 * _EM_ORDER + 2
-        r = _EM_THETA * X
-        remainder = (
-            8.0 * _ZETA4 * math.factorial(p) * (2.0 * math.pi * _EM_THETA * N) ** (-p)
-            * _exp(self.log_phi0 + self.sa * r) * _log_coth(0.25 * (X - r))
-        )
-        laurent = math.inf
-        for rho in _LAURENT_RHOS:
-            M = self._laurent_majorant(rho)
-            tails = self._laurent_tail(M, rho, x1) + self._laurent_tail(M, rho, X)
-            # dropped derivative terms: |c_j| (2j-1)!/(2j-2k)! ell^2k X^{2j-2k}
-            # <= M q^j (2j)^{2k-1} / N^2k, a series whose ratio past J is
-            # at most q ((J+2)/(J+1))^{2k-1} < 1
-            q = (X / rho) ** 2
-            for k in range(1, _EM_ORDER + 1):
-                ratio = q * ((J + 2) / (J + 1)) ** (2 * k - 1)
-                tails += (abs(_B_FACT[k - 1]) * M * q ** (J + 1) * (2 * J + 2) ** (2 * k - 1)
-                          / (N ** (2 * k) * (1.0 - ratio)))
-            laurent = min(laurent, tails)
-        bound = remainder + laurent + far_bound + _ROUNDING * mass
-        return head + integral + far + correction, bound
+@lru_cache(maxsize=128)
+def _expansion(w: float, a: float, policy: TruncationPolicy):
+    """(c_0..c_J, R, bound on R, b_1..b_J, their rounding bounds, log E_1..E_J),
+    b_k = (B_2k/2k)(c_k - c_0/(2k)!) and |R_K| <= E_K ell^2K; None when the
+    panels exceed max_quad_evals. Pure, so one build serves every call."""
+    series = _BesselSeries(w, a, policy)
+    sa, nu, phi0, log_phi0 = series.sa, series.nu, series.phi0, series.log_phi0
+    J = _LAURENT_TERMS
+    # panels double in width from x1 until they reach `width`, then
+    # stay at it, so sqrt(a) |Im z| stays bounded on their ellipses;
+    # the cut at x_max costs pref S at most abs_tol/16
+    x1 = min(1.0, 2.0 / sa)
+    width = min(4.0, 3.0 / sa)
+    x_max = 2.0 * max(x1, log_phi0 + math.log(64.0 * series.pref) - math.log(policy.abs_tol), 0.0)
+    edges = [x1]
+    while edges[-1] < width and edges[-1] < x_max:
+        edges.append(2.0 * edges[-1])
+    uniform = max(0, math.ceil((x_max - edges[-1]) / width))
+    if (len(edges) - 1 + uniform) * _GL_NODES > policy.max_quad_evals:
+        return None
+    edges = np.concatenate([edges, edges[-1] + width * np.arange(1.0, uniform + 1.0)])
+    rel = _ROUNDING * (1.0 + abs(log_phi0))
 
-    def limit(self) -> float:
-        """pref [c_0 (gamma + log x1) + sum_j c_j x1^2j/(2j) + C(x1)], certified."""
-        pieces = self._shared_pieces()
-        if pieces is None:
-            raise TruncationBudgetError("g_limit quadrature exceeds max_quad_evals")
-        c, x1, far, far_bound = pieces
-        value = c[0] * (_EULER_GAMMA + math.log(x1))
-        mass = abs(value)
-        for j in range(1, _LAURENT_TERMS + 1):
-            t = c[j] * x1 ** (2 * j) / (2 * j)
-            value += t
-            mass += abs(t)
-        value += far
-        laurent = min(
-            self._laurent_tail(self._laurent_majorant(rho), rho, x1)
-            for rho in _LAURENT_RHOS
-        )
-        bound = laurent + far_bound + _ROUNDING * mass
-        if not bound <= self._tol(value):
-            raise TruncationBudgetError(
-                f"g_limit bound {bound:.3e} exceeds tolerance at value {value:.6g}"
-            )
-        return self.pref * value
+    # c_j, and the absolute size of the alternating sum behind it
+    p = [phi0]
+    for m in range(1, J + 1):
+        p.append(p[-1] * (-0.25 * a) / (m * (m + nu)))
+    products = [[p[m] * _CSCH[j - m] for m in range(j + 1)] for j in range(J + 1)]
+    c = [2.0 * sum(t) for t in products]
+    mass = [2.0 * sum(map(abs, t)) for t in products]
 
-    def _laurent_majorant(self, rho: float) -> float:
-        """M >= |x g(x)| on |z| = rho < 2 pi, so |c_j| <= M rho^{-2j}; inf past a double."""
-        return rho * _exp(self.log_phi0 + self.sa * rho) / math.sin(0.5 * rho)
+    # C(x1) = int_{x1}^inf g by Gauss-Legendre panels
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    gx, gw = leggauss(_GL_NODES)
+    x = mid[:, None] + half[:, None] * gx
+    g, slope = series.terms(1.0, x)
+    far = float(np.sum(g @ gw * half))
+    rounding = float(np.sum((_ROUNDING * np.abs(g) + _ARG_ROUNDING * slope) @ gw * half))
+    rho = _ELLIPSE_RHOS
+    re_min = mid[:, None] - 0.5 * half[:, None] * (rho + 1.0 / rho)
+    im_max = 0.5 * half[:, None] * (rho - 1.0 / rho)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        m_ellipse = phi0 * np.exp(sa * im_max) / np.sinh(0.5 * re_min)
+        err = (64.0 / 15.0) * half[:, None] * m_ellipse * rho ** (2 - 2 * _GL_NODES) / (
+            rho**2 - 1.0)
+    err = np.where(re_min > 0.0, err, math.inf)
+    quad = float(np.sum(np.min(err, axis=1)))
+    cut = 2.0 * phi0 * _log_coth(0.25 * float(edges[-1]))
 
-    @staticmethod
-    def _laurent_tail(M: float, rho: float, x: float) -> float:
-        """Bound on sum_{j>J} |c_j| x^2j/(2j)."""
-        q = (x / rho) ** 2
-        J = _LAURENT_TERMS
-        return M * q ** (J + 1) / ((1.0 - q) * 2.0 * (J + 1))
+    # R = c_0 (gamma + log x1) + sum_j c_j x1^2j/(2j) + C(x1)
+    r = c[0] * (_EULER_GAMMA + math.log(x1))
+    r_mass = abs(r)
+    for j in range(1, J + 1):
+        r += c[j] * x1 ** (2 * j) / (2 * j)
+        r_mass += (j + 1) * mass[j] * x1 ** (2 * j) / (2 * j)
+    r += far
+    # sum_{j>J} |c_j| x1^2j/(2j) <= M q^{J+1}/((1 - q)(2J + 2)), q = (x1/rho)^2
+    laurent = min(rho * _exp(log_phi0 + sa * rho) / math.sin(0.5 * rho) * (x1 / rho) ** (
+        2 * J + 2) / ((1.0 - (x1 / rho) ** 2) * (2 * J + 2)) for rho in _LAURENT_RHOS)
+    r_bound = laurent + quad + cut + rounding + rel * r_mass
 
-    def _shared_pieces(self):
-        if self._pieces is None:
-            self._pieces = self._build_pieces()
-        return self._pieces
+    b, b_mass = [], []
+    for k, (num, den) in enumerate(_BERNOULLI, 1):
+        tail = c[0] / math.factorial(2 * k)
+        b.append(num / (den * 2 * k) * (c[k] - tail))
+        b_mass.append(rel * abs(num / (den * 2 * k)) * ((k + 1) * mass[k] + tail))
 
-    def _build_pieces(self):
-        """(c_0..c_J, x1, C(x1), bound on C's error), or None when the
-        panels exceed max_quad_evals."""
-        a, sa, nu, phi0 = self.a, self.sa, self.nu, self.phi0
-        # panels double in width from x1 until they reach `width`, then
-        # stay at it, so sqrt(a) |Im z| stays bounded on their ellipses;
-        # the cut at x_max costs pref S at most abs_tol/16
-        x1 = min(1.0, 2.0 / sa)
-        width = min(4.0, 3.0 / sa)
-        x_max = 2.0 * max(x1, self.log_phi0 + math.log(64.0 * self.pref)
-                          - math.log(self.policy.abs_tol), 0.0)
-        edges = [x1]
-        while edges[-1] < width and edges[-1] < x_max:
-            edges.append(2.0 * edges[-1])
-        uniform = max(0, math.ceil((x_max - edges[-1]) / width))
-        if (len(edges) - 1 + uniform) * _GL_NODES > self.policy.max_quad_evals:
-            return None
-        edges = np.concatenate([edges, edges[-1] + width * np.arange(1.0, uniform + 1.0)])
-
-        p = [phi0]
-        for m in range(1, _LAURENT_TERMS + 1):
-            p.append(p[-1] * (-0.25 * a) / (m * (m + nu)))
-        c = [2.0 * sum(p[m] * _CSCH[j - m] for m in range(j + 1))
-             for j in range(_LAURENT_TERMS + 1)]
-
-        lo, hi = edges[:-1], edges[1:]
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        gx, gw = leggauss(_GL_NODES)
-        x = mid[:, None] + half[:, None] * gx
-        far = float(np.sum(self.term(1.0, x) @ gw * half))
-
-        rho = _ELLIPSE_RHOS
-        re_min = mid[:, None] - 0.5 * half[:, None] * (rho + 1.0 / rho)
-        im_max = 0.5 * half[:, None] * (rho - 1.0 / rho)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            m_ellipse = phi0 * np.exp(sa * im_max) / np.sinh(0.5 * re_min)
-            err = (64.0 / 15.0) * half[:, None] * m_ellipse * rho ** (2 - 2 * _GL_NODES) / (
-                rho**2 - 1.0)
-        err = np.where(re_min > 0.0, err, math.inf)
-        quad = float(np.sum(np.min(err, axis=1)))
-        cut = 2.0 * phi0 * _log_coth(0.25 * float(edges[-1]))
-        return c, x1, far, quad + cut
+    # bracket(r)/phi0 of the Cauchy estimate, over the radius grid (c_0 = 2 phi0)
+    log_brackets = []
+    for rc in _CAUCHY_RADII:
+        h_max = _exp(3.0 * sa * rc) / math.sin(1.5 * rc) + 2.0 * math.exp(3.0 * rc) / (3.0 * rc)
+        bracket = (2.0 * rc * h_max + 2.0 * _exp(sa * rc) * _log_coth(0.25 * rc)
+                   + 2.0 * math.exp(-rc) * math.log1p(1.0 / rc))
+        log_brackets.append((math.log(rc), math.log(bracket)))
+    log_rem = tuple(
+        math.log(abs(num / den)) + log_phi0 + min(lb - 2 * k * lr for lr, lb in log_brackets)
+        for k, (num, den) in enumerate(_BERNOULLI, 1))
+    return tuple(c), r, r_bound, tuple(b), tuple(b_mass), log_rem
 
 
 def g_bessel(ps, w: float, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """The degeneration counting series G_w(T); zero for T <= 1/4."""
     ps = PinchingSet.of(ps)
-    w = _check_weight(w)
-    T = _check_threshold(T)
+    w = _check(w, "weight")
+    T = _check(T, "threshold")
     a = T - 0.25
     if a <= 0.0:
         return 0.0
@@ -446,17 +404,47 @@ def g_bessel(ps, w: float, T: float, policy: TruncationPolicy = DEFAULT_POLICY) 
 def g_limit(w: float, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """R_w(T), the limit of G_w(T) - c_w(T) log(1/ell) for one length ell -> 0.
 
-    Certified to policy.tol(R) from the Euler-Maclaurin pieces; zero at
-    T = 1/4. Raises TruncationBudgetError where the bound cannot meet
-    that tolerance or the quadrature exceeds max_quad_evals.
+    Certified to policy.tol(R), else TruncationBudgetError; zero at T = 1/4.
     """
-    w = _check_weight(w)
-    T = _check_threshold(T)
+    w = _check(w, "weight")
+    T = _check(T, "threshold")
     if T < 0.25:
         raise DomainError(f"g_limit requires T >= 1/4, got {T}")
     if T == 0.25:
         return 0.0
-    return _BesselSeries(w, T - 0.25, policy).limit()
+    series = _BesselSeries(w, T - 0.25, policy)
+    e = _expansion(w, series.a, policy)
+    if e is None:
+        raise TruncationBudgetError("g_limit quadrature exceeds max_quad_evals")
+    _, r, r_bound, *_ = e
+    if not r_bound <= series._tol(r):
+        raise TruncationBudgetError(
+            f"g_limit bound {r_bound:.3e} exceeds tolerance at value {r:.6g}")
+    return series.pref * r
+
+
+def g_expansion(w: float, T: float, order: int,
+                policy: TruncationPolicy = DEFAULT_POLICY) -> tuple[float, ...]:
+    """(L, a_0, ..., a_order) with G_w(T) ~ L log(1/ell) + sum_j a_j ell^2j
+    for one length: L = pref c_0 = c_weight(w, T), a_0 = g_limit(w, T)
+    (certified as it is) and a_j = -pref c_j B_2j/(2j), order <= 24.
+
+    The series is asymptotic, its terms growing like (2j)! (ell/(4
+    pi^2))^2j; g_bessel's expansion route bounds each truncation.
+    """
+    if not (isinstance(order, int) and 0 <= order <= _LAURENT_TERMS):
+        raise DomainError(f"order must be an integer in [0, {_LAURENT_TERMS}], got {order!r}")
+    a0 = g_limit(w, T, policy)
+    if float(T) == 0.25:
+        return (0.0,) * (order + 2)
+    series = _BesselSeries(float(w), float(T) - 0.25, policy)
+    c = _expansion(series.w, series.a, policy)[0]
+    out = (series.pref * c[0], a0) + tuple(
+        -series.pref * c[j] * num / (den * 2 * j)
+        for j, (num, den) in enumerate(_BERNOULLI[:order], 1))
+    if not all(map(math.isfinite, out)):
+        raise TruncationBudgetError(f"expansion coefficients of G_{w}({T}) overflow a double")
+    return out
 
 
 def g_sine_form(ps, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
@@ -470,7 +458,7 @@ def g_sine_form(ps, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> floa
     both routes of g_bessel.
     """
     ps = PinchingSet.of(ps)
-    T = _check_threshold(T)
+    T = _check(T, "threshold")
     if T < 0.25:
         raise DomainError(f"g_sine_form requires T >= 1/4, got {T}")
     a = T - 0.25
@@ -479,13 +467,14 @@ def g_sine_form(ps, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> floa
     sa = math.sqrt(a)
 
     def one_length(ell: float) -> float:
-        def term(n):
-            return np.sin(n * ell * sa) / n * np.exp(-log_sinh(0.5 * ell * n))
+        def terms(n):  # and |x cos x|/(n sinh(n ell/2)) at x = n ell sqrt(a)
+            c = np.exp(-log_sinh(0.5 * ell * n))
+            return np.sin(n * ell * sa) / n * c, ell * sa * c
 
         def log_env(n):  # |sin y| <= min(1, y)
             return math.log(min(1.0 / n, ell * sa)) - log_sinh(0.5 * ell * n)
 
-        return _series_sum(ell, term, log_env, policy.tol, policy.max_terms)
+        return _series_sum(ell, terms, log_env, policy.tol, policy.max_terms)
 
     return sum(one_length(ell) for ell in ps.ells) / (2.0 * math.pi)
 
@@ -499,7 +488,7 @@ def g_residual(ps, w: float, T: float, policy: TruncationPolicy = DEFAULT_POLICY
     ps = PinchingSet.of(ps)
     if any(ell >= 1.0 for ell in ps.ells):
         raise DomainError("g_residual requires all pinching lengths < 1")
-    w = _check_weight(w)
+    w = _check(w, "weight")
     if T < 0.25:
         raise DomainError(f"g_residual requires T >= 1/4, got {T}")
     return g_bessel(ps, w, T, policy) - c_weight(w, T) * ps.log_sum
@@ -517,7 +506,7 @@ def sandwich_check(
     """
     if not eps > 0.0:
         raise DomainError(f"sandwich_check requires eps > 0, got {eps}")
-    w = _check_weight(w)
+    w = _check(w, "weight")
     lo = counting_direct(sd, w, T)
     hi = counting_direct(sd, w, T + eps)
     mid = (

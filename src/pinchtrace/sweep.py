@@ -2,15 +2,14 @@
 
 A sweep walks a schedule of pinching sets toward zero length, computing
 the counting series, its log-sum normalizer, and the residual against
-the asymptotic constant for each point. Rows are independent, may be
-computed concurrently (capped by the SPECTRA_THREADS environment
-variable), and are assembled in schedule order; a failed row is recorded
-with its error message instead of aborting the sweep.
+the asymptotic constant for each point, in schedule order; a failed
+row is recorded with its error message instead of aborting the sweep.
 
 Rows come from the Bessel series or, on request, from the contour
-inversion of the degenerating trace (the dual route). Either way a
-sweep takes the same pair of policies as every other evaluation: the
-series policy for series, the inversion policy for the contour.
+inversion of the degenerating trace (the dual route), under the series
+and the inversion policy as every other evaluation. Series rows hold
+the GIL, so they run in the caller's thread; contour rows spend their
+time in numpy and run concurrently, capped by SPECTRA_THREADS.
 """
 
 from __future__ import annotations
@@ -91,16 +90,32 @@ class SweepRow:
     error: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class SweepResult:
-    rows: tuple[SweepRow, ...]
+    """A sweep's rows in schedule order. It keeps 8 bytes per row, g_value
+    (NaN where the row failed), and rows derives the rest on each access."""
+
+    schedule: Schedule
     w: float
     T: float
     use_bromwich: bool
+    g_packed: bytes  # the g_value column as float64
+    errors: tuple[tuple[int, str], ...] = ()
+
+    @property
+    def rows(self) -> tuple[SweepRow, ...]:
+        cw = c_weight(self.w, self.T) if self.T >= 0.25 else 0.0
+        errors, rows = dict(self.errors), []
+        g_values = np.frombuffer(self.g_packed).tolist()
+        for i, (ps, g) in enumerate(zip(self.schedule.points(), g_values)):
+            log_sum = ps.log_sum
+            normalized = g / log_sum if log_sum != 0.0 else math.nan
+            rows.append(SweepRow(ps.sup, log_sum, g, g - cw * log_sum, normalized, errors.get(i)))
+        return tuple(rows)
 
 
 def thread_cap(n_jobs: int) -> int:
-    """Worker count for n_jobs tasks, capped by SPECTRA_THREADS."""
+    """Worker count for n_jobs contour rows (series rows take 1), capped by SPECTRA_THREADS."""
     cap = min(n_jobs, os.cpu_count() or 1, 8)
     env = os.environ.get("SPECTRA_THREADS")
     if env is not None:
@@ -131,37 +146,31 @@ def run_sweep(
     breakpoint); normalized is g_value / log_sum, the quantity that
     approaches c_weight(w, T).
     """
-    w = float(w)
-    T = float(T)
-    cw = c_weight(w, T) if T >= 0.25 else 0.0
+    w, T = float(w), float(T)
+    if T >= 0.25:
+        c_weight(w, T)  # validates w before any row runs
 
-    def one(ps: PinchingSet) -> SweepRow:
-        log_sum = ps.log_sum
+    def one(ps: PinchingSet) -> float | str:
         try:
             if use_bromwich:
-                g = weighted_inverse(
-                    lambda z: degenerating_trace(ps, z, policy),
-                    w, T, contour=contour, policy=inversion_policy,
-                )
-            else:
-                g = g_bessel(ps, w, T, policy)
+                return weighted_inverse(lambda z: degenerating_trace(ps, z, policy), w, T,
+                                        contour=contour, policy=inversion_policy)
+            return g_bessel(ps, w, T, policy)
         except PinchtraceError as exc:
-            nan = float("nan")
-            return SweepRow(ps.sup, log_sum, nan, nan, nan, error=str(exc))
-        residual = g - cw * log_sum
-        normalized = g / log_sum if log_sum != 0.0 else float("nan")
-        return SweepRow(ps.sup, log_sum, g, residual, normalized)
+            return str(exc)
 
     points = sch.points()
-    workers = thread_cap(len(points))
+    workers = thread_cap(len(points) if use_bromwich else 1)
     if workers == 1:
-        rows = tuple(one(ps) for ps in points)
+        values = [one(ps) for ps in points]
     else:
         from concurrent.futures import ThreadPoolExecutor  # only threaded sweeps pay for it
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(one, points))
-    return SweepResult(rows=rows, w=w, T=T, use_bromwich=use_bromwich)
+            values = list(pool.map(one, points))
+    errors = tuple((i, v) for i, v in enumerate(values) if isinstance(v, str))
+    g = np.array([math.nan if isinstance(v, str) else v for v in values]).tobytes()
+    return SweepResult(sch, w, T, use_bromwich, g, errors)
 
 
 def fit_growth_exponent(samples) -> tuple[float, float]:

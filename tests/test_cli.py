@@ -18,7 +18,7 @@ from pinchtrace import (
     DEFAULT_INVERSION_POLICY, DEFAULT_POLICY, LengthSpectrum, PinchingSet, Schedule,
     SchemaError, SpectralData, balance_epsilon, bessel_j, c_weight, counting_direct,
     cylinder_trace, degenerating_trace, g_bessel, g_limit, g_residual, heat_kernel,
-    hyperbolic_trace, run_sweep, spectral_trace, weighted_inverse,
+    hyperbolic_trace, run_sweep, spectral_trace, thread_cap, weighted_inverse,
 )
 from pinchtrace.cli import main, parse_input
 
@@ -302,9 +302,30 @@ class TestMainInProcess:
         assert captured.out == ""
         assert captured.err.startswith("pinchtrace: did not converge: phi0")
 
+    def test_argument_rounding_at_huge_threshold_exits_two(self, tmp_path, capsys):
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps({"version": 1, "pinching": [1.0 / 64.0]}))
+        code = main(["gfunc", "--input", str(f), "--w", "0", "--T", "1e300"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("pinchtrace: did not converge: argument rounding")
+
+    def test_print_config_threads_are_the_sweep_workers(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SPECTRA_THREADS", "2")
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps({
+            "version": 1, "schedule": {"kind": "geometric", "start": 0.5, "ratio": 0.5,
+                                       "count": 6}}))
+        argv = ["sweep", "--input", str(f), "--w", "2", "--T", "1", "--print-config"]
+        code, out = _run_main(argv, capsys)
+        assert code == 0 and json.loads(out)["threads"] == 1
+        code, out = _run_main(argv + ["--bromwich"], capsys)
+        assert code == 0 and json.loads(out)["threads"] == thread_cap(6)
+
     def test_deep_length_certified_within_default_budget(self, tmp_path, capsys):
         # 2^-30 needs ~6e10 direct terms, far past max_terms; the
-        # Euler-Maclaurin route certifies it with a fixed amount of work
+        # expansion route certifies it with a fixed amount of work
         f = tmp_path / "p.json"
         f.write_text(json.dumps({"version": 1, "pinching": [2.0**-30]}))
         code, out = _run_main(

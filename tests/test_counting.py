@@ -21,12 +21,13 @@ from pinchtrace import (
     c_weight,
     counting_direct,
     g_bessel,
+    g_expansion,
     g_limit,
     g_residual,
     g_sine_form,
     sandwich_check,
 )
-from pinchtrace.counting import _BesselSeries, _j_envelope
+from pinchtrace.counting import _BesselSeries, _expansion, _j_envelope
 
 
 def test_counting_examples():
@@ -224,7 +225,8 @@ def test_g_derivative_recursion():
 # ------------------------------------------------- the two routes of g_bessel
 #
 # Each length's sum S(ell) is certified to policy.tol(S) by either route, so
-# the routes may differ by at most the sum of their two tolerances.
+# the routes may differ by at most the sum of their two tolerances. The
+# expansion route is Euler-Maclaurin from x = 0 on g minus its pole part.
 
 EM_GRID_W = (0.0, 0.7, 1.0, 2.0, 5.0)
 EM_GRID_T = (0.3, 0.5, 1.0, 2.0, 10.0)
@@ -242,7 +244,7 @@ R_LIMITS = {
 
 def _routes(w, T, ell, policy=DEFAULT_POLICY):
     series = _BesselSeries(float(w), T - 0.25, policy)
-    em = series.euler_maclaurin(ell)
+    em = series.expansion(ell)
     return series, em, series.direct(ell)
 
 
@@ -270,6 +272,98 @@ def test_em_route_matches_direct_route_property(w, T, k):
     assert abs(chosen - direct) <= DEFAULT_POLICY.tol(chosen) + DEFAULT_POLICY.tol(direct)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    w=st.floats(0.0, 6.0),
+    T=st.floats(0.26, 12.0),
+    ell=st.floats(2.0**-11, 2.0**-5),
+)
+@example(w=6.0, T=12.0, ell=2.0**-5)
+@example(w=0.0, T=0.26, ell=2.0**-5)
+@example(w=6.0, T=0.26, ell=2.0**-11)
+def test_expansion_route_certifies_and_matches_direct_property(w, T, ell):
+    # on this whole box the expansion route states a bound within tol(S),
+    # g_bessel takes it, and it agrees with the term-by-term sum
+    series, (em, bound), direct = _routes(w, T, ell)
+    assert bound <= series._tol(em)
+    assert g_bessel(PinchingSet.of([ell]), w, T) == series.pref * em
+    assert abs(em - direct) <= series._tol(em) + series._tol(direct)
+
+
+def test_expansion_cache_gives_the_cold_build_bit_for_bit():
+    cases = [(0.0, 1.0), (2.0, 1.0), (0.7, 1.0), (5.0, 10.0)]
+    ells = [2.0**-6, 2.0**-12, 2.0**-24]
+    _expansion.cache_clear()
+    cold = [g_bessel(PinchingSet.of([ell]), w, T) for w, T in cases for ell in ells]
+    cold_limits = [g_limit(w, T) for w, T in cases]
+    assert _expansion.cache_info().misses == len(cases)
+    warm = [g_bessel(PinchingSet.of([ell]), w, T) for w, T in cases for ell in ells]
+    assert warm == cold
+    assert [g_limit(w, T) for w, T in cases] == cold_limits
+    built = _expansion(0.0, 0.75, DEFAULT_POLICY)
+    _expansion.cache_clear()
+    assert _expansion(0.0, 0.75, DEFAULT_POLICY) == built
+
+
+@pytest.mark.parametrize("w,T", [(0.0, 1.0), (2.0, 1.0), (0.7, 1.0), (0.0, 0.5), (0.0, 10.0),
+                                 (5.0, 3.0), (6.0, 12.0)])
+def test_g_expansion_coefficients(w, T):
+    coef = g_expansion(w, T, 8)
+    assert len(coef) == 10
+    assert coef[0] == pytest.approx(c_weight(w, T), rel=1e-14)
+    assert coef[1] == g_limit(w, T)
+    # truncated after ell^16, the series meets the direct route at ell = 1/4
+    ell = 0.25
+    series = coef[0] * math.log(1.0 / ell) + sum(
+        a * ell ** (2 * j) for j, a in enumerate(coef[1:]))
+    direct = g_bessel(PinchingSet.of([ell]), w, T)
+    assert abs(series - direct) <= 2.0 * DEFAULT_POLICY.tol(direct)
+    assert g_expansion(w, T, 3) == coef[:5]
+
+
+def test_g_expansion_domain():
+    assert g_expansion(1.0, 0.25, 2) == (0.0, 0.0, 0.0, 0.0)
+    assert len(g_expansion(0.0, 1.0, 0)) == 2
+    for order in (-1, 25, 2.0):
+        with pytest.raises(DomainError):
+            g_expansion(0.0, 1.0, order)
+    with pytest.raises(DomainError):
+        g_expansion(0.0, 0.2, 2)
+    with pytest.raises(TruncationBudgetError):
+        g_expansion(0.0, 1.0, 2, TruncationPolicy(max_quad_evals=10))
+
+
+@pytest.mark.parametrize("w,T", [(40.0, math.nextafter(0.25, 1.0)), (170.0, 0.3)])
+def test_underflowing_phi0_gives_zero(w, T):
+    # phi0 = a^nu/Gamma(nu+1) underflows to 0 here; the expansion route's
+    # bounds are formed relative to it, so nothing takes log(0)
+    assert g_bessel(PinchingSet.of([2.0**-10]), w, T) == 0.0
+    assert g_limit(w, T) == 0.0
+    assert g_expansion(w, T, 2) == (0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("T", [1e16, 1e20, 1e300])
+def test_argument_rounding_at_huge_threshold_raises(T):
+    # x = n ell sqrt(a) is rounded by ~1e-16 x, far more than the value at
+    # these T: G(1e300) read 20.23 and G at the next double 16.05
+    ps = PinchingSet.of([1.0 / 64.0])
+    with pytest.raises(TruncationBudgetError, match="rounding"):
+        g_bessel(ps, 0.0, T)
+    with pytest.raises(TruncationBudgetError, match="rounding"):
+        g_sine_form(ps, T)
+
+
+@pytest.mark.parametrize("w", [0.0, 2.0])
+def test_large_threshold_value_is_stable_under_one_ulp(w):
+    ps = PinchingSet.of([1.0 / 64.0])
+    T = 1e6
+    got = g_bessel(ps, w, T)
+    nxt = g_bessel(ps, w, math.nextafter(T, math.inf))
+    assert abs(got - nxt) <= DEFAULT_POLICY.tol(got)
+    if w == 0.0:
+        assert abs(got - g_sine_form(ps, T)) <= 2.0 * DEFAULT_POLICY.tol(got)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(w=st.floats(0.0, 5.0), T=st.floats(0.3, 40.0), ell=st.floats(0.05, 3.0))
 @example(w=10.0, T=1.0, ell=0.5)
@@ -282,7 +376,7 @@ def test_direct_series_match_their_full_sums(w, T, ell):
     # so the tolerance must apply to pref * S, the length's share of G
     series = _BesselSeries(w, T - 0.25, DEFAULT_POLICY)
     n = np.arange(1.0, math.ceil(200.0 / ell))
-    full = series.pref * math.fsum(series.term(ell, n))
+    full = series.pref * math.fsum(series.terms(ell, n)[0])
     got = g_bessel(PinchingSet.of([ell]), w, T)
     assert abs(got - full) <= DEFAULT_POLICY.tol(full) + 1e-15
     sine = math.fsum(np.sin(n * ell * series.sa) / n / np.sinh(0.5 * n * ell))
@@ -291,10 +385,12 @@ def test_direct_series_match_their_full_sums(w, T, ell):
 
 
 def test_em_route_falls_back_when_its_bound_misses():
-    # at large T the Laurent sums at X = 64 ell cancel badly; the route
-    # must hand such a length to the direct series, never return it
-    ell, w, T = 2.0**-5, 0.0, 100.0
+    # at large T the remainder grows like (ell sqrt(a)/pi)^2K, here with
+    # ell sqrt(a) = 1.7, while R itself is certified; the route must hand
+    # such a length to the direct series, never return it
+    ell, w, T = 2.0**-5, 0.0, 3000.0
     series, (em, bound), direct = _routes(w, T, ell)
+    assert _expansion(w, T - 0.25, DEFAULT_POLICY)[2] <= 1e-3 * DEFAULT_POLICY.tol(em)
     assert bound > DEFAULT_POLICY.tol(em)
     assert g_bessel(PinchingSet.of([ell]), w, T) == series.pref * direct
 
@@ -331,8 +427,8 @@ def test_phi0_overflow_is_a_documented_error():
 
 @pytest.mark.parametrize("T", [2e4, 4.5e4])
 def test_em_bounds_past_a_double_fall_back_to_the_direct_route(T):
-    # the Laurent majorant's e^{sqrt(a) rho} overflows at these T: the EM
-    # route cannot certify, the length takes the direct route instead, and
+    # the Laurent majorant's e^{sqrt(a) rho} overflows at these T: the
+    # expansion route cannot certify, the length takes the direct route instead, and
     # g_limit reports its bound as failing
     ps = PinchingSet.of([1.0 / 64.0])
     got = g_bessel(ps, 0.0, T)
@@ -392,15 +488,18 @@ def test_counting_derivative_recursion_on_random_spectra(spectrum, w, T):
 
 def _full_sum(ell, w, T):
     series = _BesselSeries(w, T - 0.25, DEFAULT_POLICY)
-    return series.pref * float(np.sum(series.term(ell, np.arange(1.0, 200.0 / ell + 1.0))))
+    return series.pref * float(np.sum(series.terms(ell, np.arange(1.0, 200.0 / ell + 1.0))[0]))
 
 
 @pytest.mark.parametrize("T", [1.0, 5.0])
 @pytest.mark.parametrize("ell", [1.0 / 64.0, 2.0**-10])
 def test_large_weight_em_route_meets_tolerance_of_g(ell, T):
     # abs_tol applies to G = pref S, and pref ~ 1e47 at w = 40
+    series, (em, bound), _ = _routes(40.0, T, ell)
+    assert bound <= series._tol(em)
     want = _full_sum(ell, 40.0, T)
     got = g_bessel(PinchingSet.of([ell]), 40.0, T)
+    assert got == series.pref * em
     assert abs(got - want) <= DEFAULT_POLICY.tol(want)
 
 
@@ -415,7 +514,7 @@ def test_large_order_terms_stay_finite():
             x = 2 * nl2 * mpmath.sqrt(mpmath.mpf(0.75))
             want = (ell / mpmath.sinh(nl2) * (mpmath.sqrt(mpmath.mpf(0.75)) / nl2) ** 100.5
                     * mpmath.besselj(100.5, x))
-            assert float(series.term(ell, np.array([float(n)]))[0]) == pytest.approx(
+            assert float(series.terms(ell, np.array([float(n)]))[0][0]) == pytest.approx(
                 float(want), rel=1e-12)
     want = _full_sum(ell, 100.0, 1.0)
     got = g_bessel(PinchingSet.of([ell]), 100.0, 1.0)
@@ -432,7 +531,7 @@ def test_deep_lengths_certified_within_default_budget():
 
 
 def test_sine_form_stays_on_the_direct_series():
-    # same policy: the Euler-Maclaurin route fits 1000 terms, the sine
+    # same policy: the expansion route's 25 coefficients fit 1000 terms, the sine
     # form's term-by-term sum (about 36/ell terms) does not
     budget = TruncationPolicy(max_terms=1000)
     ps = PinchingSet.of([2.0**-10])
@@ -444,6 +543,9 @@ def test_sine_form_stays_on_the_direct_series():
 @pytest.mark.parametrize("T", (0.3, 1.0, 10.0))
 def test_sine_form_checks_em_route(T):
     ps = PinchingSet.of([2.0**-12])
+    series, (em, bound), _ = _routes(0.0, T, 2.0**-12)
+    assert bound <= series._tol(em)
+    assert g_bessel(ps, 0.0, T) == series.pref * em
     sine = g_sine_form(ps, T)
     pref = 1.0 / math.sqrt(16.0 * math.pi)
     tol = pref * 2.0 * DEFAULT_POLICY.tol(sine / pref) + 1e-15

@@ -2,10 +2,12 @@
 
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
 
+from pinchtrace import counting, sweep
 from pinchtrace import (
     DomainError,
     LengthSpectrum,
@@ -117,6 +119,43 @@ class TestRunSweep:
     def test_weight_domain(self):
         with pytest.raises(DomainError):
             run_sweep(Schedule.geometric(0.5, 0.5, 3), -1.0, 1.0)
+
+
+class TestSeriesCost:
+    def _bessel_points(self, monkeypatch, rows):
+        points = []
+        kernel = counting.bessel_j_half
+
+        def counted(n, x):
+            points.append(np.size(x))
+            return kernel(n, x)
+
+        monkeypatch.setattr(counting, "bessel_j_half", counted)
+        counting._expansion.cache_clear()
+        res = run_sweep(Schedule.geometric(2.0**-12, 0.5, rows), 2.0, 1.0)
+        assert all(row.error is None for row in res.rows)
+        return sum(points)
+
+    def test_deep_rows_evaluate_no_bessel_points(self, monkeypatch):
+        # every row from 2^-12 down takes the expansion route, whose
+        # constants are built once per (w, T, policy): 18 rows cost no
+        # more kernel points than 3
+        few = self._bessel_points(monkeypatch, 3)
+        many = self._bessel_points(monkeypatch, 18)
+        assert few == many > 0
+
+    def test_series_rows_run_in_the_calling_thread(self, monkeypatch):
+        monkeypatch.setenv("SPECTRA_THREADS", "4")
+        seen = set()
+        inner = sweep.g_bessel
+
+        def recorded(*args, **kwargs):
+            seen.add(threading.get_ident())
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "g_bessel", recorded)
+        run_sweep(Schedule.geometric(0.5, 0.5, 6), 0.0, 1.0)
+        assert seen == {threading.get_ident()}
 
 
 class TestThreadCap:
