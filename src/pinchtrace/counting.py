@@ -53,22 +53,24 @@ leaving g_expansion's series),
   H(rho) = phi0 e^{sqrt(a) rho}/sin(rho/2) + c_0 e^rho/rho >= |h| on
   |z| = rho; by the maximum principle H(3r) covers the circles about
   x <= 2r, and past 2r, Re z >= r on them.
-- R = int_0^inf h = c_0 (gamma + log x1) + sum_j c_j x1^2j/(2j) +
-  int_{x1}^inf g, x1 = min(1, 2/sqrt(a)), the integral by 20-node
-  Gauss-Legendre panels. Its bound sums the Laurent tail, by |c_j| <= M
-  rho^{-2j}, M = rho phi0 e^{sqrt(a) rho}/sin(rho/2); per panel (64/15) M'
-  h rho^{2-2m}/(rho^2 - 1) on the Bernstein ellipse E_rho (h the
-  half-width, m = 20, M' >= |g| there); the cut, 2 phi0 log coth(x_max/4)
-  <= abs_tol/(16 pref); and the nodes' argument rounding.
+- R = int_0^inf h comes from the same identity at one length: R =
+  S(ell0) + c_0 log(1 - e^{-ell0}) + c_0 ell0/2 + sum_{k<=K} b_k ell0^2k
+  - R_K(ell0), b_k the bracketed coefficients above, ell0 the largest of
+  1/4, 1/8, ..., 2^-12 at which the bound on |R_K(ell0)| is 1e-5 of
+  tol(R), and S(ell0) by the direct route to that share plus the rounding
+  allowance of its terms (their absolute size is at most phi0
+  (ell0/sinh(ell0/2) + 2 log coth(ell0/4))). R's bound sums these two and
+  the rounding below.
 - Rounding: 1e-15 (1 + |log phi0|) of the absolute size of each sum
   built from phi0, (k + 1) times that for the alternating c_k.
 
 These depend only on (w, T, policy): one cached build serves every
 length, which then costs O(K) float operations and no Bessel
 evaluation, K the smallest order whose bounds meet tol(S). A length
-takes the route only then, and when its 25 coefficients fit max_terms
-and the panels max_quad_evals; else the direct route, as shallow
-lengths at large T, where R_K grows like (ell sqrt(a)/pi)^2K.
+takes the route only then, and when R's direct sum fits max_terms; else
+the direct route, as shallow lengths at large T, where R_K grows
+like (ell sqrt(a)/pi)^2K, and every length once T passes about 1e7,
+where R would need ell0 below 2^-12.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ import numpy as np
 from .errors import DomainError, PinchtraceError, TruncationBudgetError
 from .policy import DEFAULT_POLICY, TruncationPolicy
 from .specfun import (
-    ascending_series, bessel_j, bessel_j_half, gamma, leggauss, log_sinh, tail_cut,
+    ascending_series, bessel_j, bessel_j_half, gamma, log_sinh, tail_cut,
 )
 from .spectrum import PinchingSet, SpectralData
 
@@ -98,15 +100,13 @@ _LANDAU_NU = 0.674886
 _LANDAU_X = 0.785747
 
 _EXPANSION_ELL_MAX = 1.0 / 32.0
-_GL_NODES = 20
-_LAURENT_RHOS = (3.5, 4.0, 4.5, 5.0, 5.5, 6.0)   # Cauchy radii tried, all < 2 pi
 _CAUCHY_RADII = tuple(2.0 * 2.0 ** (-0.5 * i) for i in range(48))  # all < 2 pi/3
-_ELLIPSE_RHOS = np.array([1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0])
 _ROUNDING = 1e-15
+_R_SHARE = 1e-5  # of tol(R), for the direct sum and the remainder that fix R
+_ELL0_MIN = 2.0**-12  # R's last direct sum, about 1e5 terms: T up to about 1e7
 _ARG_ROUNDING = 2.0**-51  # relative rounding of x = n ell sqrt(a): three roundings
 _LOG_POWER_MAX = 600.0      # a larger power leaves J_nu too close to underflow
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
-_EULER_GAMMA = 0.5772156649015329
 
 # Bernoulli numbers B_2, B_4, ..., B_48
 _BERNOULLI = (
@@ -262,7 +262,7 @@ class _BesselSeries:
         """S(ell) by the expansion route where it certifies, else directly."""
         if ell <= _EXPANSION_ELL_MAX:
             route = self.expansion(ell)
-            if route is not None and route[1] <= self._tol(route[0]):
+            if route is not None and route[1] <= self._tol(route[0]) < math.inf:
                 return route[0]
         return self.direct(ell)
 
@@ -271,8 +271,9 @@ class _BesselSeries:
         which is tiny at large w."""
         return self.policy.tol(self.pref * s) / self.pref
 
-    def direct(self, ell: float) -> float:
-        """S(ell) summed term by term; raises TruncationBudgetError past max_terms."""
+    def direct(self, ell: float, tol=None) -> float:
+        """S(ell) summed term by term to tol(S) (default _tol); raises
+        TruncationBudgetError past max_terms."""
         nu, sa, log_phi0 = self.nu, self.sa, self.log_phi0
 
         def log_env(n):
@@ -281,14 +282,13 @@ class _BesselSeries:
             return math.log(ell) - log_sinh(nl2) + min(
                 log_phi0, nu * math.log(sa / nl2) + math.log(_j_envelope(nu, 2.0 * nl2 * sa)))
 
-        return _series_sum(ell, lambda n: self.terms(ell, n), log_env, self._tol,
+        return _series_sum(ell, lambda n: self.terms(ell, n), log_env, tol or self._tol,
                            self.policy.max_terms)
 
     def expansion(self, ell: float):
         """(S(ell), stated error bound) at the smallest order K whose bound
         meets tol(S), else at K = J; None where the route cannot run."""
-        fits = _LAURENT_TERMS < self.policy.max_terms  # the 25 coefficients
-        e = _expansion(self.w, self.a, self.policy) if fits else None
+        e = _expansion(self.w, self.a, self.policy)
         if e is None:
             return None
         c, r, r_bound, b, b_mass, log_rem = e
@@ -310,23 +310,10 @@ class _BesselSeries:
 def _expansion(w: float, a: float, policy: TruncationPolicy):
     """(c_0..c_J, R, bound on R, b_1..b_J, their rounding bounds, log E_1..E_J),
     b_k = (B_2k/2k)(c_k - c_0/(2k)!) and |R_K| <= E_K ell^2K; None when the
-    panels exceed max_quad_evals. Pure, so one build serves every call."""
+    direct sum at 1/4 does not certify. Pure, so one build serves every call."""
     series = _BesselSeries(w, a, policy)
     sa, nu, phi0, log_phi0 = series.sa, series.nu, series.phi0, series.log_phi0
     J = _LAURENT_TERMS
-    # panels double in width from x1 until they reach `width`, then
-    # stay at it, so sqrt(a) |Im z| stays bounded on their ellipses;
-    # the cut at x_max costs pref S at most abs_tol/16
-    x1 = min(1.0, 2.0 / sa)
-    width = min(4.0, 3.0 / sa)
-    x_max = 2.0 * max(x1, log_phi0 + math.log(64.0 * series.pref) - math.log(policy.abs_tol), 0.0)
-    edges = [x1]
-    while edges[-1] < width and edges[-1] < x_max:
-        edges.append(2.0 * edges[-1])
-    uniform = max(0, math.ceil((x_max - edges[-1]) / width))
-    if (len(edges) - 1 + uniform) * _GL_NODES > policy.max_quad_evals:
-        return None
-    edges = np.concatenate([edges, edges[-1] + width * np.arange(1.0, uniform + 1.0)])
     rel = _ROUNDING * (1.0 + abs(log_phi0))
 
     # c_j, and the absolute size of the alternating sum behind it
@@ -336,36 +323,6 @@ def _expansion(w: float, a: float, policy: TruncationPolicy):
     products = [[p[m] * _CSCH[j - m] for m in range(j + 1)] for j in range(J + 1)]
     c = [2.0 * sum(t) for t in products]
     mass = [2.0 * sum(map(abs, t)) for t in products]
-
-    # C(x1) = int_{x1}^inf g by Gauss-Legendre panels
-    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-    gx, gw = leggauss(_GL_NODES)
-    x = mid[:, None] + half[:, None] * gx
-    g, slope = series.terms(1.0, x)
-    far = float(np.sum(g @ gw * half))
-    rounding = float(np.sum((_ROUNDING * np.abs(g) + _ARG_ROUNDING * slope) @ gw * half))
-    rho = _ELLIPSE_RHOS
-    re_min = mid[:, None] - 0.5 * half[:, None] * (rho + 1.0 / rho)
-    im_max = 0.5 * half[:, None] * (rho - 1.0 / rho)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        m_ellipse = phi0 * np.exp(sa * im_max) / np.sinh(0.5 * re_min)
-        err = (64.0 / 15.0) * half[:, None] * m_ellipse * rho ** (2 - 2 * _GL_NODES) / (
-            rho**2 - 1.0)
-    err = np.where(re_min > 0.0, err, math.inf)
-    quad = float(np.sum(np.min(err, axis=1)))
-    cut = 2.0 * phi0 * _log_coth(0.25 * float(edges[-1]))
-
-    # R = c_0 (gamma + log x1) + sum_j c_j x1^2j/(2j) + C(x1)
-    r = c[0] * (_EULER_GAMMA + math.log(x1))
-    r_mass = abs(r)
-    for j in range(1, J + 1):
-        r += c[j] * x1 ** (2 * j) / (2 * j)
-        r_mass += (j + 1) * mass[j] * x1 ** (2 * j) / (2 * j)
-    r += far
-    # sum_{j>J} |c_j| x1^2j/(2j) <= M q^{J+1}/((1 - q)(2J + 2)), q = (x1/rho)^2
-    laurent = min(rho * _exp(log_phi0 + sa * rho) / math.sin(0.5 * rho) * (x1 / rho) ** (
-        2 * J + 2) / ((1.0 - (x1 / rho) ** 2) * (2 * J + 2)) for rho in _LAURENT_RHOS)
-    r_bound = laurent + quad + cut + rounding + rel * r_mass
 
     b, b_mass = [], []
     for k, (num, den) in enumerate(_BERNOULLI, 1):
@@ -383,7 +340,36 @@ def _expansion(w: float, a: float, policy: TruncationPolicy):
     log_rem = tuple(
         math.log(abs(num / den)) + log_phi0 + min(lb - 2 * k * lr for lr, lb in log_brackets)
         for k, (num, den) in enumerate(_BERNOULLI, 1))
-    return tuple(c), r, r_bound, tuple(b), tuple(b_mass), log_rem
+
+    # R = S(ell0) + c_0 log(1 - e^-ell0) + c_0 ell0/2 + sum_k b_k ell0^2k - R_K(ell0),
+    # at the largest ell0 = 2^-m >= 2^-12 whose E_K ell0^2K is a share of tol(R). The
+    # direct sum is certified to that share plus the rounding allowance of
+    # its terms, which holds their argument rounding.
+    found = (0.0, 0.0) if phi0 == 0.0 else None  # g underflows, and so R
+    ell0 = 0.25
+    while phi0 > 0.0 and ell0 >= _ELL0_MIN:
+        log_e, order = min((lr + 2 * k * math.log(ell0), k) for k, lr in enumerate(log_rem, 1))
+        powers = [ell0 ** (2 * k) for k in range(1, order + 1)]
+        pole = c[0] * (math.log(-math.expm1(-ell0)) + 0.5 * ell0)
+        offset = pole + sum(bk * pk for bk, pk in zip(b, powers))
+        # sum_n ell0/sinh(n ell0/2) <= ell0/sinh(ell0/2) + 2 log coth(ell0/4)
+        terms = rel * phi0 * (ell0 / math.sinh(0.5 * ell0) + 2.0 * _log_coth(0.25 * ell0))
+
+        def tol(s):
+            return _R_SHARE * series._tol(s + offset) + terms
+
+        try:
+            s = series.direct(ell0, tol)
+        except TruncationBudgetError:
+            break
+        rounding = terms + rel * abs(pole) + sum(m * pk for m, pk in zip(b_mass, powers))
+        found = s + offset, tol(s) + _exp(log_e) + rounding
+        if _exp(log_e) <= _R_SHARE * series._tol(s + offset):
+            break
+        ell0 *= 0.5
+    if found is None:
+        return None
+    return (tuple(c), *found, tuple(b), tuple(b_mass), log_rem)
 
 
 def g_bessel(ps, w: float, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
@@ -415,11 +401,12 @@ def g_limit(w: float, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> fl
     series = _BesselSeries(w, T - 0.25, policy)
     e = _expansion(w, series.a, policy)
     if e is None:
-        raise TruncationBudgetError("g_limit quadrature exceeds max_quad_evals")
+        raise TruncationBudgetError("g_limit: R's direct sum at length 1/4 does not certify")
     _, r, r_bound, *_ = e
-    if not r_bound <= series._tol(r):
+    if not r_bound <= series._tol(r) < math.inf:
         raise TruncationBudgetError(
-            f"g_limit bound {r_bound:.3e} exceeds tolerance at value {r:.6g}")
+            f"g_limit bound {series.pref * r_bound:.3e} exceeds tolerance at value "
+            f"{series.pref * r:.6g}")
     return series.pref * r
 
 

@@ -192,10 +192,14 @@ def poisson_tail(k: int, x, term):
 def _power_over_gamma(nu: float, x):
     """(x/2)^nu / Gamma(nu+1), in logs where Gamma overflows.
 
-    x is not halved first: at subnormal x that would round it.
+    x is not halved first: at subnormal x that would round it. Gamma is
+    corrected to first order, psi(y) ~ log y - 1/(2y), for the rounding of
+    y = nu + 1 (up to psi(y) ulp(y)/2 relative, 24 eps at nu = 16).
     """
     if nu < 170.0:
-        return np.power(x, nu) * (2.0**-nu / math.gamma(nu + 1.0))
+        y = nu + 1.0
+        gam = math.gamma(y) * (1.0 + (nu - (y - 1.0)) * (math.log(y) - 0.5 / y))
+        return np.power(x, nu) * (2.0**-nu / gam)
     with np.errstate(divide="ignore"):
         return np.exp(nu * (np.log(x) - math.log(2.0)) - math.lgamma(nu + 1.0))
 
@@ -333,8 +337,8 @@ def bessel_j_half(n: int, x):
     """J_{n+1/2}(x) for integer n >= 0, vectorized over x >= 0.
 
     The hot path of the counting series. Upward recurrence where x > n,
-    the ascending series where also x^2 <= 2n + 3, and Miller's backward
-    recurrence in the band left between them (n >= 4 only).
+    else _jv: there the ascending series where x^2 <= 2n + 3, and Miller's
+    backward recurrence in the band left between them (n >= 4 only).
     """
     if not n >= 0:
         raise DomainError(f"bessel_j_half needs n >= 0, got {n}")
@@ -343,15 +347,9 @@ def bessel_j_half(n: int, x):
     up = ~(xs <= n)  # NaN recurs to NaN
     if up.all():
         return _upward(n, xs).reshape(x.shape)[()]
-    nu = n + 0.5
     out = np.empty_like(xs)
     out[up] = _upward(n, xs[up])
-    near = ~up & (xs * xs <= 2.0 * (nu + 1.0))
-    xn = xs[near]
-    out[near] = _power_over_gamma(nu, xn) * ascending_series(nu, xn)
-    band = ~(up | near)
-    if band.any():
-        out[band] = _miller(-0.5, n + 1, xs[band])
+    out[~up] = _jv(n + 0.5, xs[~up])
     return out.reshape(x.shape)[()]
 
 

@@ -330,7 +330,7 @@ def test_g_expansion_domain():
     with pytest.raises(DomainError):
         g_expansion(0.0, 0.2, 2)
     with pytest.raises(TruncationBudgetError):
-        g_expansion(0.0, 1.0, 2, TruncationPolicy(max_quad_evals=10))
+        g_expansion(0.0, 1.0, 2, TruncationPolicy(max_terms=100))
 
 
 @pytest.mark.parametrize("w,T", [(40.0, math.nextafter(0.25, 1.0)), (170.0, 0.3)])
@@ -395,12 +395,18 @@ def test_em_route_falls_back_when_its_bound_misses():
     assert g_bessel(PinchingSet.of([ell]), w, T) == series.pref * direct
 
 
-def test_em_route_falls_back_when_quadrature_budget_is_short():
-    tight = TruncationPolicy(max_quad_evals=10)
-    ell = 2.0**-10
-    series, em, direct = _routes(0.0, 1.0, ell, tight)
-    assert em is None
-    assert g_bessel(PinchingSet.of([ell]), 0.0, 1.0, tight) == series.pref * direct
+def test_em_route_ignores_the_quadrature_budget_and_obeys_the_term_budget():
+    # the route's one build is a direct sum at ell0 = 1/4, far shorter than the
+    # direct sum at any length <= 1/32: max_quad_evals does not bound it, and a
+    # max_terms that refuses it refuses such a length on the direct route too
+    ell, no_quad = 2.0**-10, TruncationPolicy(max_quad_evals=10)
+    series, (em, bound), _ = _routes(0.0, 1.0, ell, no_quad)
+    assert bound <= series._tol(em)
+    assert g_bessel(PinchingSet.of([ell]), 0.0, 1.0, no_quad) == series.pref * em
+    tight = TruncationPolicy(max_terms=100)
+    assert _BesselSeries(0.0, 0.75, tight).expansion(ell) is None
+    with pytest.raises(TruncationBudgetError):
+        g_bessel(PinchingSet.of([ell]), 0.0, 1.0, tight)
 
 
 def test_budget_still_raises_on_every_route():
@@ -427,19 +433,21 @@ def test_phi0_overflow_is_a_documented_error():
 
 @pytest.mark.parametrize("T", [2e4, 4.5e4])
 def test_em_bounds_past_a_double_fall_back_to_the_direct_route(T):
-    # the Laurent majorant's e^{sqrt(a) rho} overflows at these T: the
-    # expansion route cannot certify, the length takes the direct route instead, and
-    # g_limit reports its bound as failing
+    # ell sqrt(a) is 2.2 and 3.3 here, so the expansion route's remainder
+    # misses the tolerance and the length takes the direct route; g_limit
+    # certifies, from its direct sum at a length near 1/sqrt(a)
     ps = PinchingSet.of([1.0 / 64.0])
     got = g_bessel(ps, 0.0, T)
     want = g_sine_form(ps, T)
     assert abs(got - want) <= 2.0 * DEFAULT_POLICY.tol(want)
-    with pytest.raises(TruncationBudgetError):
-        g_limit(0.0, T)
+    limit = g_limit(0.0, T)
+    ref, ref_tol = _limit_reference(0.0, T)
+    assert abs(limit - ref) <= DEFAULT_POLICY.tol(limit) + ref_tol
 
 
-def test_tiny_abs_tol_does_not_overflow_the_panel_cut():
-    # 64 phi0 pref / abs_tol passes a double; the cut is taken in logs
+def test_tiny_abs_tol_certifies_at_large_weight():
+    # abs_tol/pref is about 1e-381 here, below the smallest double: R's direct
+    # sum and the bounds must certify on the relative tolerance alone
     ps = PinchingSet.of([1.0 / 64.0])
     tight = TruncationPolicy(abs_tol=1e-300)
     want = g_bessel(ps, 60.0, 100.0)
@@ -531,8 +539,8 @@ def test_deep_lengths_certified_within_default_budget():
 
 
 def test_sine_form_stays_on_the_direct_series():
-    # same policy: the expansion route's 25 coefficients fit 1000 terms, the sine
-    # form's term-by-term sum (about 36/ell terms) does not
+    # same policy: R's direct sum at ell0 = 1/4 (about 250 terms) fits 1000
+    # terms, the sine form's term-by-term sum (about 36/ell terms) does not
     budget = TruncationPolicy(max_terms=1000)
     ps = PinchingSet.of([2.0**-10])
     g_bessel(ps, 0.0, 1.0, budget)
@@ -557,6 +565,59 @@ def test_g_limit_matches_independent_constants(w, T):
     assert g_limit(w, T) == pytest.approx(R_LIMITS[(w, T)], abs=1e-9)
 
 
+def _limit_reference(w, T):
+    """(R_w(T), its tolerance) from one term-by-term sum at a length that is
+    not a power of two, less the log and ell^2j terms of g_expansion: the sine
+    form at w = 0, the direct route elsewhere. At ell sqrt(a) <= 0.15 the
+    24 terms leave a remainder far below the tolerance."""
+    a = T - 0.25
+    ell = min(3.0 / 16.0, 0.15 / math.sqrt(a))
+    if w == 0.0:
+        g = g_sine_form(PinchingSet.of([ell]), T)
+    else:
+        series = _BesselSeries(w, a, DEFAULT_POLICY)
+        g = series.pref * series.direct(ell)
+    coef = g_expansion(w, T, 24)
+    powers = sum(aj * ell ** (2 * j) for j, aj in enumerate(coef[2:], 1))
+    return g - coef[0] * math.log(1.0 / ell) - powers, DEFAULT_POLICY.tol(g)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(w=st.floats(0.0, 6.0), log_t=st.floats(math.log(0.26), math.log(1e4)))
+@example(w=0.0, log_t=math.log(4000.0))
+@example(w=0.0, log_t=math.log(5000.0))
+@example(w=0.0, log_t=math.log(2e4))
+@example(w=0.0, log_t=math.log(4.5e4))
+@example(w=0.7, log_t=math.log(1e4))
+@example(w=2.0, log_t=math.log(1e4))
+def test_g_limit_certifies_and_matches_a_direct_sum_property(w, log_t):
+    # T log-uniform over [0.26, 1e4], and beyond it at the examples: R's
+    # direct sum moves to shorter lengths like 1/sqrt(a) and still certifies
+    T = math.exp(log_t)
+    got = g_limit(w, T)
+    ref, ref_tol = _limit_reference(w, T)
+    assert abs(got - ref) <= DEFAULT_POLICY.tol(got) + ref_tol
+
+
+def test_g_limit_budget_error_states_the_limit_in_its_own_units():
+    # 300 terms hold R's direct sum at ell0 = 1/4 but not the shorter length
+    # that T = 100 needs, so R's bound misses; the message gives pref R, the
+    # number g_limit returns, not the unprefixed sum
+    with pytest.raises(TruncationBudgetError, match="exceeds tolerance") as info:
+        g_limit(0.0, 100.0, TruncationPolicy(max_terms=300))
+    stated = float(str(info.value).rsplit(" ", 1)[1])
+    assert stated == pytest.approx(g_limit(0.0, 100.0), rel=1e-3)
+
+
+def test_expansion_route_serves_deep_lengths_at_large_threshold():
+    # the direct route would need about 36/ell = 2.4e6 terms here
+    ell, T = 2.0**-16, 5000.0
+    series = _BesselSeries(0.0, T - 0.25, DEFAULT_POLICY)
+    em, bound = series.expansion(ell)
+    assert bound <= series._tol(em)
+    assert g_bessel(PinchingSet.of([ell]), 0.0, T) == series.pref * em
+
+
 def test_g_limit_domain():
     assert g_limit(1.0, 0.25) == 0.0
     with pytest.raises(DomainError):
@@ -565,8 +626,8 @@ def test_g_limit_domain():
         g_limit(-1.0, 1.0)
     with pytest.raises(DomainError):
         g_limit(0.0, math.inf)
-    with pytest.raises(TruncationBudgetError):
-        g_limit(0.0, 1.0, TruncationPolicy(max_quad_evals=10))
+    with pytest.raises(TruncationBudgetError, match="direct sum"):
+        g_limit(0.0, 1.0, TruncationPolicy(max_terms=100))
 
 
 def test_nonfinite_arguments_rejected():

@@ -206,6 +206,7 @@ def test_bessel_j_half_scalar_and_large_order():
 @example(p=30.3, x=float(np.nextafter(30.3, 0.0)))      # Miller at x just below p
 @example(p=-0.3, x=1e-3)
 @example(p=1e-9, x=7.0)
+@example(p=15.963677371876086, x=3.0)  # p + 1 rounds: Gamma(p + 1) needs its correction
 def test_bessel_j_matches_mpmath_at_every_order(p, x):
     # where J oscillates (x > p) the error is a few eps of its envelope,
     # elsewhere a few eps of J, plus one eps per recurrence step above
