@@ -57,10 +57,12 @@ leaving g_expansion's series),
   S(ell0) + c_0 log(1 - e^{-ell0}) + c_0 ell0/2 + sum_{k<=K} b_k ell0^2k
   - R_K(ell0), b_k the bracketed coefficients above, ell0 the largest of
   1/4, 1/8, ..., 2^-12 at which the bound on |R_K(ell0)| is 1e-5 of
-  tol(R), and S(ell0) by the direct route to that share plus the rounding
-  allowance of its terms (their absolute size is at most phi0
-  (ell0/sinh(ell0/2) + 2 log coth(ell0/4))). R's bound sums these two and
-  the rounding below.
+  tol(R), and S(ell0) by the direct route with its tail within that
+  share. A length is skipped unsummed where that share misses even the
+  tolerance of |R - S(ell0)| + phi0 (ell0/sinh(ell0/2) + 2 log coth(ell0/4))
+  >= |R|. R's bound sums the tail, the argument rounding, the remainder
+  bound and the rounding below, that of S(ell0) taken from its actual
+  sum of |terms|.
 - Rounding: 1e-15 (1 + |log phi0|) of the absolute size of each sum
   built from phi0, (k + 1) times that for the alternating c_k.
 
@@ -168,16 +170,19 @@ def _log_coth(y: float) -> float:
     return math.log1p(math.exp(-2.0 * y)) - math.log(-math.expm1(-2.0 * y))
 
 
-def _series_sum(ell: float, term_fn, log_env, tol, cap: int) -> float:
-    """Sum over n >= 1 of term_fn's terms, certified to tol(sum) within cap terms.
+def _series_sum(ell: float, term_fn, log_env, tol, cap: int, charge: bool = True):
+    """Sum over n >= 1 of term_fn's terms, certified within cap terms:
+    (sum, its tail bound plus argument rounding, sum of |terms| or 0).
 
     term_fn(n) -> (terms, bounds on |x d/dx| of each in its argument x);
     log_env(n) -> log of a bound with |term(m)| <= env(n) e^{-(m-n) ell/2}
     for m >= n. Cuts again while tol of the sum is below the target, or
-    the tail plus the argument rounding exceed tol.
+    the tail plus the argument rounding exceed tol. With charge False the
+    tail alone must meet tol, and the caller counts the rounding, from
+    the sum of |terms| kept for it.
     """
     target = tol(math.exp(log_env(1)))
-    total = slope = 0.0
+    total = slope = mass = 0.0
     n0 = 1
     while True:
         ncut = tail_cut(log_env, ell, target, cap)
@@ -186,21 +191,25 @@ def _series_sum(ell: float, term_fn, log_env, tol, cap: int) -> float:
             n = np.arange(n0, n1 + 1, dtype=np.float64)
             terms, slopes = term_fn(n)
             total += float(np.sum(terms))
+            if not charge:
+                mass += float(np.sum(np.abs(terms)))
             slope += float(np.sum(slopes))
             n0 = n1 + 1
         if not math.isfinite(total):
             raise TruncationBudgetError(f"series terms overflow a double (length {ell})")
-        rounding = _ARG_ROUNDING * slope
         if tol(total) < target:
             target = tol(total)
-        elif math.exp(log_env(ncut + 1)) / -math.expm1(-0.5 * ell) + rounding <= tol(total):
-            return total
-        elif rounding < tol(total):
-            target = tol(total) - rounding
-        else:
+            continue
+        rounding = _ARG_ROUNDING * slope
+        charged = rounding if charge else 0.0
+        tail = math.exp(log_env(ncut + 1)) / -math.expm1(-0.5 * ell)
+        if tail + charged <= tol(total):
+            return total, tail + rounding, mass
+        if charged >= tol(total):
             raise TruncationBudgetError(
                 f"argument rounding {rounding:.3e} exceeds tolerance {tol(total):.3e} "
                 f"(length {ell})")
+        target = tol(total) - charged
 
 
 def _j_envelope(nu: float, x: float) -> float:
@@ -264,16 +273,16 @@ class _BesselSeries:
             route = self.expansion(ell)
             if route is not None and route[1] <= self._tol(route[0]) < math.inf:
                 return route[0]
-        return self.direct(ell)
+        return self.direct(ell)[0]
 
     def _tol(self, s: float) -> float:
         """Tolerance on S: abs_tol bounds the error of pref S, not of S,
         which is tiny at large w."""
         return self.policy.tol(self.pref * s) / self.pref
 
-    def direct(self, ell: float, tol=None) -> float:
-        """S(ell) summed term by term to tol(S) (default _tol); raises
-        TruncationBudgetError past max_terms."""
+    def direct(self, ell: float, tol=None, charge: bool = True):
+        """S(ell) summed term by term to tol(S) (default _tol), as _series_sum
+        returns it; raises TruncationBudgetError past max_terms."""
         nu, sa, log_phi0 = self.nu, self.sa, self.log_phi0
 
         def log_env(n):
@@ -283,7 +292,7 @@ class _BesselSeries:
                 log_phi0, nu * math.log(sa / nl2) + math.log(_j_envelope(nu, 2.0 * nl2 * sa)))
 
         return _series_sum(ell, lambda n: self.terms(ell, n), log_env, tol or self._tol,
-                           self.policy.max_terms)
+                           self.policy.max_terms, charge)
 
     def expansion(self, ell: float):
         """(S(ell), stated error bound) at the smallest order K whose bound
@@ -309,8 +318,8 @@ class _BesselSeries:
 @lru_cache(maxsize=128)
 def _expansion(w: float, a: float, policy: TruncationPolicy):
     """(c_0..c_J, R, bound on R, b_1..b_J, their rounding bounds, log E_1..E_J),
-    b_k = (B_2k/2k)(c_k - c_0/(2k)!) and |R_K| <= E_K ell^2K; None when the
-    direct sum at 1/4 does not certify. Pure, so one build serves every call."""
+    b_k = (B_2k/2k)(c_k - c_0/(2k)!) and |R_K| <= E_K ell^2K; None when R's
+    direct sum certifies at no ell0. Pure, so one build serves every call."""
     series = _BesselSeries(w, a, policy)
     sa, nu, phi0, log_phi0 = series.sa, series.nu, series.phi0, series.log_phi0
     J = _LAURENT_TERMS
@@ -342,34 +351,31 @@ def _expansion(w: float, a: float, policy: TruncationPolicy):
         for k, (num, den) in enumerate(_BERNOULLI, 1))
 
     # R = S(ell0) + c_0 log(1 - e^-ell0) + c_0 ell0/2 + sum_k b_k ell0^2k - R_K(ell0),
-    # at the largest ell0 = 2^-m >= 2^-12 whose E_K ell0^2K is a share of tol(R). The
-    # direct sum is certified to that share plus the rounding allowance of
-    # its terms, which holds their argument rounding.
-    found = (0.0, 0.0) if phi0 == 0.0 else None  # g underflows, and so R
+    # at the largest ell0 = 2^-m >= 2^-12 whose E_K ell0^2K is a share of tol(R).
+    # No sum is run where that share misses even the tolerance of |offset|
+    # plus phi0 sum_n ell0/sinh(n ell0/2) >= |S(ell0)|.
+    if phi0 == 0.0:  # g underflows, and so R
+        return (tuple(c), 0.0, 0.0, tuple(b), tuple(b_mass), log_rem)
     ell0 = 0.25
-    while phi0 > 0.0 and ell0 >= _ELL0_MIN:
-        log_e, order = min((lr + 2 * k * math.log(ell0), k) for k, lr in enumerate(log_rem, 1))
+    while ell0 >= _ELL0_MIN:
+        e, order = min((_exp(lr + 2 * k * math.log(ell0)), k) for k, lr in enumerate(log_rem, 1))
         powers = [ell0 ** (2 * k) for k in range(1, order + 1)]
         pole = c[0] * (math.log(-math.expm1(-ell0)) + 0.5 * ell0)
         offset = pole + sum(bk * pk for bk, pk in zip(b, powers))
-        # sum_n ell0/sinh(n ell0/2) <= ell0/sinh(ell0/2) + 2 log coth(ell0/4)
-        terms = rel * phi0 * (ell0 / math.sinh(0.5 * ell0) + 2.0 * _log_coth(0.25 * ell0))
-
-        def tol(s):
-            return _R_SHARE * series._tol(s + offset) + terms
-
-        try:
-            s = series.direct(ell0, tol)
-        except TruncationBudgetError:
-            break
-        rounding = terms + rel * abs(pole) + sum(m * pk for m, pk in zip(b_mass, powers))
-        found = s + offset, tol(s) + _exp(log_e) + rounding
-        if _exp(log_e) <= _R_SHARE * series._tol(s + offset):
-            break
+        s_max = phi0 * (ell0 / math.sinh(0.5 * ell0) + 2.0 * _log_coth(0.25 * ell0))
+        if e <= _R_SHARE * series._tol(abs(offset) + s_max):
+            try:
+                s, err, s_mass = series.direct(
+                    ell0, lambda t: _R_SHARE * series._tol(t + offset), charge=False)
+            except TruncationBudgetError:
+                return None
+            if e <= _R_SHARE * series._tol(s + offset):
+                rounding = rel * (s_mass + abs(pole)) + sum(
+                    m * pk for m, pk in zip(b_mass, powers))
+                return (tuple(c), s + offset, err + e + rounding, tuple(b), tuple(b_mass),
+                        log_rem)
         ell0 *= 0.5
-    if found is None:
-        return None
-    return (tuple(c), *found, tuple(b), tuple(b_mass), log_rem)
+    return None
 
 
 def g_bessel(ps, w: float, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
@@ -401,7 +407,8 @@ def g_limit(w: float, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> fl
     series = _BesselSeries(w, T - 0.25, policy)
     e = _expansion(w, series.a, policy)
     if e is None:
-        raise TruncationBudgetError("g_limit: R's direct sum at length 1/4 does not certify")
+        raise TruncationBudgetError(
+            "g_limit: R's direct sum certifies at no length from 1/4 to 2^-12")
     _, r, r_bound, *_ = e
     if not r_bound <= series._tol(r) < math.inf:
         raise TruncationBudgetError(
@@ -461,7 +468,7 @@ def g_sine_form(ps, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> floa
         def log_env(n):  # |sin y| <= min(1, y)
             return math.log(min(1.0 / n, ell * sa)) - log_sinh(0.5 * ell * n)
 
-        return _series_sum(ell, terms, log_env, policy.tol, policy.max_terms)
+        return _series_sum(ell, terms, log_env, policy.tol, policy.max_terms)[0]
 
     return sum(one_length(ell) for ell in ps.ells) / (2.0 * math.pi)
 

@@ -319,6 +319,8 @@ def _jv(nu: float, x):
     near = x * x <= 2.0 * (nu + 1.0)
     xn = x[near]
     out[near] = _power_over_gamma(nu, xn) * ascending_series(nu, xn)
+    if near.all():
+        return out
     out[x == np.inf] = 0.0
     far = ~near & (x >= max(_HANKEL_X, nu)) & (x < np.inf)
     if far.any():

@@ -27,6 +27,7 @@ from pinchtrace import (
     g_sine_form,
     sandwich_check,
 )
+from pinchtrace import counting
 from pinchtrace.counting import _BesselSeries, _expansion, _j_envelope
 
 
@@ -245,7 +246,7 @@ R_LIMITS = {
 def _routes(w, T, ell, policy=DEFAULT_POLICY):
     series = _BesselSeries(float(w), T - 0.25, policy)
     em = series.expansion(ell)
-    return series, em, series.direct(ell)
+    return series, em, series.direct(ell)[0]
 
 
 @pytest.mark.parametrize("w", EM_GRID_W)
@@ -576,7 +577,7 @@ def _limit_reference(w, T):
         g = g_sine_form(PinchingSet.of([ell]), T)
     else:
         series = _BesselSeries(w, a, DEFAULT_POLICY)
-        g = series.pref * series.direct(ell)
+        g = series.pref * series.direct(ell)[0]
     coef = g_expansion(w, T, 24)
     powers = sum(aj * ell ** (2 * j) for j, aj in enumerate(coef[2:], 1))
     return g - coef[0] * math.log(1.0 / ell) - powers, DEFAULT_POLICY.tol(g)
@@ -600,13 +601,63 @@ def test_g_limit_certifies_and_matches_a_direct_sum_property(w, log_t):
 
 
 def test_g_limit_budget_error_states_the_limit_in_its_own_units():
-    # 300 terms hold R's direct sum at ell0 = 1/4 but not the shorter length
-    # that T = 100 needs, so R's bound misses; the message gives pref R, the
-    # number g_limit returns, not the unprefixed sum
+    # the rounding of R's sum and pole part (about 6e-14 here) exceeds a
+    # relative tolerance of 1e-16, so R's bound misses; the message gives
+    # pref R, the number g_limit returns, not the unprefixed sum
+    tight = TruncationPolicy(rel_tol=1e-16, abs_tol=1e-20)
     with pytest.raises(TruncationBudgetError, match="exceeds tolerance") as info:
-        g_limit(0.0, 100.0, TruncationPolicy(max_terms=300))
+        g_limit(0.0, 100.0, tight)
     stated = float(str(info.value).rsplit(" ", 1)[1])
     assert stated == pytest.approx(g_limit(0.0, 100.0), rel=1e-3)
+
+
+# w = 0 threshold where R_0(T) changes sign, by bisection: there tol(R) is
+# abs_tol alone, and R's bound must still fit it
+_R_ZERO_T = 7.554539276085848
+
+
+def test_g_limit_certifies_at_a_zero_of_the_limit():
+    got = g_limit(0.0, _R_ZERO_T)
+    assert abs(got) < 1e-12
+    ref, ref_tol = _limit_reference(0.0, _R_ZERO_T)
+    assert abs(got - ref) <= DEFAULT_POLICY.tol(got) + ref_tol
+    series = _BesselSeries(0.0, _R_ZERO_T - 0.25, DEFAULT_POLICY)
+    r_bound = _expansion(0.0, series.a, DEFAULT_POLICY)[2]
+    assert series.pref * r_bound <= 0.95 * DEFAULT_POLICY.abs_tol
+
+
+def test_expansion_build_halves_ell0_when_the_sum_shows_a_smaller_tolerance(monkeypatch):
+    # the remainder bound at ell0 = 1/4 passes against the largest |R| the
+    # envelope allows, but not against 1e-5 of tol(R) once R is summed: the
+    # build sums again at 1/8, where the remainder is negligible
+    lengths, real = [], _BesselSeries.direct
+
+    def spy(self, ell, tol=None, charge=True):
+        lengths.append(ell)
+        return real(self, ell, tol, charge)
+
+    monkeypatch.setattr(_BesselSeries, "direct", spy)
+    series = _BesselSeries(0.0, 4.020151088846724 - 0.25, DEFAULT_POLICY)
+    _, r, r_bound, *_ = _expansion.__wrapped__(0.0, series.a, DEFAULT_POLICY)
+    assert lengths == [0.25, 0.125]
+    assert r_bound <= 5e-5 * series._tol(r)
+
+
+def test_expansion_build_sums_nothing_where_no_length_can_serve(monkeypatch):
+    # at T = 1e8 the remainder bound misses the tolerance at every ell0 >=
+    # 2^-12 for any |S(ell0)| the envelope allows, so the build runs no sum
+    calls, real = [], counting.bessel_j_half
+
+    def counted(n, x):
+        calls.append(len(x))
+        return real(n, x)
+
+    monkeypatch.setattr(counting, "bessel_j_half", counted)
+    assert _expansion.__wrapped__(0.0, 1e8 - 0.25, DEFAULT_POLICY) is None
+    assert calls == []
+    with pytest.raises(TruncationBudgetError, match="no length"):
+        g_limit(0.0, 1e8)
+    assert calls == []
 
 
 def test_expansion_route_serves_deep_lengths_at_large_threshold():
