@@ -21,9 +21,11 @@ pref = Gamma(w+1)/(16 pi)^{1/2} and S(ell) = sum_{n>=1} ell g(n ell).
 phi is even and entire with |phi(z)| <= phi0 e^{sqrt(a) |Im z|},
 phi0 = a^nu/Gamma(nu+1), and |sinh(z/2)| >= sinh(Re z/2); the bounds
 below rest on these facts. S(ell) is certified to tol(S) =
-policy.tol(pref S)/pref by one of two routes, chosen per length.
+policy.tol(pref S)/pref by one of two routes, chosen per length by its
+certificate: the expansion route wherever its bound meets tol(S), else
+the direct route.
 
-Direct route (ell > 1/32, and the fallback). Term n is at most
+Direct route (the fallback). Term n is at most
 env(n) = ell/sinh(n ell/2) min(phi0, (2 sqrt(a)/(n ell))^nu B(n ell sqrt(a))),
 with |J_nu| <= B non-increasing: B(x) = min(1, sqrt(2/(pi x))) for
 nu = 1/2, else min(1, 0.674886 nu^{-1/3}, 0.785747 x^{-1/3}) (Landau,
@@ -38,11 +40,11 @@ a term by at most 2^-51 ell/sinh(n ell/2) min(phi0 x^2/(2 nu + 2),
 tail plus these meet the tolerance and raises where these alone exceed
 it (at w = 0 from about T = 1e12, ell = 0.05).
 
-Expansion route (ell <= 1/32). With x g(x) = sum_{j<=24} c_j x^2j (phi's
-power series times the Bernoulli series of csch), h = g - c_0 e^{-x}/x is
-analytic in |Im z| < 2 pi. Summing the pole part in closed form and h by
-Euler-Maclaurin from x = 0 (to all orders the c_0 terms cancel the log,
-leaving g_expansion's series),
+Expansion route (tried at every length). With x g(x) = sum_{j<=24}
+c_j x^2j (phi's power series times the Bernoulli series of csch),
+h = g - c_0 e^{-x}/x is analytic in |Im z| < 2 pi. Summing the pole
+part in closed form and h by Euler-Maclaurin from x = 0 (to all orders
+the c_0 terms cancel the log, leaving g_expansion's series),
 
     S(ell) = -c_0 log(1 - e^{-ell}) - c_0 ell/2 + R
              - sum_{k<=K} (B_2k/2k)(c_k - c_0/(2k)!) ell^2k + R_K.
@@ -70,9 +72,19 @@ These depend only on (w, T, policy): one cached build serves every
 length, which then costs O(K) float operations and no Bessel
 evaluation, K the smallest order whose bounds meet tol(S). A length
 takes the route only then, and when R's direct sum fits max_terms; else
-the direct route, as shallow lengths at large T, where R_K grows
-like (ell sqrt(a)/pi)^2K, and every length once T passes about 1e7,
-where R would need ell0 below 2^-12.
+the direct route. Nothing above bounds ell, but R_K grows like
+(ell sqrt(a)/pi)^2K: at the default tolerance the route certifies up to
+ell of about 0.4 at T = 1, 0.3 at T = 5 and 0.12 at T = 100, and no
+length once T passes about 1e7, where R would need ell0 below 2^-12.
+So that a shallow length does not pay for a build that cannot serve
+it, each length is first tested against a lower bound in closed form:
+the grid's radii are at most 2, where 0 < sin(3r/2) <= 1, so the
+bracket is at least 2 r phi0 e^{3 sqrt(a) r}, and the bound E_K ell^2K
+on |R_K| is at least 2 phi0 |B_2K| ell^2K e^{3 sqrt(a) r} r^{1-2K} at
+r = min(2, (2K - 1)/(3 sqrt(a))), its minimum over 0 < r <= 2. Where
+at no order this meets the tolerance of phi0 (ell/sinh(ell/2) +
+2 log coth(ell/4)) >= |S(ell)|, the length takes the direct route with
+nothing built.
 """
 
 from __future__ import annotations
@@ -101,7 +113,6 @@ _BLOCK = 1 << 21
 _LANDAU_NU = 0.674886
 _LANDAU_X = 0.785747
 
-_EXPANSION_ELL_MAX = 1.0 / 32.0
 _CAUCHY_RADII = tuple(2.0 * 2.0 ** (-0.5 * i) for i in range(48))  # all < 2 pi/3
 _ROUNDING = 1e-15
 _R_SHARE = 1e-5  # of tol(R), for the direct sum and the remainder that fix R
@@ -109,6 +120,7 @@ _ELL0_MIN = 2.0**-12  # R's last direct sum, about 1e5 terms: T up to about 1e7
 _ARG_ROUNDING = 2.0**-51  # relative rounding of x = n ell sqrt(a): three roundings
 _LOG_POWER_MAX = 600.0      # a larger power leaves J_nu too close to underflow
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
+_DBL_MIN = np.finfo(float).tiny  # smallest normal double
 
 # Bernoulli numbers B_2, B_4, ..., B_48
 _BERNOULLI = (
@@ -127,6 +139,12 @@ _CSCH = (1.0,) + tuple(
     (2.0 ** (1 - 2 * k) - 1.0) * (num / (den * math.factorial(2 * k)))
     for k, (num, den) in enumerate(_BERNOULLI, 1)
 )
+_LOG_2 = math.log(2.0)
+# (2K - 1, log |B_2K|, (2K - 1)(1 - log(2K - 1))) from K = J down, so that
+# a deep length passes _may_certify at the first order it tries
+_GATE_ORDERS = tuple(
+    (2 * k - 1, math.log(abs(num / den)), (2 * k - 1) * (1.0 - math.log(2 * k - 1)))
+    for k, (num, den) in reversed(list(enumerate(_BERNOULLI, 1))))
 
 
 def _check(x: float, what: str) -> float:
@@ -269,10 +287,9 @@ class _BesselSeries:
 
     def length_sum(self, ell: float) -> float:
         """S(ell) by the expansion route where it certifies, else directly."""
-        if ell <= _EXPANSION_ELL_MAX:
-            route = self.expansion(ell)
-            if route is not None and route[1] <= self._tol(route[0]) < math.inf:
-                return route[0]
+        route = self.expansion(ell)
+        if route is not None and route[1] <= self._tol(route[0]) < math.inf:
+            return route[0]
         return self.direct(ell)[0]
 
     def _tol(self, s: float) -> float:
@@ -296,7 +313,12 @@ class _BesselSeries:
 
     def expansion(self, ell: float):
         """(S(ell), stated error bound) at the smallest order K whose bound
-        meets tol(S), else at K = J; None where the route cannot run."""
+        meets tol(S), else at K = J; None where the route cannot run: where
+        _may_certify rules the length out, before anything is built, or where
+        R's direct sum certifies at no ell0."""
+        log_ell = math.log(ell)
+        if not self._may_certify(ell, log_ell):
+            return None
         e = _expansion(self.w, self.a, self.policy)
         if e is None:
             return None
@@ -304,7 +326,7 @@ class _BesselSeries:
         pole = -c[0] * (math.log(-math.expm1(-ell)) + 0.5 * ell)
         s = pole + r
         fixed = r_bound + _ROUNDING * (1.0 + abs(self.log_phi0)) * abs(pole)
-        rounding, power, log_ell = 0.0, 1.0, math.log(ell)
+        rounding, power = 0.0, 1.0
         for k in range(1, _LAURENT_TERMS + 1):
             power *= ell * ell
             s -= b[k - 1] * power
@@ -313,6 +335,24 @@ class _BesselSeries:
             if bound <= self._tol(s):
                 break
         return s, bound
+
+    def _may_certify(self, ell: float, log_ell: float) -> bool:
+        """False where, by the closed-form lower bound on E_K ell^2K of the
+        module docstring, no order can meet the tolerance of the envelope of
+        |S(ell)|."""
+        ceiling = self._tol(_s_max(self.phi0, ell))
+        base, log_3sa, six_sa = self.log_phi0 + _LOG_2, math.log(3.0 * self.sa), 6.0 * self.sa
+        for m, log_b, inner in _GATE_ORDERS:  # m = 2K - 1
+            # e^{3 sqrt(a) r} r^{-m} at r = m/(3 sqrt(a)), or at r = 2 past it
+            x = inner + m * log_3sa if m <= six_sa else six_sa - m * _LOG_2
+            if _exp(log_b + x + base + (m + 1) * log_ell) <= ceiling:
+                return True
+        return False
+
+
+def _s_max(phi0: float, ell: float) -> float:
+    """phi0 (ell/sinh(ell/2) + 2 log coth(ell/4)) >= phi0 sum_n ell/sinh(n ell/2) >= |S(ell)|."""
+    return phi0 * (ell * math.exp(-log_sinh(0.5 * ell)) + 2.0 * _log_coth(0.25 * ell))
 
 
 @lru_cache(maxsize=128)
@@ -362,8 +402,7 @@ def _expansion(w: float, a: float, policy: TruncationPolicy):
         powers = [ell0 ** (2 * k) for k in range(1, order + 1)]
         pole = c[0] * (math.log(-math.expm1(-ell0)) + 0.5 * ell0)
         offset = pole + sum(bk * pk for bk, pk in zip(b, powers))
-        s_max = phi0 * (ell0 / math.sinh(0.5 * ell0) + 2.0 * _log_coth(0.25 * ell0))
-        if e <= _R_SHARE * series._tol(abs(offset) + s_max):
+        if e <= _R_SHARE * series._tol(abs(offset) + _s_max(phi0, ell0)):
             try:
                 s, err, s_mass = series.direct(
                     ell0, lambda t: _R_SHARE * series._tol(t + offset), charge=False)
@@ -521,9 +560,15 @@ def balance_epsilon(f_ell: float, log_sum: float) -> float:
     """Minimizer of max(eps * log_sum, f_ell / eps): eps* = sqrt(f_ell/log_sum).
 
     Both error terms equal sqrt(f_ell * log_sum) at the balance point.
+    Where the quotient leaves the normal doubles, eps* is sqrt(f_ell)/sqrt(log_sum);
+    an eps* past the largest double is a DomainError.
     """
     if not f_ell > 0.0:
         raise DomainError(f"f_ell must be > 0, got {f_ell}")
     if not log_sum > 0.0:
         raise DomainError(f"log_sum must be > 0, got {log_sum}")
-    return math.sqrt(f_ell / log_sum)
+    q = f_ell / log_sum
+    eps = math.sqrt(q) if _DBL_MIN <= q < math.inf else math.sqrt(f_ell) / math.sqrt(log_sum)
+    if not eps < math.inf:
+        raise DomainError(f"epsilon = sqrt({f_ell}/{log_sum}) overflows a double")
+    return eps

@@ -333,7 +333,21 @@ class TestMainInProcess:
         assert code == 0
         assert float(_csv_rows(out)[1][4]) == pytest.approx(g_limit(2.0, 1.0), abs=1e-9)
 
+    def test_balance_beyond_the_quotient_range(self, capsys):
+        # f_ell/log_sum overflows here; epsilon = 1e160 does not
+        code, out = _run_main(["balance", "--f-ell", "1", "--log-sum", "1e-320"], capsys)
+        assert code == 0
+        assert float(_csv_rows(out)[1][2]) == balance_epsilon(1.0, 1e-320)
+        assert float(_csv_rows(out)[1][2]) == pytest.approx(1e160, rel=1e-5)
+        code = main(["balance", "--f-ell", "1e308", "--log-sum", "1e-320"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("pinchtrace: error:")
+
     def test_budget_still_enforced_on_shallow_lengths(self, tmp_path, capsys):
+        # the expansion route is tried first, but R's direct sum at ell0 = 1/4
+        # needs about 240 terms and the length's own about 720: both pass 100
         f = tmp_path / "p.json"
         f.write_text(json.dumps({"version": 1, "pinching": [0.05]}))
         assert main(["gfunc", "--input", str(f), "--w", "0", "--T", "1",

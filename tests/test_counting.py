@@ -187,6 +187,15 @@ def test_balance_examples():
     assert balance_epsilon(1e-6, 10.0) == pytest.approx(math.sqrt(1e-7), rel=1e-15)
 
 
+@pytest.mark.parametrize("f_ell,log_sum", [(1.0, 1e-320), (1e300, 1e-300), (1e-320, 1e10),
+                                           (1e-300, 1e300)])
+def test_balance_where_the_quotient_leaves_the_normal_doubles(f_ell, log_sum):
+    # f_ell/log_sum overflows or underflows, eps* itself does not
+    with mpmath.workdps(30):
+        want = float(mpmath.sqrt(mpmath.mpf(f_ell) / mpmath.mpf(log_sum)))
+    assert balance_epsilon(f_ell, log_sum) == pytest.approx(want, rel=1e-15)
+
+
 def test_balance_domain():
     with pytest.raises(DomainError):
         balance_epsilon(0.0, 4.0)
@@ -194,6 +203,9 @@ def test_balance_domain():
         balance_epsilon(0.01, 0.0)
     with pytest.raises(DomainError):
         balance_epsilon(-1.0, 1.0)
+    for f_ell, log_sum in ((1e308, 1e-320), (math.inf, 1.0)):
+        with pytest.raises(DomainError, match="overflows"):
+            balance_epsilon(f_ell, log_sum)
 
 
 def test_counting_derivative_recursion():
@@ -387,19 +399,95 @@ def test_direct_series_match_their_full_sums(w, T, ell):
 
 def test_em_route_falls_back_when_its_bound_misses():
     # at large T the remainder grows like (ell sqrt(a)/pi)^2K, here with
-    # ell sqrt(a) = 1.7, while R itself is certified; the route must hand
-    # such a length to the direct series, never return it
+    # ell sqrt(a) = 1.7, while R itself is certified: even its closed-form
+    # lower bound misses, at every order, the tolerance of the largest |S|
+    # the envelope allows, so the route gives up with nothing built and the
+    # length takes the direct series
     ell, w, T = 2.0**-5, 0.0, 3000.0
-    series, (em, bound), direct = _routes(w, T, ell)
-    assert _expansion(w, T - 0.25, DEFAULT_POLICY)[2] <= 1e-3 * DEFAULT_POLICY.tol(em)
-    assert bound > DEFAULT_POLICY.tol(em)
+    series, em, direct = _routes(w, T, ell)
+    assert _expansion(w, T - 0.25, DEFAULT_POLICY)[2] <= 1e-3 * series._tol(direct)
+    assert em is None
     assert g_bessel(PinchingSet.of([ell]), w, T) == series.pref * direct
 
 
+def test_em_route_falls_back_when_the_summed_bound_misses():
+    # at ell = 0.403, T = 1 the closed-form test passes but the bound at the
+    # summed value misses: the route must still hand the length to the
+    # direct series, never return it
+    series, (em, bound), direct = _routes(0.0, 1.0, 0.403)
+    assert bound > series._tol(em)
+    assert g_bessel(PinchingSet.of([0.403]), 0.0, 1.0) == series.pref * direct
+
+
+def test_em_route_serves_every_length_it_certifies():
+    # no cap on the length: at ell = 1/4 the route certifies and is taken,
+    # at 1/2 its remainder misses and the value is the direct sum's, bit for bit
+    series, (em, bound), direct = _routes(0.0, 1.0, 0.25)
+    assert bound <= series._tol(em)
+    assert g_bessel(PinchingSet.of([0.25]), 0.0, 1.0) == series.pref * em
+    assert abs(em - direct) <= series._tol(em) + series._tol(direct)
+    series, em, direct = _routes(0.0, 1.0, 0.5)
+    assert em is None
+    assert g_bessel(PinchingSet.of([0.5]), 0.0, 1.0) == series.pref * direct
+
+
+def test_shallow_length_at_large_threshold_builds_nothing(monkeypatch):
+    # ell sqrt(a) = 50: the closed-form lower bound on the remainder shows
+    # that no order can certify, so the one direct sum is the length's own,
+    # not R's at some ell0
+    lengths, real = [], _BesselSeries.direct
+
+    def spy(self, ell, tol=None, charge=True):
+        lengths.append(ell)
+        return real(self, ell, tol, charge)
+
+    monkeypatch.setattr(_BesselSeries, "direct", spy)
+    _expansion.cache_clear()
+    g_bessel(PinchingSet.of([0.5]), 0.0, 1e4)
+    assert lengths == [0.5]
+    assert _expansion.cache_info().misses == 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(log_ell=st.floats(math.log(2.0**-20), math.log(4.0)), w=st.floats(0.0, 40.0),
+       log_t=st.floats(math.log(0.26), math.log(1e6)))
+def test_gate_passes_every_length_the_remainder_bound_can_serve_property(log_ell, w, log_t):
+    # _may_certify tests a closed-form lower bound on E_K ell^2K; wherever the
+    # grid's own E_K ell^2K meets the tolerance at some order, so must it
+    ell, T = math.exp(log_ell), math.exp(log_t)
+    series = _BesselSeries(w, T - 0.25, DEFAULT_POLICY)
+    built = _expansion(w, series.a, DEFAULT_POLICY)
+    assume(built is not None)
+    ceiling = series._tol(counting._s_max(series.phi0, ell))
+    exact = any(counting._exp(lr + 2 * k * log_ell) <= ceiling
+                for k, lr in enumerate(built[5], 1))
+    assert series._may_certify(ell, log_ell) or not exact
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(log_ell=st.floats(math.log(1.0 / 32.0), 0.0), w=st.floats(0.0, 6.0),
+       T=st.floats(0.3, 50.0))
+@example(log_ell=math.log(0.35), w=0.0, T=1.0)
+@example(log_ell=math.log(0.403), w=0.0, T=1.0)
+@example(log_ell=math.log(0.25), w=2.0, T=5.0)
+def test_routes_agree_wherever_the_expansion_is_taken_property(log_ell, w, T):
+    # whichever route g_bessel takes, it agrees with the term-by-term sum and,
+    # at w = 0, with the sine form, within the two certified tolerances
+    ell = math.exp(log_ell)
+    ps = PinchingSet.of([ell])
+    series = _BesselSeries(w, T - 0.25, DEFAULT_POLICY)
+    got = g_bessel(ps, w, T)
+    direct = series.pref * series.direct(ell)[0]
+    assert abs(got - direct) <= DEFAULT_POLICY.tol(got) + DEFAULT_POLICY.tol(direct)
+    got, sine = g_bessel(ps, 0.0, T), g_sine_form(ps, T)
+    assert abs(got - sine) <= DEFAULT_POLICY.tol(got) + DEFAULT_POLICY.tol(sine)
+
+
 def test_em_route_ignores_the_quadrature_budget_and_obeys_the_term_budget():
-    # the route's one build is a direct sum at ell0 = 1/4, far shorter than the
-    # direct sum at any length <= 1/32: max_quad_evals does not bound it, and a
-    # max_terms that refuses it refuses such a length on the direct route too
+    # the route's one build is a direct sum at ell0 = 1/4 (about 240 terms at
+    # T = 1), far shorter than the direct sum at this length (about 36/ell):
+    # max_quad_evals does not bound it, and a max_terms that refuses it
+    # refuses such a length on the direct route too
     ell, no_quad = 2.0**-10, TruncationPolicy(max_quad_evals=10)
     series, (em, bound), _ = _routes(0.0, 1.0, ell, no_quad)
     assert bound <= series._tol(em)
