@@ -187,10 +187,16 @@ def cylinder_trace(ell: float, t: float, policy: TruncationPolicy = DEFAULT_POLI
             f"cylinder_trace guard: ell >= 0.05 required, got {ell}"
         )
 
-    # n-cut from the closed-form envelope of the unfolded terms
+    # n-cut from the closed-form envelope of the unfolded terms; a product,
+    # not ** 2, so that a huge n ell gives inf rather than OverflowError
     def log_env(n):
-        return math.log(ell) - log_sinh(0.5 * n * ell) - (n * ell) ** 2 / (4.0 * t)
+        return math.log(ell) - log_sinh(0.5 * n * ell) - (n * ell) * (n * ell) / (4.0 * t)
 
+    # the trace is the closed form e^{-t/4} (16 pi t)^{-1/2} sum_n env(n), at
+    # most its n = 1 term over 1 - e^{-ell/2}: where that underflows, so does it
+    if math.exp(log_env(1) - 0.25 * t - 0.5 * math.log(16.0 * math.pi * t)
+                - math.log(-math.expm1(-0.5 * ell))) == 0.0:
+        return 0.0
     count = tail_cut(log_env, ell, policy.tol(math.exp(log_env(1))),
                      min(100_000, policy.max_terms))
     narr = np.arange(1, count + 1, dtype=float)

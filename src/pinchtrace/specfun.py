@@ -24,8 +24,7 @@ implementation the test suite checks every route against.
 
 The module also holds the numerical helpers the other modules share:
 log_sinh, the geometric-tail cut tail_cut, the ascending series
-ascending_series, the Poisson tail poisson_tail and the cached
-Gauss-Legendre rule leggauss.
+ascending_series and the cached Gauss-Legendre rule leggauss.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ _ORACLE_XMAX = 30.0  # ascending series trusted only at moderate argument
 _ORACLE_DPS = 50     # worst-case cancellation at x=30 is ~1e11; 50 digits is ample
 _EPS = float(np.finfo(float).eps)
 _SERIES_DROP = 2.0**-56  # terms below this add nothing to a sum in [1/2, 1]
-_POISSON_X_MAX = 700.0   # e^{-x} stays a normal double
 _HANKEL_X = 25.0         # Hankel's expansion reaches eps at orders <= 3/2 from here
 _MILLER_LOG_TOP = math.log(2.0**-60)  # Miller starts where J has fallen this far
 
@@ -141,52 +139,6 @@ def ascending_series(nu: float, x):
         acc += part
         bound *= q / (m * (m + nu))
     return acc
-
-
-def poisson_tail(k: int, x, term):
-    """P(k, x) = e^{-x} sum_{j>=k} x^j/j!, rounded up; integer k >= 1, 0 <= x <= 700.
-
-    The regularized lower incomplete gamma function at integer order
-    (DLMF 8.4), vectorized over x. `term` is e^{-x} x^k/k! as the
-    caller holds it from the recurrence t_0 = e^{-x}, t_j = t_{j-1} (x/j),
-    whose rounding the allowance below covers.
-
-    For x >= k, P is above 1/2, so 1 - e^{-x} sum_{j<k} x^j/j! loses
-    nothing to cancellation. For x < k the terms past k fall by
-    x/(j+1) < 1; they are summed forward, then a geometric bound on the
-    rest is added. The share of that rest grows with x, so the count of
-    terms is the one that takes it below eps/8 at the largest such x.
-    The result is scaled by 1 + (3j + 10) eps/2, j the last term's index,
-    which covers every rounding: it is never below P.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not (k >= 1 and np.all((x >= 0.0) & (x <= _POISSON_X_MAX))):
-        raise DomainError(f"poisson_tail needs k >= 1 and 0 <= x <= {_POISSON_X_MAX}")
-    term = np.atleast_1d(term)
-    out = np.empty_like(x)
-    high = x >= k
-    if high.any():
-        xh = x[high]
-        t = np.exp(-xh)
-        below = np.zeros_like(xh)
-        for j in range(1, k + 1):
-            below += t
-            t *= xh / j
-        out[high] = 1.0 - below
-    low = ~high
-    xs, t = x[low], term[low]
-    xm = float(np.max(xs, initial=0.0))
-    j, a, s = k, 1.0, 1.0  # term and partial sum at xm, relative to its term k
-    while a * xm / (j + 1 - xm) > 0.125 * _EPS * s:
-        j += 1
-        a *= xm / j
-        s += a
-    tail = t.copy()
-    for i in range(k + 1, j + 1):
-        t = t * (xs / i)
-        tail += t
-    out[low] = tail + t * xs / (j + 1 - xs)  # rest <= t r/(1 - r), r = x/(j+1)
-    return out * (1.0 + (3 * j + 10) * 0.5 * _EPS)
 
 
 def _power_over_gamma(nu: float, x):
@@ -316,7 +268,8 @@ def _jv(nu: float, x):
     k = math.floor(nu + 0.5)
     mu = nu - k
     out = np.full_like(x, np.nan)
-    near = x * x <= 2.0 * (nu + 1.0)
+    with np.errstate(over="ignore"):  # x^2 = inf is not near
+        near = x * x <= 2.0 * (nu + 1.0)
     xn = x[near]
     out[near] = _power_over_gamma(nu, xn) * ascending_series(nu, xn)
     if near.all():
@@ -350,7 +303,8 @@ def bessel_j_half(n: int, x):
     if up.all():
         return _upward(n, xs).reshape(x.shape)[()]
     out = np.empty_like(xs)
-    out[up] = _upward(n, xs[up])
+    if up.any():  # the recurrence runs n steps even on no points
+        out[up] = _upward(n, xs[up])
     out[~up] = _jv(n + 0.5, xs[~up])
     return out.reshape(x.shape)[()]
 

@@ -29,10 +29,10 @@ and y = (n ell)^2, goes one of two routes per call:
 The Taylor route is certified at every node by three bounds whose sum is
 within the target: the n-cut, cut at half the target; the truncation
 after K terms, sum c e^{y (rho - Re v0)} P(K, y rho) with P the
-regularized lower incomplete gamma function, at integer K the Poisson
-tail specfun.poisson_tail; and a rounding allowance of
-8 eps (K + log2 N) sum c e^{y (rho - Re v0)} for N terms. A call takes it
-when K (nodes + terms) < _COST_RATIO (direct terms) (nodes), the measured
+regularized lower incomplete gamma function, which the coefficient build
+tracks as it runs; and a rounding allowance of 4 eps (3 (K + log2 N) + 1)
+sum c e^{y (rho - Re v0)} for N terms. A call takes it when
+K (nodes + terms) < _COST_RATIO (direct terms) (nodes), the measured
 cost ratio, and that bound holds; otherwise it takes the direct route.
 So real scalars and small arrays are summed directly, bit for bit, and
 on a contour block a node's value depends on the other nodes of the
@@ -46,13 +46,14 @@ a float back.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from .errors import DomainError, TruncationBudgetError
 from .hyperbolic import heat_kernel_origin
 from .policy import DEFAULT_POLICY, TruncationPolicy
-from .specfun import log_sinh, poisson_tail, tail_cut
+from .specfun import log_sinh, tail_cut
 from .spectrum import LengthSpectrum, PinchingSet, SpectralData
 
 __all__ = [
@@ -96,8 +97,11 @@ def _plan(entries, zs: np.ndarray, policy: TruncationPolicy):
     Re(1/z); target = policy.tol of the n = 1 shell; cap is the term
     budget, scaled up on a contour.
     """
-    c_min = float(np.min(zs.real / np.abs(zs) ** 2))  # Re(1/z) per node
-    stretch = math.sqrt(1.0 + float(np.max((zs.imag / zs.real) ** 2)))
+    # extreme nodes overflow these to inf or 0: c_min = inf cuts at one
+    # term, c_min = 0 leaves the sinh decay alone, stretch = inf lifts the cap
+    with np.errstate(over="ignore", divide="ignore"):
+        c_min = float(np.min(zs.real / np.abs(zs) ** 2))  # Re(1/z) per node
+        stretch = math.sqrt(1.0 + float(np.max((zs.imag / zs.real) ** 2)))
 
     def log_env(ell, mult):
         """log of mult ell / sinh(n ell/2) e^{-(n ell)^2 c_min/4}, a bound on term n."""
@@ -106,7 +110,7 @@ def _plan(entries, zs: np.ndarray, policy: TruncationPolicy):
 
     # a priori scale: the n = 1 shell dominates the unprefixed sum
     scale = sum(math.exp(log_env(ell, m)(1)) for ell, m in entries)
-    return log_env, policy.tol(scale), int(policy.max_terms * stretch)
+    return log_env, policy.tol(scale), int(min(policy.max_terms * stretch, sys.maxsize))
 
 
 def _cuts(entries, log_env, target: float, cap: int) -> list:
@@ -124,6 +128,8 @@ def _term_sum(entries, zs: np.ndarray, cuts) -> np.ndarray:
         for n0 in range(1, ncut + 1, _N_CHUNK):
             n = np.arange(n0, min(ncut, n0 + _N_CHUNK - 1) + 1, dtype=float)
             coef = mult * ell * np.exp(-log_sinh(0.5 * n * ell))
+            if coef[0] == 0.0:  # this term and every later one underflow
+                break
             sq = (n * ell) ** 2 / 4.0
             for j0 in range(0, zs.size, _NODE_CHUNK):
                 sl = slice(j0, min(zs.size, j0 + _NODE_CHUNK))
@@ -150,7 +156,8 @@ def _taylor_sum(entries, zs: np.ndarray, log_env, target: float, cap: int,
     ell = np.repeat([e for e, _ in entries], cuts)
     mult = np.repeat([float(m) for _, m in entries], cuts)
     log_c = np.log(mult * ell) - log_sinh(0.5 * n * ell)
-    y = (n * ell) ** 2
+    with np.errstate(over="ignore"):  # y = inf fails _coefficients' x < 700
+        y = (n * ell) ** 2
     v = 0.25 / zs
     k_max = int(max_cost / (zs.size + y.size))
     found = None
@@ -179,18 +186,27 @@ def _coefficients(log_c, y, v0: complex, rho: float, budget: float, k_max: int):
     S(v) = sum_i c_i e^{-y_i v} = sum_k B_k q^k with q = (v0 - v)/rho and
     B_k = sum_i c_i e^{-y_i v0} x_i^k/k!, x_i = y_i rho. With
     w_i = c_i e^{y_i (rho - Re v0)}, truncating after K terms costs at most
-    sum_i w_i P(K, x_i) wherever |q| <= 1 (P the regularized lower
-    incomplete gamma function), and rounding at most 8 eps (K + log2 N)
-    sum_i w_i. K is found by subtracting each order's share from sum_i w_i
-    as the coefficients are built; the bound is then recomputed without
-    that cancellation from poisson_tail, rounded up, at that K. None when
-    no K <= k_max meets budget.
+    L_K = sum_i w_i P(K, x_i) wherever |q| <= 1 (P the regularized lower
+    incomplete gamma function), and rounding the coefficients and Horner's
+    steps at most 8 eps (K + log2 N) sum_i w_i for N terms.
+
+    L_K is the running remainder sum_i w_i - sum_{j<K} s_j, s_j = sum_i w_i
+    p_ij with p_ij = e^{-x_i} x_i^j/j! from the recurrence that builds B_j.
+    To first order, with a sum of N terms off by log2 N eps of its absolute
+    sum: p_ij carries 2j + 1 roundings (e^{-x}, two per step) and w_i p_ij
+    two more (|t_i|, the product), so the s_j, j < K, are off by
+    (2K + 1 + log2 N) eps sum_i w_i in all, as sum_j p_ij <= 1; sum_i w_i by
+    (1 + log2 N) eps of itself; each of the K subtractions by eps of a value
+    below it. That is (3K + 2 log2 N + 2) eps sum_i w_i, rounded up to
+    4 (K + log2 N + 1), which also covers the rounding of x_i: it moves
+    P(K, x_i) by at most K eps p_iK. K is the first order with L_K plus
+    both allowances within budget; None when no K <= k_max gets there.
     """
     x = y * rho
-    log_w = log_c + y * (rho - v0.real)
-    # e^{-x} must not underflow; a single w_i past budget/eps cannot certify
+    # a subnormal e^{-x} would void the relative-error model of the
+    # recurrence; a single w_i past budget/eps cannot certify
     if not (rho > 0.0 and float(np.max(x)) < 700.0
-            and float(np.max(log_w)) < math.log(budget / _EPS)):
+            and float(np.max(log_c + y * (rho - v0.real))) < math.log(budget / _EPS)):
         return None
     # B_k = sum_i t_i e^{-x_i} x_i^k/k! with t_i = c_i e^{-y_i v0 + x_i} and
     # |t_i| = w_i; the Poisson factors are at most 1, so nothing overflows
@@ -198,25 +214,23 @@ def _coefficients(log_c, y, v0: complex, rho: float, budget: float, k_max: int):
     w = np.abs(t)
     mass = float(np.sum(w))
     log2n = math.log2(y.size)
-    if mass > 0.0:  # every term may underflow on very long lengths
-        k_max = min(k_max, int(budget / (8.0 * _EPS * mass) - log2n))
-    # P(K, x) > 1/2 for x >= K, as the median of a Gamma(K) law lies below K
+    if 4.0 * _EPS * mass * (3.0 * (k_max + log2n) + 1.0) > budget:  # allowance alone fails
+        k_max = int((budget / (4.0 * _EPS * mass) - 1.0) / 3.0 - log2n)
+    # P(K, x) > 1/2 for x >= K (a Gamma(K) law's median is below K): such terms alone fail
     if k_max < 1 or 0.5 * float(np.sum(w[x >= k_max])) > budget:
         return None
+    # one product per order gives the real and imaginary parts of B_k and s_k
     rows = np.stack([t.real, t.imag, w])
     poisson = np.exp(-x)
-    left = mass  # the truncation bound once the orders so far are kept
+    left = mass  # L_K once the orders so far are kept
     coeffs = []
     for k in range(1, k_max + 1):
         re, im, share = rows @ poisson
         coeffs.append(complex(re, im))
         left -= share
-        rounding = 8.0 * _EPS * (k + log2n) * mass
+        if left + 4.0 * _EPS * (3.0 * (k + log2n) + 1.0) * mass <= budget:
+            return coeffs
         poisson *= x / k
-        if left + rounding <= budget:
-            if float(np.dot(w, poisson_tail(k, x, poisson))) + rounding <= budget:
-                return coeffs
-            return None
     return None
 
 

@@ -135,7 +135,12 @@ def bromwich(
         evals += s.size
         acc += chunk
         value = acc.real / math.pi
-        deltas.append(abs(chunk) / math.pi)
+        try:
+            deltas.append(abs(chunk) / math.pi)
+        except OverflowError:
+            deltas.append(math.inf)
+        if not math.isfinite(deltas[-1]):
+            raise DomainError(f"bromwich: the integrand is not finite on the contour for T = {T}")
         if len(deltas) >= 2 and max(deltas[-1], deltas[-2]) <= policy.tol(value):
             break
         s_lo, s_hi = s_hi, 2.0 * s_hi
@@ -184,6 +189,8 @@ def weighted_inverse(
     g = gamma(w + 1.0)
 
     def F(z):
-        return g * np.asarray(trace(z), dtype=complex) * z ** (-(w + 1.0))
+        value = g * np.asarray(trace(z), dtype=complex)
+        with np.errstate(all="ignore"):  # bromwich rejects inf and NaN
+            return value * z ** (-(w + 1.0))
 
     return bromwich(F, T, contour=contour, policy=policy).value

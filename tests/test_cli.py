@@ -245,6 +245,27 @@ class TestMainInProcess:
         assert captured.err == ""
         assert _csv_rows(captured.out) == [["t", "htr"], ["1", "0"]]
 
+    @pytest.mark.parametrize("argv, row", [
+        (["trace", "--input", "{long}", "--t", "1"], ["1", "0"]),
+        (["dtrace", "--input", "{pinch}", "--t", "1e-300"], ["1e-300", "0"]),
+        (["bessel", "--p", "1.2", "--x", "1e300"], None),
+    ])
+    def test_extreme_arguments_leak_no_runtime_warning(self, tmp_path, capsys, argv, row):
+        # a RuntimeWarning is an error under the test configuration, so an
+        # overflow in numpy fails the call rather than reaching stderr
+        docs = {"long": {"length_spectrum": [{"length": 1e300, "multiplicity": 1}]},
+                "pinch": {"pinching": [0.1]}}
+        for name, doc in docs.items():
+            (tmp_path / name).write_text(json.dumps({"version": 1, **doc}))
+        code = main([a.format(long=tmp_path / "long", pinch=tmp_path / "pinch") for a in argv])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        got = _csv_rows(captured.out)[1]
+        if row is not None:
+            assert got == row
+        else:  # J_1.2(1e300) lies within its envelope sqrt(2/(pi x))
+            assert 0.0 < abs(float(got[2])) <= math.sqrt(2.0 / (math.pi * 1e300))
+
     def test_sweep_header_contract(self, tmp_path, capsys):
         f = tmp_path / "s.json"
         f.write_text(json.dumps({
@@ -516,6 +537,34 @@ class TestSubprocess:
         assert proc.stderr.startswith("pinchtrace: error:")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv, code, prefix", [
+        (["cylinder", "--ell", "1e300", "--t", "1"], 0, ""),
+        (["cylinder", "--ell", "1", "--t", "1e-300"], 0, ""),
+        (["cylinder", "--ell", "1", "--t", "1e300"], 0, ""),
+        (["count", "--input", "{eig}", "--w", "1e300", "--T", "2"], 1,
+         "pinchtrace: error: N_w(T) overflows"),
+        (["invert", "--input", "{pinch}", "--w", "2", "--T", "1e-300"], 1,
+         "pinchtrace: error: bromwich: the integrand is not finite"),
+        (["dtrace", "--input", "{pinch}", "--t", "1", "--s", "1e300"], 0, ""),
+    ])
+    def test_extreme_arguments_exit_without_traceback(self, tmp_path, argv, code, prefix):
+        # an unrepresentable argument is a domain error; values that
+        # underflow are the closed form's 0
+        docs = {"eig": {"eigenvalues": [{"lambda": 0.0, "multiplicity": 1}], "volume": 1.0},
+                "pinch": {"pinching": [0.1]}}
+        for name, doc in docs.items():
+            (tmp_path / name).write_text(json.dumps({"version": 1, **doc}))
+        argv = [a.format(eig=tmp_path / "eig", pinch=tmp_path / "pinch") for a in argv]
+        proc = subprocess.run(self.CMD + argv, capture_output=True, text=True)
+        assert proc.returncode == code
+        assert proc.stderr.startswith(prefix) and "Traceback" not in proc.stderr
+        if code == 0:
+            assert proc.stderr == ""
+            values = [float(v) for v in proc.stdout.splitlines()[1].split(",")]
+            assert all(map(math.isfinite, values))
+            if argv[0] == "cylinder":
+                assert values[-1] == 0.0
+
     def test_import_leaves_out_quadrature_and_mpmath(self):
         code = ("import sys, pinchtrace; print(sorted(m for m in "
                 "('scipy.special', 'scipy.integrate', 'mpmath') if m in sys.modules))")
@@ -524,7 +573,7 @@ class TestSubprocess:
         assert proc.stdout.strip() == "[]"
 
     def test_cli_calls_never_load_scipy_special(self, tmp_path):
-        # every Bessel order, the Poisson tail and every subcommand are
+        # every Bessel order, the Taylor bound and every subcommand are
         # computed with numpy: integer and fractional weights alike
         eig = tmp_path / "eig.json"
         eig.write_text(json.dumps({"version": 1, "eigenvalues": [

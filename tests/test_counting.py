@@ -714,6 +714,21 @@ def test_g_limit_certifies_at_a_zero_of_the_limit():
     assert series.pref * r_bound <= 0.95 * DEFAULT_POLICY.abs_tol
 
 
+def test_g_limit_raises_near_a_zero_of_the_limit_where_g_bessel_certifies():
+    # at w = 2 R's rounding allowance (1.1e-11 in g_limit's units) passes
+    # tol(R) for T in [21.3016, 21.3043]; a length's tolerance is relative
+    # to G, so g_bessel still takes the expansion route there
+    w, T, ell = 2.0, 21.303, 2.0**-10
+    with pytest.raises(TruncationBudgetError, match="g_limit bound"):
+        g_limit(w, T)
+    with pytest.raises(TruncationBudgetError, match="g_limit bound"):
+        g_expansion(w, T, 2)
+    series, (em, bound), direct = _routes(w, T, ell)
+    assert bound <= series._tol(em)
+    assert g_bessel(PinchingSet.of([ell]), w, T) == series.pref * em
+    assert abs(em - direct) <= series._tol(em) + series._tol(direct)
+
+
 def test_expansion_build_halves_ell0_when_the_sum_shows_a_smaller_tolerance(monkeypatch):
     # the remainder bound at ell0 = 1/4 passes against the largest |R| the
     # envelope allows, but not against 1e-5 of tol(R) once R is summed: the

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from pinchtrace import (
     DomainError, TruncationBudgetError, bessel_j, bessel_j_half, bessel_j_oracle, gamma,
 )
-from pinchtrace.specfun import ascending_series, log_sinh, poisson_tail, tail_cut
+from pinchtrace import specfun
+from pinchtrace.specfun import ascending_series, log_sinh, tail_cut
 
 
 def test_gamma_known_values():
@@ -196,6 +197,27 @@ def test_bessel_j_half_scalar_and_large_order():
         assert float(bessel_j_half(n, x)) == pytest.approx(want, rel=1e-12)
 
 
+def test_bessel_j_half_recurs_upward_only_above_its_order(monkeypatch):
+    # the upward recurrence runs n steps even on no points: 2 s at
+    # n = 10^6, and no end at p = 1e300
+    orders = []
+
+    def spy(n, x):
+        orders.append(n)
+        return upward(n, x)
+
+    upward = specfun._upward
+    monkeypatch.setattr(specfun, "_upward", spy)
+    assert bessel_j_half(10**6, 1.0) == 0.0
+    assert orders == []
+    assert bessel_j(1e300, 1.0) == 0.0
+    assert orders == []
+    got = bessel_j_half(3, np.array([1.0, 5.0]))
+    assert orders == [3]
+    assert got[0] == pytest.approx(_mp_besselj(3.5, 1.0), rel=1e-14)
+    assert got[1] == pytest.approx(_mp_besselj(3.5, 5.0), rel=1e-14)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(p=st.floats(-0.49, 40.0), x=st.floats(0.0, 200.0))
 @example(p=1.2, x=math.sqrt(4.4))                       # series edge x^2 = 2(p + 1)
@@ -242,56 +264,3 @@ def test_ascending_series_equals_the_fixed_sixty_term_sum(nu, frac):
         part *= s / (m * (m + nu))
         acc += part
     assert np.array_equal(ascending_series(nu, x), acc)
-
-
-def _poisson_tail(k, x):
-    """poisson_tail with e^{-x} x^k/k! formed as trace._coefficients forms it."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    term = np.exp(-x)
-    for j in range(1, k + 1):
-        term *= x / j
-    return poisson_tail(k, x, term)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(k=st.integers(1, 40), x=st.floats(0.0, 300.0))
-@example(k=38, x=15.6)
-@example(k=40, x=40.0)
-@example(k=40, x=float(np.nextafter(40.0, 0.0)))
-@example(k=24, x=2.533375915826352e-10)
-def test_poisson_tail_matches_gammainc(k, x):
-    # never below scipy's value by more than scipy's own error (~5e-14 at
-    # k = 40 against mpmath), and within 1e-13 of it: the rounding-up
-    # allowance 3(k + m) eps/2 stays below that for k <= 40. At tiny x
-    # gammainc itself is off by up to ~1.1e-13 (k = 24, x = 2.5e-10), so
-    # there a 40-digit mpmath value decides: the tail bounds it from above
-    # within 2e-13
-    from scipy.special import gammainc
-
-    got = float(_poisson_tail(k, x)[0])
-    want = float(gammainc(k, x))
-    if got >= want * (1.0 - 5e-14) and abs(got - want) <= 1e-13 * want + 1e-300:
-        return
-    import mpmath
-
-    with mpmath.workdps(40):
-        true = float(mpmath.gammainc(k, 0, x, regularized=True))
-    assert true <= got <= true * (1.0 + 2e-13)
-
-
-@pytest.mark.parametrize("k, x", [
-    (1, 0.0), (1, 0.5), (4, 3.99), (4, 12.0), (60, 59.5), (60, 30.0), (335, 334.9), (335, 197.1),
-])
-def test_poisson_tail_is_an_upper_bound(k, x):
-    import mpmath
-
-    got = float(_poisson_tail(k, x)[0])
-    with mpmath.workdps(40):
-        want = float(mpmath.gammainc(k, 0, x, regularized=True))
-    assert want <= got <= want * (1.0 + 2e-13)
-
-
-def test_poisson_tail_domain():
-    for k, x in ((0, 1.0), (3, -1.0), (3, 701.0), (3, math.nan)):
-        with pytest.raises(DomainError):
-            poisson_tail(k, x, 1.0)

@@ -254,7 +254,7 @@ def test_scalars_and_small_arrays_take_the_direct_route(z):
     assert np.array_equal(trace._geodesic_sum(entries, zs, DEFAULT_POLICY), direct)
 
 
-@pytest.mark.parametrize("ell", [1500.0, 2000.0])
+@pytest.mark.parametrize("ell", [1500.0, 2000.0, 1e300])
 def test_long_length_on_a_contour_gives_zero(ell):
     zs = 1.0 + 1j * np.linspace(0.0, 64.0, 1000)
     assert np.all(hyperbolic_trace(LengthSpectrum.of([(ell, 1)]), zs) == 0.0)
@@ -277,3 +277,32 @@ def test_large_abscissa_overflows_nothing():
             taylor, direct, target = _routes(ls.entries, zs)
         assert np.all(np.isfinite(got)) and taylor is not None
         assert float(np.max(np.abs(taylor - direct))) <= 2.0 * target
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    terms=st.lists(st.tuples(st.floats(-700.0, 3.0), st.floats(0.0, 200.0)), min_size=1,
+                   max_size=40),
+    v0=st.tuples(st.floats(0.0, 3.0), st.one_of(st.just(0.0), st.floats(-3.0, 3.0))),
+    rho=st.floats(1e-3, 3.0),
+    log10_share=st.floats(-16.0, 0.0),
+)
+def test_taylor_certificate_bounds_the_true_truncation(terms, v0, rho, log10_share):
+    # the running remainder picks K; whatever its rounding, the exact
+    # sum w P(K, y rho) plus the coefficients' and Horner's allowance
+    # 8 eps (K + log2 N) sum w stays within budget. w is |t| as the build
+    # forms it: the terms' own data, like c, whatever rounded into them
+    from scipy.special import gammainc
+
+    log_c, y = (np.array(col) for col in zip(*terms))
+    v0 = complex(*v0)
+    w = np.abs(np.exp(log_c - y * v0 + y * rho))
+    budget = 10.0**log10_share * math.fsum(w)
+    if not budget > 0.0:
+        return
+    coeffs = trace._coefficients(log_c, y, v0, rho, budget, 400)
+    if coeffs is None:
+        return
+    k = len(coeffs)
+    truncation = math.fsum(w * gammainc(k, y * rho))
+    assert truncation + 8.0 * trace._EPS * (k + math.log2(y.size)) * math.fsum(w) <= budget
