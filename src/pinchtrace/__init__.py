@@ -6,58 +6,15 @@ counting series that appears when geodesics pinch. Everything numerical
 carries a truncation policy and certified tail bounds; the dual
 computation routes (Bessel series vs. contour inversion, fast Bessel vs.
 series oracle) are kept separate so they can check each other.
+
+`import pinchtrace` is lazy: it loads no submodule, and each public name
+imports its module on first use (PEP 562). So a program that touches
+only the closed forms (gamma, counting_direct, c_weight, balance_epsilon,
+bessel_j_oracle), the value types, the policies or the errors never
+loads numpy.
 """
 
-from .counting import (
-    balance_epsilon,
-    c_weight,
-    counting_direct,
-    g_bessel,
-    g_expansion,
-    g_limit,
-    g_residual,
-    g_sine_form,
-    sandwich_check,
-)
-from .errors import (
-    DomainError,
-    ImaginaryResidueError,
-    NonConvergenceError,
-    PinchtraceError,
-    SchemaError,
-    TailEstimateError,
-    TruncationBudgetError,
-    UncertifiedTailWarning,
-)
-from .hyperbolic import (
-    cylinder_displacement,
-    cylinder_trace,
-    heat_kernel,
-    heat_kernel_origin,
-)
-from .policy import ContourSpec, DEFAULT_POLICY, TruncationPolicy, default_contour
-from .specfun import bessel_j, bessel_j_half, bessel_j_oracle, gamma
-from .spectrum import LengthSpectrum, PinchingSet, SpectralData
-from .sweep import (
-    Schedule,
-    SweepResult,
-    SweepRow,
-    fit_growth_exponent,
-    run_sweep,
-    thread_cap,
-)
-from .trace import (
-    degenerating_trace,
-    hyperbolic_trace,
-    regularized_trace,
-    spectral_trace,
-)
-from .xform import (
-    DEFAULT_INVERSION_POLICY,
-    InversionResult,
-    bromwich,
-    weighted_inverse,
-)
+import importlib
 
 __version__ = "0.1.0"
 
@@ -87,3 +44,32 @@ __all__ = [
     "TruncationBudgetError", "TailEstimateError", "ImaginaryResidueError",
     "UncertifiedTailWarning",
 ]
+
+# public name -> the submodule that defines it, imported on first use
+_MODULES = {name: module for module, names in (
+    ("closed", "balance_epsilon bessel_j_oracle c_weight counting_direct gamma"),
+    ("counting", "g_bessel g_expansion g_limit g_residual g_sine_form sandwich_check"),
+    ("errors", "DomainError ImaginaryResidueError NonConvergenceError PinchtraceError "
+               "SchemaError TailEstimateError TruncationBudgetError UncertifiedTailWarning"),
+    ("hyperbolic", "cylinder_displacement cylinder_trace heat_kernel heat_kernel_origin"),
+    ("policy", "ContourSpec DEFAULT_INVERSION_POLICY DEFAULT_POLICY TruncationPolicy "
+               "default_contour"),
+    ("specfun", "bessel_j bessel_j_half"),
+    ("spectrum", "LengthSpectrum PinchingSet SpectralData"),
+    ("sweep", "Schedule SweepResult SweepRow fit_growth_exponent run_sweep thread_cap"),
+    ("trace", "degenerating_trace hyperbolic_trace regularized_trace spectral_trace"),
+    ("xform", "InversionResult bromwich weighted_inverse"),
+) for name in names.split()}
+
+
+def __getattr__(name):
+    module = _MODULES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -25,8 +25,8 @@ Each call runs under a pair of policies: the series policy (built on
 DEFAULT_POLICY) for every series, traces evaluated on a contour
 included, and the inversion policy (built on DEFAULT_INVERSION_POLICY)
 for contour inversions. Document overrides, then flags, apply to both.
-A contour override fills its missing fields from policy.default_contour;
-without one, inversions use bromwich's own default contour.
+A contour override fills its missing fields from policy.default_contour
+(a = 1/T); without one, weighted_inverse picks the line from the trace.
 --print-config checks the payload kind, then dumps the merged configuration.
 """
 
@@ -40,20 +40,14 @@ import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from .counting import balance_epsilon, c_weight, counting_direct, g_bessel
+# numpy-free modules only: each handler imports the library function it
+# runs, so closed-form calls and input errors never load numpy
+from .closed import balance_epsilon, bessel_j_oracle, c_weight, counting_direct
 from .errors import DomainError, NonConvergenceError, SchemaError
-from .hyperbolic import cylinder_trace, heat_kernel, heat_kernel_origin
-from .policy import ContourSpec, DEFAULT_POLICY, TruncationPolicy, default_contour
-from .specfun import bessel_j, bessel_j_oracle
-from .spectrum import LengthSpectrum, PinchingSet, SpectralData
-from .sweep import Schedule, run_sweep, thread_cap
-from .trace import (
-    degenerating_trace,
-    hyperbolic_trace,
-    regularized_trace,
-    spectral_trace,
+from .policy import (
+    DEFAULT_INVERSION_POLICY, DEFAULT_POLICY, ContourSpec, TruncationPolicy, default_contour,
 )
-from .xform import DEFAULT_INVERSION_POLICY, weighted_inverse
+from .spectrum import LengthSpectrum, PinchingSet, SpectralData
 
 __all__ = ["InputDocument", "parse_input", "dispatch", "main"]
 
@@ -118,6 +112,8 @@ def _pairs(items, kind: str, key: str, *, strict: bool) -> list:
 
 
 def _schedule(spec) -> Schedule:
+    from .sweep import Schedule
+
     if not isinstance(spec, dict):
         raise SchemaError("schedule", "must be an object")
     kind = spec.get("kind")
@@ -223,12 +219,27 @@ def _contour(doc: InputDocument, args) -> ContourSpec | None:
     return default_contour(args.T, **given) if given else None
 
 
+def _htr(doc, z, pol):
+    from .trace import hyperbolic_trace
+
+    return hyperbolic_trace(doc.length_spectrum, z, pol)
+
+
+def _dtr(doc, z, pol):
+    from .trace import degenerating_trace
+
+    return degenerating_trace(doc.pinching, z, pol)
+
+
+def _str(doc, z, pol):
+    from .trace import spectral_trace
+
+    return spectral_trace(doc.spectral, z)
+
+
 # payload kind -> (column label, heat trace of the payload at time z)
-_TRACES = {
-    "length_spectrum": ("htr", lambda doc, z, pol: hyperbolic_trace(doc.length_spectrum, z, pol)),
-    "pinching": ("dtr", lambda doc, z, pol: degenerating_trace(doc.pinching, z, pol)),
-    "eigenvalues": ("str", lambda doc, z, pol: spectral_trace(doc.spectral, z)),
-}
+_TRACES = {"length_spectrum": ("htr", _htr), "pinching": ("dtr", _dtr),
+           "eigenvalues": ("str", _str)}
 
 
 def _time_rows(a, doc, series, inversion):
@@ -244,21 +255,38 @@ def _trace(a, doc, series, inversion):
         return _time_rows(a, doc, series, inversion)
     if a.s != 0.0:
         raise DomainError("regularized trace is defined for real time only")
+    from .trace import regularized_trace
+
     return ["t", "rtr"], [[a.t, regularized_trace(doc.length_spectrum, a.volume, a.t, series)]]
 
 
 def _bessel(a, doc, series, inversion):
-    value = bessel_j_oracle(a.p, a.x, a.terms) if a.oracle else bessel_j(a.p, a.x)
+    if a.oracle:
+        value = bessel_j_oracle(a.p, a.x, a.terms)
+    else:
+        from .specfun import bessel_j
+
+        value = bessel_j(a.p, a.x)
     return ["p", "x", "value"], [[a.p, a.x, value]]
 
 
 def _heatkernel(a, doc, series, inversion):
+    from .hyperbolic import heat_kernel, heat_kernel_origin
+
     if a.rho is None:
         return ["t", "rho", "value"], [[a.t, 0.0, heat_kernel_origin(a.t, series)]]
     return ["t", "rho", "value"], [[a.t, a.rho, heat_kernel(a.t, a.rho, series)]]
 
 
+def _cylinder(a, doc, series, inversion):
+    from .hyperbolic import cylinder_trace
+
+    return ["ell", "t", "value"], [[a.ell, a.t, cylinder_trace(a.ell, a.t, series)]]
+
+
 def _invert(a, doc, series, inversion):
+    from .xform import weighted_inverse
+
     trace = _TRACES[doc.kind][1]
     value = weighted_inverse(lambda z: trace(doc, z, series), a.w, a.T,
                              contour=_contour(doc, a), policy=inversion)
@@ -266,10 +294,14 @@ def _invert(a, doc, series, inversion):
 
 
 def _gfunc(a, doc, series, inversion):
+    from .counting import g_bessel
+
     g = g_bessel(doc.pinching, a.w, a.T, series)
     if not a.check_bromwich:
         return ["w", "T", "g"], [[a.w, a.T, g]]
-    b = weighted_inverse(lambda z: degenerating_trace(doc.pinching, z, series), a.w, a.T,
+    from .xform import weighted_inverse
+
+    b = weighted_inverse(lambda z: _dtr(doc, z, series), a.w, a.T,
                          contour=_contour(doc, a), policy=inversion)
     gap = abs(g - b) / max(abs(g), abs(b), 1e-300)
     return ["w", "T", "g", "bromwich", "rel_gap"], [[a.w, a.T, g, b, gap]]
@@ -281,12 +313,16 @@ def _residual(a, doc, series, inversion):
         raise DomainError("residual requires all pinching lengths < 1")
     if a.T < 0.25:
         raise DomainError(f"residual requires T >= 1/4, got {a.T}")
+    from .counting import g_bessel
+
     g = g_bessel(ps, a.w, a.T, series)
     res = g - c_weight(a.w, a.T) * ps.log_sum
     return ["w", "T", "g", "log_sum", "residual"], [[a.w, a.T, g, ps.log_sum, res]]
 
 
 def _sweep(a, doc, series, inversion):
+    from .sweep import run_sweep
+
     result = run_sweep(doc.schedule, a.w, a.T, series, inversion,
                        contour=_contour(doc, a), use_bromwich=a.bromwich)
     rows = []
@@ -334,8 +370,7 @@ _COMMANDS = (
     ), (), _heatkernel),
     _Command("cylinder", "regularized cylinder trace by unfolding", (
         _flag("--ell", required=True), _flag("--t", required=True),
-    ), (), lambda a, doc, series, inversion: (
-        ["ell", "t", "value"], [[a.ell, a.t, cylinder_trace(a.ell, a.t, series)]])),
+    ), (), _cylinder),
     _Command("trace", "geodesic heat trace of a length spectrum", _TIME + (
         _flag("--volume", help="add volume * K(t, 0): the regularized trace (real t only)"),
     ), ("length_spectrum",), _trace),
@@ -427,6 +462,8 @@ def _print_config(args, doc: InputDocument, series, inversion, out) -> None:
         config["inversion_policy"] = asdict(inversion)
         config["contour"] = None if contour is None else asdict(contour)
     if args.command == "sweep":
+        from .sweep import thread_cap
+
         config["threads"] = thread_cap(len(doc.schedule.points()) if args.bromwich else 1)
     json.dump(config, out, indent=2)
     out.write("\n")

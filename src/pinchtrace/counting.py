@@ -14,6 +14,8 @@ is the closed Bessel series
 with a = T - 1/4, identically zero for T <= 1/4. As the lengths pinch,
 G_w(T) = c_w(T) sum_k log(1/ell_k) + O(1): c_weight, g_residual, its
 limit per length g_limit, and g_expansion in powers of ell^2.
+counting_direct, c_weight and balance_epsilon are closed forms; they
+live in the numpy-free module closed and are re-exported here.
 
 With nu = w + 1/2, phi(x) = (2 sqrt(a)/x)^nu J_nu(sqrt(a) x) and
 g(x) = phi(x)/sinh(x/2), each length contributes pref S(ell), where
@@ -94,10 +96,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .closed import _check, balance_epsilon, c_weight, counting_direct, gamma
 from .errors import DomainError, PinchtraceError, TruncationBudgetError
 from .policy import DEFAULT_POLICY, TruncationPolicy
 from .specfun import (
-    ascending_series, bessel_j, bessel_j_half, gamma, log_sinh, tail_cut,
+    ascending_series, bessel_j, bessel_j_half, log_sinh, tail_cut,
 )
 from .spectrum import PinchingSet, SpectralData
 
@@ -120,7 +123,6 @@ _ELL0_MIN = 2.0**-12  # R's last direct sum, about 1e5 terms: T up to about 1e7
 _ARG_ROUNDING = 2.0**-51  # relative rounding of x = n ell sqrt(a): three roundings
 _LOG_POWER_MAX = 600.0      # a larger power leaves J_nu too close to underflow
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
-_DBL_MIN = np.finfo(float).tiny  # smallest normal double
 
 # Bernoulli numbers B_2, B_4, ..., B_48
 _BERNOULLI = (
@@ -145,43 +147,6 @@ _LOG_2 = math.log(2.0)
 _GATE_ORDERS = tuple(
     (2 * k - 1, math.log(abs(num / den)), (2 * k - 1) * (1.0 - math.log(2 * k - 1)))
     for k, (num, den) in reversed(list(enumerate(_BERNOULLI, 1))))
-
-
-def _check(x: float, what: str) -> float:
-    x = float(x)
-    if not 0.0 <= x < math.inf:
-        raise DomainError(f"{what} must be finite and >= 0, got {x}")
-    return x
-
-
-def counting_direct(sd: SpectralData, w: float, T: float) -> float:
-    """N_w(T): weighted eigenvalue count below (and at) the threshold."""
-    if not isinstance(sd, SpectralData):
-        sd = SpectralData.of(sd)
-    w = _check(w, "weight")
-    T = _check(T, "threshold")
-    total = 0.0
-    try:
-        for lam, mult in sd.eigenvalues:
-            if lam > T:
-                break  # ascending order
-            total += mult * (T - lam) ** w
-    except OverflowError:
-        total = math.inf
-    if total == math.inf:
-        raise DomainError(f"N_w(T) overflows a double at w = {w}, T = {T}")
-    return total
-
-
-def c_weight(w: float, T: float) -> float:
-    """Asymptotic constant Gamma(w+1)(T-1/4)^{w+1/2}/(sqrt(4 pi) Gamma(w+3/2))."""
-    w = _check(w, "weight")
-    T = _check(T, "threshold")
-    if T < 0.25:
-        raise DomainError(f"c_weight requires T >= 1/4, got {T}")
-    return gamma(w + 1.0) * (T - 0.25) ** (w + 0.5) / (
-        math.sqrt(4.0 * math.pi) * gamma(w + 1.5)
-    )
 
 
 def _exp(x: float) -> float:
@@ -565,20 +530,3 @@ def sandwich_check(
     mid = min(max(mid, lo), hi)
     return (lo, mid, hi)
 
-
-def balance_epsilon(f_ell: float, log_sum: float) -> float:
-    """Minimizer of max(eps * log_sum, f_ell / eps): eps* = sqrt(f_ell/log_sum).
-
-    Both error terms equal sqrt(f_ell * log_sum) at the balance point.
-    Where the quotient leaves the normal doubles, eps* is sqrt(f_ell)/sqrt(log_sum);
-    an eps* past the largest double is a DomainError.
-    """
-    if not f_ell > 0.0:
-        raise DomainError(f"f_ell must be > 0, got {f_ell}")
-    if not log_sum > 0.0:
-        raise DomainError(f"log_sum must be > 0, got {log_sum}")
-    q = f_ell / log_sum
-    eps = math.sqrt(q) if _DBL_MIN <= q < math.inf else math.sqrt(f_ell) / math.sqrt(log_sum)
-    if not eps < math.inf:
-        raise DomainError(f"epsilon = sqrt({f_ell}/{log_sum}) overflows a double")
-    return eps

@@ -44,6 +44,9 @@ _GROWTH = 1.5
 # kernel grid points per block of cylinder_trace (64k doubles = 512 kB a temporary)
 _BLOCK_POINTS = 1 << 16
 
+# log of half the smallest subnormal: a value below e^this rounds to 0
+_LOG_UNDERFLOW = -1075.0 * math.log(2.0)
+
 
 def _log_sinhc(x):
     """log(sinh(x)/x) for x >= 0, continuous through 0."""
@@ -110,7 +113,14 @@ def heat_kernel(t: float, rho: float, policy: TruncationPolicy = DEFAULT_POLICY)
         raise DomainError(f"heat_kernel requires t > 0, got {t}")
     if not rho >= 0.0:
         raise DomainError(f"heat_kernel requires rho >= 0, got {rho}")
-    arr = np.array([float(rho)])
+    t, rho = float(t), float(rho)
+    # K(t, rho) <= e^{-t/4 - rho^2/4t}/(4 pi t), as cosh u - cosh rho >= (u^2 - rho^2)/2:
+    # where that underflows, so does K, and the quadrature's range would overflow
+    if -0.25 * t - rho * rho / (4.0 * t) - math.log(4.0 * math.pi * t) < _LOG_UNDERFLOW:
+        return 0.0
+    if not (4.0 * math.pi * t) ** 1.5 > 0.0:
+        raise DomainError(f"heat_kernel: (4 pi t)^(3/2) underflows a double at t = {t}")
+    arr = np.array([rho])
     return _refine(
         _ladder(64),
         lambda nn: float(_kernel_grid(t, arr, nn)[0]),

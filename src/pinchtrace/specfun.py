@@ -19,8 +19,9 @@ DLMF 10.23.15, everywhere else. p = -1/2 is sqrt(2/(pi x)) cos x. No
 order loads scipy.special, so what a call costs in import time and
 memory does not depend on its order. Orders below -1/2 are rejected: the
 series here only ever need w + 1/2 with w >= 0, plus the collapse case
-p = -1/2. The 50-digit ascending series oracle is an independent
-implementation the test suite checks every route against.
+p = -1/2. The 50-digit ascending series oracle, an independent
+implementation the test suite checks every route against, and gamma
+live in the numpy-free module closed; they are re-exported here.
 
 The module also holds the numerical helpers the other modules share:
 log_sinh, the geometric-tail cut tail_cut, the ascending series
@@ -34,30 +35,15 @@ from functools import lru_cache
 
 import numpy as np
 
+from .closed import _check_order, bessel_j_oracle, gamma
 from .errors import DomainError, TruncationBudgetError
 
 __all__ = ["gamma", "bessel_j", "bessel_j_half", "bessel_j_oracle"]
 
-_ORACLE_XMAX = 30.0  # ascending series trusted only at moderate argument
-_ORACLE_DPS = 50     # worst-case cancellation at x=30 is ~1e11; 50 digits is ample
 _EPS = float(np.finfo(float).eps)
 _SERIES_DROP = 2.0**-56  # terms below this add nothing to a sum in [1/2, 1]
 _HANKEL_X = 25.0         # Hankel's expansion reaches eps at orders <= 3/2 from here
 _MILLER_LOG_TOP = math.log(2.0**-60)  # Miller starts where J has fallen this far
-
-
-def gamma(x: float) -> float:
-    """Gamma function for 0 < x <= 171.6, where it fits a double.
-
-    Relative error of the libm implementation is a few ulp, well inside
-    the 1e-12 contract on (0, 50]. Larger x raises DomainError.
-    """
-    if not x > 0.0:
-        raise DomainError(f"gamma requires x > 0, got {x}")
-    try:
-        return math.gamma(x)
-    except OverflowError:
-        raise DomainError(f"gamma({x}) overflows a double") from None
 
 
 def log_sinh(x):
@@ -103,13 +89,6 @@ def leggauss(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w
-
-
-def _check_order(p: float) -> float:
-    p = float(p)
-    if not p >= -0.5:
-        raise DomainError(f"Bessel order must be >= -1/2, got {p}")
-    return p
 
 
 def _half_integer_index(p: float) -> int | None:
@@ -342,37 +321,3 @@ def bessel_j(p: float, x: float) -> float:
         return float(out)
     return out
 
-
-def bessel_j_oracle(p: float, x: float, terms: int = 60) -> float:
-    """Ascending power series for J_p(x), evaluated in 50-digit arithmetic.
-
-    sum_{m=0}^{terms-1} (-1)^m (x/2)^{2m+p} / (m! Gamma(m+p+1))
-
-    Independent of the fast path above; used to validate it. The series
-    is only trusted at moderate argument (x <= 30), where `terms` partial
-    sums at 50 digits absorb the alternating-series cancellation that
-    would destroy a double-precision evaluation.
-
-    Deterministic: fixed summation order, fixed precision.
-    """
-    p = _check_order(p)
-    x = float(x)
-    if x < 0.0 or x > _ORACLE_XMAX:
-        raise DomainError(f"oracle trusted only on 0 <= x <= {_ORACLE_XMAX}, got {x}")
-    if terms < 10:
-        raise DomainError(f"oracle needs terms >= 10, got {terms}")
-    if x == 0.0:
-        if p == -0.5:
-            raise DomainError("J_{-1/2} diverges at x = 0")
-        return 1.0 if p == 0.0 else 0.0
-    import mpmath  # only the oracle needs it; kept off the package import
-
-    with mpmath.workdps(_ORACLE_DPS):
-        half = mpmath.mpf(x) / 2
-        acc = mpmath.mpf(0)
-        for m in range(terms):
-            term = (-1) ** m * half ** (2 * m + p) / (
-                mpmath.factorial(m) * mpmath.gamma(m + p + 1)
-            )
-            acc += term
-        return float(acc)

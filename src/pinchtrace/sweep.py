@@ -23,12 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import c_weight, g_bessel
+from .closed import c_weight
+from .counting import g_bessel
 from .errors import DomainError, PinchtraceError
-from .policy import ContourSpec, DEFAULT_POLICY, TruncationPolicy
+from .policy import DEFAULT_INVERSION_POLICY, DEFAULT_POLICY, ContourSpec, TruncationPolicy
 from .spectrum import PinchingSet
 from .trace import degenerating_trace
-from .xform import DEFAULT_INVERSION_POLICY, weighted_inverse
+from .xform import weighted_inverse
 
 __all__ = ["Schedule", "SweepRow", "SweepResult", "run_sweep", "fit_growth_exponent"]
 

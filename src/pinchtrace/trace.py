@@ -133,7 +133,11 @@ def _term_sum(entries, zs: np.ndarray, cuts) -> np.ndarray:
             sq = (n * ell) ** 2 / 4.0
             for j0 in range(0, zs.size, _NODE_CHUNK):
                 sl = slice(j0, min(zs.size, j0 + _NODE_CHUNK))
-                total[sl] += coef @ np.exp(-sq[:, None] / zs[None, sl])
+                # at a node of subnormal size the quotient passes the largest
+                # double: its real part is +inf and its imaginary part may be
+                # NaN (inf times 0), and either way its exponential is 0
+                with np.errstate(over="ignore", invalid="ignore"):
+                    total[sl] += coef @ np.exp(-sq[:, None] / zs[None, sl])
     return total
 
 

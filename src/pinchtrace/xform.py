@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed import gamma
 from .errors import (
     DomainError,
     ImaginaryResidueError,
@@ -28,8 +29,8 @@ from .errors import (
     TruncationBudgetError,
     UncertifiedTailWarning,
 )
-from .policy import ContourSpec, TruncationPolicy, default_contour
-from .specfun import gamma, leggauss
+from .policy import DEFAULT_INVERSION_POLICY, ContourSpec, TruncationPolicy, default_contour
+from .specfun import leggauss
 
 __all__ = [
     "bromwich",
@@ -39,15 +40,12 @@ __all__ = [
     "DEFAULT_INVERSION_POLICY",
 ]
 
-# Inversion tolerances are looser than series tolerances: contour tails
-# decay polynomially and each halving of the error doubles the cost.
-DEFAULT_INVERSION_POLICY = TruncationPolicy(
-    rel_tol=1e-7, abs_tol=1e-10, max_terms=100_000_000, max_quad_evals=20_000_000
-)
-
 _MAX_DOUBLINGS = 14
 _PANEL_NODES = 16
 _EVAL_BLOCK = 262_144
+_EPS = float(np.finfo(float).eps)
+_TERM_ROUNDINGS = 4  # per term: the exponential and the products w F e^{zT}
+_LOG_POWER_MAX = 600.0  # |log| of a power kept well inside the doubles
 
 
 @dataclass(frozen=True)
@@ -83,6 +81,14 @@ def _panel_nodes(edges_lo: float, edges_hi: float, width_cap: float):
     return s, w
 
 
+def _sums(terms: np.ndarray) -> tuple[complex, float]:
+    """(sum of terms, sum of |terms|). Overwrites terms, so that no block is
+    allocated, and drops them on return, before the next block is made."""
+    total = complex(np.sum(terms))
+    np.abs(terms, out=terms)
+    return total, float(np.sum(terms.real))
+
+
 def bromwich(
     F,
     T: float,
@@ -95,20 +101,27 @@ def bromwich(
     F must be vectorized over a complex ndarray. The line and starting
     height come from `contour` (or default_contour(T)); the height is
     doubled until the two most recent extensions both land inside
-    tolerance; the sum of their magnitudes is the reported tail bound.
+    tolerance. The reported tail bound is the sum of their magnitudes
+    plus a rounding allowance of (log2 N + 4) eps times the sum of the
+    N terms' absolute values (over pi, as the value): on a line where
+    the terms cancel down to a far smaller value, the allowance alone
+    can pass tol(value), and then the call raises TruncationBudgetError.
+    The error of F itself is F's to bound.
     """
     if not T > 0.0:
         raise DomainError(f"bromwich requires T > 0, got {T}")
     width_cap = math.pi / (4.0 * T)
     if contour is None:
         contour = default_contour(T)
-    else:
-        # honor a finer node density than the width cap implies
-        width_cap = min(width_cap, 2.0 * contour.s_max / (contour.n_nodes / _PANEL_NODES))
+    elif contour.n_nodes > default_contour(T, s_max=contour.s_max).n_nodes:
+        # honor a finer node density than the default derives for this height
+        width_cap = 2.0 * contour.s_max / (contour.n_nodes / _PANEL_NODES)
     a, s_hi = contour.a, contour.s_max
+    share = 1.0 if fold else 0.5  # of each half-line in the value
 
     evals = 0
     acc = 0.0 + 0.0j
+    mass = 0.0  # sum of the terms' absolute values
     deltas: list[float] = []
     s_lo = 0.0
     for _ in range(_MAX_DOUBLINGS + 1):
@@ -123,12 +136,14 @@ def bromwich(
         for lo in range(0, s.size, _EVAL_BLOCK):
             sb, wb = s[lo:lo + _EVAL_BLOCK], w[lo:lo + _EVAL_BLOCK]
             z = a + 1j * sb
-            up = complex(np.sum(wb * np.asarray(F(z), dtype=complex) * np.exp(z * T)))
+            up, size = _sums(wb * np.asarray(F(z), dtype=complex) * np.exp(z * T))
+            mass += share * size
             if fold:
                 chunk += up
             else:
                 zm = a - 1j * sb
-                dn = complex(np.sum(wb * np.asarray(F(zm), dtype=complex) * np.exp(zm * T)))
+                dn, size = _sums(wb * np.asarray(F(zm), dtype=complex) * np.exp(zm * T))
+                mass += share * size
                 chunk += 0.5 * (up + dn)
         if not fold:
             evals += s.size
@@ -150,7 +165,13 @@ def bromwich(
             f"at s_max = {s_hi:.3e}"
         )
 
-    tail = deltas[-1] + deltas[-2]
+    rounding = (math.log2(evals) + _TERM_ROUNDINGS) * _EPS * mass / math.pi
+    if not rounding < policy.tol(value):
+        raise TruncationBudgetError(
+            f"bromwich: rounding allowance {rounding:.3e} of the contour sum exceeds "
+            f"tolerance {policy.tol(value):.3e} on the line Re z = {a:.6g}"
+        )
+    tail = deltas[-1] + deltas[-2] + rounding
     imag = abs(acc.imag) / math.pi if not fold else 0.0
     if not fold and imag > 10.0 * policy.tol(value):
         raise ImaginaryResidueError(
@@ -176,7 +197,9 @@ def weighted_inverse(
     closed tail certificate from the generic contour decay bound, so the
     call emits UncertifiedTailWarning and relies on the adaptive height
     refinement alone; geodesic and eigenvalue traces decay termwise fast
-    enough in practice.
+    enough in practice. Without a contour, default_contour(T, w=w,
+    trace=trace) picks the line: a = 1/T, or the saddle line (w+1)/T
+    where one trace evaluation predicts that 1/T would round off too much.
     """
     if not w >= 0.0:
         raise DomainError(f"weight must be >= 0, got {w}")
@@ -186,11 +209,19 @@ def weighted_inverse(
             UncertifiedTailWarning,
             stacklevel=2,
         )
-    g = gamma(w + 1.0)
+    g, unit = gamma(w + 1.0), 1.0
+    if contour is None:
+        contour = default_contour(T, w=w, trace=trace)
+    log_a = math.log(contour.a)
+    log_g = math.lgamma(w + 1.0) - (w + 1.0) * log_a
+    if (w + 1.0) * abs(log_a) > _LOG_POWER_MAX >= abs(log_g):
+        # z^-(w+1) nears the end of the doubles where Gamma(w+1) a^-(w+1) does
+        # not (on the saddle line of a large weight): take the power of z/a
+        g, unit = math.exp(log_g), contour.a
 
     def F(z):
         value = g * np.asarray(trace(z), dtype=complex)
         with np.errstate(all="ignore"):  # bromwich rejects inf and NaN
-            return value * z ** (-(w + 1.0))
+            return value * (z / unit) ** (-(w + 1.0))
 
     return bromwich(F, T, contour=contour, policy=policy).value

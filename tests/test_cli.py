@@ -249,6 +249,8 @@ class TestMainInProcess:
         (["trace", "--input", "{long}", "--t", "1"], ["1", "0"]),
         (["dtrace", "--input", "{pinch}", "--t", "1e-300"], ["1e-300", "0"]),
         (["bessel", "--p", "1.2", "--x", "1e300"], None),
+        (["dtrace", "--input", "{pinch}", "--t", "1e-310"], ["9.9999999999999694e-311", "0"]),
+        (["heatkernel", "--t", "1", "--rho", "1e300"], ["1", "1.0000000000000001e+300", "0"]),
     ])
     def test_extreme_arguments_leak_no_runtime_warning(self, tmp_path, capsys, argv, row):
         # a RuntimeWarning is an error under the test configuration, so an
@@ -546,6 +548,9 @@ class TestSubprocess:
         (["invert", "--input", "{pinch}", "--w", "2", "--T", "1e-300"], 1,
          "pinchtrace: error: bromwich: the integrand is not finite"),
         (["dtrace", "--input", "{pinch}", "--t", "1", "--s", "1e300"], 0, ""),
+        (["cweight", "--w", "1", "--T", "1e300"], 1, "pinchtrace: error: c_w(T) overflows"),
+        (["heatkernel", "--t", "1e-300", "--rho", "1"], 0, ""),
+        (["heatkernel", "--t", "1e300", "--rho", "1"], 0, ""),
     ])
     def test_extreme_arguments_exit_without_traceback(self, tmp_path, argv, code, prefix):
         # an unrepresentable argument is a domain error; values that
@@ -562,8 +567,75 @@ class TestSubprocess:
             assert proc.stderr == ""
             values = [float(v) for v in proc.stdout.splitlines()[1].split(",")]
             assert all(map(math.isfinite, values))
-            if argv[0] == "cylinder":
+            if argv[0] in ("cylinder", "heatkernel"):
                 assert values[-1] == 0.0
+
+    @pytest.mark.parametrize("argv, code, numpy_loaded", [
+        (None, None, False),  # import pinchtrace alone
+        (["cweight", "--w", "1", "--T", "1.2"], 0, False),
+        (["count", "--input", "{eig}", "--w", "1", "--T", "1"], 0, False),
+        (["balance", "--f-ell", "0.01", "--log-sum", "4"], 0, False),
+        (["bessel", "--p", "2.5", "--x", "3", "--oracle"], 0, False),
+        (["dtrace", "--input", "{bad}", "--t", "1"], 1, False),
+        (["frobnicate"], 64, False),
+        (["gfunc", "--input", "{pinch}", "--w", "2", "--T", "1"], 0, True),
+    ])
+    def test_closed_form_calls_never_load_numpy(self, tmp_path, argv, code, numpy_loaded):
+        docs = {"eig": {"version": 1, "volume": 1.0,
+                        "eigenvalues": [{"lambda": 0.0, "multiplicity": 1}]},
+                "bad": {"version": 1, "pinching": []},
+                "pinch": {"version": 1, "pinching": [0.1]}}
+        for name, doc in docs.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        if argv is not None:
+            argv = [a.format(**{n: tmp_path / n for n in docs}) for a in argv]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import pinchtrace\n"
+            "loaded = ['numpy' in sys.modules]\n"
+            "argv = json.loads(sys.argv[1])\n"
+            "code = None\n"
+            "if argv is not None:\n"
+            "    from pinchtrace import cli\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "        try:\n"
+            "            code = cli.main(argv)\n"
+            "        except SystemExit as exc:\n"
+            "            code = exc.code\n"
+            "    loaded.append('numpy' in sys.modules)\n"
+            "print(json.dumps([code, loaded]))\n")
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        got_code, loaded = json.loads(proc.stdout)
+        assert got_code == code
+        assert loaded[0] is False  # import pinchtrace
+        assert loaded[-1] is numpy_loaded
+
+    def test_lazy_package_resolves_every_public_name(self):
+        script = (
+            "import sys, pinchtrace\n"
+            "listed = set(dir(pinchtrace))\n"
+            "assert set(pinchtrace.__all__) <= listed, set(pinchtrace.__all__) - listed\n"
+            "assert 'numpy' not in sys.modules\n"
+            "for name in pinchtrace.__all__:\n"
+            "    getattr(pinchtrace, name)\n"
+            "ns = {}\n"
+            "exec('from pinchtrace import *', ns)\n"
+            "assert set(pinchtrace.__all__) <= set(ns)\n"
+            "assert pinchtrace.c_weight is pinchtrace.counting.c_weight\n"
+            "assert pinchtrace.bessel_j_oracle is pinchtrace.specfun.bessel_j_oracle\n"
+            "assert pinchtrace.DEFAULT_INVERSION_POLICY is "
+            "pinchtrace.xform.DEFAULT_INVERSION_POLICY\n"
+            "try:\n"
+            "    pinchtrace.no_such_name\n"
+            "except AttributeError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('unknown name resolved')\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_import_leaves_out_quadrature_and_mpmath(self):
         code = ("import sys, pinchtrace; print(sorted(m for m in "

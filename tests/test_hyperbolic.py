@@ -73,6 +73,20 @@ def test_gaussian_decay_bound():
     assert heat_kernel(1.0, 10.0) <= math.exp(-25.0)
 
 
+@pytest.mark.parametrize("t", [0.05, 0.5, 1.0, 4.0, 20.0])
+def test_kernel_below_closed_form_bound(t):
+    # cosh u - cosh rho >= (u^2 - rho^2)/2 gives K <= e^{-t/4 - rho^2/4t}/(4 pi t),
+    # the bound heat_kernel tests for underflow before its quadrature
+    for rho in (0.0, 0.1, 1.0, 3.0, 8.0):
+        bound = math.exp(-t / 4.0 - rho * rho / (4.0 * t)) / (4.0 * math.pi * t)
+        assert heat_kernel(t, rho) <= bound * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("t, rho", [(1.0, 1e300), (1e-300, 1.0), (1e300, 1.0), (1.0, 60.0)])
+def test_kernel_underflows_to_zero(t, rho):
+    assert heat_kernel(t, rho) == 0.0
+
+
 def test_kernel_positive_and_decreasing_in_distance():
     t = 0.7
     prev = heat_kernel(t, 0.05)
@@ -101,6 +115,8 @@ def test_kernel_domain_errors():
         heat_kernel(-1.0, 1.0)
     with pytest.raises(DomainError):
         heat_kernel(1.0, -0.1)
+    with pytest.raises(DomainError):  # (4 pi t)^{3/2} underflows a double
+        heat_kernel(1e-300, 0.0)
     with pytest.raises(DomainError):
         heat_kernel_origin(0.0)
 

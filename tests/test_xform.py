@@ -15,8 +15,11 @@ from pinchtrace import (
     PinchingSet,
     SpectralData,
     TailEstimateError,
+    TruncationBudgetError,
     UncertifiedTailWarning,
     bromwich,
+    counting_direct,
+    default_contour,
     degenerating_trace,
     g_bessel,
     spectral_trace,
@@ -130,3 +133,28 @@ class TestWeightedInverse:
             v = weighted_inverse(lambda z: degenerating_trace(ps, z), 0.0, 1.0)
         want = g_bessel(ps, 0.0, 1.0)
         assert abs(v - want) <= 10.0 * DEFAULT_INVERSION_POLICY.rel_tol * abs(want)
+
+    @pytest.mark.parametrize("w", [15.0, 30.0, 150.0])
+    def test_large_weight_matches_direct_count(self, w):
+        # on a = 1/T the terms reach about Gamma(w+1) T^(w+1) and cancel
+        # down to N_w(T): the line moves to the saddle point a = (w+1)/T,
+        # where at w = 150 z^-(w+1) alone would underflow
+        sd = SpectralData.of([(0.0, 1), (0.2, 1)])
+        v = weighted_inverse(lambda z: spectral_trace(sd, z), w, 1.0)
+        want = counting_direct(sd, w, 1.0)
+        assert abs(v - want) <= DEFAULT_INVERSION_POLICY.tol(want)
+
+    def test_rounding_on_the_forced_line_raises(self):
+        sd = SpectralData.of([(0.0, 1), (0.2, 1)])
+        with pytest.raises(TruncationBudgetError, match="rounding"):
+            weighted_inverse(lambda z: spectral_trace(sd, z), 30.0, 1.0,
+                             contour=default_contour(1.0))
+
+    @pytest.mark.parametrize("w", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
+    def test_moderate_weights_keep_the_line(self, w, T):
+        sd = SpectralData.of([(0.0, 1), (0.13, 1), (0.37, 2), (0.71, 1), (0.86, 3),
+                              (1.4, 1), (1.77, 2)])
+        line = default_contour(T, w=w, trace=lambda z: spectral_trace(sd, z))
+        assert line == default_contour(T)
+
