@@ -25,7 +25,8 @@ live in the numpy-free module closed; they are re-exported here.
 
 The module also holds the numerical helpers the other modules share:
 log_sinh, the geometric-tail cut tail_cut, the ascending series
-ascending_series and the cached Gauss-Legendre rule leggauss.
+ascending_series, the cached Gauss-Legendre rule leggauss and gauss_rule,
+which sizes that rule from a bound on the integrand.
 """
 
 from __future__ import annotations
@@ -89,6 +90,37 @@ def leggauss(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+def gauss_rule(a: float, b: float, log_bound, mass: float, ulps: float, beta_max: float,
+               target: float, cap: int):
+    """Nodes, weights and error bound of the least Gauss-Legendre rule on [a, b],
+    in multiples of 8 points, certified within target.
+
+    log_bound(beta) bounds log|f| on the box |Im z| <= beta holding the
+    ellipse of foci a, b and semi-minor axis beta, for an array of 0 < beta
+    < beta_max. With h = (b - a)/2 and log rho = asinh(beta/h), the n-point
+    rule errs by at most h (64/15) e^{log_bound} rho^{2-2n}/(rho^2 - 1), as
+    it is exact on T_k but for even k >= 2n (Trefethen, SIAM Rev. 50, 2008,
+    Thm 4.5, for n + 1 points). That at the best beta and the rounding,
+    (n + ulps) eps mass with mass >= sum |w_i f(x_i)| and ulps bounding the
+    error of each term, take half the target each; TruncationBudgetError
+    past cap points.
+    """
+    h = 0.5 * (b - a)
+    beta = beta_max * 2.0 ** (-np.arange(1, 25) / 4.0)
+    log_rho = np.arcsinh(beta / h)
+    # the quadrature bound is e^{log_c} rho^{-2n}
+    log_c = (math.log(64.0 / 15.0 * h) + log_bound(beta)
+             + 2.0 * log_rho - np.log(np.expm1(2.0 * log_rho)))
+    need = np.min((log_c - math.log(0.5 * target)) / (2.0 * log_rho)) if target > 0.0 else np.inf
+    n = 8 * math.ceil(min(max(float(need), 2.0), cap + 1.0) / 8.0)
+    rounding = (n + ulps) * _EPS * mass
+    if n > cap or not rounding <= 0.5 * target:
+        raise TruncationBudgetError(f"cannot certify {target:.3g} within {cap} quadrature nodes")
+    x, w = leggauss(n)
+    bound = math.exp(float(np.min(log_c - 2.0 * n * log_rho))) + rounding
+    return a + h * (x + 1.0), h * w, bound
 
 
 def _half_integer_index(p: float) -> int | None:

@@ -127,7 +127,7 @@ _FUZZ = st.one_of(
 )
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(data=_FUZZ)
 def test_parse_input_raises_only_schema_errors(data):
     try:
@@ -210,6 +210,11 @@ class TestMainInProcess:
     def test_nonconvergence_exits_two(self, capsys):
         assert main(["cylinder", "--ell", "0.05", "--t", "1",
                      "--max-terms", "1"]) == 2
+
+    def test_quadrature_budget_exits_two(self, capsys):
+        assert main(["cylinder", "--ell", "0.5", "--t", "1",
+                     "--max-quad-evals", "100"]) == 2
+        assert capsys.readouterr().err.startswith("pinchtrace: did not converge:")
 
     def test_wrong_payload_kind_exits_one(self, tmp_path, capsys):
         f = tmp_path / "p.json"
@@ -569,6 +574,15 @@ class TestSubprocess:
             assert all(map(math.isfinite, values))
             if argv[0] in ("cylinder", "heatkernel"):
                 assert values[-1] == 0.0
+
+    def test_kernel_at_tiny_time_fits_a_double(self):
+        # (4 pi t)^{3/2} underflows, K(t, 0) ~ 8e298 does not
+        proc = subprocess.run(self.CMD + ["heatkernel", "--t", "1e-300", "--rho", "0"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        value = float(proc.stdout.splitlines()[1].split(",")[2])
+        assert math.isfinite(value) and value > 1e298
 
     @pytest.mark.parametrize("argv, code, numpy_loaded", [
         (None, None, False),  # import pinchtrace alone

@@ -167,7 +167,7 @@ def test_sandwich_tightens_as_epsilon_shrinks():
     assert m == pytest.approx(at_T, rel=1e-7)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(
     spectrum=st.lists(st.tuples(st.floats(0.0, 3.0), st.integers(1, 3)), min_size=1, max_size=12),
     w=st.floats(0.0, 3.0), T=st.floats(0.0, 3.5), eps=st.floats(1e-3, 1.0),
@@ -270,7 +270,7 @@ def test_em_route_matches_direct_route(w, T):
         assert abs(em - direct) <= DEFAULT_POLICY.tol(em) + DEFAULT_POLICY.tol(direct)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(
     w=st.floats(0.0, 6.0),
     T=st.floats(0.26, 12.0),
@@ -285,7 +285,7 @@ def test_em_route_matches_direct_route_property(w, T, k):
     assert abs(chosen - direct) <= DEFAULT_POLICY.tol(chosen) + DEFAULT_POLICY.tol(direct)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(
     w=st.floats(0.0, 6.0),
     T=st.floats(0.26, 12.0),
@@ -377,7 +377,7 @@ def test_large_threshold_value_is_stable_under_one_ulp(w):
         assert abs(got - g_sine_form(ps, T)) <= 2.0 * DEFAULT_POLICY.tol(got)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(w=st.floats(0.0, 5.0), T=st.floats(0.3, 40.0), ell=st.floats(0.05, 3.0))
 @example(w=10.0, T=1.0, ell=0.5)
 @example(w=40.0, T=1.0, ell=0.1)
@@ -448,7 +448,7 @@ def test_shallow_length_at_large_threshold_builds_nothing(monkeypatch):
     assert _expansion.cache_info().misses == 0
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(log_ell=st.floats(math.log(2.0**-20), math.log(4.0)), w=st.floats(0.0, 40.0),
        log_t=st.floats(math.log(0.26), math.log(1e6)))
 def test_gate_passes_every_length_the_remainder_bound_can_serve_property(log_ell, w, log_t):
@@ -464,7 +464,7 @@ def test_gate_passes_every_length_the_remainder_bound_can_serve_property(log_ell
     assert series._may_certify(ell, log_ell) or not exact
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(log_ell=st.floats(math.log(1.0 / 32.0), 0.0), w=st.floats(0.0, 6.0),
        T=st.floats(0.3, 50.0))
 @example(log_ell=math.log(0.35), w=0.0, T=1.0)
@@ -549,7 +549,7 @@ def _gl_integral(f, lo, hi, n=10):
     return half * sum(wi * f(mid + half * xi) for xi, wi in zip(x, wts))
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(ell=st.floats(0.05, 1.0), w=st.integers(0, 5), T=st.floats(0.5, 3.0))
 def test_g_derivative_recursion_property(ell, w, T):
     # d/dT G_{w+1} = (w+1) G_w in integrated form over [T - h, T + h]. G is
@@ -566,7 +566,7 @@ def test_g_derivative_recursion_property(ell, w, T):
     assert abs((hi - lo) - rhs) <= 2.0 * tol
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(
     spectrum=st.lists(st.tuples(st.floats(0.0, 3.0), st.integers(1, 3)), min_size=1, max_size=12),
     w=st.integers(0, 5), T=st.floats(0.05, 3.5),
@@ -671,7 +671,7 @@ def _limit_reference(w, T):
     return g - coef[0] * math.log(1.0 / ell) - powers, DEFAULT_POLICY.tol(g)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 @given(w=st.floats(0.0, 6.0), log_t=st.floats(math.log(0.26), math.log(1e4)))
 @example(w=0.0, log_t=math.log(4000.0))
 @example(w=0.0, log_t=math.log(5000.0))
@@ -791,7 +791,7 @@ def test_nonfinite_arguments_rejected():
             g_bessel(ps, w, T)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(nu=st.floats(0.5, 60.0), x=st.floats(1e-3, 200.0))
 @example(nu=2.5, x=3.0)
 @example(nu=20.5, x=22.0)

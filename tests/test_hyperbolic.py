@@ -1,9 +1,12 @@
 """Heat kernel, origin value, displacement and the cylinder trace."""
 
+import contextlib
 import math
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from pinchtrace import (
@@ -11,6 +14,7 @@ from pinchtrace import (
     DomainError,
     LengthSpectrum,
     NonConvergenceError,
+    TruncationBudgetError,
     TruncationPolicy,
     cylinder_displacement,
     cylinder_trace,
@@ -67,6 +71,98 @@ def test_kernel_at_zero_distance_equals_origin_value(t):
     assert heat_kernel(t, 0.0) == pytest.approx(heat_kernel_origin(t), rel=1e-4)
 
 
+@pytest.mark.parametrize("rho", [3e-9, 1e-8])
+@pytest.mark.parametrize("t", [0.3, 0.5, 1.0, 2.0, 3.0, 10.0])
+def test_kernel_near_zero_distance_equals_origin_value(t, rho):
+    # K is even in rho, so K(t, rho) - K(t, 0) is O(rho^2): far below tol.
+    # The substitution u = rho + v^2 put branch points at v = +-i sqrt(2 rho),
+    # next to the end v = 0, and two agreeing mesh levels missed by 1-8 tol
+    origin = heat_kernel_origin(t)
+    assert abs(heat_kernel(t, rho) - origin) <= DEFAULT_POLICY.tol(origin)
+
+
+@contextlib.contextmanager
+def _stated_bounds():
+    """Record the bound of every rule gauss_rule builds for hyperbolic."""
+    bounds = []
+    real = hyperbolic.gauss_rule
+
+    def spy(*args):
+        rule = real(*args)
+        bounds.append(rule[2])
+        return rule
+
+    hyperbolic.gauss_rule = spy
+    try:
+        yield bounds
+    finally:
+        hyperbolic.gauss_rule = real
+
+
+def _mp_kernel_v(t: float, rho: float):
+    """30-digit McKean v-form, u = rho + v^2, split at sqrt(2 rho) 4^k.
+
+    Its integrand has branch points at v = +-i sqrt(2 rho), so the splits
+    keep every piece's nearest singularity a piece-width away.
+    """
+    with mp.workdps(30):
+        t_, r_ = mp.mpf(t), mp.mpf(rho)
+
+        def f(v):
+            u = r_ + v * v
+            den = mp.sqrt(2 * mp.sinh(r_ + v * v / 2) * mp.sinh(v * v / 2))
+            return 2 * v * u * mp.exp(-u * u / (4 * t_)) / den
+
+        vmax = mp.sqrt(mp.sqrt(r_ * r_ + 4 * t_ * 80) - r_)
+        pts, b = [mp.mpf(0)], max(mp.sqrt(2 * r_), mp.mpf("1e-12"))
+        while b < vmax:
+            pts.append(b)
+            b *= 4
+        pref = mp.sqrt(2) * mp.exp(-t_ / 4) / (4 * mp.pi * t_) ** mp.mpf("1.5")
+        return pref * mp.quad(f, pts + [vmax])
+
+
+def _mp_origin_tanh(t: float):
+    """30-digit (1/2 pi) int_0^inf e^{-(1/4 + r^2) t} tanh(pi r) r dr."""
+    with mp.workdps(30):
+        t_ = mp.mpf(t)
+        rmax = mp.sqrt(80 / t_) + 2
+        pts = [mp.mpf(0)] + [mp.mpf(2) ** k for k in range(-2, 12) if 2**k < rmax] + [rmax]
+        val = mp.quad(lambda r: mp.exp(-(mp.mpf(1) / 4 + r * r) * t_) * mp.tanh(mp.pi * r) * r, pts)
+        return val / (2 * mp.pi)
+
+
+_LOG_T = st.floats(math.log(1e-3), math.log(100.0))
+
+
+@settings(max_examples=40)
+@given(log_t=_LOG_T, log_rho=st.one_of(st.none(), st.floats(math.log(1e-300), math.log(10.0))))
+def test_kernel_within_stated_bound_property(log_t, log_rho):
+    t, rho = math.exp(log_t), 0.0 if log_rho is None else math.exp(log_rho)
+    with _stated_bounds() as bounds:
+        got = heat_kernel(t, rho)
+    want = _mp_kernel_v(t, rho)
+    err = float(abs(got - want))
+    assert err <= DEFAULT_POLICY.tol(float(want))
+    if bounds:  # else K underflowed before any rule was built
+        assert err <= bounds[0]
+    else:
+        assert got == 0.0 and want < 1e-300
+
+
+@settings(max_examples=30)
+@given(log_t=_LOG_T)
+def test_origin_within_stated_bound_property(log_t):
+    t = math.exp(log_t)
+    with _stated_bounds() as bounds:
+        got = heat_kernel_origin(t)
+    want = _mp_origin_tanh(t)
+    err = float(abs(got - want))
+    assert err <= DEFAULT_POLICY.tol(float(want))
+    # the lead's rounding rides outside the rule, within 4 eps of it
+    assert err <= bounds[0] + 4.0 * 2.0**-52 * math.exp(-t / 4.0) / (4.0 * math.pi * t)
+
+
 def test_gaussian_decay_bound():
     # K(t, rho) <= C e^{-rho^2/4t}; at t=1, rho=10 the plain e^{-25}
     # already dominates by nearly three orders.
@@ -115,8 +211,9 @@ def test_kernel_domain_errors():
         heat_kernel(-1.0, 1.0)
     with pytest.raises(DomainError):
         heat_kernel(1.0, -0.1)
-    with pytest.raises(DomainError):  # (4 pi t)^{3/2} underflows a double
-        heat_kernel(1e-300, 0.0)
+    # (4 pi t)^{3/2} underflows a double here, but K(t, 0) ~ 8e298 does not
+    origin = heat_kernel_origin(1e-300)
+    assert abs(heat_kernel(1e-300, 0.0) - origin) <= DEFAULT_POLICY.tol(origin)
     with pytest.raises(DomainError):
         heat_kernel_origin(0.0)
 
@@ -203,6 +300,26 @@ def test_cylinder_short_length_guard():
         cylinder_trace(0.04, 1.0)
     # boundary value is accepted
     assert cylinder_trace(0.05, 1.0) > 0.0
+
+
+@settings(max_examples=30)
+@given(log_ell=st.floats(math.log(0.05), math.log(5.0)),
+       log_t=st.floats(math.log(0.1), math.log(20.0)))
+def test_cylinder_within_stated_bounds_property(log_ell, log_t):
+    ell, t = math.exp(log_ell), math.exp(log_t)
+    with _stated_bounds() as bounds:
+        got = cylinder_trace(ell, t)
+    closed = hyperbolic_trace(LengthSpectrum.of([(ell, 1)]), t)
+    err = abs(got - closed)
+    assert err <= DEFAULT_POLICY.tol(closed)
+    # the two rules' stated bounds, plus the half of the tolerance the n-cut takes
+    assert err <= sum(bounds) + 0.5 * DEFAULT_POLICY.tol(closed)
+
+
+def test_cylinder_quadrature_budget():
+    # even the least outer rule, 8 nodes, on each of the n-rows passes 100 evaluations
+    with pytest.raises(TruncationBudgetError):
+        cylinder_trace(0.5, 1.0, TruncationPolicy(max_quad_evals=100))
 
 
 def test_cylinder_budget_exhaustion():

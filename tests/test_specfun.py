@@ -51,7 +51,7 @@ def _sine_envelope(ell, sa):
     return lambda n: math.log(min(1.0 / n, ell * sa)) - log_sinh(0.5 * n * ell)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(ell=st.floats(0.05, 3.0), sa=st.floats(0.1, 4.0), log_target=st.floats(-32.0, -2.0))
 def test_tail_cut_is_the_smallest_certified_cut(ell, sa, log_target):
     target = math.exp(log_target)
@@ -160,7 +160,7 @@ def _mp_besselj(p, x):
         return float(mpmath.besselj(p, x))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(n=st.integers(0, 12), x=st.floats(0.0, 200.0))
 @example(n=0, x=0.0)
 @example(n=3, x=3.0)                          # x = n: the last series point
@@ -218,7 +218,7 @@ def test_bessel_j_half_recurs_upward_only_above_its_order(monkeypatch):
     assert got[1] == pytest.approx(_mp_besselj(3.5, 5.0), rel=1e-14)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(p=st.floats(-0.49, 40.0), x=st.floats(0.0, 200.0))
 @example(p=1.2, x=math.sqrt(4.4))                       # series edge x^2 = 2(p + 1)
 @example(p=1.2, x=float(np.nextafter(math.sqrt(4.4), 3.0)))  # first Miller point
@@ -252,7 +252,7 @@ def test_bessel_j_arrays_and_extremes():
         bessel_j(-0.3, np.array([1.0, 0.0]))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(nu=st.floats(0.5, 60.0), frac=st.floats(0.0, 1.0))
 def test_ascending_series_equals_the_fixed_sixty_term_sum(nu, frac):
     # terms past the stop are below half an ulp of the sum, so the early

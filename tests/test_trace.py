@@ -218,7 +218,7 @@ def _routes(entries, zs, policy=DEFAULT_POLICY, max_cost=1e8):
     return trace._taylor_sum(entries, zs, log_env, target, cap, max_cost), direct, target
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 @given(
     a=st.floats(0.05, 20.0),
     doublings=st.integers(-1, 8),  # -1: the band [0, 16/a]; k: [S, 2S] with S = 2^k 16/a
@@ -279,7 +279,7 @@ def test_large_abscissa_overflows_nothing():
         assert float(np.max(np.abs(taylor - direct))) <= 2.0 * target
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(
     terms=st.lists(st.tuples(st.floats(-700.0, 3.0), st.floats(0.0, 200.0)), min_size=1,
                    max_size=40),
