@@ -41,16 +41,15 @@ __all__ = [
     "DEFAULT_INVERSION_POLICY", "default_contour",
     # errors
     "PinchtraceError", "DomainError", "SchemaError", "NonConvergenceError",
-    "TruncationBudgetError", "TailEstimateError", "ImaginaryResidueError",
-    "UncertifiedTailWarning",
+    "TruncationBudgetError", "UncertifiedTailWarning",
 ]
 
 # public name -> the submodule that defines it, imported on first use
 _MODULES = {name: module for module, names in (
     ("closed", "balance_epsilon bessel_j_oracle c_weight counting_direct gamma"),
     ("counting", "g_bessel g_expansion g_limit g_residual g_sine_form sandwich_check"),
-    ("errors", "DomainError ImaginaryResidueError NonConvergenceError PinchtraceError "
-               "SchemaError TailEstimateError TruncationBudgetError UncertifiedTailWarning"),
+    ("errors", "DomainError NonConvergenceError PinchtraceError SchemaError "
+               "TruncationBudgetError UncertifiedTailWarning"),
     ("hyperbolic", "cylinder_displacement cylinder_trace heat_kernel heat_kernel_origin"),
     ("policy", "ContourSpec DEFAULT_INVERSION_POLICY DEFAULT_POLICY TruncationPolicy "
                "default_contour"),

@@ -11,8 +11,6 @@ __all__ = [
     "SchemaError",
     "NonConvergenceError",
     "TruncationBudgetError",
-    "TailEstimateError",
-    "ImaginaryResidueError",
     "UncertifiedTailWarning",
 ]
 
@@ -43,20 +41,10 @@ class NonConvergenceError(PinchtraceError, RuntimeError):
 
 
 class TruncationBudgetError(NonConvergenceError):
-    """The adaptive tail bound could not certify tolerance within max_terms."""
-
-
-class TailEstimateError(NonConvergenceError):
-    """Contour truncation error estimate exceeds the requested tolerance."""
-
-
-class ImaginaryResidueError(NonConvergenceError):
-    """|Im| of a nominally real inversion is too large.
-
-    Signals a non-real-valued inverse or a bad contour; threshold is
-    ten times the working tolerance.
-    """
+    """A tail bound or rounding allowance could not certify tolerance within
+    the policy's budget (max_terms terms or max_quad_evals nodes)."""
 
 
 class UncertifiedTailWarning(UserWarning):
-    """Inversion ran without a closed tail certificate (small weights)."""
+    """weighted_inverse at w <= 3/2, where the integrand decays slowest and the
+    two-extension tail estimate, the only one any inversion has, is weakest."""

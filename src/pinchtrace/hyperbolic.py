@@ -216,7 +216,10 @@ def cylinder_trace(ell: float, t: float, policy: TruncationPolicy = DEFAULT_POLI
     tol = policy.tol(math.exp(log_env(1) + log_c))
     count = tail_cut(log_env, ell, 0.5 * tol * math.exp(min(-log_c, 700.0)),
                      min(100_000, policy.max_terms))
-    log_s = log_sinh(0.5 * ell * np.arange(1, count + 1, dtype=float))
+    n = np.arange(1, count + 1, dtype=float)
+    log_s = log_sinh(0.5 * ell * n)
+    # the outer integrand is positive: over [0, inf) its rows sum to their closed form
+    whole = float(np.sum(np.exp(log_c + math.log(ell) - log_s - (n * ell) ** 2 / (4.0 * t))))
     dcut = math.sqrt(ell * ell + 4.0 * t * _GAUSS_CUT)
     lift = log_sinh(0.5 * dcut) - float(log_s[0])  # cosh Sigma = e^lift
     sig = lift + math.log1p(math.sqrt(-math.expm1(-2.0 * lift)))
@@ -232,7 +235,7 @@ def cylinder_trace(ell: float, t: float, policy: TruncationPolicy = DEFAULT_POLI
         return (log_pref + np.logaddexp.reduce(peak, axis=0) + beta * beta / t
                 - np.log(np.sinc(2.0 * beta / math.pi)))
 
-    sg, wg, _ = gauss_rule(0.0, sig, log_bound, top + 0.25 * tol, 64.0, 0.5 * math.pi,
+    sg, wg, _ = gauss_rule(0.0, sig, log_bound, whole + 0.25 * tol, 64.0, 0.5 * math.pi,
                            0.25 * tol - tail, policy.max_quad_evals // count)
 
     d = 2.0 * _half_distance(log_s[:, None] + np.logaddexp(sg, -sg) - math.log(2.0))

@@ -392,6 +392,23 @@ class TestMainInProcess:
         rows = _csv_rows(out)
         assert rows[0] == ["t", "s", "htr_re", "htr_im"]
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="panels of width pi/4T do not resolve z^-(w+1), which varies "
+                              "on a scale of a/sqrt(w+1) near s = 0 (ROADMAP item 8)")
+    @pytest.mark.parametrize("extra", [[], ["--contour-smax", "20"]])
+    def test_forced_line_at_large_weight_is_right_or_exits_two(self, tmp_path, capsys, extra):
+        # on a = 1/T at w = 100 the call prints about -4e156 and exits 0
+        f = tmp_path / "eig.json"
+        f.write_text(json.dumps({"version": 1, "volume": 1.0, "eigenvalues": [
+            {"lambda": 0.0, "multiplicity": 1}, {"lambda": 0.2, "multiplicity": 1}]}))
+        code, out = _run_main(["invert", "--input", str(f), "--w", "100", "--T", "1",
+                               "--contour-a", "1"] + extra, capsys)
+        if code == 2:
+            return
+        assert code == 0
+        want = 1.0 + 0.8**100
+        assert abs(float(_csv_rows(out)[1][2]) - want) <= DEFAULT_INVERSION_POLICY.tol(want)
+
 
 _LS = LengthSpectrum.of([(1.0, 1), (2.0, 2)])
 _SD = SpectralData.of([(0.0, 1), (0.2, 1), (0.7, 2)], volume=4.0 * math.pi)

@@ -329,6 +329,14 @@ def test_cylinder_budget_exhaustion():
         cylinder_trace(0.05, 1.0, tight)
 
 
+def test_cylinder_outer_rounding_counts_the_rows():
+    # the outer rule's rounding is charged against the closed-form sum of
+    # the rows, not the bound L/(1 - e^{-ell/2}) on the trace (40 L here)
+    fine = TruncationPolicy(rel_tol=1e-11, abs_tol=1e-300)
+    closed = hyperbolic_trace(LengthSpectrum.of([(0.05, 1)]), 2.0, fine)
+    assert abs(cylinder_trace(0.05, 2.0, fine) - closed) <= fine.tol(closed)
+
+
 def test_cylinder_domain_errors():
     with pytest.raises(DomainError):
         cylinder_trace(1.0, 0.0)
