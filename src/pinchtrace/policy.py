@@ -76,7 +76,8 @@ DEFAULT_POLICY = TruncationPolicy()
 
 # Inversion tolerances are looser than series tolerances: contour tails
 # decay polynomially and each halving of the error doubles the cost. The
-# budget allows 15 extensions of default_contour's height (5,340,464 nodes).
+# budget is about 25 times the slowest-decaying inversion in the tests, w = 0
+# at ell = 0.1: 15 extensions of default_contour's height, 312,432 nodes.
 DEFAULT_INVERSION_POLICY = TruncationPolicy(
     rel_tol=1e-7, abs_tol=1e-10, max_terms=100_000_000, max_quad_evals=8_000_000
 )
@@ -101,9 +102,10 @@ def default_contour(T: float, a: float | None = None, s_max: float | None = None
     it exceeds DEFAULT_INVERSION_POLICY.abs_tol, the tolerance of a zero
     value, a moves to (w+1)/T, the saddle point of e^{zT} z^{-(w+1)}:
     there the terms do not cancel. s_max = 16/T is a deliberately low
-    initial height, later doubled adaptively until two refinements
+    initial height, later doubled adaptively until two extensions
     agree. The node count matches 16-point panels of width pi/(4T) over
-    [-s_max, s_max].
+    [-s_max, s_max], the starting width, which bromwich's width check
+    then halves or doubles extension by extension.
     """
     if not T > 0.0:
         raise DomainError(f"inversion time must be > 0, got {T}")

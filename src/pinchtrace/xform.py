@@ -1,10 +1,16 @@
 """Bromwich-contour inversion of Laplace transforms.
 
-Inversion runs along the vertical line Re z = a with composite
-Gauss-Legendre panels narrow enough (width <= pi/4T) to resolve the e^{isT}
-oscillation, doubling the truncation height s_max until two successive
-extensions agree or the policy's quadrature budget is spent; panels are
-appended, never recomputed, so refinement is incremental and deterministic.
+Inversion runs along the vertical line Re z = a with composite 16-point
+Gauss-Legendre panels, doubling the truncation height s_max until two
+successive extensions agree or the policy's quadrature budget is spent.
+Each extension is summed at two panel widths, L and 2L, in one evaluation
+of the transform; their difference is charged to the tail bound, a
+difference above a small share of the tolerance redoes the extension at
+L/2, and one well inside it hands 2L to the next extension. So the width
+follows the integrand: narrow where z^{-(w+1)} is steep near s = 0, wide
+in the tail, where a few slow oscillations multiply a smooth power.
+Extensions are appended, never recomputed, so refinement is incremental
+and deterministic.
 
 Every transform inverted here is that of a real function, so conjugate
 symmetry F(conj z) = conj F(z) holds: the sum runs over the upper half-line
@@ -37,14 +43,18 @@ _EVAL_BLOCK = 262_144
 _EPS = float(np.finfo(float).eps)
 _TERM_ROUNDINGS = 4  # per term: the exponential and the products w F e^{zT}
 _LOG_POWER_MAX = 600.0  # |log| of a power kept well inside the doubles
+_WIDTH_SHARE = 1.0 / 16.0  # of tol(value), for one extension's width check
+_WIDEN_MARGIN = 1.0 / 64.0  # of that share: a check passed by this much widens
 
 
 @dataclass(frozen=True)
 class InversionResult:
     """Outcome of a contour inversion.
 
-    value is the real inverse; tail_bound estimates the truncation error
-    from the last two height doublings, plus the rounding allowance.
+    value is the real inverse; tail_bound estimates its error: the last two
+    height extensions' magnitudes, plus every extension's width charge (the
+    difference between its sums at panel widths L and 2L), plus the
+    rounding allowance.
     """
 
     value: float
@@ -57,25 +67,44 @@ class InversionResult:
         return self.value
 
 
-def _panel_nodes(edges_lo: float, edges_hi: float, width_cap: float):
-    """Gauss-Legendre nodes and weights covering [edges_lo, edges_hi]."""
-    span = edges_hi - edges_lo
-    n_panels = max(1, int(math.ceil(span / width_cap)))
-    edges = np.linspace(edges_lo, edges_hi, n_panels + 1)
+def _panel_nodes(s_lo: float, s_hi: float, panels: tuple[int, ...]):
+    """Gauss-Legendre nodes and weights of n equal panels on [s_lo, s_hi] for
+    each n in panels, one rule after the other."""
     xg, wg = leggauss(_PANEL_NODES)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    s = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
-    return s, w
+    s, w = [], []
+    for n in panels:
+        edges = np.linspace(s_lo, s_hi, n + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        s.append((mid[:, None] + half[:, None] * xg[None, :]).ravel())
+        w.append((half[:, None] * wg[None, :]).ravel())
+    return np.concatenate(s), np.concatenate(w)
 
 
-def _sums(terms: np.ndarray) -> tuple[complex, float]:
-    """(sum of terms, sum of |terms|). Overwrites terms, so that no block is
-    allocated, and drops them on return, before the next block is made."""
-    total = complex(np.sum(terms))
-    np.abs(terms, out=terms)
-    return total, float(np.sum(terms.real))
+def _rule_sums(F, a: float, T: float, s_lo: float, s_hi: float, panels: tuple[int, ...]):
+    """[(sum, sum of |terms|)] of the terms w F(z) e^{zT}, z = a + is, for each
+    rule of _panel_nodes. All rules go through one F call per block of
+    _EVAL_BLOCK nodes, so F sees one contour block, and peak memory is flat:
+    |terms| overwrites the terms, so a block allocates nothing more."""
+    s, w = _panel_nodes(s_lo, s_hi, panels)
+    bounds = _PANEL_NODES * np.cumsum((0,) + panels)
+    out = [[0j, 0.0] for _ in panels]
+    for lo in range(0, s.size, _EVAL_BLOCK):
+        z = a + 1j * s[lo:lo + _EVAL_BLOCK]
+        terms = w[lo:lo + _EVAL_BLOCK] * np.asarray(F(z), dtype=complex) * np.exp(z * T)
+        for acc, start, stop in zip(out, bounds, bounds[1:]):
+            part = terms[max(start - lo, 0):max(stop - lo, 0)]
+            acc[0] += complex(np.sum(part))
+            acc[1] += float(np.sum(np.abs(part, out=part).real))
+    return [tuple(acc) for acc in out]
+
+
+def _size(x: complex) -> float:
+    """|x| / pi, or inf where that does not fit a double."""
+    try:
+        return abs(x) / math.pi
+    except OverflowError:
+        return math.inf
 
 
 def bromwich(
@@ -87,56 +116,82 @@ def bromwich(
     """Invert a Laplace transform at time T > 0 along a vertical contour.
 
     F must be vectorized over a complex ndarray and be the transform of a
-    real function. The line and starting height come from `contour` (or
-    default_contour(T)); the height is doubled until the two most recent
-    extensions both land inside tolerance. The reported tail bound is the
-    sum of their magnitudes plus a rounding allowance of (log2 N + 4) eps
-    times the sum of the N terms' absolute values (over pi, as the value).
-    TruncationBudgetError is raised where an extension would take the
-    nodes past policy.max_quad_evals, and where the allowance alone passes
-    tol(value), as it can on a line where the terms cancel down to a far
-    smaller value. The error of F itself is F's to bound.
+    real function. The line, the starting height and the starting panel
+    width L = 2 s_max / (n_nodes / 16) come from `contour` (or
+    default_contour(T)); a contour whose n_nodes asks for narrower panels
+    than default_contour's also caps the width.
+
+    Each extension of the height is summed at widths L and 2L, and the
+    difference is charged to the tail bound. Past _WIDTH_SHARE of
+    tol(value) the extension is redone at L/2, checked against the width-L
+    sum; a first check passed by _WIDEN_MARGIN of that share hands 2L to
+    the next extension. The height is doubled until the two most recent
+    extensions both land inside tolerance. The tail bound is their
+    magnitudes, plus the width charges, plus a rounding allowance of
+    (log2 N + 4) eps times the sum of the value's terms' absolute values
+    (over pi, as the value), N the nodes evaluated.
+
+    DomainError is raised at once where the integrand is not finite.
+    TruncationBudgetError is raised where a width check fails while the
+    extension's rounding floor, 4 eps times both rules' sums of absolute
+    values, passes the check too, since no narrower panel can then pass
+    it; where the rounding allowance passes tol(value), as it can on a
+    line where the terms cancel down to a far smaller value; and where the
+    next sum would take the nodes past policy.max_quad_evals. The error of
+    F itself is F's to bound.
     """
     if not T > 0.0:
         raise DomainError(f"bromwich requires T > 0, got {T}")
-    width_cap = math.pi / (4.0 * T)
     if contour is None:
         contour = default_contour(T)
-    elif contour.n_nodes > default_contour(T, s_max=contour.s_max).n_nodes:
-        # honor a finer node density than the default derives for this height
-        width_cap = 2.0 * contour.s_max / (contour.n_nodes / _PANEL_NODES)
     a, s_hi = contour.a, contour.s_max
+    width = 2.0 * s_hi / (contour.n_nodes / _PANEL_NODES)
+    # honor a finer node density than the default derives for this height
+    cap = width if contour.n_nodes > default_contour(T, s_max=s_hi).n_nodes else math.inf
 
     evals = 0
     acc = 0.0 + 0.0j
-    mass = 0.0  # sum of the terms' absolute values
+    mass = 0.0  # sum of the value's terms' absolute values
+    charge = 0.0  # sum of the width checks' differences
     deltas: list[float] = []
     s_lo = 0.0
     while True:
-        s, w = _panel_nodes(s_lo, s_hi, width_cap)
-        if evals + s.size > policy.max_quad_evals:
-            last = f", tail estimate {deltas[-1]:.3e}" if deltas else ""
-            raise TruncationBudgetError(
-                f"bromwich: quadrature budget {policy.max_quad_evals} "
-                f"exhausted at s_max = {s_hi:.3e}{last}"
-            )
-        chunk = 0.0 + 0.0j
-        # keep peak memory flat: late extensions hold millions of nodes
-        for lo in range(0, s.size, _EVAL_BLOCK):
-            z = a + 1j * s[lo:lo + _EVAL_BLOCK]
-            part, size = _sums(w[lo:lo + _EVAL_BLOCK] * np.asarray(F(z), dtype=complex)
-                               * np.exp(z * T))
-            chunk += part
-            mass += size
-        evals += s.size
+        # panel counts: fine of width <= L, fine // 2 of twice that width
+        fine = 2 * max(1, math.ceil((s_hi - s_lo) / (2.0 * width)))
+        coarse = None  # the wider rule's (sum, mass), once known
+        while True:
+            panels = (fine,) if coarse else (fine, fine // 2)
+            nodes = _PANEL_NODES * sum(panels)
+            if evals + nodes > policy.max_quad_evals:
+                last = f", tail estimate {deltas[-1]:.3e}" if deltas else ""
+                raise TruncationBudgetError(
+                    f"bromwich: quadrature budget {policy.max_quad_evals} "
+                    f"exhausted at s_max = {s_hi:.3e}{last}"
+                )
+            sums = _rule_sums(F, a, T, s_lo, s_hi, panels)
+            evals += nodes
+            (chunk, size), (rough, rough_size) = sums[0], coarse or sums[1]
+            if not math.isfinite(_size(chunk) + _size(rough)):
+                raise DomainError(
+                    f"bromwich: the integrand is not finite on the contour for T = {T}")
+            diff = _size(chunk - rough)
+            limit = _WIDTH_SHARE * policy.tol((acc + chunk).real / math.pi)
+            if diff <= limit:
+                break
+            floor = _TERM_ROUNDINGS * _EPS * (size + rough_size) / math.pi
+            if floor >= limit:
+                raise TruncationBudgetError(
+                    f"bromwich: rounding allowance {floor:.3e} of the contour sum exceeds "
+                    f"tolerance {limit:.3e} of its width check on the line Re z = {a:.6g}"
+                )
+            coarse, fine = sums[0], 2 * fine
+        widen = coarse is None and diff <= _WIDEN_MARGIN * limit
+        width = min((2.0 if widen else 1.0) * (s_hi - s_lo) / fine, cap)
         acc += chunk
+        mass += size
+        charge += diff
         value = acc.real / math.pi
-        try:
-            deltas.append(abs(chunk) / math.pi)
-        except OverflowError:
-            deltas.append(math.inf)
-        if not math.isfinite(deltas[-1]):
-            raise DomainError(f"bromwich: the integrand is not finite on the contour for T = {T}")
+        deltas.append(_size(chunk))
         if len(deltas) >= 2 and max(deltas[-1], deltas[-2]) <= policy.tol(value):
             break
         s_lo, s_hi = s_hi, 2.0 * s_hi
@@ -148,7 +203,7 @@ def bromwich(
             f"tolerance {policy.tol(value):.3e} on the line Re z = {a:.6g}"
         )
     return InversionResult(
-        value=value, tail_bound=deltas[-1] + deltas[-2] + rounding,
+        value=value, tail_bound=deltas[-1] + deltas[-2] + charge + rounding,
         a=a, s_max=s_hi, evaluations=evals,
     )
 
