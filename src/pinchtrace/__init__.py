@@ -37,8 +37,7 @@ __all__ = [
     "Schedule", "SweepRow", "SweepResult", "run_sweep", "thread_cap",
     "fit_growth_exponent",
     # configuration
-    "TruncationPolicy", "ContourSpec", "DEFAULT_POLICY",
-    "DEFAULT_INVERSION_POLICY", "default_contour",
+    "TruncationPolicy", "DEFAULT_POLICY", "DEFAULT_INVERSION_POLICY",
     # errors
     "PinchtraceError", "DomainError", "SchemaError", "NonConvergenceError",
     "TruncationBudgetError", "UncertifiedTailWarning",
@@ -51,8 +50,7 @@ _MODULES = {name: module for module, names in (
     ("errors", "DomainError NonConvergenceError PinchtraceError SchemaError "
                "TruncationBudgetError UncertifiedTailWarning"),
     ("hyperbolic", "cylinder_displacement cylinder_trace heat_kernel heat_kernel_origin"),
-    ("policy", "ContourSpec DEFAULT_INVERSION_POLICY DEFAULT_POLICY TruncationPolicy "
-               "default_contour"),
+    ("policy", "DEFAULT_INVERSION_POLICY DEFAULT_POLICY TruncationPolicy"),
     ("specfun", "bessel_j bessel_j_half"),
     ("spectrum", "LengthSpectrum PinchingSet SpectralData"),
     ("sweep", "Schedule SweepResult SweepRow fit_growth_exponent run_sweep thread_cap"),

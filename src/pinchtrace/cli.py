@@ -15,7 +15,8 @@ Input documents are versioned JSON objects carrying exactly one payload:
     {"version": 1, "schedule": {"kind": "geometric", "start": 0.5,
      "ratio": 0.5, "count": 10}}
 
-plus optional "policy" and "contour" override objects.
+plus optional "policy" and "contour" override objects; "contour" has the
+one field "a", the line Re z = a of every contour inversion.
 
 Every subcommand is one row of _COMMANDS: its name, help, extra flags,
 the payload kinds it accepts and a handler returning (header, rows).
@@ -25,8 +26,8 @@ Each call runs under a pair of policies: the series policy (built on
 DEFAULT_POLICY) for every series, traces evaluated on a contour
 included, and the inversion policy (built on DEFAULT_INVERSION_POLICY)
 for contour inversions. Document overrides, then flags, apply to both.
-A contour override fills its missing fields from policy.default_contour
-(a = 1/T); without one, weighted_inverse picks the line from the trace.
+A line given by "contour.a" or --contour-a is used as it is; without
+one, weighted_inverse picks it from the trace.
 --print-config checks the payload kind, then dumps the merged configuration.
 """
 
@@ -44,15 +45,13 @@ from pathlib import Path
 # runs, so closed-form calls and input errors never load numpy
 from .closed import balance_epsilon, bessel_j_oracle, c_weight, counting_direct
 from .errors import DomainError, NonConvergenceError, SchemaError
-from .policy import (
-    DEFAULT_INVERSION_POLICY, DEFAULT_POLICY, ContourSpec, TruncationPolicy, default_contour,
-)
+from .policy import DEFAULT_INVERSION_POLICY, DEFAULT_POLICY, TruncationPolicy
 from .spectrum import LengthSpectrum, PinchingSet, SpectralData
 
 __all__ = ["InputDocument", "parse_input", "dispatch", "main"]
 
 _POLICY_FIELDS = ("rel_tol", "abs_tol", "max_terms", "max_quad_evals")
-_CONTOUR_FIELDS = ("a", "s_max", "n_nodes")
+_CONTOUR_FIELDS = ("a",)
 _PAYLOAD_KINDS = ("length_spectrum", "eigenvalues", "pinching", "schedule")
 
 
@@ -148,7 +147,7 @@ def _parse_overrides(obj, path: str, fields: tuple[str, ...]) -> dict:
     for key, value in obj.items():
         if key not in fields:
             raise SchemaError(f"{path}.{key}", "unknown field")
-        if key in ("max_terms", "max_quad_evals", "n_nodes"):
+        if key in ("max_terms", "max_quad_evals"):
             out[key] = _mult(value, f"{path}.{key}")
         else:
             out[key] = _num(value, f"{path}.{key}")
@@ -209,14 +208,11 @@ def _policies(doc: InputDocument, args) -> tuple[TruncationPolicy, TruncationPol
     return replace(DEFAULT_POLICY, **over), replace(DEFAULT_INVERSION_POLICY, **over)
 
 
-def _contour(doc: InputDocument, args) -> ContourSpec | None:
-    """Document contour overrides, then flags; None when neither sets a field."""
-    given = dict(doc.contour)
-    for name, v in (("a", args.contour_a), ("s_max", args.contour_smax),
-                    ("n_nodes", args.contour_nodes)):
-        if v is not None:
-            given[name] = v
-    return default_contour(args.T, **given) if given else None
+def _line(doc: InputDocument, args) -> float | None:
+    """The line Re z = a that --contour-a, else the document, sets; None if neither."""
+    if args.contour_a is not None:
+        return _num(args.contour_a, "--contour-a")
+    return doc.contour.get("a")
 
 
 def _htr(doc, z, pol):
@@ -288,8 +284,8 @@ def _invert(a, doc, series, inversion):
     from .xform import weighted_inverse
 
     trace = _TRACES[doc.kind][1]
-    value = weighted_inverse(lambda z: trace(doc, z, series), a.w, a.T,
-                             contour=_contour(doc, a), policy=inversion)
+    value = weighted_inverse(lambda z: trace(doc, z, series), a.w, a.T, _line(doc, a),
+                             inversion)
     return ["w", "T", "value"], [[a.w, a.T, value]]
 
 
@@ -301,8 +297,7 @@ def _gfunc(a, doc, series, inversion):
         return ["w", "T", "g"], [[a.w, a.T, g]]
     from .xform import weighted_inverse
 
-    b = weighted_inverse(lambda z: _dtr(doc, z, series), a.w, a.T,
-                         contour=_contour(doc, a), policy=inversion)
+    b = weighted_inverse(lambda z: _dtr(doc, z, series), a.w, a.T, _line(doc, a), inversion)
     gap = abs(g - b) / max(abs(g), abs(b), 1e-300)
     return ["w", "T", "g", "bromwich", "rel_gap"], [[a.w, a.T, g, b, gap]]
 
@@ -323,8 +318,7 @@ def _residual(a, doc, series, inversion):
 def _sweep(a, doc, series, inversion):
     from .sweep import run_sweep
 
-    result = run_sweep(doc.schedule, a.w, a.T, series, inversion,
-                       contour=_contour(doc, a), use_bromwich=a.bromwich)
+    result = run_sweep(doc.schedule, a.w, a.T, series, inversion, _line(doc, a), a.bromwich)
     rows = []
     for row in result.rows:
         if row.error is not None:
@@ -345,7 +339,7 @@ _WT = (_flag("--w", required=True, help="weight, w >= 0"),
        _flag("--T", required=True, help="threshold"))
 _TIME = (_flag("--t", required=True, help="time, t > 0"),
          _flag("--s", default=0.0, help="imaginary part of the evaluation time"))
-_CONTOUR = (_flag("--contour-a"), _flag("--contour-smax"), _flag("--contour-nodes", int))
+_CONTOUR = (_flag("--contour-a", help="line Re z = a of the contour, a > 0"),)
 
 
 @dataclass(frozen=True)
@@ -458,9 +452,9 @@ def _emit(header: list[str], rows: list[list], fmt: str, out) -> None:
 def _print_config(args, doc: InputDocument, series, inversion, out) -> None:
     config = {"subcommand": args.command, "format": args.format, "policy": asdict(series)}
     if hasattr(args, "contour_a"):  # the subcommands that invert along a contour
-        contour = _contour(doc, args)
+        a = _line(doc, args)
         config["inversion_policy"] = asdict(inversion)
-        config["contour"] = None if contour is None else asdict(contour)
+        config["contour"] = None if a is None else {"a": a}
     if args.command == "sweep":
         from .sweep import thread_cap
 

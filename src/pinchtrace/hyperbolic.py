@@ -136,6 +136,8 @@ def heat_kernel_origin(t: float, policy: TruncationPolicy = DEFAULT_POLICY) -> f
     if not t > 0.0:
         raise DomainError(f"heat_kernel_origin requires t > 0, got {t}")
     lead = math.exp(-0.25 * t) / (4.0 * math.pi * t)
+    if lead == 0.0:  # K(t, 0) <= lead underflows with it
+        return 0.0
     if not math.isfinite(lead):
         raise DomainError(f"heat_kernel_origin: K(t, 0) overflows a double at t = {t}")
     cut = min(9.0, _S_CUT / math.sqrt(t))

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed import c_weight
+from .closed import _check, c_weight
 from .counting import g_bessel
 from .errors import DomainError, PinchtraceError
-from .policy import DEFAULT_INVERSION_POLICY, DEFAULT_POLICY, ContourSpec, TruncationPolicy
+from .policy import DEFAULT_INVERSION_POLICY, DEFAULT_POLICY, TruncationPolicy
 from .spectrum import PinchingSet
 from .trace import degenerating_trace
 from .xform import weighted_inverse
@@ -136,29 +136,31 @@ def run_sweep(
     T: float,
     policy: TruncationPolicy = DEFAULT_POLICY,
     inversion_policy: TruncationPolicy = DEFAULT_INVERSION_POLICY,
-    contour: ContourSpec | None = None,
+    a: float | None = None,
     use_bromwich: bool = False,
 ) -> SweepResult:
     """Evaluate the counting series along a schedule.
 
     g_value comes from the closed Bessel series, or (use_bromwich) from
-    the contour inversion of the degenerating trace, the dual route used
-    for cross-validation. Series evaluations, the trace on the contour
+    the contour inversion of the degenerating trace along Re z = a (by
+    default the line weighted_inverse picks), the dual route used for
+    cross-validation. Series evaluations, the trace on the contour
     included, run under `policy`; the inversion runs under
-    `inversion_policy`, as in weighted_inverse. residual subtracts
+    `inversion_policy`, as in weighted_inverse. w and T must be finite
+    and >= 0, checked before any row runs. residual subtracts
     c_weight(w, T) * log_sum (the constant is zero below the T = 1/4
     breakpoint); normalized is g_value / log_sum, the quantity that
     approaches c_weight(w, T).
     """
-    w, T = float(w), float(T)
+    w, T = _check(w, "weight"), _check(T, "threshold")
     if T >= 0.25:
-        c_weight(w, T)  # validates w before any row runs
+        c_weight(w, T)  # every row's residual needs it, so an overflow fails the call
 
     def one(ps: PinchingSet) -> float | str:
         try:
             if use_bromwich:
                 return weighted_inverse(lambda z: degenerating_trace(ps, z, policy), w, T,
-                                        contour=contour, policy=inversion_policy)
+                                        a, inversion_policy)
             return g_bessel(ps, w, T, policy)
         except PinchtraceError as exc:
             return str(exc)

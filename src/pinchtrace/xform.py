@@ -1,20 +1,22 @@
 """Bromwich-contour inversion of Laplace transforms.
 
-Inversion runs along the vertical line Re z = a with composite 16-point
-Gauss-Legendre panels, doubling the truncation height s_max until two
-successive extensions agree or the policy's quadrature budget is spent.
-Each extension is summed at two panel widths, L and 2L, in one evaluation
-of the transform; their difference is charged to the tail bound, a
-difference above a small share of the tolerance redoes the extension at
-L/2, and one well inside it hands 2L to the next extension. So the width
-follows the integrand: narrow where z^{-(w+1)} is steep near s = 0, wide
-in the tail, where a few slow oscillations multiply a smooth power.
-Extensions are appended, never recomputed, so refinement is incremental
-and deterministic.
+A contour is its line Re z = a; everything else follows from the
+integrand. Inversion runs along the line with composite 16-point
+Gauss-Legendre panels, doubling the truncation height from 16/T until
+two successive extensions agree or the policy's quadrature budget is
+spent. Each extension is summed at two panel widths, L and 2L, in one
+evaluation of the transform; their difference is charged to the tail
+bound, a difference above a small share of the tolerance redoes the
+extension at L/2, and one well inside it hands 2L to the next extension.
+So the width follows the integrand: narrow where z^{-(w+1)} is steep near
+s = 0, wide in the tail, where a few slow oscillations multiply a smooth
+power. Extensions are appended, never recomputed, so refinement is
+incremental and deterministic.
 
 Every transform inverted here is that of a real function, so conjugate
 symmetry F(conj z) = conj F(z) holds: the sum runs over the upper half-line
-only and takes twice its real part.
+only and takes twice its real part. weighted_inverse alone chooses a line
+from the transform (_line); bromwich takes 1/T unless it is given one.
 """
 
 from __future__ import annotations
@@ -27,14 +29,13 @@ import numpy as np
 
 from .closed import gamma
 from .errors import DomainError, TruncationBudgetError, UncertifiedTailWarning
-from .policy import DEFAULT_INVERSION_POLICY, ContourSpec, TruncationPolicy, default_contour
+from .policy import DEFAULT_INVERSION_POLICY, TruncationPolicy
 from .specfun import leggauss
 
 __all__ = [
     "bromwich",
     "weighted_inverse",
     "InversionResult",
-    "ContourSpec",
     "DEFAULT_INVERSION_POLICY",
 ]
 
@@ -45,6 +46,14 @@ _TERM_ROUNDINGS = 4  # per term: the exponential and the products w F e^{zT}
 _LOG_POWER_MAX = 600.0  # |log| of a power kept well inside the doubles
 _WIDTH_SHARE = 1.0 / 16.0  # of tol(value), for one extension's width check
 _WIDEN_MARGIN = 1.0 / 64.0  # of that share: a check passed by this much widens
+_START_HEIGHT = 16.0  # times 1/T: a deliberately low first height, doubled as needed
+# first panel width 2 (16/T) / 41: 16-node panels of width pi/(4T) counted over
+# [-16/T, 16/T] make 41 panels, whatever T is
+_START_PANELS = 41.0
+# the contour sum's rounding, in units of eps times the integrand's size at
+# s = 0 times the line's abscissa: log2 of a few million nodes plus a few
+# roundings per node, times the width of the peak in units of a
+_LINE_ROUNDING = 32.0
 
 
 @dataclass(frozen=True)
@@ -107,19 +116,25 @@ def _size(x: complex) -> float:
         return math.inf
 
 
+def _check_line(T: float, a: float | None) -> None:
+    if not T > 0.0:
+        raise DomainError(f"inversion time must be > 0, got {T}")
+    if a is not None and not a > 0.0:
+        raise DomainError(f"contour abscissa must be > 0, got {a}")
+
+
 def bromwich(
     F,
     T: float,
-    contour: ContourSpec | None = None,
+    a: float | None = None,
     policy: TruncationPolicy = DEFAULT_INVERSION_POLICY,
 ) -> InversionResult:
-    """Invert a Laplace transform at time T > 0 along a vertical contour.
+    """Invert a Laplace transform at time T > 0 along the line Re z = a.
 
     F must be vectorized over a complex ndarray and be the transform of a
-    real function. The line, the starting height and the starting panel
-    width L = 2 s_max / (n_nodes / 16) come from `contour` (or
-    default_contour(T)); a contour whose n_nodes asks for narrower panels
-    than default_contour's also caps the width.
+    real function. The line defaults to a = 1/T, which balances the e^{aT}
+    growth factor against decay along it; a must be > 0. The first
+    extension reaches height 16/T with panels of width L = 2 (16/T) / 41.
 
     Each extension of the height is summed at widths L and 2L, and the
     difference is charged to the tail bound. Past _WIDTH_SHARE of
@@ -131,23 +146,19 @@ def bromwich(
     (log2 N + 4) eps times the sum of the value's terms' absolute values
     (over pi, as the value), N the nodes evaluated.
 
-    DomainError is raised at once where the integrand is not finite.
-    TruncationBudgetError is raised where a width check fails while the
-    extension's rounding floor, 4 eps times both rules' sums of absolute
-    values, passes the check too, since no narrower panel can then pass
-    it; where the rounding allowance passes tol(value), as it can on a
-    line where the terms cancel down to a far smaller value; and where the
-    next sum would take the nodes past policy.max_quad_evals. The error of
-    F itself is F's to bound.
+    DomainError is raised at once for T <= 0 or a <= 0, and where the
+    integrand is not finite. TruncationBudgetError is raised where a width
+    check fails while the extension's rounding floor, 4 eps times both
+    rules' sums of absolute values, passes the check too, since no
+    narrower panel can then pass it; where the rounding allowance passes
+    tol(value), as it can on a line where the terms cancel down to a far
+    smaller value; and where the next sum would take the nodes past
+    policy.max_quad_evals. The error of F itself is F's to bound.
     """
-    if not T > 0.0:
-        raise DomainError(f"bromwich requires T > 0, got {T}")
-    if contour is None:
-        contour = default_contour(T)
-    a, s_hi = contour.a, contour.s_max
-    width = 2.0 * s_hi / (contour.n_nodes / _PANEL_NODES)
-    # honor a finer node density than the default derives for this height
-    cap = width if contour.n_nodes > default_contour(T, s_max=s_hi).n_nodes else math.inf
+    _check_line(T, a)
+    a = 1.0 / T if a is None else a
+    s_hi = _START_HEIGHT / T
+    width = 2.0 * s_hi / _START_PANELS
 
     evals = 0
     acc = 0.0 + 0.0j
@@ -186,7 +197,7 @@ def bromwich(
                 )
             coarse, fine = sums[0], 2 * fine
         widen = coarse is None and diff <= _WIDEN_MARGIN * limit
-        width = min((2.0 if widen else 1.0) * (s_hi - s_lo) / fine, cap)
+        width = (2.0 if widen else 1.0) * (s_hi - s_lo) / fine
         acc += chunk
         mass += size
         charge += diff
@@ -208,44 +219,69 @@ def bromwich(
     )
 
 
+def _line(trace, w: float, T: float) -> float:
+    """The line Re z = a for inverting Gamma(w+1) trace(z) / z^{w+1} at T.
+
+    a = 1/T, unless the trace shows that the contour sum would round off
+    too much there. The sum's terms peak at s = 0, near
+    Gamma(w+1) |trace(a)| a^{-(w+1)} e^{aT}, over a width of about a, so
+    its rounding is about eps times that times a: on a = 1/T it grows
+    like Gamma(w+1) T^w, and the sum cancels it down to the value. One
+    trace evaluation at z = 1/T predicts this charge (in logs, so that
+    nothing overflows), and where it exceeds DEFAULT_INVERSION_POLICY's
+    abs_tol, the tolerance of a zero value, a moves to (w+1)/T, the
+    saddle point of e^{zT} z^{-(w+1)}: there the terms do not cancel.
+    """
+    a = 1.0 / T
+    size = abs(complex(trace(a)))
+    if not size > 0.0:  # one that underflows there keeps 1/T, inf or NaN moves it
+        return a if size == 0.0 else (w + 1.0) / T
+    log_charge = (math.log(_LINE_ROUNDING * _EPS * size)
+                  + math.lgamma(w + 1.0) - w * math.log(a) + a * T)
+    charge = math.exp(min(log_charge, 709.0))
+    return (w + 1.0) / T if charge > DEFAULT_INVERSION_POLICY.abs_tol else a
+
+
 def weighted_inverse(
     trace,
     w: float,
     T: float,
-    contour: ContourSpec | None = None,
+    a: float | None = None,
     policy: TruncationPolicy = DEFAULT_INVERSION_POLICY,
 ) -> float:
     """Weighted counting value at threshold T from a trace on the contour.
 
-    Inverts z -> Gamma(w+1) trace(z) / z^{w+1}. No weight has a closed
-    tail certificate: the tail is bromwich's two-extension estimate at every
-    w, weakest at small w, where the integrand decays slowest along the
-    line, so for w <= 3/2 the call emits UncertifiedTailWarning. Without a
-    contour, default_contour(T, w=w, trace=trace) picks the line: a = 1/T,
-    or the saddle line (w+1)/T where one trace evaluation predicts that
-    1/T would round off too much.
+    Inverts z -> Gamma(w+1) trace(z) / z^{w+1} along Re z = a. No weight
+    has a closed tail certificate: the tail is bromwich's two-extension
+    estimate at every w, weakest at small w, where the integrand decays
+    slowest along the line, so for w <= 3/2 the call emits
+    UncertifiedTailWarning once w, T and a have passed their checks.
+    Without a, _line picks it from the trace: 1/T, or the saddle line
+    (w+1)/T where one trace evaluation predicts that 1/T would round off
+    too much.
     """
     if not w >= 0.0:
         raise DomainError(f"weight must be >= 0, got {w}")
+    _check_line(T, a)
+    g, unit = gamma(w + 1.0), 1.0
+    if a is None:
+        a = _line(trace, w, T)
     if w <= 1.5:
         warnings.warn(
             f"weighted_inverse: tail not certified for w = {w} <= 3/2",
             UncertifiedTailWarning,
             stacklevel=2,
         )
-    g, unit = gamma(w + 1.0), 1.0
-    if contour is None:
-        contour = default_contour(T, w=w, trace=trace)
-    log_a = math.log(contour.a)
+    log_a = math.log(a)
     log_g = math.lgamma(w + 1.0) - (w + 1.0) * log_a
     if (w + 1.0) * abs(log_a) > _LOG_POWER_MAX >= abs(log_g):
         # z^-(w+1) nears the end of the doubles where Gamma(w+1) a^-(w+1) does
         # not (on the saddle line of a large weight): take the power of z/a
-        g, unit = math.exp(log_g), contour.a
+        g, unit = math.exp(log_g), a
 
     def F(z):
         value = g * np.asarray(trace(z), dtype=complex)
         with np.errstate(all="ignore"):  # bromwich rejects inf and NaN
             return value * (z / unit) ** (-(w + 1.0))
 
-    return bromwich(F, T, contour=contour, policy=policy).value
+    return bromwich(F, T, a, policy).value

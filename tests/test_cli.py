@@ -1,5 +1,6 @@
 """Input-document validation, subcommand output, and process exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -113,7 +114,7 @@ class TestParseInput:
 _KEYS = st.sampled_from([
     "version", "volume", "policy", "contour", "length_spectrum", "eigenvalues",
     "pinching", "schedule", "length", "lambda", "multiplicity", "kind", "start",
-    "ratio", "count", "values", "rel_tol", "abs_tol", "max_terms", "a", "n_nodes"])
+    "ratio", "count", "values", "rel_tol", "abs_tol", "max_terms", "a", "s_max", "n_nodes"])
 _LEAF = (st.none() | st.booleans() | st.integers(-2, 5) | st.floats()
          | st.sampled_from(["geometric", "explicit", ""]))
 _VALUE = st.recursive(
@@ -256,6 +257,7 @@ class TestMainInProcess:
         (["bessel", "--p", "1.2", "--x", "1e300"], None),
         (["dtrace", "--input", "{pinch}", "--t", "1e-310"], ["9.9999999999999694e-311", "0"]),
         (["heatkernel", "--t", "1", "--rho", "1e300"], ["1", "1.0000000000000001e+300", "0"]),
+        (["heatkernel", "--t", "1e20"], ["1e+20", "0", "0"]),
     ])
     def test_extreme_arguments_leak_no_runtime_warning(self, tmp_path, capsys, argv, row):
         # a RuntimeWarning is an error under the test configuration, so an
@@ -392,20 +394,93 @@ class TestMainInProcess:
         rows = _csv_rows(out)
         assert rows[0] == ["t", "s", "htr_re", "htr_im"]
 
-    @pytest.mark.parametrize("extra", [[], ["--contour-smax", "20"]])
-    def test_forced_line_at_large_weight_is_right_or_exits_two(self, tmp_path, capsys, extra):
+    def test_forced_line_at_large_weight_is_right_or_exits_two(self, tmp_path, capsys):
         # on a = 1/T at w = 100 the terms cancel about 158 digits: the first
         # width check fails on the rounding floor, and the call exits 2
         f = tmp_path / "eig.json"
         f.write_text(json.dumps({"version": 1, "volume": 1.0, "eigenvalues": [
             {"lambda": 0.0, "multiplicity": 1}, {"lambda": 0.2, "multiplicity": 1}]}))
         code, out = _run_main(["invert", "--input", str(f), "--w", "100", "--T", "1",
-                               "--contour-a", "1"] + extra, capsys)
+                               "--contour-a", "1"], capsys)
         if code == 2:
             return
         assert code == 0
         want = 1.0 + 0.8**100
         assert abs(float(_csv_rows(out)[1][2]) - want) <= DEFAULT_INVERSION_POLICY.tol(want)
+
+    @pytest.mark.parametrize("flag", [["--contour-smax", "1e-12"], ["--contour-nodes", "100000"]])
+    def test_removed_contour_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        # a contour is its line: the height and node count follow the integrand
+        f = tmp_path / "eig.json"
+        f.write_text(json.dumps({"version": 1, "volume": 1.0, "eigenvalues": [
+            {"lambda": 0.0, "multiplicity": 1}]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["invert", "--input", str(f), "--w", "2", "--T", "1"] + flag)
+        assert exc.value.code == 64
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("field", ["s_max", "n_nodes"])
+    def test_removed_contour_fields_are_unknown(self, tmp_path, capsys, field):
+        f = tmp_path / "eig.json"
+        f.write_text(json.dumps({"version": 1, "volume": 1.0, "contour": {field: 64},
+                                 "eigenvalues": [{"lambda": 0.0, "multiplicity": 1}]}))
+        assert main(["invert", "--input", str(f), "--w", "2", "--T", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"pinchtrace: error: contour.{field}: unknown field\n"
+
+    def test_contour_line_from_the_document(self, tmp_path, capsys):
+        # contour.a forces the line as --contour-a does, and the flag beats it
+        f = tmp_path / "eig.json"
+        body = {"version": 1, "volume": 1.0, "eigenvalues": [
+            {"lambda": 0.0, "multiplicity": 1}, {"lambda": 0.2, "multiplicity": 1}]}
+        f.write_text(json.dumps(body))
+        flagged = _run_main(["invert", "--input", str(f), "--w", "30", "--T", "1",
+                             "--contour-a", "1"], capsys)
+        f.write_text(json.dumps({**body, "contour": {"a": 1.0}}))
+        argv = ["invert", "--input", str(f), "--w", "30", "--T", "1"]
+        assert _run_main(argv, capsys) == flagged == (2, "")
+        assert _run_main(argv + ["--contour-a", "31"], capsys)[0] == 0
+
+    def test_bad_sweep_threshold_exits_one(self, tmp_path, capsys):
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps({
+            "version": 1, "schedule": {"kind": "explicit", "values": [[0.5]]}}))
+        code = main(["sweep", "--input", str(f), "--w", "1", "--T", "-1", "--bromwich"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "pinchtrace: error: threshold must be finite and >= 0, got -1.0\n"
+
+
+@pytest.fixture(scope="module")
+def eig_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("dual") / "eig.json"
+
+
+@pytest.mark.filterwarnings("ignore::pinchtrace.UncertifiedTailWarning")
+@settings(max_examples=60)
+@given(eigs=st.lists(st.tuples(st.floats(0.0, 6.0), st.integers(1, 3)), min_size=1, max_size=6),
+       w=st.floats(1.0, 60.0), T=st.floats(0.3, 3.0), forced=st.booleans())
+def test_invert_agrees_with_count_or_exits_two(eig_path, eigs, w, T, forced):
+    # the dual routes through the command line: an inversion that exits 0
+    # is within ten times its tolerance of the direct count, on the line it
+    # picks or on a line forced to 1/T; w < 1 is left out, as there spectral
+    # inversions spend the whole node budget
+    eig_path.write_text(json.dumps({"version": 1, "volume": 1.0, "eigenvalues": [
+        {"lambda": lam, "multiplicity": m} for lam, m in eigs]}))
+    wt = ["--input", str(eig_path), "--w", repr(w), "--T", repr(T)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["count"] + wt) == 0
+    want = float(_csv_rows(out.getvalue())[1][2])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["invert"] + wt + (["--contour-a", repr(1.0 / T)] if forced else []))
+    assert code in (0, 2)
+    if code == 0:
+        got = float(_csv_rows(out.getvalue())[1][2])
+        assert abs(got - want) <= 10.0 * DEFAULT_INVERSION_POLICY.tol(want)
 
 
 _LS = LengthSpectrum.of([(1.0, 1), (2.0, 2)])
@@ -525,14 +600,14 @@ class TestLibraryBytes:
         f.write_text(json.dumps(doc))
         code, out = _run_main(
             [name, "--input", str(f), "--w", "2", "--T", "1", "--rel-tol", "1e-6",
-             "--contour-smax", "20", "--print-config"], capsys)
+             "--contour-a", "2", "--print-config"], capsys)
         assert code == 0
         cfg = json.loads(out)
         over = {"rel_tol": 1e-6, "abs_tol": 1e-12}
         assert cfg["policy"] == asdict(replace(DEFAULT_POLICY, **over))
         assert cfg["inversion_policy"] == asdict(replace(DEFAULT_INVERSION_POLICY, **over))
-        # missing contour fields derived for T = 1: a = 1/T, 16-node panels of width pi/4
-        assert cfg["contour"] == {"a": 1.0, "s_max": 20.0, "n_nodes": 816}
+        # a contour is its line
+        assert cfg["contour"] == {"a": 2.0}
 
 
 class TestSubprocess:
@@ -571,15 +646,21 @@ class TestSubprocess:
         (["cweight", "--w", "1", "--T", "1e300"], 1, "pinchtrace: error: c_w(T) overflows"),
         (["heatkernel", "--t", "1e-300", "--rho", "1"], 0, ""),
         (["heatkernel", "--t", "1e300", "--rho", "1"], 0, ""),
+        (["heatkernel", "--t", "1e20"], 0, ""),
+        (["sweep", "--input", "{sched}", "--w", "-1", "--T", "0.1"], 1,
+         "pinchtrace: error: weight must be finite and >= 0"),
+        (["invert", "--input", "{eig}", "--w", "1", "--T", "-1"], 1,
+         "pinchtrace: error: inversion time must be > 0"),
     ])
     def test_extreme_arguments_exit_without_traceback(self, tmp_path, argv, code, prefix):
         # an unrepresentable argument is a domain error; values that
         # underflow are the closed form's 0
         docs = {"eig": {"eigenvalues": [{"lambda": 0.0, "multiplicity": 1}], "volume": 1.0},
-                "pinch": {"pinching": [0.1]}}
+                "pinch": {"pinching": [0.1]},
+                "sched": {"schedule": {"kind": "explicit", "values": [[0.5]]}}}
         for name, doc in docs.items():
             (tmp_path / name).write_text(json.dumps({"version": 1, **doc}))
-        argv = [a.format(eig=tmp_path / "eig", pinch=tmp_path / "pinch") for a in argv]
+        argv = [a.format(**{name: tmp_path / name for name in docs}) for a in argv]
         proc = subprocess.run(self.CMD + argv, capture_output=True, text=True)
         assert proc.returncode == code
         assert proc.stderr.startswith(prefix) and "Traceback" not in proc.stderr

@@ -183,6 +183,13 @@ def test_kernel_underflows_to_zero(t, rho):
     assert heat_kernel(t, rho) == 0.0
 
 
+@pytest.mark.parametrize("t", [1e20, 1e300])
+def test_origin_underflows_to_zero(t):
+    # K(t, 0) <= e^{-t/4}/(4 pi t), which underflows: both routes give 0
+    assert heat_kernel_origin(t) == 0.0
+    assert heat_kernel(t, 0.0) == 0.0
+
+
 def test_kernel_positive_and_decreasing_in_distance():
     t = 0.7
     prev = heat_kernel(t, 0.05)

@@ -120,6 +120,22 @@ class TestRunSweep:
         with pytest.raises(DomainError):
             run_sweep(Schedule.geometric(0.5, 0.5, 3), -1.0, 1.0)
 
+    @pytest.mark.parametrize("use_bromwich", [False, True])
+    @pytest.mark.parametrize("w, T, what", [(-1.0, 0.1, "weight"), (1.0, -1.0, "threshold"),
+                                            (math.nan, 1.0, "weight"),
+                                            (1.0, math.inf, "threshold")])
+    def test_bad_weight_or_threshold_fails_before_any_row(self, monkeypatch, use_bromwich,
+                                                          w, T, what):
+        # below T = 1/4 no c_weight call checks w, and a failed row is only
+        # recorded: the sweep must refuse the call itself
+        def no_row(*args, **kwargs):
+            raise AssertionError("a row ran")
+
+        monkeypatch.setattr(sweep, "g_bessel", no_row)
+        monkeypatch.setattr(sweep, "weighted_inverse", no_row)
+        with pytest.raises(DomainError, match=what):
+            run_sweep(Schedule.geometric(0.5, 0.5, 3), w, T, use_bromwich=use_bromwich)
+
 
 class TestSeriesCost:
     def _bessel_points(self, monkeypatch, rows):

@@ -165,6 +165,12 @@ def test_regularized_volume_linearity():
     assert hi - lo == pytest.approx(2.0 * math.pi * heat_kernel_origin(t), rel=1e-12)
 
 
+@pytest.mark.parametrize("t", [1e20, 1e300])
+def test_regularized_trace_underflows_to_zero(t):
+    # e^{-t/4} underflows: both addends are 0, not a quadrature failure
+    assert regularized_trace(LengthSpectrum.of([(1.0, 2)]), 1.0, t) == 0.0
+
+
 def test_budget_exhaustion_is_reported():
     tight = TruncationPolicy(rel_tol=1e-9, abs_tol=1e-14, max_terms=1,
                              max_quad_evals=2_000_000)

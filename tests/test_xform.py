@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from scipy.special import jv
 
 from pinchtrace import (
     DEFAULT_INVERSION_POLICY,
-    ContourSpec,
     DomainError,
     InversionResult,
     NonConvergenceError,
@@ -21,12 +21,12 @@ from pinchtrace import (
     UncertifiedTailWarning,
     bromwich,
     counting_direct,
-    default_contour,
     degenerating_trace,
     g_bessel,
     spectral_trace,
     weighted_inverse,
 )
+from pinchtrace.xform import _line
 
 
 class TestBromwich:
@@ -78,23 +78,24 @@ class TestBromwich:
         # that takes well under the default budget
         ps = PinchingSet.of([0.1])
         r = bromwich(lambda z: degenerating_trace(ps, z) / z, 1.0)
-        assert r.s_max == default_contour(1.0).s_max * 2**14
+        assert r.s_max == 16.0 * 2**14  # the starting height 16/T, doubled 14 times
         assert r.evaluations <= 1_000_000
         want = g_bessel(ps, 0.0, 1.0)
         assert abs(r.value - want) <= 10.0 * DEFAULT_INVERSION_POLICY.rel_tol * abs(want)
 
     def test_explicit_contour_is_honored(self):
-        spec = ContourSpec(a=1.0, s_max=64.0, n_nodes=4096)
-        r = bromwich(lambda z: 1.0 / z**2, 1.0, contour=spec)
+        r = bromwich(lambda z: 1.0 / z**2, 2.0, a=1.0)
         assert r.a == 1.0
-        assert r.s_max >= 64.0
-        assert r.value == pytest.approx(1.0, rel=1e-5)
+        assert r.value == pytest.approx(2.0, rel=1e-5)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             bromwich(lambda z: 1.0 / z**2, 0.0)
         with pytest.raises(DomainError):
             bromwich(lambda z: 1.0 / z**2, -1.0)
+        for a in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match="abscissa"):
+                bromwich(lambda z: 1.0 / z**2, 1.0, a=a)
 
 
 class TestWeightedInverse:
@@ -123,6 +124,15 @@ class TestWeightedInverse:
         sd = SpectralData.of([(0.0, 1)])
         with pytest.raises(DomainError):
             weighted_inverse(lambda z: spectral_trace(sd, z), -0.5, 1.0)
+
+    @pytest.mark.parametrize("T, a", [(-1.0, None), (0.0, None), (1.0, 0.0), (1.0, -1.0)])
+    def test_rejected_call_does_not_warn(self, T, a):
+        # w = 1 warns on every inversion that runs, and on none that is refused
+        sd = SpectralData.of([(0.0, 1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                weighted_inverse(lambda z: spectral_trace(sd, z), 1.0, T, a)
 
     def test_returns_plain_float(self):
         sd = SpectralData.of([(0.0, 2), (0.3, 1)])
@@ -170,8 +180,7 @@ class TestWeightedInverse:
     def test_rounding_on_the_forced_line_raises(self):
         sd = SpectralData.of([(0.0, 1), (0.2, 1)])
         with pytest.raises(TruncationBudgetError, match="rounding"):
-            weighted_inverse(lambda z: spectral_trace(sd, z), 30.0, 1.0,
-                             contour=default_contour(1.0))
+            weighted_inverse(lambda z: spectral_trace(sd, z), 30.0, 1.0, a=1.0)
 
     def test_steep_power_is_resolved_or_raises(self):
         # N_16(0.406) is 0 for the one eigenvalue 3.612; panels of width
@@ -188,8 +197,7 @@ class TestWeightedInverse:
     def test_moderate_weights_keep_the_line(self, w, T):
         sd = SpectralData.of([(0.0, 1), (0.13, 1), (0.37, 2), (0.71, 1), (0.86, 3),
                               (1.4, 1), (1.77, 2)])
-        line = default_contour(T, w=w, trace=lambda z: spectral_trace(sd, z))
-        assert line == default_contour(T)
+        assert _line(lambda z: spectral_trace(sd, z), w, T) == 1.0 / T
 
 
 @pytest.mark.filterwarnings("ignore::pinchtrace.UncertifiedTailWarning")
