@@ -1,17 +1,14 @@
 """Weighted spectral counting for degenerating hyperbolic surfaces.
 
-Heat traces built from length spectra, their Laplace-type inversion into
-weighted eigenvalue counts, and the small-length asymptotics of the
-counting series that appears when geodesics pinch. Everything numerical
-carries a truncation policy and certified tail bounds; the dual
-computation routes (Bessel series vs. contour inversion, fast Bessel vs.
-series oracle) are kept separate so they can check each other.
+Heat traces of length spectra, their Laplace-type inversion into weighted
+eigenvalue counts, and the small-length asymptotics of the counting
+series when geodesics pinch, all certified to a truncation policy; the
+dual routes (Bessel series vs. contour inversion, fast Bessel vs. series
+oracle) stay separate so that they check each other.
 
-`import pinchtrace` is lazy: it loads no submodule, and each public name
-imports its module on first use (PEP 562). So a program that touches
-only the closed forms (gamma, counting_direct, c_weight, balance_epsilon,
-bessel_j_oracle), the value types, the policies or the errors never
-loads numpy.
+`import pinchtrace` is lazy (PEP 562): each public name imports its module
+on first use, so the closed forms, value types, policies and errors
+never load numpy.
 """
 
 import importlib
@@ -39,16 +36,16 @@ __all__ = [
     # configuration
     "TruncationPolicy", "DEFAULT_POLICY", "DEFAULT_INVERSION_POLICY",
     # errors
-    "PinchtraceError", "DomainError", "SchemaError", "NonConvergenceError",
-    "TruncationBudgetError", "UncertifiedTailWarning",
+    "PinchtraceError", "DomainError", "SchemaError", "TruncationBudgetError",
+    "UncertifiedTailWarning",
 ]
 
 # public name -> the submodule that defines it, imported on first use
 _MODULES = {name: module for module, names in (
     ("closed", "balance_epsilon bessel_j_oracle c_weight counting_direct gamma"),
     ("counting", "g_bessel g_expansion g_limit g_residual g_sine_form sandwich_check"),
-    ("errors", "DomainError NonConvergenceError PinchtraceError SchemaError "
-               "TruncationBudgetError UncertifiedTailWarning"),
+    ("errors", "DomainError PinchtraceError SchemaError TruncationBudgetError "
+               "UncertifiedTailWarning"),
     ("hyperbolic", "cylinder_displacement cylinder_trace heat_kernel heat_kernel_origin"),
     ("policy", "DEFAULT_INVERSION_POLICY DEFAULT_POLICY TruncationPolicy"),
     ("specfun", "bessel_j bessel_j_half"),

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 One subcommand per public operation, JSON documents in, CSV (default) or
-JSON rows out. Output is deterministic: identical inputs and flags give
-byte-identical bytes on stdout; diagnostics go to stderr. Exit codes:
+JSON rows out. Identical inputs and flags give byte-identical stdout;
+diagnostics, warnings included, go to stderr one line each. Exit codes:
 0 success, 1 validation or domain error, 2 numerical non-convergence,
 64 usage error.
 
@@ -16,19 +16,16 @@ Input documents are versioned JSON objects carrying exactly one payload:
      "ratio": 0.5, "count": 10}}
 
 plus optional "policy" and "contour" override objects; "contour" has the
-one field "a", the line Re z = a of every contour inversion.
+one field "a", the line Re z = a of every contour inversion (without it,
+weighted_inverse picks one from the trace).
 
-Every subcommand is one row of _COMMANDS: its name, help, extra flags,
-the payload kinds it accepts and a handler returning (header, rows).
-The parser, the payload check and the dispatch are built from it.
-
-Each call runs under a pair of policies: the series policy (built on
-DEFAULT_POLICY) for every series, traces evaluated on a contour
-included, and the inversion policy (built on DEFAULT_INVERSION_POLICY)
-for contour inversions. Document overrides, then flags, apply to both.
-A line given by "contour.a" or --contour-a is used as it is; without
-one, weighted_inverse picks it from the trace.
---print-config checks the payload kind, then dumps the merged configuration.
+Every subcommand is one row of _COMMANDS (name, help, flags, payload
+kinds, handler returning (header, rows)), which builds the parser and
+the dispatch. A call runs under the series policy (DEFAULT_POLICY),
+traces on a contour included, and the inversion policy
+(DEFAULT_INVERSION_POLICY); document overrides, then flags, apply to
+both. --print-config checks the payload kind, then dumps the merged
+configuration.
 """
 
 from __future__ import annotations
@@ -38,13 +35,14 @@ import csv
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 # numpy-free modules only: each handler imports the library function it
 # runs, so closed-form calls and input errors never load numpy
 from .closed import balance_epsilon, bessel_j_oracle, c_weight, counting_direct
-from .errors import DomainError, NonConvergenceError, SchemaError
+from .errors import DomainError, SchemaError, TruncationBudgetError
 from .policy import DEFAULT_INVERSION_POLICY, DEFAULT_POLICY, TruncationPolicy
 from .spectrum import LengthSpectrum, PinchingSet, SpectralData
 
@@ -490,14 +488,17 @@ def dispatch(argv) -> int:
 
 
 def main(argv=None) -> int:
-    try:
-        return dispatch(argv)
-    except (SchemaError, DomainError) as exc:
-        print(f"pinchtrace: error: {exc}", file=sys.stderr)
-        return 1
-    except NonConvergenceError as exc:
-        print(f"pinchtrace: did not converge: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # each warning as one line of the CLI's own
+        warnings.showwarning = lambda message, *_: print(
+            f"pinchtrace: warning: {message}", file=sys.stderr)
+        try:
+            return dispatch(argv)
+        except (SchemaError, DomainError) as exc:
+            print(f"pinchtrace: error: {exc}", file=sys.stderr)
+            return 1
+        except TruncationBudgetError as exc:
+            print(f"pinchtrace: did not converge: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

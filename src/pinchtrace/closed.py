@@ -108,15 +108,10 @@ def _check_order(p: float) -> float:
 
 
 def bessel_j_oracle(p: float, x: float, terms: int = 60) -> float:
-    """Ascending power series for J_p(x), evaluated in 50-digit arithmetic.
+    """sum_{m<terms} (-1)^m (x/2)^{2m+p} / (m! Gamma(m+p+1)) in 50 digits, J_p(x).
 
-    sum_{m=0}^{terms-1} (-1)^m (x/2)^{2m+p} / (m! Gamma(m+p+1))
-
-    Independent of specfun's fast path; used to validate it. The series
-    is only trusted at moderate argument (x <= 30), where `terms` partial
-    sums at 50 digits absorb the alternating-series cancellation that
-    would destroy a double-precision evaluation.
-
+    Independent of specfun's fast path, which it validates; trusted for
+    x <= 30, where 50 digits absorb the alternating series' cancellation.
     Deterministic: fixed summation order, fixed precision.
     """
     p = _check_order(p)

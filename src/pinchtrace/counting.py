@@ -1,92 +1,65 @@
 """Weighted counting functions and the degeneration Bessel series.
 
-The direct counting function of an eigenvalue list is
-
-    N_w(T) = sum_{lambda <= T} m(lambda) (T - lambda)^w,  0^0 = 1,
-
-so an eigenvalue exactly at T counts. Its degenerating-surface analogue
-is the closed Bessel series
+The direct count of an eigenvalue list is N_w(T) = sum_{lambda <= T}
+m(lambda) (T - lambda)^w, 0^0 = 1. Its degenerating-surface analogue is
 
     G_w(T) = Gamma(w+1)/(16 pi)^{1/2}
              * sum_{n>=1} sum_k ell_k/sinh(n ell_k/2)
                * (sqrt(a)/(n ell_k/2))^{w+1/2} J_{w+1/2}(n ell_k sqrt(a))
 
-with a = T - 1/4, identically zero for T <= 1/4. As the lengths pinch,
-G_w(T) = c_w(T) sum_k log(1/ell_k) + O(1): c_weight, g_residual, its
-limit per length g_limit, and g_expansion in powers of ell^2.
-counting_direct, c_weight and balance_epsilon are closed forms; they
+with a = T - 1/4, zero for T <= 1/4. As the lengths pinch, G_w(T) =
+c_w(T) sum_k log(1/ell_k) + O(1): c_weight, g_residual, its limit per
+length g_limit, and g_expansion in powers of ell^2. The closed forms
 live in the numpy-free module closed and are re-exported here.
 
 With nu = w + 1/2, phi(x) = (2 sqrt(a)/x)^nu J_nu(sqrt(a) x) and
-g(x) = phi(x)/sinh(x/2), each length contributes pref S(ell), where
-pref = Gamma(w+1)/(16 pi)^{1/2} and S(ell) = sum_{n>=1} ell g(n ell).
-phi is even and entire with |phi(z)| <= phi0 e^{sqrt(a) |Im z|},
-phi0 = a^nu/Gamma(nu+1), and |sinh(z/2)| >= sinh(Re z/2); the bounds
-below rest on these facts. S(ell) is certified to tol(S) =
-policy.tol(pref S)/pref by one of two routes, chosen per length by its
-certificate: the expansion route wherever its bound meets tol(S), else
-the direct route.
+g(x) = phi(x)/sinh(x/2), a length contributes pref S(ell), pref =
+Gamma(w+1)/(16 pi)^{1/2}, S(ell) = sum_{n>=1} ell g(n ell). phi is even
+and entire, |phi(z)| <= phi0 e^{sqrt(a) |Im z|} with phi0 = a^nu/Gamma(nu+1),
+and |sinh(z/2)| >= sinh(Re z/2). S(ell) is certified to tol(S) =
+policy.tol(pref S)/pref by the expansion route where its bound meets
+tol(S), else by the direct route.
 
-Direct route (the fallback). Term n is at most
-env(n) = ell/sinh(n ell/2) min(phi0, (2 sqrt(a)/(n ell))^nu B(n ell sqrt(a))),
-with |J_nu| <= B non-increasing: B(x) = min(1, sqrt(2/(pi x))) for
-nu = 1/2, else min(1, 0.674886 nu^{-1/3}, 0.785747 x^{-1/3}) (Landau,
+Direct route. Term n is at most env(n) = ell/sinh(n ell/2) min(phi0,
+(2 sqrt(a)/(n ell))^nu B(n ell sqrt(a))), B(x) = min(1, sqrt(2/(pi x)))
+for nu = 1/2, else min(1, 0.674886 nu^{-1/3}, 0.785747 x^{-1/3}) (Landau,
 J. London Math. Soc. 61, 2000). specfun.tail_cut cuts where the tail
-env(N+1)/(1 - e^{-ell/2}) meets tol(env(1)), and again, summing only the
-new terms, while tol of the partial sum is smaller; g_sine_form does the
-same with min(1, n ell sqrt(a))/(n sinh(n ell/2)). Blocks are vectorized
-in a fixed order. Rounding each x = n ell sqrt(a) (2^-51 relative) moves
-a term by at most 2^-51 ell/sinh(n ell/2) min(phi0 x^2/(2 nu + 2),
-(2a/x)^nu x B_{nu+1}(x)), as x d/dx (x^-nu J_nu) = -x^-nu x J_{nu+1}
-(ell sqrt(a)/sinh(n ell/2) for the sine form); a sum returns where its
-tail plus these meet the tolerance and raises where these alone exceed
-it (at w = 0 from about T = 1e12, ell = 0.05).
+env(N+1)/(1 - e^{-ell/2}) meets tol(env(1)), and again while tol of the
+partial sum is smaller; g_sine_form does the same with min(1, n ell
+sqrt(a))/(n sinh(n ell/2)). Rounding x = n ell sqrt(a) (2^-51 relative)
+moves a term by at most 2^-51 ell/sinh(n ell/2) min(phi0 x^2/(2 nu + 2),
+(2a/x)^nu x B_{nu+1}(x)), as x d/dx (x^-nu J_nu) = -x^-nu x J_{nu+1}.
+That and the sum's rounding (specfun._rounding, with the kernel's
+_J_ULPS and the factors' errors) join the tail; a sum raises where they
+alone exceed the tolerance (at w = 0 from about T = 1e12, ell = 0.05).
 
-Expansion route (tried at every length). With x g(x) = sum_{j<=24}
-c_j x^2j (phi's power series times the Bernoulli series of csch),
-h = g - c_0 e^{-x}/x is analytic in |Im z| < 2 pi. Summing the pole
-part in closed form and h by Euler-Maclaurin from x = 0 (to all orders
-the c_0 terms cancel the log, leaving g_expansion's series),
+Expansion route. With x g(x) = sum_{j<=24} c_j x^2j, h = g - c_0 e^{-x}/x
+is analytic in |Im z| < 2 pi, and Euler-Maclaurin from x = 0 gives
 
     S(ell) = -c_0 log(1 - e^{-ell}) - c_0 ell/2 + R
              - sum_{k<=K} (B_2k/2k)(c_k - c_0/(2k)!) ell^2k + R_K.
 
 - |R_K| <= |B_2K|/(2K)! ell^2K int |h^(2K)|, and by Cauchy's estimate on
-  circles of radius r < 2 pi/3 (the best of a grid) int |h^(2K)| <=
-  (2K)! r^-2K [2r H(3r) + 2 phi0 e^{sqrt(a) r} log coth(r/4) + c_0 E_1(r)],
-  H(rho) = phi0 e^{sqrt(a) rho}/sin(rho/2) + c_0 e^rho/rho >= |h| on
-  |z| = rho; by the maximum principle H(3r) covers the circles about
-  x <= 2r, and past 2r, Re z >= r on them.
-- R = int_0^inf h comes from the same identity at one length: R =
-  S(ell0) + c_0 log(1 - e^{-ell0}) + c_0 ell0/2 + sum_{k<=K} b_k ell0^2k
-  - R_K(ell0), b_k the bracketed coefficients above, ell0 the largest of
-  1/4, 1/8, ..., 2^-12 at which the bound on |R_K(ell0)| is 1e-5 of
-  tol(R), and S(ell0) by the direct route with its tail within that
-  share. A length is skipped unsummed where that share misses even the
-  tolerance of |R - S(ell0)| + phi0 (ell0/sinh(ell0/2) + 2 log coth(ell0/4))
-  >= |R|. R's bound sums the tail, the argument rounding, the remainder
-  bound and the rounding below, that of S(ell0) taken from its actual
-  sum of |terms|.
-- Rounding: 1e-15 (1 + |log phi0|) of the absolute size of each sum
-  built from phi0, (k + 1) times that for the alternating c_k.
+  circles of radius r < 2 pi/3 int |h^(2K)| <= (2K)! r^-2K [2r H(3r) +
+  2 phi0 e^{sqrt(a) r} log coth(r/4) + c_0 E_1(r)], H(rho) = phi0
+  e^{sqrt(a) rho}/sin(rho/2) + c_0 e^rho/rho >= |h| on |z| = rho.
+- R = int_0^inf h comes from the same identity at ell0, the largest of
+  1/4, 1/8, ..., 2^-12 where the bound on |R_K(ell0)| is 1e-5 of tol(R),
+  with S(ell0) summed directly to that share; none is summed where that
+  share misses the tolerance of |R - S(ell0)| + phi0 (ell0/sinh(ell0/2)
+  + 2 log coth(ell0/4)) >= |R|. R's bound adds the tail, the roundings
+  and the remainder bound.
 
 These depend only on (w, T, policy): one cached build serves every
-length, which then costs O(K) float operations and no Bessel
-evaluation, K the smallest order whose bounds meet tol(S). A length
-takes the route only then, and when R's direct sum fits max_terms; else
-the direct route. Nothing above bounds ell, but R_K grows like
-(ell sqrt(a)/pi)^2K: at the default tolerance the route certifies up to
-ell of about 0.4 at T = 1, 0.3 at T = 5 and 0.12 at T = 100, and no
-length once T passes about 1e7, where R would need ell0 below 2^-12.
-So that a shallow length does not pay for a build that cannot serve
-it, each length is first tested against a lower bound in closed form:
-the grid's radii are at most 2, where 0 < sin(3r/2) <= 1, so the
-bracket is at least 2 r phi0 e^{3 sqrt(a) r}, and the bound E_K ell^2K
-on |R_K| is at least 2 phi0 |B_2K| ell^2K e^{3 sqrt(a) r} r^{1-2K} at
-r = min(2, (2K - 1)/(3 sqrt(a))), its minimum over 0 < r <= 2. Where
-at no order this meets the tolerance of phi0 (ell/sinh(ell/2) +
-2 log coth(ell/4)) >= |S(ell)|, the length takes the direct route with
-nothing built.
+length, which then costs O(K) float operations, K the least order whose
+bounds meet tol(S); where R's sum misses max_terms the direct route
+serves. R_K grows like (ell sqrt(a)/pi)^2K, so the route certifies up to
+ell of about 0.4 at T = 1, 0.3 at T = 5, 0.12 at T = 100, and none past
+T = 1e7. Before any build a length is tested against a closed-form lower
+bound on E_K ell^2K: 2 phi0 |B_2K| ell^2K e^{3 sqrt(a) r} r^{1-2K} at r =
+min(2, (2K - 1)/(3 sqrt(a))), as the grid's radii are at most 2; where
+no order meets the tolerance of phi0 (ell/sinh(ell/2) + 2 log coth(ell/4))
+>= |S(ell)|, the length takes the direct route with nothing built.
 """
 
 from __future__ import annotations
@@ -100,7 +73,7 @@ from .closed import _check, balance_epsilon, c_weight, counting_direct, gamma
 from .errors import DomainError, PinchtraceError, TruncationBudgetError
 from .policy import DEFAULT_POLICY, TruncationPolicy
 from .specfun import (
-    ascending_series, bessel_j, bessel_j_half, log_sinh, tail_cut,
+    _j_ulps, _rounding, ascending_series, bessel_j, bessel_j_half, log_sinh, tail_cut,
 )
 from .spectrum import PinchingSet, SpectralData
 
@@ -117,7 +90,6 @@ _LANDAU_NU = 0.674886
 _LANDAU_X = 0.785747
 
 _CAUCHY_RADII = tuple(2.0 * 2.0 ** (-0.5 * i) for i in range(48))  # all < 2 pi/3
-_ROUNDING = 1e-15
 _R_SHARE = 1e-5  # of tol(R), for the direct sum and the remainder that fix R
 _ELL0_MIN = 2.0**-12  # R's last direct sum, about 1e5 terms: T up to about 1e7
 _ARG_ROUNDING = 2.0**-51  # relative rounding of x = n ell sqrt(a): three roundings
@@ -160,43 +132,46 @@ def _log_coth(y: float) -> float:
 
 def _series_sum(ell: float, term_fn, log_env, tol, cap: int, charge: bool = True):
     """Sum over n >= 1 of term_fn's terms, certified within cap terms:
-    (sum, its tail bound plus argument rounding, sum of |terms| or 0).
+    (sum, its tail bound plus its rounding).
 
-    term_fn(n) -> (terms, bounds on |x d/dx| of each in its argument x);
-    log_env(n) -> log of a bound with |term(m)| <= env(n) e^{-(m-n) ell/2}
-    for m >= n. Cuts again while tol of the sum is below the target, or
-    the tail plus the argument rounding exceed tol. With charge False the
-    tail alone must meet tol, and the caller counts the rounding, from
-    the sum of |terms| kept for it.
-    """
+    term_fn(n) -> (terms, bounds on |x d/dx| of each in its argument x,
+    on their sizes, on their own errors in eps); log_env(n) -> log of a
+    bound with |term(m)| <= env(n) e^{-(m-n) ell/2} for m >= n. Cuts again
+    while tol of the sum is below the target, or the tail and the rounding
+    (the argument's and _rounding's) exceed tol. With charge False the
+    tail alone must meet tol, and the caller counts a rounding measured
+    tight: each block's np.sum against fsum."""
     target = tol(math.exp(log_env(1)))
-    total = slope = mass = 0.0
-    n0 = 1
+    total = slope = mass = own = drift = 0.0
+    n0, blocks = 1, 0
     while True:
         ncut = tail_cut(log_env, ell, target, cap)
         while n0 <= ncut:
             n1 = min(ncut, n0 + _BLOCK - 1)
             n = np.arange(n0, n1 + 1, dtype=np.float64)
-            terms, slopes = term_fn(n)
-            total += float(np.sum(terms))
-            if not charge:
-                mass += float(np.sum(np.abs(terms)))
-            slope += float(np.sum(slopes))
-            n0 = n1 + 1
+            terms, slopes, sizes, errors = term_fn(n)
+            part = float(terms.sum())
+            if not charge and math.isfinite(part):
+                drift += abs(part - math.fsum(terms))
+            total += part
+            slope += float(slopes.sum())
+            mass += float(sizes.sum())
+            own += float(errors.sum())
+            n0, blocks = n1 + 1, blocks + 1
         if not math.isfinite(total):
             raise TruncationBudgetError(f"series terms overflow a double (length {ell})")
         if tol(total) < target:
             target = tol(total)
             continue
-        rounding = _ARG_ROUNDING * slope
+        n, parts = (min(ncut, _BLOCK), blocks) if charge else (1, blocks + 1)
+        rounding = _ARG_ROUNDING * slope + drift + _rounding(mass, n, own / (mass or 1.0), parts)
         charged = rounding if charge else 0.0
         tail = math.exp(log_env(ncut + 1)) / -math.expm1(-0.5 * ell)
         if tail + charged <= tol(total):
-            return total, tail + rounding, mass
+            return total, tail + rounding
         if charged >= tol(total):
-            raise TruncationBudgetError(
-                f"argument rounding {rounding:.3e} exceeds tolerance {tol(total):.3e} "
-                f"(length {ell})")
+            raise TruncationBudgetError(f"argument rounding plus the sum's, {rounding:.3e}, "
+                                        f"exceeds tolerance {tol(total):.3e} (length {ell})")
         target = tol(total) - charged
 
 
@@ -223,32 +198,54 @@ class _BesselSeries:
         self.spherical = int(w) if w.is_integer() else None
 
     def terms(self, ell: float, n):
-        """(ell g(n ell), a bound on its |x d/dx| at x = n ell sqrt(a)), vectorized.
+        """(ell g(n ell), bounds on its |x d/dx| at x = n ell sqrt(a), on its size
+        and on its own error in eps), vectorized.
 
-        Where the power (sqrt(a)/(n ell/2))^nu could overflow or J_nu
-        underflow, phi comes from its ascending series for x^2 <= 2 (nu + 1).
+        The size is J's _J_ULPS scale times the other factors, the error
+        _j_ulps of it plus, of the term, 1 + (|log nl2| + nl2)/2 for
+        e^{-log_sinh(nl2)} and the product, and the power's (or phi0's),
+        pinned against mpmath by the tests. Where the power could overflow
+        or J_nu underflow, phi is phi0 times the ascending series.
         """
         nl2 = 0.5 * ell * n
         x = 2.0 * nl2 * self.sa
         coef = ell * np.exp(-log_sinh(nl2))
-        log_sa = math.log(self.sa)
+        log_sa, log_nl2 = math.log(self.sa), np.log(nl2)
         nu1 = self.nu + 1.0
+        ulps = (_j_ulps(self.nu) + 1.0 + self.nu * (0.625 + abs(log_sa))
+                + (0.5 + self.nu) * np.abs(log_nl2) + 0.5 * nl2)
         with np.errstate(over="ignore", divide="ignore"):
             slope = self.phi0 / (2.0 * nu1) * x * x
             landau = np.minimum(min(1.0, _LANDAU_NU * nu1 ** (-1.0 / 3.0)), _LANDAU_X / np.cbrt(x))
             if self.nu * (log_sa - math.log(float(np.min(nl2)))) <= _LOG_POWER_MAX + min(
                     0.0, self.log_phi0):
-                power = np.exp(self.nu * (log_sa - np.log(nl2)))
+                power = np.exp(self.nu * (log_sa - log_nl2))
                 slope = np.minimum(slope, power * x * landau)
-                return coef * power * self._bessel(x), coef * slope
+                bessel, slope = self._bessel(x), coef * slope
+                coef *= power
+                size = coef * self._scale(bessel, x)
+                return coef * bessel, slope, size, size * ulps
             near = x * x <= 2.0 * (self.nu + 1.0)
             far = ~near
             phi = np.empty_like(x)
-            power = np.exp(self.nu * (log_sa - np.log(nl2[far])))
-            phi[far] = power * self._bessel(x[far])
+            power = np.exp(self.nu * (log_sa - log_nl2[far]))
+            bessel = self._bessel(x[far])
+            phi[far] = power * bessel
             phi[near] = self.phi0 * ascending_series(self.nu, x[near])
             slope[far] = np.minimum(slope[far], power * x[far] * landau[far])
-            return coef * phi, coef * slope
+            size = coef * np.abs(phi)
+            size[far] = coef[far] * power * self._scale(bessel, x[far])
+            return coef * phi, coef * slope, size, size * (ulps + self.phi0_ulps())
+
+    def phi0_ulps(self) -> float:
+        """phi0's error in eps: eps/2 of its exponent's parts three times, and e^."""
+        return 1.5 * (self.nu * abs(math.log(self.a)) + abs(math.lgamma(self.nu + 1.0))) + 1.0
+
+    def _scale(self, bessel, x):  # |J|, and its envelope past the turning region (_J_ULPS)
+        if self.w == 0.0:  # the sine errs relative to |J|
+            return np.abs(bessel)
+        envelope = np.maximum(np.abs(bessel), np.minimum(1.0, np.sqrt(2.0 / np.pi / x)))
+        return np.where(x > self.w, envelope, np.abs(bessel))
 
     def _bessel(self, x):
         if self.spherical is not None:
@@ -292,16 +289,18 @@ class _BesselSeries:
         e = _expansion(self.w, self.a, self.policy)
         if e is None:
             return None
-        c, r, r_bound, b, b_mass, log_rem = e
+        c, r, r_bound, b, b_mass, log_rem, rate = e
         pole = -c[0] * (math.log(-math.expm1(-ell)) + 0.5 * ell)
         s = pole + r
-        fixed = r_bound + _ROUNDING * (1.0 + abs(self.log_phi0)) * abs(pole)
-        rounding, power = 0.0, 1.0
+        size = abs(pole) + abs(r)  # of the terms summed so far, for their rounding
+        rounding, power = r_bound, 1.0
         for k in range(1, _LAURENT_TERMS + 1):
             power *= ell * ell
-            s -= b[k - 1] * power
+            term = b[k - 1] * power
+            s -= term
+            size += abs(term)
             rounding += b_mass[k - 1] * power
-            bound = _exp(log_rem[k - 1] + 2 * k * log_ell) + fixed + rounding + _ROUNDING * abs(s)
+            bound = _exp(log_rem[k - 1] + 2 * k * log_ell) + rounding + rate * size
             if bound <= self._tol(s):
                 break
         return s, bound
@@ -327,13 +326,16 @@ def _s_max(phi0: float, ell: float) -> float:
 
 @lru_cache(maxsize=128)
 def _expansion(w: float, a: float, policy: TruncationPolicy):
-    """(c_0..c_J, R, bound on R, b_1..b_J, their rounding bounds, log E_1..E_J),
-    b_k = (B_2k/2k)(c_k - c_0/(2k)!) and |R_K| <= E_K ell^2K; None when R's
-    direct sum certifies at no ell0. Pure, so one build serves every call."""
+    """(c_0..c_J, R, bound on R, b_1..b_J, their rounding bounds, log E_1..E_J,
+    rounding per unit size of the terms pole, R and b_k ell^2k), b_k =
+    (B_2k/2k)(c_k - c_0/(2k)!), |R_K| <= E_K ell^2K; None when R's direct
+    sum certifies at no ell0. Pure, so one build serves every call. Each
+    sum here adds at most J + 2 terms in turn, off by phi0's error, by the
+    recurrence's 2 eps a step, or by the k + 1 roundings of ell^2k."""
     series = _BesselSeries(w, a, policy)
     sa, nu, phi0, log_phi0 = series.sa, series.nu, series.phi0, series.log_phi0
-    J = _LAURENT_TERMS
-    rel = _ROUNDING * (1.0 + abs(log_phi0))
+    J, u0 = _LAURENT_TERMS, series.phi0_ulps()
+    rate = _rounding(1.0, 1, u0 + J / 2 + 3.0, J + 2)
 
     # c_j, and the absolute size of the alternating sum behind it
     p = [phi0]
@@ -346,8 +348,11 @@ def _expansion(w: float, a: float, policy: TruncationPolicy):
     b, b_mass = [], []
     for k, (num, den) in enumerate(_BERNOULLI, 1):
         tail = c[0] / math.factorial(2 * k)
-        b.append(num / (den * 2 * k) * (c[k] - tail))
-        b_mass.append(rel * abs(num / (den * 2 * k)) * ((k + 1) * mass[k] + tail))
+        factor = num / (den * 2 * k)
+        b.append(factor * (c[k] - tail))
+        # the k + 1 products behind c_k and c_0's tail, added in turn
+        b_mass.append(_rounding(abs(factor) * (mass[k] + tail), 1,
+                                u0 + 2 * k + 4, k + 2))
 
     # bracket(r)/phi0 of the Cauchy estimate, over the radius grid (c_0 = 2 phi0)
     log_brackets = []
@@ -365,7 +370,7 @@ def _expansion(w: float, a: float, policy: TruncationPolicy):
     # No sum is run where that share misses even the tolerance of |offset|
     # plus phi0 sum_n ell0/sinh(n ell0/2) >= |S(ell0)|.
     if phi0 == 0.0:  # g underflows, and so R
-        return (tuple(c), 0.0, 0.0, tuple(b), tuple(b_mass), log_rem)
+        return (tuple(c), 0.0, 0.0, tuple(b), tuple(b_mass), log_rem, rate)
     ell0 = 0.25
     while ell0 >= _ELL0_MIN:
         e, order = min((_exp(lr + 2 * k * math.log(ell0)), k) for k, lr in enumerate(log_rem, 1))
@@ -374,15 +379,19 @@ def _expansion(w: float, a: float, policy: TruncationPolicy):
         offset = pole + sum(bk * pk for bk, pk in zip(b, powers))
         if e <= _R_SHARE * series._tol(abs(offset) + _s_max(phi0, ell0)):
             try:
-                s, err, s_mass = series.direct(
+                s, err = series.direct(
                     ell0, lambda t: _R_SHARE * series._tol(t + offset), charge=False)
             except TruncationBudgetError:
                 return None
             if e <= _R_SHARE * series._tol(s + offset):
-                rounding = rel * (s_mass + abs(pole)) + sum(
-                    m * pk for m, pk in zip(b_mass, powers))
-                return (tuple(c), s + offset, err + e + rounding, tuple(b), tuple(b_mass),
-                        log_rem)
+                # the b_k ell0^2k added in turn, the pole part's own error, and
+                # the two additions that make offset and R
+                small = sum(abs(bk * pk) for bk, pk in zip(b, powers))
+                err += (e + sum(m * pk for m, pk in zip(b_mass, powers))
+                        + _rounding(small, 1, order / 2 + 1.0, order)
+                        + _rounding(abs(pole), 1, u0 + 2.5)
+                        + _rounding(abs(s) + abs(pole) + small, 1, 0.0, 3))
+                return (tuple(c), s + offset, err, tuple(b), tuple(b_mass), log_rem, rate)
         ell0 *= 0.5
     return None
 
@@ -406,11 +415,10 @@ def g_limit(w: float, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> fl
     """R_w(T), the limit of G_w(T) - c_w(T) log(1/ell) for one length ell -> 0.
 
     Certified to policy.tol(R), else TruncationBudgetError; zero at T = 1/4.
-    R's bound carries the rounding of its direct sum, whose terms are far
-    larger than R near a zero of R, so there it raises, and g_expansion
-    with it: at w = 0.7 for T in [12.3263, 12.3270], at w = 2 for T in
-    [21.3016, 21.3043]. g_bessel still certifies there, since its
-    tolerance is relative to G, which the log term keeps away from 0.
+    Near a zero of R the rounding of its sums, whose terms are far larger
+    than R, passes tol(R), and it raises, g_expansion with it: at w = 0.7
+    for T in [12.3262, 12.3271], at w = 2 in [21.3020, 21.3038]. g_bessel
+    still certifies there, its tolerance relative to G.
     """
     w = _check(w, "weight")
     T = _check(T, "threshold")
@@ -456,15 +464,9 @@ def g_expansion(w: float, T: float, order: int,
 
 
 def g_sine_form(ps, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """Weight-zero collapse of g_bessel in closed sine form.
-
-    With J_{1/2}(x) = sqrt(2/(pi x)) sin x the w = 0 series reduces to
-
-        (1/2 pi) sum_{n>=1} sum_k sin(n ell_k sqrt(a)) / (n sinh(n ell_k/2)).
-
-    Always summed term by term, so it stays an independent check on
-    both routes of g_bessel.
-    """
+    """Weight-zero collapse of g_bessel: as J_{1/2}(x) = sqrt(2/(pi x)) sin x,
+    (1/2 pi) sum_{n>=1} sum_k sin(n ell_k sqrt(a)) / (n sinh(n ell_k/2)),
+    always summed term by term: an independent check on both routes."""
     ps = PinchingSet.of(ps)
     T = _check(T, "threshold")
     if T < 0.25:
@@ -477,7 +479,11 @@ def g_sine_form(ps, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> floa
     def one_length(ell: float) -> float:
         def terms(n):  # and |x cos x|/(n sinh(n ell/2)) at x = n ell sqrt(a)
             c = np.exp(-log_sinh(0.5 * ell * n))
-            return np.sin(n * ell * sa) / n * c, ell * sa * c
+            t = np.sin(n * ell * sa) / n * c
+            # off as a direct term's 1/sinh at worst in the block, and by the sine and quotient
+            lo, hi, size = 0.5 * ell * float(n[0]), 0.5 * ell * float(n[-1]), np.abs(t)
+            ulps = 2.0 + 0.5 * (max(abs(math.log(lo)), abs(math.log(hi))) + hi)
+            return t, ell * sa * c, size, ulps * size
 
         def log_env(n):  # |sin y| <= min(1, y)
             return math.log(min(1.0 / n, ell * sa)) - log_sinh(0.5 * ell * n)

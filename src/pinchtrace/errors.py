@@ -9,7 +9,6 @@ __all__ = [
     "PinchtraceError",
     "DomainError",
     "SchemaError",
-    "NonConvergenceError",
     "TruncationBudgetError",
     "UncertifiedTailWarning",
 ]
@@ -36,11 +35,7 @@ class SchemaError(PinchtraceError, ValueError):
         super().__init__(f"{path}: {reason}")
 
 
-class NonConvergenceError(PinchtraceError, RuntimeError):
-    """A series or quadrature failed to meet tolerance within its budget."""
-
-
-class TruncationBudgetError(NonConvergenceError):
+class TruncationBudgetError(PinchtraceError, RuntimeError):
     """A tail bound or rounding allowance could not certify tolerance within
     the policy's budget (max_terms terms or max_quad_evals nodes)."""
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError
 from .policy import DEFAULT_POLICY, TruncationPolicy
-from .specfun import gauss_rule, log_sinh, tail_cut
+from .specfun import _rounding, gauss_rule, log_sinh, tail_cut
 
 __all__ = [
     "heat_kernel",
@@ -237,8 +237,10 @@ def cylinder_trace(ell: float, t: float, policy: TruncationPolicy = DEFAULT_POLI
         return (log_pref + np.logaddexp.reduce(peak, axis=0) + beta * beta / t
                 - np.log(np.sinc(2.0 * beta / math.pi)))
 
+    # the outer rule's share also pays for the final np.sum of the count rows
     sg, wg, _ = gauss_rule(0.0, sig, log_bound, whole + 0.25 * tol, 64.0, 0.5 * math.pi,
-                           0.25 * tol - tail, policy.max_quad_evals // count)
+                           0.25 * tol - tail - _rounding(whole + 0.25 * tol, count),
+                           policy.max_quad_evals // count)
 
     d = 2.0 * _half_distance(log_s[:, None] + np.logaddexp(sg, -sg) - math.log(2.0))
     lg = _log_g(t, d)

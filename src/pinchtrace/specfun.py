@@ -1,32 +1,21 @@
 """Gamma and J-Bessel functions of real order p >= -1/2, in numpy.
 
-Half-integer orders p = n + 1/2, the ones the counting series needs at
-integer weights, are elementary (DLMF 10.49) and take three regions of
-x >= 0:
+Half-integer orders p = n + 1/2, the counting series' at integer weights,
+are elementary (DLMF 10.49): upward recurrence of the spherical Bessel
+function from j_0 = sin x/x and j_1 = (j_0 - cos x)/x for x > n, then
+J_{n+1/2}(x) = sqrt(2x/pi) j_n(x); the ascending series, whose terms at
+least halve, for x <= n with x^2 <= 2(p + 1); Miller's backward
+recurrence in the band between them, empty for n <= 3. Other orders take
+the ascending series near 0, Hankel's expansion at mu = p - round(p) and
+mu + 1 then upward recurrence where x >= max(25, p), and Miller's
+recurrence, normalized with DLMF 10.23.15, elsewhere; p = -1/2 is
+sqrt(2/(pi x)) cos x. No order loads scipy.special. The 50-digit series
+oracle and gamma live in the numpy-free module closed.
 
-- x > n: upward recurrence of the spherical Bessel function from
-  j_0 = sin x/x and j_1 = (j_0 - cos x)/x, stable while the order stays
-  below x, then J_{n+1/2}(x) = sqrt(2x/pi) j_n(x);
-- x <= n with x^2 <= 2(p + 1): the ascending series, whose every term is
-  at most half the one before, so nothing cancels and the relative error
-  stays a few ulp as x -> 0;
-- the band between them, empty for n <= 3: Miller's backward recurrence.
-
-Other orders take the same ascending series near 0; Hankel's expansion
-at the order mu = p - round(p) and mu + 1, then upward recurrence, where
-x >= max(25, p); and Miller's backward recurrence, normalized with
-DLMF 10.23.15, everywhere else. p = -1/2 is sqrt(2/(pi x)) cos x. No
-order loads scipy.special, so what a call costs in import time and
-memory does not depend on its order. Orders below -1/2 are rejected: the
-series here only ever need w + 1/2 with w >= 0, plus the collapse case
-p = -1/2. The 50-digit ascending series oracle, an independent
-implementation the test suite checks every route against, and gamma
-live in the numpy-free module closed; they are re-exported here.
-
-The module also holds the numerical helpers the other modules share:
-log_sinh, the geometric-tail cut tail_cut, the ascending series
-ascending_series, the cached Gauss-Legendre rule leggauss and gauss_rule,
-which sizes that rule from a bound on the integrand.
+The module also holds the helpers the other modules share: log_sinh, the
+geometric-tail cut tail_cut, ascending_series, the cached Gauss-Legendre
+rule leggauss, gauss_rule, which sizes it from a bound on the integrand,
+and _rounding, the one rounding model of every certified sum.
 """
 
 from __future__ import annotations
@@ -45,6 +34,11 @@ _EPS = float(np.finfo(float).eps)
 _SERIES_DROP = 2.0**-56  # terms below this add nothing to a sum in [1/2, 1]
 _HANKEL_X = 25.0         # Hankel's expansion reaches eps at orders <= 3/2 from here
 _MILLER_LOG_TOP = math.log(2.0**-60)  # Miller starts where J has fallen this far
+# bessel_j's error per region, (a, b): (a + b p) eps of |J| or, where x > p - 1/2
+# and p != 1/2, of max(|J|, min(1, sqrt(2/(pi x)))), for x >= 1e-300, plus
+# 2^-1070 where J is subnormal; the tests pin each against mpmath
+_J_ULPS = {"series": (6.0, 0.0), "upward": (4.0, 0.5), "hankel": (4.0, 0.5),
+           "miller": (12.0, 1.0 / 6.0)}
 
 
 def log_sinh(x):
@@ -55,6 +49,24 @@ def log_sinh(x):
     if isinstance(x, float):
         return x - math.log(2.0) + math.log(-math.expm1(-2.0 * x))
     return x - math.log(2.0) + np.log(-np.expm1(-2.0 * x))
+
+
+def _rounding(mass, n: int, ulps=0.0, parts: int = 1):
+    """Bound (ulps + c(n) + (parts - 1)/2) eps mass on the rounding of a sum.
+
+    mass bounds the terms' absolute sum and ulps eps mass their own errors
+    (ulps may be an array). np.sum of n terms sums a block of k <= 128 in 8
+    lanes that meet in a 3-level tree before its k mod 8 leftovers come one
+    by one (k < 8 in turn), and splits a longer run in two, the first part
+    a multiple of 8: a term passes floor(k/8) + 2 + k mod 8 additions of a
+    block (24 at k = 127) and one a split, and as a split leaves at most
+    (k + 15)/2 terms a part, 24 + L need 112 2^L + 15 terms. So at most
+    min(n - 1, log2 n + 17.2) additions, each off by eps/2 of its result:
+    c(n) is half that, for each part of a complex sum (no deeper) too. Python
+    adding up parts such sums (or a BLAS product) adds parts - 1 additions.
+    """
+    adds = min(n - 1.0, math.log2(max(n, 1)) + 17.2) + parts - 1
+    return (ulps + 0.5 * adds) * _EPS * mass
 
 
 def tail_cut(log_env, ell: float, target: float, cap: int) -> int:
@@ -98,14 +110,13 @@ def gauss_rule(a: float, b: float, log_bound, mass: float, ulps: float, beta_max
     in multiples of 8 points, certified within target.
 
     log_bound(beta) bounds log|f| on the box |Im z| <= beta holding the
-    ellipse of foci a, b and semi-minor axis beta, for an array of 0 < beta
-    < beta_max. With h = (b - a)/2 and log rho = asinh(beta/h), the n-point
-    rule errs by at most h (64/15) e^{log_bound} rho^{2-2n}/(rho^2 - 1), as
-    it is exact on T_k but for even k >= 2n (Trefethen, SIAM Rev. 50, 2008,
-    Thm 4.5, for n + 1 points). That at the best beta and the rounding,
-    (n + ulps) eps mass with mass >= sum |w_i f(x_i)| and ulps bounding the
-    error of each term, take half the target each; TruncationBudgetError
-    past cap points.
+    ellipse of foci a, b and semi-minor axis beta, 0 < beta < beta_max.
+    With h = (b - a)/2 and log rho = asinh(beta/h), the n-point rule errs
+    by at most h (64/15) e^{log_bound} rho^{2-2n}/(rho^2 - 1) (Trefethen,
+    SIAM Rev. 50, 2008, Thm 4.5). That at the best beta and the caller's
+    np.sum of the n terms, _rounding(mass, n, ulps) for mass >= sum |w_i
+    f(x_i)| and terms off by ulps, take half the target each;
+    TruncationBudgetError past cap points.
     """
     h = 0.5 * (b - a)
     beta = beta_max * 2.0 ** (-np.arange(1, 25) / 4.0)
@@ -115,12 +126,21 @@ def gauss_rule(a: float, b: float, log_bound, mass: float, ulps: float, beta_max
              + 2.0 * log_rho - np.log(np.expm1(2.0 * log_rho)))
     need = np.min((log_c - math.log(0.5 * target)) / (2.0 * log_rho)) if target > 0.0 else np.inf
     n = 8 * math.ceil(min(max(float(need), 2.0), cap + 1.0) / 8.0)
-    rounding = (n + ulps) * _EPS * mass
+    rounding = _rounding(mass, n, ulps)
     if n > cap or not rounding <= 0.5 * target:
         raise TruncationBudgetError(f"cannot certify {target:.3g} within {cap} quadrature nodes")
     x, w = leggauss(n)
     bound = math.exp(float(np.min(log_c - 2.0 * n * log_rho))) + rounding
     return a + h * (x + 1.0), h * w, bound
+
+
+@lru_cache(maxsize=64)
+def _j_ulps(p: float) -> float:
+    """The largest _J_ULPS bound of the regions that serve order p."""
+    n = _half_integer_index(p)
+    regions = ("series", "hankel", "miller") if n is None else ("series", "upward", "miller")[
+        :2 if n <= 3 else 3]
+    return max(a + b * p for a, b in map(_J_ULPS.get, regions))
 
 
 def _half_integer_index(p: float) -> int | None:
@@ -321,20 +341,9 @@ def bessel_j_half(n: int, x):
 
 
 def bessel_j(p: float, x: float) -> float:
-    """J-Bessel function of the first kind, order p >= -1/2, argument x >= 0.
-
-    Parameters
-    ----------
-    p : float
-        Order, p >= -1/2. For p < 0 the argument must be positive.
-    x : float
-        Argument, x >= 0. Arrays are accepted and mapped elementwise.
-
-    Returns
-    -------
-    float or ndarray
-        J_p(x); at x = 0 this is 1 for p = 0 and 0 for p > 0.
-    """
+    """J-Bessel function of the first kind J_p(x), p >= -1/2, x >= 0 (> 0 for
+    p < 0); an array x is mapped elementwise. At x = 0 it is 1 for p = 0
+    and 0 for p > 0."""
     p = _check_order(p)
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0.0):

@@ -1,18 +1,14 @@
 """Degeneration sweeps and growth-exponent fits.
 
-A sweep walks a schedule of pinching sets toward zero length, computing
-the counting series, its log-sum normalizer, and the residual against
-the asymptotic constant for each point, in schedule order; a failed
-row is recorded with its error message instead of aborting the sweep.
-
-Rows come from the Bessel series or, on request, from the contour
-inversion of the degenerating trace (the dual route), under the series
-and the inversion policy as every other evaluation. Series rows hold
-the GIL, so they run in the caller's thread; contour rows run on a
-thread pool capped by SPECTRA_THREADS. On a 2-vCPU box that pool is no
-faster than one thread: a 6-row contour sweep at T = 1 took 0.185 and
-0.205 s on 1 thread against 0.188 and 0.172 s on 2 at w = 1, and 0.091
-and 0.103 s against 0.083 and 0.110 s at w = 2 (medians of 5).
+A sweep walks a schedule of pinching sets toward zero length and gives,
+per point in order, the counting series, its log-sum normalizer and the
+residual against the asymptotic constant; a failed row keeps its error
+message. Rows come from the Bessel series or, on request, the contour
+inversion of the degenerating trace. Series rows hold the GIL and run in
+the caller's thread; contour rows run on a pool capped by
+SPECTRA_THREADS, no faster than one thread on a 2-vCPU box (a 6-row
+contour sweep at T = 1, w = 1: 0.185-0.205 s on 1 thread, 0.172-0.188 s
+on 2, medians of 5).
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from .errors import DomainError, PinchtraceError
 from .policy import DEFAULT_INVERSION_POLICY, DEFAULT_POLICY, TruncationPolicy
 from .spectrum import PinchingSet
 from .trace import degenerating_trace
-from .xform import weighted_inverse
+from .xform import _check_line, weighted_inverse
 
 __all__ = ["Schedule", "SweepRow", "SweepResult", "run_sweep", "fit_growth_exponent"]
 
@@ -141,18 +137,17 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate the counting series along a schedule.
 
-    g_value comes from the closed Bessel series, or (use_bromwich) from
-    the contour inversion of the degenerating trace along Re z = a (by
-    default the line weighted_inverse picks), the dual route used for
-    cross-validation. Series evaluations, the trace on the contour
-    included, run under `policy`; the inversion runs under
-    `inversion_policy`, as in weighted_inverse. w and T must be finite
-    and >= 0, checked before any row runs. residual subtracts
-    c_weight(w, T) * log_sum (the constant is zero below the T = 1/4
-    breakpoint); normalized is g_value / log_sum, the quantity that
-    approaches c_weight(w, T).
+    g_value comes from the Bessel series or (use_bromwich) from the contour
+    inversion of the degenerating trace along Re z = a (by default
+    weighted_inverse's line), series under `policy`, the inversion under
+    `inversion_policy`. w and T must be finite and >= 0, and with
+    use_bromwich T and a given a > 0, all checked before any row runs.
+    residual subtracts c_weight(w, T) log_sum (zero below T = 1/4);
+    normalized is g_value / log_sum, which approaches c_weight(w, T).
     """
     w, T = _check(w, "weight"), _check(T, "threshold")
+    if use_bromwich:
+        _check_line(T, a)
     if T >= 0.25:
         c_weight(w, T)  # every row's residual needs it, so an overflow fails the call
 

@@ -1,46 +1,36 @@
 """Heat-trace series over length spectra, pinching sets, and eigenvalues.
 
-The geodesic-side trace at complex time z (Re z > 0) is
+The geodesic trace at complex time z (Re z > 0), principal square root, is
 
     HTr(z) = e^{-z/4} / (16 pi z)^{1/2}
-             * sum_{n>=1} sum_ell m_ell * ell / sinh(n ell / 2)
-               * e^{-(n ell)^2 / 4z}
+             * sum_{n>=1} sum_ell m_ell ell / sinh(n ell / 2) e^{-(n ell)^2 / 4z}.
 
-with the principal branch of the square root. Truncation is certified:
-|e^{-x/z}| = e^{-x Re(1/z)}, the ratio of successive n-terms is at most
-e^{-ell/2}, so the tail past any n is dominated by a geometric series.
-Re(1/z) shrinks as |Im z| grows, which is why the term budget scales
-with sqrt(1 + (Im z / Re z)^2). The cut is taken for the smallest
-Re(1/z) of the call and the target policy.tol of the n = 1 terms.
+As |e^{-x/z}| = e^{-x Re(1/z)}, successive n-terms fall by e^{-ell/2} at
+least, so a geometric series bounds each tail; the cut takes the smallest
+Re(1/z) of the call and the target policy.tol of the n = 1 terms, and the
+term budget scales with sqrt(1 + (Im z / Re z)^2).
 
 The cut series S(v) = sum c e^{-y v}, with v = 1/4z, c = m ell/sinh(n ell/2)
 and y = (n ell)^2, goes one of two routes per call:
 
 - direct: every term at every node, about 1/ell complex exponentials per
-  node. The only route for one node, and the oracle for the other.
+  node; the only route for one node, and the other's oracle. Its tails and
+  its rounding share the target.
 - Taylor: S is entire in v, so it is expanded once about a centre v0 and
   evaluated at every node by Horner in (v0 - v)/rho, rho the largest
-  |v - v0| of the call. The n-terms enter only the coefficients, so a
-  node costs K multiply-adds, and K does not depend on ell. Centres:
-  1/(8 min Re z), where no term grows because Re z >= a maps into the disc
-  |v - 1/8a| <= 1/8a, and the centre of the bounding box of the v, tight
-  on the high bands of a contour; the one needing fewer terms is used.
+  |v - v0|, K multiply-adds a node whatever ell is. The centre is
+  1/(8 min Re z), as Re z >= a maps into |v - 1/8a| <= 1/8a, or the
+  centre of the v's bounding box, whichever needs fewer terms. The n-cut
+  takes half the target, the truncation after K terms, sum c e^{y (rho -
+  Re v0)} P(K, y rho) (P the regularized lower incomplete gamma function),
+  and the rounding of the build and of Horner's steps the other half.
 
-The Taylor route is certified at every node by three bounds whose sum is
-within the target: the n-cut, cut at half the target; the truncation
-after K terms, sum c e^{y (rho - Re v0)} P(K, y rho) with P the
-regularized lower incomplete gamma function, which the coefficient build
-tracks as it runs; and a rounding allowance of 4 eps (3 (K + log2 N) + 1)
-sum c e^{y (rho - Re v0)} for N terms. A call takes it when
-K (nodes + terms) < _COST_RATIO (direct terms) (nodes), the measured
-cost ratio, and that bound holds; otherwise it takes the direct route.
-So real scalars and small arrays are summed directly, bit for bit, and
+Both roundings are specfun._rounding's. A call takes the Taylor route when
+K (nodes + terms) < _COST_RATIO (direct terms) (nodes) and its bound
+holds. So real scalars and small arrays are summed directly, bit for bit;
 on a contour block a node's value depends on the other nodes of the
-call, but only within the certified tolerance.
-
-All evaluators accept a scalar z or an array of z values (the inverse
-Laplace transform feeds whole contours at once); a real scalar in gives
-a float back.
+call, within the certified tolerance. Every evaluator takes a scalar z
+or an array; a real scalar in gives a float back.
 """
 
 from __future__ import annotations
@@ -53,7 +43,7 @@ import numpy as np
 from .errors import DomainError, TruncationBudgetError
 from .hyperbolic import heat_kernel_origin
 from .policy import DEFAULT_POLICY, TruncationPolicy
-from .specfun import log_sinh, tail_cut
+from .specfun import _rounding, log_sinh, tail_cut
 from .spectrum import LengthSpectrum, PinchingSet, SpectralData
 
 __all__ = [
@@ -187,24 +177,18 @@ def _taylor_sum(entries, zs: np.ndarray, log_env, target: float, cap: int,
 def _coefficients(log_c, y, v0: complex, rho: float, budget: float, k_max: int):
     """B_0..B_{K-1} of the expansion about v0 for the least K <= k_max that certifies.
 
-    S(v) = sum_i c_i e^{-y_i v} = sum_k B_k q^k with q = (v0 - v)/rho and
-    B_k = sum_i c_i e^{-y_i v0} x_i^k/k!, x_i = y_i rho. With
-    w_i = c_i e^{y_i (rho - Re v0)}, truncating after K terms costs at most
-    L_K = sum_i w_i P(K, x_i) wherever |q| <= 1 (P the regularized lower
-    incomplete gamma function), and rounding the coefficients and Horner's
-    steps at most 8 eps (K + log2 N) sum_i w_i for N terms.
-
-    L_K is the running remainder sum_i w_i - sum_{j<K} s_j, s_j = sum_i w_i
-    p_ij with p_ij = e^{-x_i} x_i^j/j! from the recurrence that builds B_j.
-    To first order, with a sum of N terms off by log2 N eps of its absolute
-    sum: p_ij carries 2j + 1 roundings (e^{-x}, two per step) and w_i p_ij
-    two more (|t_i|, the product), so the s_j, j < K, are off by
-    (2K + 1 + log2 N) eps sum_i w_i in all, as sum_j p_ij <= 1; sum_i w_i by
-    (1 + log2 N) eps of itself; each of the K subtractions by eps of a value
-    below it. That is (3K + 2 log2 N + 2) eps sum_i w_i, rounded up to
-    4 (K + log2 N + 1), which also covers the rounding of x_i: it moves
-    P(K, x_i) by at most K eps p_iK. K is the first order with L_K plus
-    both allowances within budget; None when no K <= k_max gets there.
+    S(v) = sum_i c_i e^{-y_i v} = sum_k B_k q^k, q = (v0 - v)/rho, B_k =
+    sum_i t_i p_ik with t_i = c_i e^{-y_i v0 + x_i}, x_i = y_i rho and p_ik =
+    e^{-x_i} x_i^k/k!. With w_i = |t_i|, truncating after K terms costs at
+    most L_K = sum_i w_i P(K, x_i) where |q| <= 1 (P the regularized lower
+    incomplete gamma function): the running sum_i w_i - sum_{j<K} s_j, s_j
+    = sum_i w_i p_ij. Every s_j, sum_i w_i and part of B_j is an np.sum of
+    N terms off by (j + 1) eps each (p_ij's 2j + 1 roundings, the product)
+    and t_i's own error u_i; rounding x_i moves P(K, x_i) by K eps/2 p_iK,
+    and the K subtractions and Horner's complex steps add K/2 and 2K eps of
+    sum w_i. As sum_j p_ij <= 1, 4 _rounding(sum w_i, N, 1.5 K + u) covers
+    it, u the w-weighted u_i. K is the first order with L_K plus that within
+    budget; None when no K <= k_max gets there.
     """
     x = y * rho
     # a subnormal e^{-x} would void the relative-error model of the
@@ -217,29 +201,54 @@ def _coefficients(log_c, y, v0: complex, rho: float, budget: float, k_max: int):
     t = np.exp(log_c - y * v0 + x)
     w = np.abs(t)
     mass = float(np.sum(w))
-    log2n = math.log2(y.size)
-    if 4.0 * _EPS * mass * (3.0 * (k_max + log2n) + 1.0) > budget:  # allowance alone fails
-        k_max = int((budget / (4.0 * _EPS * mass) - 1.0) / 3.0 - log2n)
+    # t_i's exponent, summed from log c_i, y_i v0 and x_i, is off by eps/2 of
+    # their sizes each; its exponential and modulus add 1.5 eps
+    own = float(np.sum(w * (np.abs(log_c) + 1.5 * y * abs(v0) + 0.5 * x + 1.5))) / (mass or 1.0)
+    allowance = 4.0 * _rounding(mass, y.size, own + 1.5 * np.arange(k_max + 1.0))
+    k_max = int(np.searchsorted(allowance, budget, side="right")) - 1  # past it, it alone fails
     # P(K, x) > 1/2 for x >= K (a Gamma(K) law's median is below K): such terms alone fail
     if k_max < 1 or 0.5 * float(np.sum(w[x >= k_max])) > budget:
         return None
-    # one product per order gives the real and imaginary parts of B_k and s_k
-    rows = np.stack([t.real, t.imag, w])
-    poisson = np.exp(-x)
+    # rows t_i p_ik and w_i p_ik, each summed pairwise: the parts of B_k (no
+    # imaginary one about a real centre) and s_k
+    rows = np.stack([t.real, w] + ([t.imag] if v0.imag else [])) * np.exp(-x)
+    step = np.empty_like(x)
     left = mass  # L_K once the orders so far are kept
     coeffs = []
     for k in range(1, k_max + 1):
-        re, im, share = rows @ poisson
-        coeffs.append(complex(re, im))
+        re, share, *im = rows.sum(axis=1)
+        coeffs.append(complex(re, *im))
         left -= share
-        if left + 4.0 * _EPS * (3.0 * (k + log2n) + 1.0) * mass <= budget:
+        if left + allowance[k] <= budget:
             return coeffs
-        poisson *= x / k
+        rows *= np.divide(x, k, out=step)
     return None
 
 
+def _direct_rounding(entries, zs: np.ndarray, log_env, cuts, room: float) -> float:
+    """sqrt(2) _rounding of _term_sum at any node: BLAS products of at most
+    _N_CHUNK terms c e^{-sq/z}, off by (2 + 2|sq/z|) eps each, added chunk by
+    chunk; from the envelope's geometric sum and largest sq if that fits room."""
+    z = 2.0 * float(np.min(np.abs(zs)))
+    parts = min(max(cuts), _N_CHUNK) + sum(-(-k // _N_CHUNK) for k in cuts) - 1
+    mass = sum(math.exp(log_env(e, m)(1)) / -math.expm1(-0.5 * e) for e, m in entries)
+    top = max(k * e for (e, _), k in zip(entries, cuts))  # the largest n ell: inf rather than raise
+    bound = _rounding(mass, 1, 2.0 + top * top / z, parts)
+    if math.sqrt(2.0) * bound <= room:
+        return math.sqrt(2.0) * bound
+    mass = own = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # huge lengths or nodes: terms of 0
+        for (ell, mult), k in zip(entries, cuts):
+            n = np.arange(1.0, k + 1.0)
+            log_size = log_env(ell, mult)(n)  # bounds log |term n| at every node
+            mass += float(np.sum(np.exp(log_size)))
+            own += float(np.sum(np.exp(log_size + 2.0 * np.log(n * ell) - math.log(z))))
+    return math.sqrt(2.0) * _rounding(mass, 1, 2.0 + own / (mass or 1.0), parts)
+
+
 def _geodesic_sum(entries, zs: np.ndarray, policy: TruncationPolicy) -> np.ndarray:
-    """Cut series at every node, by Taylor expansion when that takes fewer operations."""
+    """Cut series at every node, by Taylor expansion when that is cheaper; the
+    direct route cuts again where its tails and rounding pass the target."""
     log_env, target, cap = _plan(entries, zs, policy)
     cuts = _cuts(entries, log_env, target, cap)
     if zs.size > 1:  # one node is its own centre: the expansion is the direct sum
@@ -247,7 +256,16 @@ def _geodesic_sum(entries, zs: np.ndarray, policy: TruncationPolicy) -> np.ndarr
                             _COST_RATIO * sum(cuts) * zs.size)
         if total is not None:
             return total
-    return _term_sum(entries, zs, cuts)
+    while True:
+        tail = sum(math.exp(log_env(ell, mult)(k + 1)) / -math.expm1(-0.5 * ell)
+                   for (ell, mult), k in zip(entries, cuts))
+        rounding = _direct_rounding(entries, zs, log_env, cuts, target - tail)
+        if tail + rounding <= target:
+            return _term_sum(entries, zs, cuts)
+        recut = _cuts(entries, log_env, target - rounding, cap) if rounding < target else cuts
+        if recut == cuts:
+            raise TruncationBudgetError(f"trace: rounding {rounding:.3e} fills tol {target:.3e}")
+        cuts = recut
 
 
 def hyperbolic_trace(

@@ -1,22 +1,18 @@
 """Bromwich-contour inversion of Laplace transforms.
 
-A contour is its line Re z = a; everything else follows from the
-integrand. Inversion runs along the line with composite 16-point
-Gauss-Legendre panels, doubling the truncation height from 16/T until
-two successive extensions agree or the policy's quadrature budget is
-spent. Each extension is summed at two panel widths, L and 2L, in one
-evaluation of the transform; their difference is charged to the tail
-bound, a difference above a small share of the tolerance redoes the
-extension at L/2, and one well inside it hands 2L to the next extension.
-So the width follows the integrand: narrow where z^{-(w+1)} is steep near
-s = 0, wide in the tail, where a few slow oscillations multiply a smooth
-power. Extensions are appended, never recomputed, so refinement is
-incremental and deterministic.
+A contour is its line Re z = a. Inversion runs along it with composite
+16-point Gauss-Legendre panels, doubling the height from 16/T until two
+successive extensions agree or the quadrature budget is spent. Each
+extension is summed at panel widths L and 2L in one evaluation of the
+transform, their difference charged to the tail bound: one above a small
+share of the tolerance redoes the extension at L/2, one well inside it
+hands 2L on. So panels are narrow where z^{-(w+1)} is steep near s = 0
+and wide in the tail. Extensions are appended, never recomputed.
 
-Every transform inverted here is that of a real function, so conjugate
-symmetry F(conj z) = conj F(z) holds: the sum runs over the upper half-line
-only and takes twice its real part. weighted_inverse alone chooses a line
-from the transform (_line); bromwich takes 1/T unless it is given one.
+Every transform here is that of a real function, F(conj z) = conj F(z):
+the sum runs over the upper half-line and takes twice its real part.
+weighted_inverse alone picks a line (_line); bromwich takes 1/T unless
+given one.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ import numpy as np
 from .closed import gamma
 from .errors import DomainError, TruncationBudgetError, UncertifiedTailWarning
 from .policy import DEFAULT_INVERSION_POLICY, TruncationPolicy
-from .specfun import leggauss
+from .specfun import _rounding, leggauss
 
 __all__ = [
     "bromwich",
@@ -42,7 +38,7 @@ __all__ = [
 _PANEL_NODES = 16
 _EVAL_BLOCK = 262_144
 _EPS = float(np.finfo(float).eps)
-_TERM_ROUNDINGS = 4  # per term: the exponential and the products w F e^{zT}
+_TERM_ULPS = 4.0  # per term: the exponential and the products w F e^{zT}
 _LOG_POWER_MAX = 600.0  # |log| of a power kept well inside the doubles
 _WIDTH_SHARE = 1.0 / 16.0  # of tol(value), for one extension's width check
 _WIDEN_MARGIN = 1.0 / 64.0  # of that share: a check passed by this much widens
@@ -58,13 +54,9 @@ _LINE_ROUNDING = 32.0
 
 @dataclass(frozen=True)
 class InversionResult:
-    """Outcome of a contour inversion.
-
-    value is the real inverse; tail_bound estimates its error: the last two
-    height extensions' magnitudes, plus every extension's width charge (the
-    difference between its sums at panel widths L and 2L), plus the
-    rounding allowance.
-    """
+    """Outcome of a contour inversion: value, and tail_bound, its error
+    estimate (the last two extensions' magnitudes, every extension's width
+    charge and the rounding allowance)."""
 
     value: float
     tail_bound: float
@@ -132,28 +124,22 @@ def bromwich(
     """Invert a Laplace transform at time T > 0 along the line Re z = a.
 
     F must be vectorized over a complex ndarray and be the transform of a
-    real function. The line defaults to a = 1/T, which balances the e^{aT}
-    growth factor against decay along it; a must be > 0. The first
+    real function. The line defaults to a = 1/T; a must be > 0. The first
     extension reaches height 16/T with panels of width L = 2 (16/T) / 41.
-
-    Each extension of the height is summed at widths L and 2L, and the
-    difference is charged to the tail bound. Past _WIDTH_SHARE of
-    tol(value) the extension is redone at L/2, checked against the width-L
-    sum; a first check passed by _WIDEN_MARGIN of that share hands 2L to
-    the next extension. The height is doubled until the two most recent
-    extensions both land inside tolerance. The tail bound is their
-    magnitudes, plus the width charges, plus a rounding allowance of
-    (log2 N + 4) eps times the sum of the value's terms' absolute values
-    (over pi, as the value), N the nodes evaluated.
+    An extension whose widths L and 2L differ by more than _WIDTH_SHARE of
+    tol(value) is redone at L/2; one passed by _WIDEN_MARGIN of that share
+    hands 2L on. The height doubles until the two latest extensions land
+    inside tolerance. The tail bound is their magnitudes, plus the width
+    charges, plus specfun._rounding of the value's terms (4 ulps each,
+    np.sum over blocks of at most _EVAL_BLOCK nodes, added in turn).
 
     DomainError is raised at once for T <= 0 or a <= 0, and where the
     integrand is not finite. TruncationBudgetError is raised where a width
-    check fails while the extension's rounding floor, 4 eps times both
-    rules' sums of absolute values, passes the check too, since no
-    narrower panel can then pass it; where the rounding allowance passes
-    tol(value), as it can on a line where the terms cancel down to a far
-    smaller value; and where the next sum would take the nodes past
-    policy.max_quad_evals. The error of F itself is F's to bound.
+    check fails while the rounding of both rules' sums passes it too, as no
+    narrower panel can then be shown to pass; where the rounding passes
+    tol(value), as on a line where the terms cancel down to a far smaller
+    value; and where the nodes would pass policy.max_quad_evals. The error
+    of F itself is F's to bound.
     """
     _check_line(T, a)
     a = 1.0 / T if a is None else a
@@ -189,7 +175,8 @@ def bromwich(
             limit = _WIDTH_SHARE * policy.tol((acc + chunk).real / math.pi)
             if diff <= limit:
                 break
-            floor = _TERM_ROUNDINGS * _EPS * (size + rough_size) / math.pi
+            floor = _rounding(size + rough_size, min(nodes, _EVAL_BLOCK), _TERM_ULPS,
+                              nodes // _EVAL_BLOCK + 1) / math.pi
             if floor >= limit:
                 raise TruncationBudgetError(
                     f"bromwich: rounding allowance {floor:.3e} of the contour sum exceeds "
@@ -207,7 +194,8 @@ def bromwich(
             break
         s_lo, s_hi = s_hi, 2.0 * s_hi
 
-    rounding = (math.log2(evals) + _TERM_ROUNDINGS) * _EPS * mass / math.pi
+    parts = len(deltas) + evals // _EVAL_BLOCK  # an extension spans <= nodes // block + 1 blocks
+    rounding = _rounding(mass, min(evals, _EVAL_BLOCK), _TERM_ULPS, parts) / math.pi
     if not rounding < policy.tol(value):
         raise TruncationBudgetError(
             f"bromwich: rounding allowance {rounding:.3e} of the contour sum exceeds "
@@ -222,15 +210,12 @@ def bromwich(
 def _line(trace, w: float, T: float) -> float:
     """The line Re z = a for inverting Gamma(w+1) trace(z) / z^{w+1} at T.
 
-    a = 1/T, unless the trace shows that the contour sum would round off
-    too much there. The sum's terms peak at s = 0, near
-    Gamma(w+1) |trace(a)| a^{-(w+1)} e^{aT}, over a width of about a, so
-    its rounding is about eps times that times a: on a = 1/T it grows
-    like Gamma(w+1) T^w, and the sum cancels it down to the value. One
-    trace evaluation at z = 1/T predicts this charge (in logs, so that
-    nothing overflows), and where it exceeds DEFAULT_INVERSION_POLICY's
-    abs_tol, the tolerance of a zero value, a moves to (w+1)/T, the
-    saddle point of e^{zT} z^{-(w+1)}: there the terms do not cancel.
+    a = 1/T, unless the contour sum would round off too much there: its
+    terms peak at s = 0 near Gamma(w+1) |trace(a)| a^{-(w+1)} e^{aT} over a
+    width of about a, and cancel down to the value. Where one trace
+    evaluation at 1/T predicts a rounding (in logs) past
+    DEFAULT_INVERSION_POLICY's abs_tol, a moves to (w+1)/T, the saddle
+    point of e^{zT} z^{-(w+1)}, where the terms do not cancel.
     """
     a = 1.0 / T
     size = abs(complex(trace(a)))
@@ -251,14 +236,10 @@ def weighted_inverse(
 ) -> float:
     """Weighted counting value at threshold T from a trace on the contour.
 
-    Inverts z -> Gamma(w+1) trace(z) / z^{w+1} along Re z = a. No weight
-    has a closed tail certificate: the tail is bromwich's two-extension
-    estimate at every w, weakest at small w, where the integrand decays
-    slowest along the line, so for w <= 3/2 the call emits
-    UncertifiedTailWarning once w, T and a have passed their checks.
-    Without a, _line picks it from the trace: 1/T, or the saddle line
-    (w+1)/T where one trace evaluation predicts that 1/T would round off
-    too much.
+    Inverts z -> Gamma(w+1) trace(z) / z^{w+1} along Re z = a, which _line
+    picks when not given. The tail is bromwich's two-extension estimate,
+    weakest where the integrand decays slowest: for w <= 3/2 the call
+    emits UncertifiedTailWarning once w, T and a have passed their checks.
     """
     if not w >= 0.0:
         raise DomainError(f"weight must be >= 0, got {w}")

@@ -452,6 +452,33 @@ class TestMainInProcess:
         assert captured.out == ""
         assert captured.err == "pinchtrace: error: threshold must be finite and >= 0, got -1.0\n"
 
+    def test_contour_sweep_at_zero_threshold_exits_one(self, tmp_path, capsys):
+        # the series takes T = 0, but no contour inverts there: no nan rows
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps({
+            "version": 1, "schedule": {"kind": "explicit", "values": [[0.5]]}}))
+        code = main(["sweep", "--input", str(f), "--w", "1", "--T", "0", "--bromwich"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "pinchtrace: error: inversion time must be > 0, got 0.0\n"
+
+    def test_warning_is_one_line_in_the_cli_format(self, tmp_path, capsys):
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps({"version": 1, "pinching": [0.1]}))
+        argv = ["invert", "--input", str(f), "--w", "1", "--T", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ("pinchtrace: warning: weighted_inverse: tail not certified "
+                                "for w = 1.0 <= 3/2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(argv) == 0
+        assert capsys.readouterr().out == captured.out
+
 
 @pytest.fixture(scope="module")
 def eig_path(tmp_path_factory):

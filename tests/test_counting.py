@@ -715,8 +715,8 @@ def test_g_limit_certifies_at_a_zero_of_the_limit():
 
 
 def test_g_limit_raises_near_a_zero_of_the_limit_where_g_bessel_certifies():
-    # at w = 2 R's rounding allowance (1.1e-11 in g_limit's units) passes
-    # tol(R) for T in [21.3016, 21.3043]; a length's tolerance is relative
+    # at w = 2 R's rounding allowance (6.7e-12 in g_limit's units) passes
+    # tol(R) for T in [21.3020, 21.3038]; a length's tolerance is relative
     # to G, so g_bessel still takes the expansion route there
     w, T, ell = 2.0, 21.303, 2.0**-10
     with pytest.raises(TruncationBudgetError, match="g_limit bound"):
@@ -801,3 +801,24 @@ def test_bessel_envelope_dominates_forward_supremum(nu, x):
     y = np.linspace(x, x + 2.0 * nu + 100.0, 8001)
     sup = float(np.max(np.abs(special.jv(nu, y))))
     assert sup <= _j_envelope(nu, x)
+
+
+@settings(max_examples=120, derandomize=True)
+@given(w=st.sampled_from([0.0, 0.7, 1.0, 2.0, 5.5, 10.0, 30.0]), log_t=st.floats(-1.2, 8.0),
+       log_ell=st.floats(-7.0, 1.0), frac=st.floats(0.0, 1.0))
+def test_direct_terms_are_within_their_stated_errors(w, log_t, log_ell, frac):
+    # each term of the direct route against 40 digits at the exact n ell:
+    # its stated own error (kernel, 1/sinh and power) in eps plus the
+    # argument rounding 2^-51 |x d/dx| cover the gap, as _series_sum charges
+    T, ell = 0.25 + math.exp(log_t), math.exp(log_ell)
+    series = _BesselSeries(w, T - 0.25, DEFAULT_POLICY)
+    n = np.array([1.0, 2.0, 1.0 + math.floor(frac * 40.0 / ell)])
+    terms, slopes, sizes, errors = series.terms(ell, n)
+    assert np.all(np.abs(terms) <= sizes)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(T) - mpmath.mpf(0.25)
+        for k, t, slope, error in zip(n, terms, slopes, errors):
+            h = mpmath.mpf(ell) * k / 2
+            want = (ell / mpmath.sinh(h) * (mpmath.sqrt(a) / h) ** series.nu
+                    * mpmath.besselj(series.nu, 2 * h * mpmath.sqrt(a)))
+            assert abs(t - want) <= float(np.finfo(float).eps) * error + 2.0**-51 * slope

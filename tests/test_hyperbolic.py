@@ -13,7 +13,6 @@ from pinchtrace import (
     DEFAULT_POLICY,
     DomainError,
     LengthSpectrum,
-    NonConvergenceError,
     TruncationBudgetError,
     TruncationPolicy,
     cylinder_displacement,
@@ -332,7 +331,7 @@ def test_cylinder_quadrature_budget():
 def test_cylinder_budget_exhaustion():
     tight = TruncationPolicy(rel_tol=1e-9, abs_tol=1e-14, max_terms=1,
                              max_quad_evals=2_000_000)
-    with pytest.raises(NonConvergenceError):
+    with pytest.raises(TruncationBudgetError):
         cylinder_trace(0.05, 1.0, tight)
 
 

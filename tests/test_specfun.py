@@ -264,3 +264,48 @@ def test_ascending_series_equals_the_fixed_sixty_term_sum(nu, frac):
         part *= s / (m * (m + nu))
         acc += part
     assert np.array_equal(ascending_series(nu, x), acc)
+
+
+def _region_error(region, p, x):
+    """bessel_j's error at (p, x) over the _J_ULPS bound of its region."""
+    want = _mp_besselj(p, x)
+    scale = abs(want)
+    if x > p - 0.5 and p != 0.5:  # past the turning region: of J's envelope
+        scale = max(scale, min(1.0, math.sqrt(2.0 / (math.pi * x))))
+    a, b = specfun._J_ULPS[region]
+    return abs(bessel_j(p, x) - want) / ((a + b * p) * _EPS * scale + 2.0**-1070)
+
+
+_ORDERS = st.one_of(st.floats(-0.49, 120.0), st.integers(0, 120).map(lambda n: n + 0.5))
+
+
+@settings(max_examples=150, derandomize=True)
+@given(p=_ORDERS, frac=st.floats(1e-300, 1.0))
+def test_series_region_error_is_its_stated_ulps(p, frac):
+    n = specfun._half_integer_index(p)
+    edge = math.sqrt(2.0 * (p + 1.0))
+    if n != 0:  # the series serves J_{1/2} at x = 0 only
+        assert _region_error("series", p, frac * (edge if n is None else min(edge, n))) <= 1.0
+
+
+@settings(max_examples=150, derandomize=True)
+@given(n=st.integers(0, 120), step=st.floats(1e-300, 200.0))
+def test_upward_region_error_is_its_stated_ulps(n, step):
+    assert _region_error("upward", n + 0.5, n + step) <= 1.0
+
+
+@settings(max_examples=150, derandomize=True)
+@given(p=st.floats(-0.49, 120.0), step=st.floats(0.0, 200.0))
+def test_hankel_region_error_is_its_stated_ulps(p, step):
+    if specfun._half_integer_index(p) is None:
+        assert _region_error("hankel", p, max(25.0, p) + step) <= 1.0
+
+
+@settings(max_examples=150, derandomize=True)
+@given(p=_ORDERS, frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_miller_region_error_is_its_stated_ulps(p, frac):
+    n = specfun._half_integer_index(p)
+    lo = math.sqrt(2.0 * (p + 1.0))
+    hi = max(25.0, p) if n is None else n
+    if lo < hi:  # the band is empty for half orders up to 7/2
+        assert _region_error("miller", p, lo + frac * (hi - lo)) <= 1.0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinchtrace import trace
+from pinchtrace import specfun, trace
 from pinchtrace import (
     DomainError,
     LengthSpectrum,
@@ -295,9 +295,9 @@ def test_large_abscissa_overflows_nothing():
 )
 def test_taylor_certificate_bounds_the_true_truncation(terms, v0, rho, log10_share):
     # the running remainder picks K; whatever its rounding, the exact
-    # sum w P(K, y rho) plus the coefficients' and Horner's allowance
-    # 8 eps (K + log2 N) sum w stays within budget. w is |t| as the build
-    # forms it: the terms' own data, like c, whatever rounded into them
+    # sum w P(K, y rho) plus the allowance of the coefficients' sums and
+    # Horner's steps, 4 _rounding(sum w, N, 1.5 K) at the least (t's own
+    # error adds to it), stays within budget. w is |t| as the build forms it
     from scipy.special import gammainc
 
     log_c, y = (np.array(col) for col in zip(*terms))
@@ -311,4 +311,4 @@ def test_taylor_certificate_bounds_the_true_truncation(terms, v0, rho, log10_sha
         return
     k = len(coeffs)
     truncation = math.fsum(w * gammainc(k, y * rho))
-    assert truncation + 8.0 * trace._EPS * (k + math.log2(y.size)) * math.fsum(w) <= budget
+    assert truncation + 4.0 * specfun._rounding(math.fsum(w), y.size, 1.5 * k) <= budget
