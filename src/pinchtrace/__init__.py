@@ -15,31 +15,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # special functions
-    "gamma", "bessel_j", "bessel_j_half", "bessel_j_oracle",
-    # geometry kernels
-    "heat_kernel", "heat_kernel_origin", "cylinder_displacement", "cylinder_trace",
-    # spectra
-    "LengthSpectrum", "PinchingSet", "SpectralData",
-    # traces
-    "hyperbolic_trace", "degenerating_trace", "spectral_trace", "regularized_trace",
-    # transforms
-    "bromwich", "weighted_inverse", "InversionResult",
-    # counting
-    "counting_direct", "c_weight", "g_bessel", "g_limit", "g_expansion", "g_sine_form",
-    "g_residual", "sandwich_check", "balance_epsilon",
-    # sweeps
-    "Schedule", "SweepRow", "SweepResult", "run_sweep", "thread_cap",
-    "fit_growth_exponent",
-    # configuration
-    "TruncationPolicy", "DEFAULT_POLICY", "DEFAULT_INVERSION_POLICY",
-    # errors
-    "PinchtraceError", "DomainError", "SchemaError", "TruncationBudgetError",
-    "UncertifiedTailWarning",
-]
-
 # public name -> the submodule that defines it, imported on first use
 _MODULES = {name: module for module, names in (
     ("closed", "balance_epsilon bessel_j_oracle c_weight counting_direct gamma"),
@@ -54,6 +29,8 @@ _MODULES = {name: module for module, names in (
     ("trace", "degenerating_trace hyperbolic_trace regularized_trace spectral_trace"),
     ("xform", "InversionResult bromwich weighted_inverse"),
 ) for name in names.split()}
+
+__all__ = ["__version__", *_MODULES]
 
 
 def __getattr__(name):

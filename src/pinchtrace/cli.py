@@ -15,9 +15,8 @@ Input documents are versioned JSON objects carrying exactly one payload:
     {"version": 1, "schedule": {"kind": "geometric", "start": 0.5,
      "ratio": 0.5, "count": 10}}
 
-plus optional "policy" and "contour" override objects; "contour" has the
-one field "a", the line Re z = a of every contour inversion (without it,
-weighted_inverse picks one from the trace).
+plus an optional "policy" override object. No document or flag sets the
+contour of an inversion: weighted_inverse derives its line from the trace.
 
 Every subcommand is one row of _COMMANDS (name, help, flags, payload
 kinds, handler returning (header, rows)), which builds the parser and
@@ -36,7 +35,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 # numpy-free modules only: each handler imports the library function it
@@ -49,21 +48,17 @@ from .spectrum import LengthSpectrum, PinchingSet, SpectralData
 __all__ = ["InputDocument", "parse_input", "dispatch", "main"]
 
 _POLICY_FIELDS = ("rel_tol", "abs_tol", "max_terms", "max_quad_evals")
-_CONTOUR_FIELDS = ("a",)
 _PAYLOAD_KINDS = ("length_spectrum", "eigenvalues", "pinching", "schedule")
 
 
 @dataclass(frozen=True)
 class InputDocument:
-    """Validated input: exactly one payload plus optional overrides."""
+    """Validated input: one payload, of the type its kind names, plus policy
+    overrides."""
 
     kind: str
-    length_spectrum: LengthSpectrum | None = None
-    spectral: SpectralData | None = None
-    pinching: PinchingSet | None = None
-    schedule: Schedule | None = None
-    policy: dict = field(default_factory=dict)
-    contour: dict = field(default_factory=dict)
+    payload: LengthSpectrum | SpectralData | PinchingSet | Schedule
+    policy: dict
 
 
 def _num(value, path: str, *, strict=True) -> float:
@@ -136,19 +131,17 @@ def _schedule(spec) -> Schedule:
         raise SchemaError("schedule", str(exc)) from None
 
 
-def _parse_overrides(obj, path: str, fields: tuple[str, ...]) -> dict:
+def _parse_policy(obj) -> dict:
     if obj is None:
         return {}
     if not isinstance(obj, dict):
-        raise SchemaError(path, "must be an object")
+        raise SchemaError("policy", "must be an object")
     out = {}
     for key, value in obj.items():
-        if key not in fields:
-            raise SchemaError(f"{path}.{key}", "unknown field")
-        if key in ("max_terms", "max_quad_evals"):
-            out[key] = _mult(value, f"{path}.{key}")
-        else:
-            out[key] = _num(value, f"{path}.{key}")
+        if key not in _POLICY_FIELDS:
+            raise SchemaError(f"policy.{key}", "unknown field")
+        check = _mult if key in ("max_terms", "max_quad_evals") else _num
+        out[key] = check(value, f"policy.{key}")
     return out
 
 
@@ -161,7 +154,7 @@ def parse_input(data: bytes) -> InputDocument:
     if not isinstance(doc, dict):
         raise SchemaError("$", "top level must be an object")
 
-    allowed = set(_PAYLOAD_KINDS) | {"version", "volume", "policy", "contour"}
+    allowed = set(_PAYLOAD_KINDS) | {"version", "volume", "policy"}
     for key in doc:
         if key not in allowed:
             raise SchemaError(key, "unknown field")
@@ -180,55 +173,46 @@ def parse_input(data: bytes) -> InputDocument:
     if "volume" in doc and kind != "eigenvalues":
         raise SchemaError("volume", "only valid alongside eigenvalues")
 
-    policy = _parse_overrides(doc.get("policy"), "policy", _POLICY_FIELDS)
-    contour = _parse_overrides(doc.get("contour"), "contour", _CONTOUR_FIELDS)
+    policy = _parse_policy(doc.get("policy"))
 
     if kind == "length_spectrum":
-        pairs = _pairs(doc[kind], kind, "length", strict=True)
-        payload = {"length_spectrum": LengthSpectrum.of(pairs)}
+        payload = LengthSpectrum.of(_pairs(doc[kind], kind, "length", strict=True))
     elif kind == "eigenvalues":
         pairs = _pairs(doc[kind], kind, "lambda", strict=False)
         if "volume" not in doc:
             raise SchemaError("volume", "required alongside eigenvalues")
-        payload = {"spectral": SpectralData.of(pairs, _num(doc["volume"], "volume"))}
+        payload = SpectralData.of(pairs, _num(doc["volume"], "volume"))
     elif kind == "pinching":
-        ells = [_num(v, f"{kind}[{i}]") for i, v in enumerate(_array(doc[kind], kind))]
-        payload = {"pinching": PinchingSet(tuple(ells))}
+        payload = PinchingSet(tuple(
+            _num(v, f"{kind}[{i}]") for i, v in enumerate(_array(doc[kind], kind))))
     else:
-        payload = {"schedule": _schedule(doc[kind])}
-    return InputDocument(kind=kind, policy=policy, contour=contour, **payload)
+        payload = _schedule(doc[kind])
+    return InputDocument(kind, payload, policy)
 
 
-def _policies(doc: InputDocument, args) -> tuple[TruncationPolicy, TruncationPolicy]:
+def _policies(doc: InputDocument | None, args) -> tuple[TruncationPolicy, TruncationPolicy]:
     """(series, inversion): defaults, then document overrides, then flags."""
-    over = dict(doc.policy)
+    over = dict(doc.policy) if doc else {}
     over.update((f, getattr(args, f)) for f in _POLICY_FIELDS if getattr(args, f) is not None)
     return replace(DEFAULT_POLICY, **over), replace(DEFAULT_INVERSION_POLICY, **over)
-
-
-def _line(doc: InputDocument, args) -> float | None:
-    """The line Re z = a that --contour-a, else the document, sets; None if neither."""
-    if args.contour_a is not None:
-        return _num(args.contour_a, "--contour-a")
-    return doc.contour.get("a")
 
 
 def _htr(doc, z, pol):
     from .trace import hyperbolic_trace
 
-    return hyperbolic_trace(doc.length_spectrum, z, pol)
+    return hyperbolic_trace(doc.payload, z, pol)
 
 
 def _dtr(doc, z, pol):
     from .trace import degenerating_trace
 
-    return degenerating_trace(doc.pinching, z, pol)
+    return degenerating_trace(doc.payload, z, pol)
 
 
 def _str(doc, z, pol):
     from .trace import spectral_trace
 
-    return spectral_trace(doc.spectral, z)
+    return spectral_trace(doc.payload, z)
 
 
 # payload kind -> (column label, heat trace of the payload at time z)
@@ -251,7 +235,7 @@ def _trace(a, doc, series, inversion):
         raise DomainError("regularized trace is defined for real time only")
     from .trace import regularized_trace
 
-    return ["t", "rtr"], [[a.t, regularized_trace(doc.length_spectrum, a.volume, a.t, series)]]
+    return ["t", "rtr"], [[a.t, regularized_trace(doc.payload, a.volume, a.t, series)]]
 
 
 def _bessel(a, doc, series, inversion):
@@ -282,26 +266,25 @@ def _invert(a, doc, series, inversion):
     from .xform import weighted_inverse
 
     trace = _TRACES[doc.kind][1]
-    value = weighted_inverse(lambda z: trace(doc, z, series), a.w, a.T, _line(doc, a),
-                             inversion)
+    value = weighted_inverse(lambda z: trace(doc, z, series), a.w, a.T, inversion)
     return ["w", "T", "value"], [[a.w, a.T, value]]
 
 
 def _gfunc(a, doc, series, inversion):
     from .counting import g_bessel
 
-    g = g_bessel(doc.pinching, a.w, a.T, series)
+    g = g_bessel(doc.payload, a.w, a.T, series)
     if not a.check_bromwich:
         return ["w", "T", "g"], [[a.w, a.T, g]]
     from .xform import weighted_inverse
 
-    b = weighted_inverse(lambda z: _dtr(doc, z, series), a.w, a.T, _line(doc, a), inversion)
+    b = weighted_inverse(lambda z: _dtr(doc, z, series), a.w, a.T, inversion)
     gap = abs(g - b) / max(abs(g), abs(b), 1e-300)
     return ["w", "T", "g", "bromwich", "rel_gap"], [[a.w, a.T, g, b, gap]]
 
 
 def _residual(a, doc, series, inversion):
-    ps = doc.pinching
+    ps = doc.payload
     if any(ell >= 1.0 for ell in ps.ells):
         raise DomainError("residual requires all pinching lengths < 1")
     if a.T < 0.25:
@@ -316,7 +299,7 @@ def _residual(a, doc, series, inversion):
 def _sweep(a, doc, series, inversion):
     from .sweep import run_sweep
 
-    result = run_sweep(doc.schedule, a.w, a.T, series, inversion, _line(doc, a), a.bromwich)
+    result = run_sweep(doc.payload, a.w, a.T, series, inversion, a.bromwich)
     rows = []
     for row in result.rows:
         if row.error is not None:
@@ -337,7 +320,6 @@ _WT = (_flag("--w", required=True, help="weight, w >= 0"),
        _flag("--T", required=True, help="threshold"))
 _TIME = (_flag("--t", required=True, help="time, t > 0"),
          _flag("--s", default=0.0, help="imaginary part of the evaluation time"))
-_CONTOUR = (_flag("--contour-a", help="line Re z = a of the contour, a > 0"),)
 
 
 @dataclass(frozen=True)
@@ -371,19 +353,19 @@ _COMMANDS = (
     _Command("strace", "spectral heat trace of an eigenvalue list", _TIME,
              ("eigenvalues",), _time_rows),
     _Command("invert", "weighted counting value by contour inversion of a trace",
-             _WT + _CONTOUR, tuple(_TRACES), _invert),
+             _WT, tuple(_TRACES), _invert),
     _Command("count", "direct weighted eigenvalue count", _WT, ("eigenvalues",),
              lambda a, doc, series, inversion: (
-                 ["w", "T", "value"], [[a.w, a.T, counting_direct(doc.spectral, a.w, a.T)]])),
+                 ["w", "T", "value"], [[a.w, a.T, counting_direct(doc.payload, a.w, a.T)]])),
     _Command("cweight", "asymptotic constant c_w(T)", _WT, (),
              lambda a, doc, series, inversion: (
                  ["w", "T", "value"], [[a.w, a.T, c_weight(a.w, a.T)]])),
-    _Command("gfunc", "degeneration counting series G_w(T)", _WT + _CONTOUR + (
+    _Command("gfunc", "degeneration counting series G_w(T)", _WT + (
         _switch("--check-bromwich", "also invert the degenerating trace and report the gap"),
     ), ("pinching",), _gfunc),
     _Command("residual", "G_w(T) minus its logarithmic lead term", _WT,
              ("pinching",), _residual),
-    _Command("sweep", "counting series along a degeneration schedule", _WT + _CONTOUR + (
+    _Command("sweep", "counting series along a degeneration schedule", _WT + (
         _switch("--bromwich", "compute rows by contour inversion (dual route)"),
     ), ("schedule",), _sweep),
     _Command("balance", "error-balancing epsilon", (
@@ -447,16 +429,13 @@ def _emit(header: list[str], rows: list[list], fmt: str, out) -> None:
         out.write("\n")
 
 
-def _print_config(args, doc: InputDocument, series, inversion, out) -> None:
-    config = {"subcommand": args.command, "format": args.format, "policy": asdict(series)}
-    if hasattr(args, "contour_a"):  # the subcommands that invert along a contour
-        a = _line(doc, args)
-        config["inversion_policy"] = asdict(inversion)
-        config["contour"] = None if a is None else {"a": a}
+def _print_config(args, doc: InputDocument | None, series, inversion, out) -> None:
+    config = {"subcommand": args.command, "format": args.format, "policy": asdict(series),
+              "inversion_policy": asdict(inversion)}
     if args.command == "sweep":
         from .sweep import thread_cap
 
-        config["threads"] = thread_cap(len(doc.schedule.points()) if args.bromwich else 1)
+        config["threads"] = thread_cap(len(doc.payload.points()) if args.bromwich else 1)
     json.dump(config, out, indent=2)
     out.write("\n")
 
@@ -468,7 +447,7 @@ def dispatch(argv) -> int:
         if isinstance(value, float) and not math.isfinite(value):
             raise SchemaError("--" + name.replace("_", "-"), "must be finite")
     cmd = args.spec
-    doc = InputDocument(kind="none")
+    doc = None
     if cmd.needs:
         try:
             data = Path(args.input).read_bytes()

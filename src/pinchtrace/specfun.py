@@ -35,10 +35,13 @@ _SERIES_DROP = 2.0**-56  # terms below this add nothing to a sum in [1/2, 1]
 _HANKEL_X = 25.0         # Hankel's expansion reaches eps at orders <= 3/2 from here
 _MILLER_LOG_TOP = math.log(2.0**-60)  # Miller starts where J has fallen this far
 # bessel_j's error per region, (a, b): (a + b p) eps of |J| or, where x > p - 1/2
-# and p != 1/2, of max(|J|, min(1, sqrt(2/(pi x)))), for x >= 1e-300, plus
+# and p != 1/2, of max(|J|, min(1, sqrt(2/(pi x)))), for every x > 0, plus
 # 2^-1070 where J is subnormal; the tests pin each against mpmath
 _J_ULPS = {"series": (6.0, 0.0), "upward": (4.0, 0.5), "hankel": (4.0, 0.5),
            "miller": (12.0, 1.0 / 6.0)}
+# below this x, 2x/pi nears the subnormals and 2/(pi x) overflows: J_{1/2}
+# takes the series there, and J_{-1/2} scales x by 2^200
+_TINY_X = 2.0**-1000
 
 
 def log_sinh(x):
@@ -322,15 +325,16 @@ def _jv(nu: float, x):
 def bessel_j_half(n: int, x):
     """J_{n+1/2}(x) for integer n >= 0, vectorized over x >= 0.
 
-    The hot path of the counting series. Upward recurrence where x > n,
-    else _jv: there the ascending series where x^2 <= 2n + 3, and Miller's
-    backward recurrence in the band left between them (n >= 4 only).
+    The hot path of the counting series. Upward recurrence where x > n
+    (and x > _TINY_X), else _jv: there the ascending series where
+    x^2 <= 2n + 3, and Miller's backward recurrence in the band left
+    between them (n >= 4 only).
     """
     if not n >= 0:
         raise DomainError(f"bessel_j_half needs n >= 0, got {n}")
     x = np.asarray(x, dtype=float)
     xs = np.atleast_1d(x)
-    up = ~(xs <= n)  # NaN recurs to NaN
+    up = ~(xs <= max(n, _TINY_X))  # NaN recurs to NaN
     if up.all():
         return _upward(n, xs).reshape(x.shape)[()]
     out = np.empty_like(xs)
@@ -355,7 +359,8 @@ def bessel_j(p: float, x: float) -> float:
     if n is not None:
         out = bessel_j_half(n, xa)
     elif p == -0.5:
-        out = np.sqrt(2.0 / (np.pi * xa)) * np.cos(xa)
+        scale = np.where(xa < _TINY_X, 2.0**200, 1.0)  # exact, and 1 from _TINY_X up
+        out = np.sqrt(2.0 / (np.pi * (xa * scale))) * np.sqrt(scale) * np.cos(xa)
     else:
         out = _jv(p, np.atleast_1d(xa)).reshape(xa.shape)
     if np.ndim(x) == 0:

@@ -132,22 +132,20 @@ def run_sweep(
     T: float,
     policy: TruncationPolicy = DEFAULT_POLICY,
     inversion_policy: TruncationPolicy = DEFAULT_INVERSION_POLICY,
-    a: float | None = None,
     use_bromwich: bool = False,
 ) -> SweepResult:
     """Evaluate the counting series along a schedule.
 
-    g_value comes from the Bessel series or (use_bromwich) from the contour
-    inversion of the degenerating trace along Re z = a (by default
-    weighted_inverse's line), series under `policy`, the inversion under
-    `inversion_policy`. w and T must be finite and >= 0, and with
-    use_bromwich T and a given a > 0, all checked before any row runs.
+    g_value comes from the Bessel series or (use_bromwich) from
+    weighted_inverse of the degenerating trace, series under `policy`, the
+    inversion under `inversion_policy`. w and T must be finite and >= 0,
+    and with use_bromwich T > 0, all checked before any row runs.
     residual subtracts c_weight(w, T) log_sum (zero below T = 1/4);
     normalized is g_value / log_sum, which approaches c_weight(w, T).
     """
     w, T = _check(w, "weight"), _check(T, "threshold")
     if use_bromwich:
-        _check_line(T, a)
+        _check_line(T)
     if T >= 0.25:
         c_weight(w, T)  # every row's residual needs it, so an overflow fails the call
 
@@ -155,7 +153,7 @@ def run_sweep(
         try:
             if use_bromwich:
                 return weighted_inverse(lambda z: degenerating_trace(ps, z, policy), w, T,
-                                        a, inversion_policy)
+                                        inversion_policy)
             return g_bessel(ps, w, T, policy)
         except PinchtraceError as exc:
             return str(exc)

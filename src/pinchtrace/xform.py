@@ -11,8 +11,9 @@ and wide in the tail. Extensions are appended, never recomputed.
 
 Every transform here is that of a real function, F(conj z) = conj F(z):
 the sum runs over the upper half-line and takes twice its real part.
-weighted_inverse alone picks a line (_line); bromwich takes 1/T unless
-given one.
+weighted_inverse always takes the line _line derives from the trace;
+bromwich, the primitive for hand-built transforms, takes 1/T unless given
+one.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed import gamma
+from .closed import _check, gamma
 from .errors import DomainError, TruncationBudgetError, UncertifiedTailWarning
 from .policy import DEFAULT_INVERSION_POLICY, TruncationPolicy
 from .specfun import _rounding, leggauss
@@ -108,7 +109,7 @@ def _size(x: complex) -> float:
         return math.inf
 
 
-def _check_line(T: float, a: float | None) -> None:
+def _check_line(T: float, a: float | None = None) -> None:
     if not T > 0.0:
         raise DomainError(f"inversion time must be > 0, got {T}")
     if a is not None and not a > 0.0:
@@ -231,22 +232,20 @@ def weighted_inverse(
     trace,
     w: float,
     T: float,
-    a: float | None = None,
     policy: TruncationPolicy = DEFAULT_INVERSION_POLICY,
 ) -> float:
     """Weighted counting value at threshold T from a trace on the contour.
 
-    Inverts z -> Gamma(w+1) trace(z) / z^{w+1} along Re z = a, which _line
-    picks when not given. The tail is bromwich's two-extension estimate,
-    weakest where the integrand decays slowest: for w <= 3/2 the call
-    emits UncertifiedTailWarning once w, T and a have passed their checks.
+    Inverts z -> Gamma(w+1) trace(z) / z^{w+1} along the line Re z = a
+    that _line derives from the trace. The tail is bromwich's
+    two-extension estimate, weakest where the integrand decays slowest:
+    for w <= 3/2 the call emits UncertifiedTailWarning once w and T have
+    passed their checks.
     """
-    if not w >= 0.0:
-        raise DomainError(f"weight must be >= 0, got {w}")
-    _check_line(T, a)
+    w = _check(w, "weight")
+    _check_line(T)
     g, unit = gamma(w + 1.0), 1.0
-    if a is None:
-        a = _line(trace, w, T)
+    a = _line(trace, w, T)
     if w <= 1.5:
         warnings.warn(
             f"weighted_inverse: tail not certified for w = {w} <= 3/2",

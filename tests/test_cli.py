@@ -2,6 +2,8 @@
 
 import contextlib
 import csv
+import importlib
+import inspect
 import io
 import json
 import math
@@ -15,11 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pinchtrace
 from pinchtrace import (
     DEFAULT_INVERSION_POLICY, DEFAULT_POLICY, LengthSpectrum, PinchingSet, Schedule,
-    SchemaError, SpectralData, balance_epsilon, bessel_j, c_weight, counting_direct,
-    cylinder_trace, degenerating_trace, g_bessel, g_limit, g_residual, heat_kernel,
-    hyperbolic_trace, run_sweep, spectral_trace, thread_cap, weighted_inverse,
+    SchemaError, SpectralData, TruncationBudgetError, balance_epsilon, bessel_j, bromwich,
+    c_weight, counting_direct, cylinder_trace, degenerating_trace, g_bessel, g_limit,
+    g_residual, heat_kernel, hyperbolic_trace, run_sweep, spectral_trace, thread_cap,
+    weighted_inverse,
 )
 from pinchtrace.cli import main, parse_input
 
@@ -35,24 +39,25 @@ class TestParseInput:
         doc = parse_input(_doc(length_spectrum=[
             {"length": 2.0, "multiplicity": 1}, {"length": 1.0, "multiplicity": 3}]))
         assert doc.kind == "length_spectrum"
-        assert doc.length_spectrum.entries == ((1.0, 3), (2.0, 1))
+        assert doc.payload.entries == ((1.0, 3), (2.0, 1))
 
     def test_eigenvalues_roundtrip(self):
         doc = parse_input(_doc(
             eigenvalues=[{"lambda": 0.0, "multiplicity": 1}], volume=6.28))
         assert doc.kind == "eigenvalues"
-        assert doc.spectral.volume == 6.28
+        assert doc.payload.volume == 6.28
 
     def test_pinching_roundtrip(self):
         doc = parse_input(_doc(pinching=[0.1, 0.2]))
-        assert doc.pinching.ells == (0.1, 0.2)
+        assert isinstance(doc.payload, PinchingSet)
+        assert doc.payload.ells == (0.1, 0.2)
 
     def test_schedule_roundtrip(self):
         doc = parse_input(_doc(schedule={
             "kind": "geometric", "start": 0.5, "ratio": 0.5, "count": 3}))
-        assert len(doc.schedule.points()) == 3
+        assert len(doc.payload.points()) == 3
         doc2 = parse_input(_doc(schedule={"kind": "explicit", "values": [[0.5], [0.2]]}))
-        assert doc2.schedule.points()[1].ells == (0.2,)
+        assert doc2.payload.points()[1].ells == (0.2,)
 
     def test_schedule_kind_checked(self):
         for kind in ("spiral", ["geometric"], None):
@@ -258,6 +263,11 @@ class TestMainInProcess:
         (["dtrace", "--input", "{pinch}", "--t", "1e-310"], ["9.9999999999999694e-311", "0"]),
         (["heatkernel", "--t", "1", "--rho", "1e300"], ["1", "1.0000000000000001e+300", "0"]),
         (["heatkernel", "--t", "1e20"], ["1e+20", "0", "0"]),
+        # 2x/pi is subnormal for J_{1/2}, and 2/(pi x) overflows for J_{-1/2}
+        (["bessel", "--p", "0.5", "--x", "5e-324"],
+         ["0.5", "4.9406564584124654e-324", "1.7735048886036274e-162"]),
+        (["bessel", "--p", "-0.5", "--x", "5e-324"],
+         ["-0.5", "4.9406564584124654e-324", "3.5896138570490509e+161"]),
     ])
     def test_extreme_arguments_leak_no_runtime_warning(self, tmp_path, capsys, argv, row):
         # a RuntimeWarning is an error under the test configuration, so an
@@ -394,53 +404,27 @@ class TestMainInProcess:
         rows = _csv_rows(out)
         assert rows[0] == ["t", "s", "htr_re", "htr_im"]
 
-    def test_forced_line_at_large_weight_is_right_or_exits_two(self, tmp_path, capsys):
-        # on a = 1/T at w = 100 the terms cancel about 158 digits: the first
-        # width check fails on the rounding floor, and the call exits 2
-        f = tmp_path / "eig.json"
-        f.write_text(json.dumps({"version": 1, "volume": 1.0, "eigenvalues": [
-            {"lambda": 0.0, "multiplicity": 1}, {"lambda": 0.2, "multiplicity": 1}]}))
-        code, out = _run_main(["invert", "--input", str(f), "--w", "100", "--T", "1",
-                               "--contour-a", "1"], capsys)
-        if code == 2:
-            return
-        assert code == 0
-        want = 1.0 + 0.8**100
-        assert abs(float(_csv_rows(out)[1][2]) - want) <= DEFAULT_INVERSION_POLICY.tol(want)
+    @pytest.mark.parametrize("flag", [["--contour-smax", "1e-12"], ["--contour-nodes", "100000"],
+                                      ["--contour-a", "1"]])
+    def test_removed_contour_flags_are_usage_errors(self, docs, capsys, flag):
+        # the line comes from the trace, the height and node count from the
+        # integrand: no flag sets any of them
+        for command, kind in (("invert", "eigenvalues"), ("gfunc", "pinching"),
+                              ("sweep", "schedule")):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--input", docs[kind], "--w", "2", "--T", "1"] + flag)
+            assert exc.value.code == 64
+            assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("flag", [["--contour-smax", "1e-12"], ["--contour-nodes", "100000"]])
-    def test_removed_contour_flags_are_usage_errors(self, tmp_path, capsys, flag):
-        # a contour is its line: the height and node count follow the integrand
-        f = tmp_path / "eig.json"
-        f.write_text(json.dumps({"version": 1, "volume": 1.0, "eigenvalues": [
-            {"lambda": 0.0, "multiplicity": 1}]}))
-        with pytest.raises(SystemExit) as exc:
-            main(["invert", "--input", str(f), "--w", "2", "--T", "1"] + flag)
-        assert exc.value.code == 64
-        assert capsys.readouterr().out == ""
-
-    @pytest.mark.parametrize("field", ["s_max", "n_nodes"])
+    @pytest.mark.parametrize("field", ["a", "s_max", "n_nodes"])
     def test_removed_contour_fields_are_unknown(self, tmp_path, capsys, field):
         f = tmp_path / "eig.json"
-        f.write_text(json.dumps({"version": 1, "volume": 1.0, "contour": {field: 64},
+        f.write_text(json.dumps({"version": 1, "volume": 1.0, "contour": {field: 1.0},
                                  "eigenvalues": [{"lambda": 0.0, "multiplicity": 1}]}))
         assert main(["invert", "--input", str(f), "--w", "2", "--T", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"pinchtrace: error: contour.{field}: unknown field\n"
-
-    def test_contour_line_from_the_document(self, tmp_path, capsys):
-        # contour.a forces the line as --contour-a does, and the flag beats it
-        f = tmp_path / "eig.json"
-        body = {"version": 1, "volume": 1.0, "eigenvalues": [
-            {"lambda": 0.0, "multiplicity": 1}, {"lambda": 0.2, "multiplicity": 1}]}
-        f.write_text(json.dumps(body))
-        flagged = _run_main(["invert", "--input", str(f), "--w", "30", "--T", "1",
-                             "--contour-a", "1"], capsys)
-        f.write_text(json.dumps({**body, "contour": {"a": 1.0}}))
-        argv = ["invert", "--input", str(f), "--w", "30", "--T", "1"]
-        assert _run_main(argv, capsys) == flagged == (2, "")
-        assert _run_main(argv + ["--contour-a", "31"], capsys)[0] == 0
+        assert captured.err == "pinchtrace: error: contour: unknown field\n"
 
     def test_bad_sweep_threshold_exits_one(self, tmp_path, capsys):
         f = tmp_path / "s.json"
@@ -492,8 +476,9 @@ def eig_path(tmp_path_factory):
 def test_invert_agrees_with_count_or_exits_two(eig_path, eigs, w, T, forced):
     # the dual routes through the command line: an inversion that exits 0
     # is within ten times its tolerance of the direct count, on the line it
-    # picks or on a line forced to 1/T; w < 1 is left out, as there spectral
-    # inversions spend the whole node budget
+    # picks; forced, bromwich's default line 1/T must be right or raise;
+    # w < 1 is left out, as there spectral inversions spend the whole node
+    # budget
     eig_path.write_text(json.dumps({"version": 1, "volume": 1.0, "eigenvalues": [
         {"lambda": lam, "multiplicity": m} for lam, m in eigs]}))
     wt = ["--input", str(eig_path), "--w", repr(w), "--T", repr(T)]
@@ -501,13 +486,21 @@ def test_invert_agrees_with_count_or_exits_two(eig_path, eigs, w, T, forced):
     with contextlib.redirect_stdout(out):
         assert main(["count"] + wt) == 0
     want = float(_csv_rows(out.getvalue())[1][2])
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(["invert"] + wt + (["--contour-a", repr(1.0 / T)] if forced else []))
-    assert code in (0, 2)
-    if code == 0:
+    if forced:
+        sd, g = SpectralData.of(eigs), math.gamma(w + 1.0)
+        try:
+            got = bromwich(lambda z: g * spectral_trace(sd, z) * z ** -(w + 1.0), T).value
+        except TruncationBudgetError:
+            return
+    else:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["invert"] + wt)
+        assert code in (0, 2)
+        if code == 2:
+            return
         got = float(_csv_rows(out.getvalue())[1][2])
-        assert abs(got - want) <= 10.0 * DEFAULT_INVERSION_POLICY.tol(want)
+    assert abs(got - want) <= 10.0 * DEFAULT_INVERSION_POLICY.tol(want)
 
 
 _LS = LengthSpectrum.of([(1.0, 1), (2.0, 2)])
@@ -627,14 +620,35 @@ class TestLibraryBytes:
         f.write_text(json.dumps(doc))
         code, out = _run_main(
             [name, "--input", str(f), "--w", "2", "--T", "1", "--rel-tol", "1e-6",
-             "--contour-a", "2", "--print-config"], capsys)
+             "--print-config"], capsys)
         assert code == 0
         cfg = json.loads(out)
         over = {"rel_tol": 1e-6, "abs_tol": 1e-12}
         assert cfg["policy"] == asdict(replace(DEFAULT_POLICY, **over))
         assert cfg["inversion_policy"] == asdict(replace(DEFAULT_INVERSION_POLICY, **over))
-        # a contour is its line
-        assert cfg["contour"] == {"a": 2.0}
+        # the line is derived from the trace, not configured
+        assert "contour" not in cfg
+
+    @pytest.mark.parametrize("name", sorted(LIBRARY_CALLS))
+    def test_print_config_is_the_same_keys_for_every_subcommand(self, name, docs, capsys):
+        code, out = _run_main(_argv(name, docs) + ["--print-config"], capsys)
+        assert code == 0
+        cfg = json.loads(out)
+        keys = ["subcommand", "format", "policy", "inversion_policy"]
+        assert list(cfg) == keys + (["threads"] if name == "sweep" else [])
+        assert cfg["policy"] == asdict(DEFAULT_POLICY)
+        assert cfg["inversion_policy"] == asdict(DEFAULT_INVERSION_POLICY)
+
+
+def test_each_public_name_lives_in_its_listed_module():
+    # the lazy-import table names each name's home module, not a re-export
+    assert pinchtrace.__all__ == ["__version__", *pinchtrace._MODULES]
+    for name, module in pinchtrace._MODULES.items():
+        home = importlib.import_module(f"pinchtrace.{module}")
+        value = getattr(pinchtrace, name)
+        assert value is getattr(home, name), name
+        if inspect.isfunction(value) or inspect.isclass(value):
+            assert value.__module__ == home.__name__, name
 
 
 class TestSubprocess:

@@ -229,6 +229,10 @@ def test_bessel_j_half_recurs_upward_only_above_its_order(monkeypatch):
 @example(p=-0.3, x=1e-3)
 @example(p=1e-9, x=7.0)
 @example(p=15.963677371876086, x=3.0)  # p + 1 rounds: Gamma(p + 1) needs its correction
+@example(p=0.5, x=5e-324)   # 2x/pi is subnormal
+@example(p=0.5, x=1e-310)
+@example(p=-0.5, x=5e-324)  # 2/(pi x) overflows
+@example(p=-0.5, x=3e-309)  # pi x is subnormal
 def test_bessel_j_matches_mpmath_at_every_order(p, x):
     # where J oscillates (x > p) the error is a few eps of its envelope,
     # elsewhere a few eps of J, plus one eps per recurrence step above
@@ -280,16 +284,17 @@ _ORDERS = st.one_of(st.floats(-0.49, 120.0), st.integers(0, 120).map(lambda n: n
 
 
 @settings(max_examples=150, derandomize=True)
-@given(p=_ORDERS, frac=st.floats(1e-300, 1.0))
+@given(p=_ORDERS, frac=st.floats(5e-324, 1.0))
 def test_series_region_error_is_its_stated_ulps(p, frac):
     n = specfun._half_integer_index(p)
     edge = math.sqrt(2.0 * (p + 1.0))
-    if n != 0:  # the series serves J_{1/2} at x = 0 only
-        assert _region_error("series", p, frac * (edge if n is None else min(edge, n))) <= 1.0
+    if n is not None:  # the series serves J_{1/2} only below _TINY_X
+        edge = min(edge, max(n, specfun._TINY_X))
+    assert _region_error("series", p, frac * edge) <= 1.0
 
 
 @settings(max_examples=150, derandomize=True)
-@given(n=st.integers(0, 120), step=st.floats(1e-300, 200.0))
+@given(n=st.integers(0, 120), step=st.floats(5e-324, 200.0))
 def test_upward_region_error_is_its_stated_ulps(n, step):
     assert _region_error("upward", n + 0.5, n + step) <= 1.0
 

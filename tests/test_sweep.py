@@ -120,17 +120,16 @@ class TestRunSweep:
         with pytest.raises(DomainError):
             run_sweep(Schedule.geometric(0.5, 0.5, 3), -1.0, 1.0)
 
-    @pytest.mark.parametrize("w, T, a, what, use_bromwich", [
-        pytest.param(w, T, None, what, use_bromwich, id=f"{w}-{T}-{what}-{use_bromwich}")
+    @pytest.mark.parametrize("w, T, what, use_bromwich", [
+        pytest.param(w, T, what, use_bromwich, id=f"{w}-{T}-{what}-{use_bromwich}")
         for w, T, what in [(-1.0, 0.1, "weight"), (1.0, -1.0, "threshold"),
                            (math.nan, 1.0, "weight"), (1.0, math.inf, "threshold")]
         for use_bromwich in (False, True)
     ] + [
         # T = 0 is a threshold the series takes, but no contour inverts at it
-        pytest.param(1.0, 0.0, None, "inversion time", True, id="T0-bromwich"),
-        pytest.param(1.0, 1.0, -1.0, "contour abscissa", True, id="a-1-bromwich"),
+        pytest.param(1.0, 0.0, "inversion time", True, id="T0-bromwich"),
     ])
-    def test_bad_weight_or_threshold_fails_before_any_row(self, monkeypatch, w, T, a, what,
+    def test_bad_weight_or_threshold_fails_before_any_row(self, monkeypatch, w, T, what,
                                                           use_bromwich):
         # below T = 1/4 no c_weight call checks w, and a failed row is only
         # recorded: the sweep must refuse the call itself
@@ -140,7 +139,7 @@ class TestRunSweep:
         monkeypatch.setattr(sweep, "g_bessel", no_row)
         monkeypatch.setattr(sweep, "weighted_inverse", no_row)
         with pytest.raises(DomainError, match=what):
-            run_sweep(Schedule.geometric(0.5, 0.5, 3), w, T, a=a, use_bromwich=use_bromwich)
+            run_sweep(Schedule.geometric(0.5, 0.5, 3), w, T, use_bromwich=use_bromwich)
 
 
 class TestSeriesCost:

@@ -97,6 +97,12 @@ class TestBromwich:
                 bromwich(lambda z: 1.0 / z**2, 1.0, a=a)
 
 
+def _weighted_transform(eigs, w):
+    """z -> Gamma(w+1) trace(z) / z^{w+1} of an eigenvalue list, for bromwich."""
+    sd, g = SpectralData.of(eigs), math.gamma(w + 1.0)
+    return lambda z: g * spectral_trace(sd, z) * z ** -(w + 1.0)
+
+
 class TestWeightedInverse:
     def test_single_ground_state(self):
         sd = SpectralData.of([(0.0, 1)])
@@ -126,12 +132,31 @@ class TestWeightedInverse:
 
     @pytest.mark.parametrize("T, a", [(-1.0, None), (0.0, None), (1.0, 0.0), (1.0, -1.0)])
     def test_rejected_call_does_not_warn(self, T, a):
-        # w = 1 warns on every inversion that runs, and on none that is refused
+        # w = 1 warns on every inversion that runs, and on none that is refused;
+        # a = None is weighted_inverse's own line, a forced line goes through
+        # bromwich, which must refuse it before F meets z = 0
         sd = SpectralData.of([(0.0, 1)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError):
-                weighted_inverse(lambda z: spectral_trace(sd, z), 1.0, T, a)
+                if a is None:
+                    weighted_inverse(lambda z: spectral_trace(sd, z), 1.0, T)
+                else:
+                    bromwich(_weighted_transform([(0.0, 1)], 1.0), T, a)
+
+    @pytest.mark.parametrize("w", [math.inf, math.nan, -0.5])
+    def test_rejected_weight_does_not_warn(self, w):
+        sd = SpectralData.of([(0.0, 1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                weighted_inverse(lambda z: spectral_trace(sd, z), w, 1.0)
+
+    def test_weight_is_checked_as_the_series_checks_it(self):
+        # an infinite weight is refused as g_bessel refuses it, not on the contour
+        sd = SpectralData.of([(0.0, 1)])
+        with pytest.raises(DomainError, match=r"^weight must be finite and >= 0, got inf$"):
+            weighted_inverse(lambda z: spectral_trace(sd, z), math.inf, 1.0)
 
     def test_returns_plain_float(self):
         sd = SpectralData.of([(0.0, 2), (0.3, 1)])
@@ -177,9 +202,20 @@ class TestWeightedInverse:
             bromwich(F, 1.0, policy=short)
 
     def test_rounding_on_the_forced_line_raises(self):
-        sd = SpectralData.of([(0.0, 1), (0.2, 1)])
+        # weighted_inverse leaves 1/T here; forced onto it through bromwich,
+        # the terms cancel about 32 digits
         with pytest.raises(TruncationBudgetError, match="rounding"):
-            weighted_inverse(lambda z: spectral_trace(sd, z), 30.0, 1.0, a=1.0)
+            bromwich(_weighted_transform([(0.0, 1), (0.2, 1)], 30.0), 1.0, a=1.0)
+
+    def test_forced_line_at_large_weight_is_right_or_raises(self):
+        # on a = 1/T at w = 100 the terms cancel about 158 digits: the first
+        # width check fails on the rounding floor
+        try:
+            v = bromwich(_weighted_transform([(0.0, 1), (0.2, 1)], 100.0), 1.0, a=1.0).value
+        except TruncationBudgetError:
+            return
+        want = 1.0 + 0.8**100
+        assert abs(v - want) <= DEFAULT_INVERSION_POLICY.tol(want)
 
     def test_steep_power_is_resolved_or_raises(self):
         # N_16(0.406) is 0 for the one eigenvalue 3.612; panels of width
