@@ -326,15 +326,15 @@ def bessel_j_half(n: int, x):
     """J_{n+1/2}(x) for integer n >= 0, vectorized over x >= 0.
 
     The hot path of the counting series. Upward recurrence where x > n
-    (and x > _TINY_X), else _jv: there the ascending series where
-    x^2 <= 2n + 3, and Miller's backward recurrence in the band left
-    between them (n >= 4 only).
+    (and x > _TINY_X) is finite, else _jv: there 0 at x = inf, the
+    ascending series where x^2 <= 2n + 3, and Miller's backward
+    recurrence in the band left between them (n >= 4 only).
     """
     if not n >= 0:
         raise DomainError(f"bessel_j_half needs n >= 0, got {n}")
     x = np.asarray(x, dtype=float)
     xs = np.atleast_1d(x)
-    up = ~(xs <= max(n, _TINY_X))  # NaN recurs to NaN
+    up = (xs > max(n, _TINY_X)) & (xs < np.inf)  # _jv gives 0 at inf and NaN at NaN
     if up.all():
         return _upward(n, xs).reshape(x.shape)[()]
     out = np.empty_like(xs)
@@ -360,7 +360,9 @@ def bessel_j(p: float, x: float) -> float:
         out = bessel_j_half(n, xa)
     elif p == -0.5:
         scale = np.where(xa < _TINY_X, 2.0**200, 1.0)  # exact, and 1 from _TINY_X up
-        out = np.sqrt(2.0 / (np.pi * (xa * scale))) * np.sqrt(scale) * np.cos(xa)
+        # cos is taken at 0 in place of inf, where the amplitude is 0
+        out = (np.sqrt(2.0 / (np.pi * (xa * scale))) * np.sqrt(scale)
+               * np.cos(np.where(xa < np.inf, xa, 0.0)))
     else:
         out = _jv(p, np.atleast_1d(xa)).reshape(xa.shape)
     if np.ndim(x) == 0:

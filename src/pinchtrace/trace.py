@@ -18,16 +18,22 @@ and y = (n ell)^2, goes one of two routes per call:
   its rounding share the target.
 - Taylor: S is entire in v, so it is expanded once about a centre v0 and
   evaluated at every node by Horner in (v0 - v)/rho, rho the largest
-  |v - v0|, K multiply-adds a node whatever ell is. The centre is
-  1/(8 min Re z), as Re z >= a maps into |v - 1/8a| <= 1/8a, or the
-  centre of the v's bounding box, whichever needs fewer terms. The n-cut
-  takes half the target, the truncation after K terms, sum c e^{y (rho -
-  Re v0)} P(K, y rho) (P the regularized lower incomplete gamma function),
-  and the rounding of the build and of Horner's steps the other half.
+  |v - v0|, K multiply-adds a node whatever ell is. The centre is that
+  of the v's bounding box, and where that fails or needs more terms,
+  1/(8 min Re z), as Re z >= a maps into |v - 1/8a| <= 1/8a. A box
+  whose rho and |v0| reach 1/8a and whose rho reaches Re v0 bounds every
+  term of the disc's truncation and rounding from above, so it is not
+  built. The n-cut takes half the target, the truncation after K terms,
+  sum c e^{y (rho - Re v0)} P(K, y rho) (P the regularized lower
+  incomplete gamma function), and the rounding of the build and of
+  Horner's steps the other half.
 
 Both roundings are specfun._rounding's. A call takes the Taylor route when
 K (nodes + terms) < _COST_RATIO (direct terms) (nodes) and its bound
-holds. So real scalars and small arrays are summed directly, bit for bit;
+holds. Where no centre can certify at any K (a y rho past 700, a term's
+growth or the rounding past the target), a block of _SPLIT_NODES nodes
+or more is halved along Im z, and each half planned as a call of its
+own. So real scalars and small arrays are summed directly, bit for bit;
 on a contour block a node's value depends on the other nodes of the
 call, within the certified tolerance. Every evaluator takes a scalar z
 or an array; a real scalar in gives a float back.
@@ -61,6 +67,12 @@ _N_CHUNK = 512
 _COST_RATIO = 4.0
 _TAYLOR_TERMS_MAX = 1 << 19  # the Taylor route keeps ~10 floats per term: ~50 MB
 _EPS = float(np.finfo(float).eps)
+# |t_i| and the real w_i = e^{log c_i + y_i (rho - Re v0)} differ by eps times
+# their exponents' terms, far below 1%: a test on w_i this far past budget
+# holds on |t_i| too
+_REJECT_MARGIN = 1.01
+_SPLIT = "split"  # _taylor_sum's answer where only a narrower block can certify
+_SPLIT_NODES = 16  # a block of fewer nodes is summed directly rather than halved
 
 
 def _as_nodes(z):
@@ -105,9 +117,10 @@ def _plan(entries, zs: np.ndarray, policy: TruncationPolicy):
 
 def _cuts(entries, log_env, target: float, cap: int) -> list:
     """n-cut per length, the target shared equally, the cap shared in order."""
-    cuts = []
+    cuts, used = [], 0
     for ell, mult in entries:
-        cuts.append(tail_cut(log_env(ell, mult), ell, target / len(entries), cap - sum(cuts)))
+        cuts.append(tail_cut(log_env(ell, mult), ell, target / len(entries), cap - used))
+        used += cuts[-1]
     return cuts
 
 
@@ -133,12 +146,14 @@ def _term_sum(entries, zs: np.ndarray, cuts) -> np.ndarray:
 
 def _taylor_sum(entries, zs: np.ndarray, log_env, target: float, cap: int,
                 max_cost: float):
-    """The series at every node from one Taylor expansion in v = 1/4z, or None.
+    """The series at every node from one Taylor expansion in v = 1/4z, None
+    or _SPLIT.
 
     Half the target goes to the n-cut, half to the truncation and
     rounding of the expansion. None when the n-cut passes cap or
     _TAYLOR_TERMS_MAX, or when no centre certifies in fewer than
-    max_cost / (nodes + terms) orders.
+    max_cost / (nodes + terms) orders; _SPLIT when no centre can at
+    any cost, so that only a narrower block may.
     """
     try:
         cuts = _cuts(entries, log_env, 0.5 * target, cap)
@@ -146,25 +161,17 @@ def _taylor_sum(entries, zs: np.ndarray, log_env, target: float, cap: int,
         return None
     if sum(cuts) > _TAYLOR_TERMS_MAX:
         return None
-    n = np.concatenate([np.arange(1.0, k + 1.0) for k in cuts])
-    ell = np.repeat([e for e, _ in entries], cuts)
-    mult = np.repeat([float(m) for _, m in entries], cuts)
-    log_c = np.log(mult * ell) - log_sinh(0.5 * n * ell)
-    with np.errstate(over="ignore"):  # y = inf fails _coefficients' x < 700
-        y = (n * ell) ** 2
+    log_c, y = _terms(entries, cuts)
     v = 0.25 / zs
     k_max = int(max_cost / (zs.size + y.size))
-    found = None
-    # the bounding-box centre is tight on a narrow band; Re z >= a maps into
-    # the disc |v - 1/8a| <= 1/8a, so centred there no term ever grows
-    for v0 in (complex(0.5 * (v.real.min() + v.real.max()), 0.5 * (v.imag.min() + v.imag.max())),
-               complex(0.125 / float(np.min(zs.real)))):
-        rho = float(np.max(np.abs(v - v0)))
+    found, costly = None, False
+    for v0, rho in _centres(v, float(np.min(zs.real))):
         coeffs = _coefficients(log_c, y, v0, rho, 0.5 * target, k_max)
-        if coeffs is not None:
+        costly = costly or coeffs is not None
+        if coeffs:
             found, k_max = (v0, rho, coeffs), len(coeffs) - 1
     if found is None:
-        return None
+        return None if costly else _SPLIT
     v0, rho, coeffs = found
     q = (v0 - v) / rho
     total = np.full_like(zs, coeffs[-1])
@@ -174,8 +181,38 @@ def _taylor_sum(entries, zs: np.ndarray, log_env, target: float, cap: int,
     return total
 
 
+def _terms(entries, cuts):
+    """(log c, y) of every cut term, lengths in order and n ascending."""
+    n = np.concatenate([np.arange(1.0, k + 1.0) for k in cuts])
+    ell = np.repeat([e for e, _ in entries], cuts)
+    mult = np.repeat([float(m) for _, m in entries], cuts)
+    log_c = np.log(mult * ell) - log_sinh(0.5 * n * ell)
+    with np.errstate(over="ignore"):  # y = inf fails _coefficients' x < 700
+        y = (n * ell) ** 2
+    return log_c, y
+
+
+def _centres(v: np.ndarray, a: float) -> list:
+    """The centres (v0, rho) to try for the nodes' v = 1/4z, Re z >= a, in turn.
+
+    The bounding-box centre is tight on a narrow band; Re z >= a maps into
+    the disc |v - 1/8a| <= 1/8a, so centred there no term ever grows. As
+    that rho <= 1/8a, a box with rho >= 1/8a, rho >= Re v0 and |v0| >= 1/8a
+    has every x_i, w_i and rounding charge of _coefficients at least the
+    disc's: it needs no fewer orders and is not tried.
+    """
+    box = complex(0.5 * (v.real.min() + v.real.max()), 0.5 * (v.imag.min() + v.imag.max()))
+    disc = complex(0.125 / a)
+    rho_box = float(np.max(np.abs(v - box)))
+    centres = [(disc, float(np.max(np.abs(v - disc))))]
+    if not (rho_box >= max(disc.real, box.real) and abs(box) >= disc.real):
+        centres.insert(0, (box, rho_box))
+    return centres
+
+
 def _coefficients(log_c, y, v0: complex, rho: float, budget: float, k_max: int):
-    """B_0..B_{K-1} of the expansion about v0 for the least K <= k_max that certifies.
+    """B_0..B_{K-1} of the expansion about v0 for the least K <= k_max that
+    certifies; [] when none does, None when no K would at any k_max.
 
     S(v) = sum_i c_i e^{-y_i v} = sum_k B_k q^k, q = (v0 - v)/rho, B_k =
     sum_i t_i p_ik with t_i = c_i e^{-y_i v0 + x_i}, x_i = y_i rho and p_ik =
@@ -188,14 +225,23 @@ def _coefficients(log_c, y, v0: complex, rho: float, budget: float, k_max: int):
     and the K subtractions and Horner's complex steps add K/2 and 2K eps of
     sum w_i. As sum_j p_ij <= 1, 4 _rounding(sum w_i, N, 1.5 K + u) covers
     it, u the w-weighted u_i. K is the first order with L_K plus that within
-    budget; None when no K <= k_max gets there.
+    budget. None where an x_i passes 700, a w_i passes budget/eps, or the
+    allowance passes budget before the truncation falls within it.
     """
     x = y * rho
     # a subnormal e^{-x} would void the relative-error model of the
     # recurrence; a single w_i past budget/eps cannot certify
-    if not (rho > 0.0 and float(np.max(x)) < 700.0
-            and float(np.max(log_c + y * (rho - v0.real))) < math.log(budget / _EPS)):
+    if not (rho > 0.0 and float(np.max(x)) < 700.0):
         return None
+    log_w = log_c + y * (rho - v0.real)
+    if not float(np.max(log_w)) < math.log(budget / _EPS):
+        return None
+    # P(K, x) > 1/2 for x >= K (a Gamma(K) law's median is below K): such terms
+    # alone fail. Tested first on the real w_i, a few ulps from |t_i|, with a
+    # margin, it rejects only what the test below on |t_i| would (though as
+    # a failure of k_max: the allowance's cap is not known yet)
+    if 0.5 * float(np.sum(np.exp(log_w[x >= k_max]))) > _REJECT_MARGIN * budget:
+        return []
     # B_k = sum_i t_i e^{-x_i} x_i^k/k! with t_i = c_i e^{-y_i v0 + x_i} and
     # |t_i| = w_i; the Poisson factors are at most 1, so nothing overflows
     t = np.exp(log_c - y * v0 + x)
@@ -205,24 +251,32 @@ def _coefficients(log_c, y, v0: complex, rho: float, budget: float, k_max: int):
     # their sizes each; its exponential and modulus add 1.5 eps
     own = float(np.sum(w * (np.abs(log_c) + 1.5 * y * abs(v0) + 0.5 * x + 1.5))) / (mass or 1.0)
     allowance = 4.0 * _rounding(mass, y.size, own + 1.5 * np.arange(k_max + 1.0))
-    k_max = int(np.searchsorted(allowance, budget, side="right")) - 1  # past it, it alone fails
-    # P(K, x) > 1/2 for x >= K (a Gamma(K) law's median is below K): such terms alone fail
+    k_cap = int(np.searchsorted(allowance, budget, side="right")) - 1  # past it, it alone fails
+    # where k_cap binds, no order certifies at any cost
+    fail = None if k_cap < k_max else []
+    k_max = k_cap
     if k_max < 1 or 0.5 * float(np.sum(w[x >= k_max])) > budget:
-        return None
+        return fail
     # rows t_i p_ik and w_i p_ik, each summed pairwise: the parts of B_k (no
-    # imaginary one about a real centre) and s_k
-    rows = np.stack([t.real, w] + ([t.imag] if v0.imag else [])) * np.exp(-x)
+    # imaginary one about a real centre) and s_k. A factor 2^s <= 2^1023 takes
+    # the largest w_i near 2^1000: an entry in the subnormals then errs by at
+    # most 2^-1075 e^{x_i} < 2^-65, far below an ulp of the mass, and no row,
+    # at most its w_i, overflows. Where no entry is subnormal, each sum is the
+    # unscaled one times 2^s, bit for bit
+    scale = min(1023, max(0, 1000 - math.frexp(float(np.max(w)))[1]))
+    rows = np.stack([t.real, w] + ([t.imag] if v0.imag else [])) * (np.exp(-x) * 2.0**scale)
+    unscale = 2.0**-scale
     step = np.empty_like(x)
     left = mass  # L_K once the orders so far are kept
     coeffs = []
     for k in range(1, k_max + 1):
         re, share, *im = rows.sum(axis=1)
         coeffs.append(complex(re, *im))
-        left -= share
+        left -= share * unscale
         if left + allowance[k] <= budget:
-            return coeffs
+            return [b * unscale for b in coeffs]
         rows *= np.divide(x, k, out=step)
-    return None
+    return fail
 
 
 def _direct_rounding(entries, zs: np.ndarray, log_env, cuts, room: float) -> float:
@@ -246,14 +300,29 @@ def _direct_rounding(entries, zs: np.ndarray, log_env, cuts, room: float) -> flo
     return math.sqrt(2.0) * _rounding(mass, 1, 2.0 + own / (mass or 1.0), parts)
 
 
+def _halves(entries, zs: np.ndarray, policy: TruncationPolicy):
+    """The block's two halves along Im z, each summed as its own call (its
+    c_min no smaller, so its target no looser); None below _SPLIT_NODES."""
+    low = zs.imag <= 0.5 * (float(np.min(zs.imag)) + float(np.max(zs.imag)))
+    if zs.size < _SPLIT_NODES or low.all() or not low.any():
+        return None
+    total = np.empty_like(zs)
+    total[low] = _geodesic_sum(entries, zs[low], policy)
+    total[~low] = _geodesic_sum(entries, zs[~low], policy)
+    return total
+
+
 def _geodesic_sum(entries, zs: np.ndarray, policy: TruncationPolicy) -> np.ndarray:
-    """Cut series at every node, by Taylor expansion when that is cheaper; the
-    direct route cuts again where its tails and rounding pass the target."""
+    """Cut series at every node, by Taylor expansion when that is cheaper, a
+    block that no centre can certify halved along Im z; the direct route
+    cuts again where its tails and rounding pass the target."""
     log_env, target, cap = _plan(entries, zs, policy)
     cuts = _cuts(entries, log_env, target, cap)
     if zs.size > 1:  # one node is its own centre: the expansion is the direct sum
         total = _taylor_sum(entries, zs, log_env, target, cap,
                             _COST_RATIO * sum(cuts) * zs.size)
+        if total is _SPLIT:
+            total = _halves(entries, zs, policy)
         if total is not None:
             return total
     while True:

@@ -1,6 +1,7 @@
 """Special-function layer: gamma wrapper, the Bessel routes and the shared helpers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +255,13 @@ def test_bessel_j_arrays_and_extremes():
     assert isinstance(bessel_j(1.2, 3.0), float)
     with pytest.raises(DomainError, match="diverges"):
         bessel_j(-0.3, np.array([1.0, 0.0]))
+    # every order is 0 at inf, with no warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (-0.5, 0.0, 0.5, 1.2, 1.5, 2.5):
+            assert bessel_j(p, np.array([np.inf]))[0] == 0.0 and bessel_j(p, np.inf) == 0.0
+            assert np.isnan(bessel_j(p, np.array([np.nan]))[0])
+        assert bessel_j_half(2, np.inf) == 0.0
 
 
 @settings(max_examples=100)

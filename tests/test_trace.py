@@ -6,10 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pinchtrace import specfun, trace
+from pinchtrace import specfun, trace, xform
 from pinchtrace import (
     DomainError,
     LengthSpectrum,
@@ -18,6 +18,7 @@ from pinchtrace import (
     TruncationBudgetError,
     TruncationPolicy,
     degenerating_trace,
+    g_bessel,
     heat_kernel_origin,
     hyperbolic_trace,
     regularized_trace,
@@ -224,23 +225,111 @@ def _routes(entries, zs, policy=DEFAULT_POLICY, max_cost=1e8):
     return trace._taylor_sum(entries, zs, log_env, target, cap, max_cost), direct, target
 
 
-@settings(max_examples=30)
-@given(
+def _band(a, doublings):
+    """64 nodes on Re z = a: over [0, 16/a] for doublings -1, else over
+    [S, 2S] with S = 2^doublings 16/a."""
+    lo = 0.0 if doublings < 0 else 2.0**doublings * 16.0 / a
+    hi = 16.0 / a if doublings < 0 else 2.0 * lo
+    return a + 1j * np.linspace(lo, hi, 64)
+
+
+_BLOCKS = dict(
     a=st.floats(0.05, 20.0),
     doublings=st.integers(-1, 8),  # -1: the band [0, 16/a]; k: [S, 2S] with S = 2^k 16/a
     entries=st.lists(st.tuples(st.floats(1e-3, 3.0), st.integers(1, 4)), min_size=1,
                      max_size=4, unique_by=lambda e: e[0]),
 )
+
+
+@settings(max_examples=30)
+@given(**_BLOCKS)
 def test_taylor_route_matches_direct_route_on_contour_blocks(a, doublings, entries):
-    lo = 0.0 if doublings < 0 else 2.0**doublings * 16.0 / a
-    hi = 16.0 / a if doublings < 0 else 2.0 * lo
-    zs = a + 1j * np.linspace(lo, hi, 64)
+    zs = _band(a, doublings)
     entries = LengthSpectrum.of(entries).entries
     taylor, direct, target = _routes(entries, zs)
-    if taylor is None:  # no centre certifies: the call falls back, bit for bit
+    if taylor is None:  # Taylor would cost more, or its n-cut passes the cap: bit for bit
         assert np.array_equal(trace._geodesic_sum(entries, zs, DEFAULT_POLICY), direct)
-    else:  # each route is within target of the series
+    else:  # each route, or each half of a split block, is within target of the series
+        if taylor is trace._SPLIT:
+            taylor = trace._geodesic_sum(entries, zs, DEFAULT_POLICY)
         assert float(np.max(np.abs(taylor - direct))) <= 2.0 * target
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(**_BLOCKS)
+@example(a=1.0, doublings=-1, entries=[(0.01, 1)])
+def test_skipped_box_centre_never_needs_fewer_orders(a, doublings, entries):
+    zs = _band(a, doublings)
+    entries = LengthSpectrum.of(entries).entries
+    log_env, target, cap = trace._plan(entries, zs, DEFAULT_POLICY)
+    try:
+        cuts = trace._cuts(entries, log_env, 0.5 * target, cap)
+    except TruncationBudgetError:
+        return
+    log_c, y = trace._terms(entries, cuts)
+    v = 0.25 / zs
+    (disc, rho_disc), *kept = trace._centres(v, a)[::-1]
+    if kept:  # the box centre is tried
+        return
+    box = complex(0.5 * (v.real.min() + v.real.max()), 0.5 * (v.imag.min() + v.imag.max()))
+    at_box = trace._coefficients(log_c, y, box, float(np.max(np.abs(v - box))),
+                                 0.5 * target, 4000)
+    at_disc = trace._coefficients(log_c, y, disc, rho_disc, 0.5 * target, 4000)
+    assert not at_box or (at_disc and len(at_disc) <= len(at_box))
+
+
+@pytest.mark.parametrize("ell", [0.3, 0.01])
+def test_first_band_builds_one_expansion(ell, monkeypatch):
+    # on [0, 16/a] the box centre cannot win, so only the disc's is built
+    calls = []
+    build = trace._coefficients
+    monkeypatch.setattr(trace, "_coefficients", lambda *args: calls.append(args) or build(*args))
+    s, _ = xform._panel_nodes(0.0, 16.0, (22, 11))  # bromwich's first extension at T = 1
+    total = trace._geodesic_sum(((ell, 1),), 1.0 + 1j * s, DEFAULT_POLICY)
+    assert len(calls) == 1 and calls[0][2] == 0.125
+    assert np.array_equal(total, _routes(((ell, 1),), 1.0 + 1j * s)[0])
+
+
+def _direct_sizes(monkeypatch):
+    """The node count of every direct sum from here on."""
+    sizes = []
+    direct = trace._term_sum
+    monkeypatch.setattr(trace, "_term_sum",
+                        lambda entries, zs, cuts: sizes.append(zs.size) or direct(entries, zs, cuts))
+    return sizes
+
+
+@pytest.mark.parametrize("a", [0.02, 0.05])
+def test_large_t_bands_are_expanded(a, monkeypatch):
+    # near the real axis at small a no centre certifies a whole band; its
+    # halves, each planned as its own call, do
+    entries = ((0.01, 1),)
+    blocks = []
+
+    def F(z):
+        blocks.append(z)
+        return 2.0 * trace._geodesic_sum(entries, z, DEFAULT_POLICY) / z**3
+
+    sizes = _direct_sizes(monkeypatch)
+    xform.bromwich(F, 1.0 / a, a)
+    assert len(blocks) >= 8 and max(sizes, default=1) == 1
+    monkeypatch.undo()
+    for zs in blocks[:8]:  # the first eight extensions
+        _, direct, target = _routes(entries, zs)
+        got = trace._geodesic_sum(entries, zs, DEFAULT_POLICY)
+        assert float(np.max(np.abs(got - direct))) <= 2.0 * target
+
+
+@pytest.mark.parametrize("T", [20.0, 50.0])
+def test_large_t_inversion_matches_the_series(T, monkeypatch):
+    ps = PinchingSet.of([0.01])
+    sizes = _direct_sizes(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = xform.weighted_inverse(lambda z: degenerating_trace(ps, z), 2.0, T)
+    assert max(sizes, default=1) == 1
+    assert got == pytest.approx(g_bessel(ps, 2.0, T),
+                                rel=10.0 * xform.DEFAULT_INVERSION_POLICY.rel_tol)
 
 
 def test_taylor_route_serves_contour_extensions():
@@ -293,6 +382,8 @@ def test_large_abscissa_overflows_nothing():
     rho=st.floats(1e-3, 3.0),
     log10_share=st.floats(-16.0, 0.0),
 )
+# t_i e^{-x_i} is subnormal here, and unscaled it made the certificate 1% short
+@example(terms=[(-520.0, 88.0)], v0=(2.5, 0.0), rho=1.0, log10_share=-2.0)
 def test_taylor_certificate_bounds_the_true_truncation(terms, v0, rho, log10_share):
     # the running remainder picks K; whatever its rounding, the exact
     # sum w P(K, y rho) plus the allowance of the coefficients' sums and
@@ -307,7 +398,7 @@ def test_taylor_certificate_bounds_the_true_truncation(terms, v0, rho, log10_sha
     if not budget > 0.0:
         return
     coeffs = trace._coefficients(log_c, y, v0, rho, budget, 400)
-    if coeffs is None:
+    if not coeffs:  # None where no order can certify, [] where none up to 400 does
         return
     k = len(coeffs)
     truncation = math.fsum(w * gammainc(k, y * rho))
