@@ -130,8 +130,9 @@ def heat_kernel_origin(t: float, policy: TruncationPolicy = DEFAULT_POLICY) -> f
     7/sqrt t) with a tail below e^{-t/4 - R^2 t - 2 pi R}(2 pi R + 1)/(4 pi^3).
     On |Im r| <= beta < 1/2, |e^{2 pi r} + 1| >= sin(2 pi max(beta, 1/4)) and
     |r| <= R + 1. Error, tail and rounding (of exponents below t/4 + 49 and
-    58) stay within policy.tol of K(t, 0) >= e^{-t/4 - 1/2} tanh(pi/sqrt(2t))
-    /(4 pi t), as tanh(pi r) >= tanh(pi r0) past r0 = 1/sqrt(2t).
+    58, then specfun._rounding of lead - rem/pi) stay within policy.tol of
+    K(t, 0) >= e^{-t/4 - 1/2} tanh(pi/sqrt(2t))/(4 pi t), as tanh(pi r) >=
+    tanh(pi r0) past r0 = 1/sqrt(2t).
     """
     if not t > 0.0:
         raise DomainError(f"heat_kernel_origin requires t > 0, got {t}")
@@ -144,13 +145,15 @@ def heat_kernel_origin(t: float, policy: TruncationPolicy = DEFAULT_POLICY) -> f
     tail = (math.exp(-0.25 * t - cut * cut * t - 2.0 * math.pi * cut)
             * (2.0 * math.pi * cut + 1.0) / (4.0 * math.pi**3))
     low = math.exp(-0.5) * math.tanh(math.pi / math.sqrt(2.0 * t)) * lead
-    target = policy.tol(low) - tail - 4.0 * sys.float_info.epsilon * lead
+    rest = math.exp(-0.25 * t) / math.pi * min(0.25 / math.pi**2, 0.5 / t)  # >= rem/pi
+    # lead's exponential, product and quotient, or rem's quotient by pi, off
+    # by 2.5 ulps at most, and the one subtraction
+    target = policy.tol(low) - tail - _rounding(lead + rest, 2, 2.5)
     log_pref = -0.25 * t + math.log((cut + 1.0) / math.pi)
     r, w, _ = gauss_rule(
         0.0, cut, lambda beta: log_pref + beta * beta * t
         - np.log(np.sin(2.0 * math.pi * np.maximum(beta, 0.25))),
-        math.exp(-0.25 * t) / math.pi * min(0.25 / math.pi**2, 0.5 / t) + target,
-        0.5 * t + 224.0, 0.5, target, policy.max_quad_evals)
+        rest + target, 0.5 * t + 224.0, 0.5, target, policy.max_quad_evals)
     rem = np.sum(w * np.exp(-(0.25 + r * r) * t) * r / (np.exp(2.0 * math.pi * r) + 1.0))
     return lead - float(rem) / math.pi
 

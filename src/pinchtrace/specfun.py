@@ -14,8 +14,9 @@ oracle and gamma live in the numpy-free module closed.
 
 The module also holds the helpers the other modules share: log_sinh, the
 geometric-tail cut tail_cut, ascending_series, the cached Gauss-Legendre
-rule leggauss, gauss_rule, which sizes it from a bound on the integrand,
-and _rounding, the one rounding model of every certified sum.
+rule leggauss and its Kronrod extension kronrod, gauss_rule, which sizes
+leggauss from a bound on the integrand, and _rounding, the one rounding
+model of every certified sum.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ _MILLER_LOG_TOP = math.log(2.0**-60)  # Miller starts where J has fallen this fa
 _J_ULPS = {"series": (6.0, 0.0), "upward": (4.0, 0.5), "hankel": (4.0, 0.5),
            "miller": (12.0, 1.0 / 6.0)}
 # below this x, 2x/pi nears the subnormals and 2/(pi x) overflows: J_{1/2}
-# takes the series there, and J_{-1/2} scales x by 2^200
+# takes the series there, and J_{-1/2} scales x by 2^200 (by 1/4 elsewhere,
+# so that pi x stays finite up to the largest double)
 _TINY_X = 2.0**-1000
 
 
@@ -105,6 +107,57 @@ def leggauss(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+@lru_cache(maxsize=4)
+def kronrod(n: int):
+    """Nodes, weights and embedded Gauss weights of the (2n+1)-point
+    Gauss-Kronrod rule on [-1, 1], exact for degree 3n + 1 at even n.
+
+    Laurie's algorithm (Math. Comp. 66, 1997), as in Gautschi's r_kronrod,
+    extends the Legendre recurrence (a_k = 0, as for every symmetric
+    weight, b_0 = 2 and b_k = k^2/(4k^2 - 1)) to the Jacobi-Kronrod matrix,
+    whose eigenvalues are the nodes. Every other node is a Gauss node:
+    those are leggauss(n)'s own, and its weights, 0 at the other n + 1
+    nodes, make the third array, so that sum is leggauss(n)'s rule bit for
+    bit. The weights, b_0 times the eigenvectors' first components squared
+    (tens of ulps off near the ends), take one step of refinement on the
+    moment equations sum_i w_i P_k(x_i) = 2 [k = 0], k <= 2n, which leaves
+    them a few ulps off. Cached and read-only, like leggauss.
+    """
+    b = np.zeros(2 * n + 1)
+    k = np.arange(1.0, (3 * n + 1) // 2 + 1)
+    b[0], b[1:k.size + 1] = 2.0, k * k / (4.0 * k * k - 1.0)
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for i in range(n - 1):
+        k = np.arange((i + 1) // 2, -1, -1)
+        s[k + 1] = np.cumsum(b[k + n + 1] * s[k] - b[i - k] * s[k + 1])
+        s, t = t, s
+    s[1:n // 2 + 2] = s[:n // 2 + 1]
+    for i in range(n - 1, 2 * n - 2):
+        k = np.arange(i + 1 - n, (i - 1) // 2 + 1)
+        j = n - 1 - (i - k)
+        s[j + 1] = np.cumsum(b[i - k] * s[j + 2] - b[k + n + 1] * s[j + 1])
+        if i % 2:
+            b[(i + 1) // 2 + n + 1] = s[j[-1] + 1] / s[j[-1] + 2]
+        s, t = t, s
+    off = np.diag(np.sqrt(b[1:]), 1)
+    x, v = np.linalg.eigh(off + off.T)
+    x = 0.5 * (x - x[::-1])  # the rule is symmetric
+    xg, wg = leggauss(n)
+    x[1::2] = xg
+    w = b[0] * v[0] ** 2
+    moments = np.polynomial.legendre.legvander(x, 2 * n).T
+    residual = moments @ w
+    residual[0] -= b[0]  # the integral of P_k is 2 at k = 0, else 0
+    w -= np.linalg.solve(moments, residual)
+    w = 0.5 * (w + w[::-1])
+    embedded = np.zeros_like(w)
+    embedded[1::2] = wg
+    for arr in (x, w, embedded):
+        arr.flags.writeable = False
+    return x, w, embedded
 
 
 def gauss_rule(a: float, b: float, log_bound, mass: float, ulps: float, beta_max: float,
@@ -208,8 +261,8 @@ def _upward(n: int, x):
             np.subtract(tmp, s0, out=s0)
             s0, s1 = s1, s0
         s0 = s1
-    f = 2.0 * x
-    f /= np.pi
+    f = x / np.pi  # then doubled: 2x would overflow near the largest double
+    f *= 2.0
     np.sqrt(f, out=f)
     s0 *= f
     return s0
@@ -359,7 +412,7 @@ def bessel_j(p: float, x: float) -> float:
     if n is not None:
         out = bessel_j_half(n, xa)
     elif p == -0.5:
-        scale = np.where(xa < _TINY_X, 2.0**200, 1.0)  # exact, and 1 from _TINY_X up
+        scale = np.where(xa < _TINY_X, 2.0**200, 0.25)  # powers of 4: exact, and so is their root
         # cos is taken at 0 in place of inf, where the amplitude is 0
         out = (np.sqrt(2.0 / (np.pi * (xa * scale))) * np.sqrt(scale)
                * np.cos(np.where(xa < np.inf, xa, 0.0)))

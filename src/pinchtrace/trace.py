@@ -30,10 +30,11 @@ and y = (n ell)^2, goes one of two routes per call:
 
 Both roundings are specfun._rounding's. A call takes the Taylor route when
 K (nodes + terms) < _COST_RATIO (direct terms) (nodes) and its bound
-holds. Where no centre can certify at any K (a y rho past 700, a term's
-growth or the rounding past the target), a block of _SPLIT_NODES nodes
-or more is halved along Im z, and each half planned as a call of its
-own. So real scalars and small arrays are summed directly, bit for bit;
+holds. Where no centre certifies within that cost, a block of at least
+_SPLIT_NODES nodes and _SPLIT_TERMS direct terms is halved along Im z,
+and each half planned as a call of its own: a narrower block needs fewer
+orders about its box centre. So real scalars and small arrays are summed
+directly, bit for bit;
 on a contour block a node's value depends on the other nodes of the
 call, within the certified tolerance. Every evaluator takes a scalar z
 or an array; a real scalar in gives a float back.
@@ -71,8 +72,12 @@ _EPS = float(np.finfo(float).eps)
 # their exponents' terms, far below 1%: a test on w_i this far past budget
 # holds on |t_i| too
 _REJECT_MARGIN = 1.01
-_SPLIT = "split"  # _taylor_sum's answer where only a narrower block can certify
-_SPLIT_NODES = 16  # a block of fewer nodes is summed directly rather than halved
+_SPLIT = "split"  # _taylor_sum's answer where no centre certifies within the cost
+# a block of fewer nodes, or of fewer direct terms (about 0.7 ms at 20 ns a
+# term), is summed directly rather than halved: planning each half costs
+# 30-150 us, and the halves may be summed directly all the same
+_SPLIT_NODES = 16
+_SPLIT_TERMS = 1 << 15
 
 
 def _as_nodes(z):
@@ -151,9 +156,8 @@ def _taylor_sum(entries, zs: np.ndarray, log_env, target: float, cap: int,
 
     Half the target goes to the n-cut, half to the truncation and
     rounding of the expansion. None when the n-cut passes cap or
-    _TAYLOR_TERMS_MAX, or when no centre certifies in fewer than
-    max_cost / (nodes + terms) orders; _SPLIT when no centre can at
-    any cost, so that only a narrower block may.
+    _TAYLOR_TERMS_MAX; _SPLIT when no centre certifies in fewer than
+    max_cost / (nodes + terms) orders, so that only a narrower block may.
     """
     try:
         cuts = _cuts(entries, log_env, 0.5 * target, cap)
@@ -164,14 +168,13 @@ def _taylor_sum(entries, zs: np.ndarray, log_env, target: float, cap: int,
     log_c, y = _terms(entries, cuts)
     v = 0.25 / zs
     k_max = int(max_cost / (zs.size + y.size))
-    found, costly = None, False
+    found = None
     for v0, rho in _centres(v, float(np.min(zs.real))):
         coeffs = _coefficients(log_c, y, v0, rho, 0.5 * target, k_max)
-        costly = costly or coeffs is not None
         if coeffs:
             found, k_max = (v0, rho, coeffs), len(coeffs) - 1
     if found is None:
-        return None if costly else _SPLIT
+        return _SPLIT
     v0, rho, coeffs = found
     q = (v0 - v) / rho
     total = np.full_like(zs, coeffs[-1])
@@ -212,7 +215,7 @@ def _centres(v: np.ndarray, a: float) -> list:
 
 def _coefficients(log_c, y, v0: complex, rho: float, budget: float, k_max: int):
     """B_0..B_{K-1} of the expansion about v0 for the least K <= k_max that
-    certifies; [] when none does, None when no K would at any k_max.
+    certifies, [] when none does.
 
     S(v) = sum_i c_i e^{-y_i v} = sum_k B_k q^k, q = (v0 - v)/rho, B_k =
     sum_i t_i p_ik with t_i = c_i e^{-y_i v0 + x_i}, x_i = y_i rho and p_ik =
@@ -225,21 +228,20 @@ def _coefficients(log_c, y, v0: complex, rho: float, budget: float, k_max: int):
     and the K subtractions and Horner's complex steps add K/2 and 2K eps of
     sum w_i. As sum_j p_ij <= 1, 4 _rounding(sum w_i, N, 1.5 K + u) covers
     it, u the w-weighted u_i. K is the first order with L_K plus that within
-    budget. None where an x_i passes 700, a w_i passes budget/eps, or the
-    allowance passes budget before the truncation falls within it.
+    budget. No order does where an x_i passes 700, a w_i passes budget/eps,
+    or the allowance passes budget before the truncation falls within it.
     """
     x = y * rho
     # a subnormal e^{-x} would void the relative-error model of the
     # recurrence; a single w_i past budget/eps cannot certify
     if not (rho > 0.0 and float(np.max(x)) < 700.0):
-        return None
+        return []
     log_w = log_c + y * (rho - v0.real)
     if not float(np.max(log_w)) < math.log(budget / _EPS):
-        return None
+        return []
     # P(K, x) > 1/2 for x >= K (a Gamma(K) law's median is below K): such terms
     # alone fail. Tested first on the real w_i, a few ulps from |t_i|, with a
-    # margin, it rejects only what the test below on |t_i| would (though as
-    # a failure of k_max: the allowance's cap is not known yet)
+    # margin, it rejects only what the test below on |t_i| would
     if 0.5 * float(np.sum(np.exp(log_w[x >= k_max]))) > _REJECT_MARGIN * budget:
         return []
     # B_k = sum_i t_i e^{-x_i} x_i^k/k! with t_i = c_i e^{-y_i v0 + x_i} and
@@ -251,12 +253,10 @@ def _coefficients(log_c, y, v0: complex, rho: float, budget: float, k_max: int):
     # their sizes each; its exponential and modulus add 1.5 eps
     own = float(np.sum(w * (np.abs(log_c) + 1.5 * y * abs(v0) + 0.5 * x + 1.5))) / (mass or 1.0)
     allowance = 4.0 * _rounding(mass, y.size, own + 1.5 * np.arange(k_max + 1.0))
-    k_cap = int(np.searchsorted(allowance, budget, side="right")) - 1  # past it, it alone fails
-    # where k_cap binds, no order certifies at any cost
-    fail = None if k_cap < k_max else []
-    k_max = k_cap
+    # past this order the allowance alone fails
+    k_max = min(k_max, int(np.searchsorted(allowance, budget, side="right")) - 1)
     if k_max < 1 or 0.5 * float(np.sum(w[x >= k_max])) > budget:
-        return fail
+        return []
     # rows t_i p_ik and w_i p_ik, each summed pairwise: the parts of B_k (no
     # imaginary one about a real centre) and s_k. A factor 2^s <= 2^1023 takes
     # the largest w_i near 2^1000: an entry in the subnormals then errs by at
@@ -276,7 +276,7 @@ def _coefficients(log_c, y, v0: complex, rho: float, budget: float, k_max: int):
         if left + allowance[k] <= budget:
             return [b * unscale for b in coeffs]
         rows *= np.divide(x, k, out=step)
-    return fail
+    return []
 
 
 def _direct_rounding(entries, zs: np.ndarray, log_env, cuts, room: float) -> float:
@@ -300,11 +300,13 @@ def _direct_rounding(entries, zs: np.ndarray, log_env, cuts, room: float) -> flo
     return math.sqrt(2.0) * _rounding(mass, 1, 2.0 + own / (mass or 1.0), parts)
 
 
-def _halves(entries, zs: np.ndarray, policy: TruncationPolicy):
+def _halves(entries, zs: np.ndarray, terms: int, policy: TruncationPolicy):
     """The block's two halves along Im z, each summed as its own call (its
-    c_min no smaller, so its target no looser); None below _SPLIT_NODES."""
+    c_min no smaller, so its target no looser); None below _SPLIT_NODES
+    nodes or _SPLIT_TERMS terms of the direct sum."""
     low = zs.imag <= 0.5 * (float(np.min(zs.imag)) + float(np.max(zs.imag)))
-    if zs.size < _SPLIT_NODES or low.all() or not low.any():
+    if (zs.size < _SPLIT_NODES or terms * zs.size < _SPLIT_TERMS
+            or low.all() or not low.any()):
         return None
     total = np.empty_like(zs)
     total[low] = _geodesic_sum(entries, zs[low], policy)
@@ -314,15 +316,15 @@ def _halves(entries, zs: np.ndarray, policy: TruncationPolicy):
 
 def _geodesic_sum(entries, zs: np.ndarray, policy: TruncationPolicy) -> np.ndarray:
     """Cut series at every node, by Taylor expansion when that is cheaper, a
-    block that no centre can certify halved along Im z; the direct route
-    cuts again where its tails and rounding pass the target."""
+    block that no centre certifies within that cost halved along Im z; the
+    direct route cuts again where its tails and rounding pass the target."""
     log_env, target, cap = _plan(entries, zs, policy)
     cuts = _cuts(entries, log_env, target, cap)
     if zs.size > 1:  # one node is its own centre: the expansion is the direct sum
         total = _taylor_sum(entries, zs, log_env, target, cap,
                             _COST_RATIO * sum(cuts) * zs.size)
         if total is _SPLIT:
-            total = _halves(entries, zs, policy)
+            total = _halves(entries, zs, sum(cuts), policy)
         if total is not None:
             return total
     while True:

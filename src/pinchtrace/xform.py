@@ -1,13 +1,16 @@
 """Bromwich-contour inversion of Laplace transforms.
 
 A contour is its line Re z = a. Inversion runs along it with composite
-16-point Gauss-Legendre panels, doubling the height from 16/T until two
+33-point Gauss-Kronrod panels, doubling the height from 16/T until two
 successive extensions agree or the quadrature budget is spent. Each
-extension is summed at panel widths L and 2L in one evaluation of the
-transform, their difference charged to the tail bound: one above a small
-share of the tolerance redoes the extension at L/2, one well inside it
-hands 2L on. So panels are narrow where z^{-(w+1)} is steep near s = 0
-and wide in the tail. Extensions are appended, never recomputed.
+extension is one evaluation of the transform on panels of width 2L: the
+Kronrod sum is its value, and its difference from the 16-point
+Gauss-Legendre rule embedded in the same panels, the error of that rule
+at width 2L, is charged to the tail bound. A difference above a small
+share of the tolerance redoes the extension at half the panel width, one
+well inside it hands 2L on. So panels are narrow where z^{-(w+1)} is
+steep near s = 0 and wide in the tail. Extensions are appended, never
+recomputed.
 
 Every transform here is that of a real function, F(conj z) = conj F(z):
 the sum runs over the upper half-line and takes twice its real part.
@@ -27,7 +30,7 @@ import numpy as np
 from .closed import _check, gamma
 from .errors import DomainError, TruncationBudgetError, UncertifiedTailWarning
 from .policy import DEFAULT_INVERSION_POLICY, TruncationPolicy
-from .specfun import _rounding, leggauss
+from .specfun import _rounding, kronrod
 
 __all__ = [
     "bromwich",
@@ -36,7 +39,8 @@ __all__ = [
     "DEFAULT_INVERSION_POLICY",
 ]
 
-_PANEL_NODES = 16
+_GAUSS_NODES = 16  # per panel, embedded in the Kronrod rule's 33
+_PANEL_NODES = 2 * _GAUSS_NODES + 1
 _EVAL_BLOCK = 262_144
 _EPS = float(np.finfo(float).eps)
 _TERM_ULPS = 4.0  # per term: the exponential and the products w F e^{zT}
@@ -44,8 +48,8 @@ _LOG_POWER_MAX = 600.0  # |log| of a power kept well inside the doubles
 _WIDTH_SHARE = 1.0 / 16.0  # of tol(value), for one extension's width check
 _WIDEN_MARGIN = 1.0 / 64.0  # of that share: a check passed by this much widens
 _START_HEIGHT = 16.0  # times 1/T: a deliberately low first height, doubled as needed
-# first panel width 2 (16/T) / 41: 16-node panels of width pi/(4T) counted over
-# [-16/T, 16/T] make 41 panels, whatever T is
+# first L = 2 (16/T) / 41: panels of width pi/(4T) counted over [-16/T, 16/T]
+# make 41 panels, whatever T is
 _START_PANELS = 41.0
 # the contour sum's rounding, in units of eps times the integrand's size at
 # s = 0 times the line's abscissa: log2 of a few million nodes plus a few
@@ -56,8 +60,9 @@ _LINE_ROUNDING = 32.0
 @dataclass(frozen=True)
 class InversionResult:
     """Outcome of a contour inversion: value, and tail_bound, its error
-    estimate (the last two extensions' magnitudes, every extension's width
-    charge and the rounding allowance)."""
+    estimate (the last two extensions' magnitudes, every extension's
+    Kronrod-Gauss difference and the rounding allowance); evaluations
+    counts the transform's nodes, failed width checks included."""
 
     value: float
     tail_bound: float
@@ -69,35 +74,31 @@ class InversionResult:
         return self.value
 
 
-def _panel_nodes(s_lo: float, s_hi: float, panels: tuple[int, ...]):
-    """Gauss-Legendre nodes and weights of n equal panels on [s_lo, s_hi] for
-    each n in panels, one rule after the other."""
-    xg, wg = leggauss(_PANEL_NODES)
-    s, w = [], []
-    for n in panels:
-        edges = np.linspace(s_lo, s_hi, n + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        s.append((mid[:, None] + half[:, None] * xg[None, :]).ravel())
-        w.append((half[:, None] * wg[None, :]).ravel())
-    return np.concatenate(s), np.concatenate(w)
+def _panel_nodes(s_lo: float, s_hi: float, panels: int):
+    """Gauss-Kronrod nodes of n equal panels on [s_lo, s_hi], with their
+    Kronrod weights and those of the embedded Gauss rule (0 off its nodes)."""
+    x, wk, wg = kronrod(_GAUSS_NODES)
+    edges = np.linspace(s_lo, s_hi, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return (mid + half * x).ravel(), (half * wk).ravel(), (half * wg).ravel()
 
 
-def _rule_sums(F, a: float, T: float, s_lo: float, s_hi: float, panels: tuple[int, ...]):
-    """[(sum, sum of |terms|)] of the terms w F(z) e^{zT}, z = a + is, for each
-    rule of _panel_nodes. All rules go through one F call per block of
-    _EVAL_BLOCK nodes, so F sees one contour block, and peak memory is flat:
-    |terms| overwrites the terms, so a block allocates nothing more."""
-    s, w = _panel_nodes(s_lo, s_hi, panels)
-    bounds = _PANEL_NODES * np.cumsum((0,) + panels)
-    out = [[0j, 0.0] for _ in panels]
+def _rule_sums(F, a: float, T: float, s_lo: float, s_hi: float, panels: int):
+    """[(sum, sum of |terms|)] of the terms w F(z) e^{zT}, z = a + is, on
+    _panel_nodes, for the Kronrod and then the Gauss weights. One F call per
+    block of _EVAL_BLOCK nodes, so F sees one contour block, and peak memory
+    is flat: a block holds F's values and one rule's terms at a time, whose
+    |terms| overwrite them."""
+    s, *weights = _panel_nodes(s_lo, s_hi, panels)
+    out = [[0j, 0.0] for _ in weights]
     for lo in range(0, s.size, _EVAL_BLOCK):
         z = a + 1j * s[lo:lo + _EVAL_BLOCK]
-        terms = w[lo:lo + _EVAL_BLOCK] * np.asarray(F(z), dtype=complex) * np.exp(z * T)
-        for acc, start, stop in zip(out, bounds, bounds[1:]):
-            part = terms[max(start - lo, 0):max(stop - lo, 0)]
-            acc[0] += complex(np.sum(part))
-            acc[1] += float(np.sum(np.abs(part, out=part).real))
+        f = np.asarray(F(z), dtype=complex) * np.exp(z * T)
+        for acc, w in zip(out, weights):
+            terms = w[lo:lo + _EVAL_BLOCK] * f
+            acc[0] += complex(np.sum(terms))
+            acc[1] += float(np.sum(np.abs(terms, out=terms).real))
     return [tuple(acc) for acc in out]
 
 
@@ -126,13 +127,17 @@ def bromwich(
 
     F must be vectorized over a complex ndarray and be the transform of a
     real function. The line defaults to a = 1/T; a must be > 0. The first
-    extension reaches height 16/T with panels of width L = 2 (16/T) / 41.
-    An extension whose widths L and 2L differ by more than _WIDTH_SHARE of
-    tol(value) is redone at L/2; one passed by _WIDEN_MARGIN of that share
-    hands 2L on. The height doubles until the two latest extensions land
-    inside tolerance. The tail bound is their magnitudes, plus the width
-    charges, plus specfun._rounding of the value's terms (4 ulps each,
-    np.sum over blocks of at most _EVAL_BLOCK nodes, added in turn).
+    extension reaches height 16/T with L = 2 (16/T) / 41. Each extension
+    takes panels of width at most 2L, each with the 33 nodes of the
+    Gauss-Kronrod rule: the Kronrod sum is the value, and its difference
+    from the embedded 16-point Gauss sum, that rule's error at width 2L, is
+    the width check. An extension whose check passes _WIDTH_SHARE of
+    tol(value) is redone at half the panel width; one passed by
+    _WIDEN_MARGIN of that share hands 2L on as L. The height doubles until
+    the two latest extensions land inside tolerance. The tail bound is
+    their magnitudes, plus the width checks' differences, plus
+    specfun._rounding of the value's terms (4 ulps each, np.sum over
+    blocks of at most _EVAL_BLOCK nodes, added in turn).
 
     DomainError is raised at once for T <= 0 or a <= 0, and where the
     integrand is not finite. TruncationBudgetError is raised where a width
@@ -154,21 +159,18 @@ def bromwich(
     deltas: list[float] = []
     s_lo = 0.0
     while True:
-        # panel counts: fine of width <= L, fine // 2 of twice that width
-        fine = 2 * max(1, math.ceil((s_hi - s_lo) / (2.0 * width)))
-        coarse = None  # the wider rule's (sum, mass), once known
+        panels = max(1, math.ceil((s_hi - s_lo) / (2.0 * width)))  # of width <= 2L
+        narrowed = False
         while True:
-            panels = (fine,) if coarse else (fine, fine // 2)
-            nodes = _PANEL_NODES * sum(panels)
+            nodes = _PANEL_NODES * panels
             if evals + nodes > policy.max_quad_evals:
                 last = f", tail estimate {deltas[-1]:.3e}" if deltas else ""
                 raise TruncationBudgetError(
                     f"bromwich: quadrature budget {policy.max_quad_evals} "
                     f"exhausted at s_max = {s_hi:.3e}{last}"
                 )
-            sums = _rule_sums(F, a, T, s_lo, s_hi, panels)
+            (chunk, size), (rough, rough_size) = _rule_sums(F, a, T, s_lo, s_hi, panels)
             evals += nodes
-            (chunk, size), (rough, rough_size) = sums[0], coarse or sums[1]
             if not math.isfinite(_size(chunk) + _size(rough)):
                 raise DomainError(
                     f"bromwich: the integrand is not finite on the contour for T = {T}")
@@ -183,9 +185,9 @@ def bromwich(
                     f"bromwich: rounding allowance {floor:.3e} of the contour sum exceeds "
                     f"tolerance {limit:.3e} of its width check on the line Re z = {a:.6g}"
                 )
-            coarse, fine = sums[0], 2 * fine
-        widen = coarse is None and diff <= _WIDEN_MARGIN * limit
-        width = (2.0 if widen else 1.0) * (s_hi - s_lo) / fine
+            panels, narrowed = 2 * panels, True
+        widen = not narrowed and diff <= _WIDEN_MARGIN * limit
+        width = (1.0 if widen else 0.5) * (s_hi - s_lo) / panels
         acc += chunk
         mass += size
         charge += diff

@@ -12,7 +12,7 @@ from pinchtrace import (
     DomainError, TruncationBudgetError, bessel_j, bessel_j_half, bessel_j_oracle, gamma,
 )
 from pinchtrace import specfun
-from pinchtrace.specfun import ascending_series, log_sinh, tail_cut
+from pinchtrace.specfun import ascending_series, kronrod, leggauss, log_sinh, tail_cut
 
 
 def test_gamma_known_values():
@@ -262,6 +262,32 @@ def test_bessel_j_arrays_and_extremes():
             assert bessel_j(p, np.array([np.inf]))[0] == 0.0 and bessel_j(p, np.inf) == 0.0
             assert np.isnan(bessel_j(p, np.array([np.nan]))[0])
         assert bessel_j_half(2, np.inf) == 0.0
+
+
+def test_kronrod_extends_the_sixteen_point_rule():
+    # 33 nodes and positive weights; the embedded rule is leggauss(16) bit
+    # for bit, and the whole rule integrates x^d, d <= 49, to rounding
+    x, w, gauss = kronrod(16)
+    xg, wg = leggauss(16)
+    assert x.size == w.size == gauss.size == 33 and np.all(w > 0.0)
+    assert np.array_equal(x[1::2], xg) and np.array_equal(gauss[1::2], wg)
+    assert not np.any(gauss[::2])
+    for d in range(50):
+        terms = w * x**d
+        exact = 0.0 if d % 2 else 2.0 / (d + 1.0)
+        assert abs(math.fsum(terms) - exact) <= 4.0 * _EPS * math.fsum(np.abs(terms))
+
+
+@pytest.mark.parametrize("x", [1e308, 1.7e308])
+@pytest.mark.parametrize("p", [-0.5, 0.0, 0.5, 1.2, 1.5])
+def test_bessel_j_near_the_largest_double(p, x):
+    # 2x and pi x pass the largest double there: every order stays within
+    # a few eps of J's envelope, with no overflow on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = bessel_j(p, x)
+    want = _mp_besselj(p, x)
+    assert abs(got - want) <= (8.0 + p) * _EPS * math.sqrt(2.0 / math.pi) / math.sqrt(x)
 
 
 @settings(max_examples=100)

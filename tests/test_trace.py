@@ -284,7 +284,7 @@ def test_first_band_builds_one_expansion(ell, monkeypatch):
     calls = []
     build = trace._coefficients
     monkeypatch.setattr(trace, "_coefficients", lambda *args: calls.append(args) or build(*args))
-    s, _ = xform._panel_nodes(0.0, 16.0, (22, 11))  # bromwich's first extension at T = 1
+    s, _, _ = xform._panel_nodes(0.0, 16.0, 11)  # bromwich's first extension at T = 1
     total = trace._geodesic_sum(((ell, 1),), 1.0 + 1j * s, DEFAULT_POLICY)
     assert len(calls) == 1 and calls[0][2] == 0.125
     assert np.array_equal(total, _routes(((ell, 1),), 1.0 + 1j * s)[0])

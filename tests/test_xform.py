@@ -28,6 +28,10 @@ from pinchtrace import (
 from pinchtrace.xform import _line
 
 
+# the eigenvalues of perfbench's dual_routes workload, unperturbed
+_DUAL_EIGS = [(0.0, 1), (0.13, 1), (0.37, 2), (0.71, 1), (0.86, 3), (1.4, 1), (1.77, 2)]
+
+
 class TestBromwich:
     def test_ramp(self):
         r = bromwich(lambda z: 1.0 / (z * z), 1.0)
@@ -81,6 +85,21 @@ class TestBromwich:
         assert r.evaluations <= 1_000_000
         want = g_bessel(ps, 0.0, 1.0)
         assert abs(r.value - want) <= 10.0 * DEFAULT_INVERSION_POLICY.rel_tol * abs(want)
+
+    @pytest.mark.parametrize("eigs, w, T, s_max, nodes", [
+        (None, 2.0, 1.0, 1024.0, 2000),  # ell = 0.1: 2640 nodes with rules at L and 2L
+        (_DUAL_EIGS, 1.0, 1.0, 32768.0, 32_000),  # 40,752 nodes with them
+        (_DUAL_EIGS, 1.0, 2.0, 8192.0, 18_000),  # 22,320 nodes with them
+    ])
+    def test_one_kronrod_evaluation_per_extension(self, eigs, w, T, s_max, nodes):
+        # each extension is evaluated once, on 33-node panels of width 2L,
+        # and climbs to the height that separate 16-point rules at L and 2L did
+        if eigs is None:
+            ps = PinchingSet.of([0.1])
+            r = bromwich(lambda z: 2.0 * degenerating_trace(ps, z) * z**-3.0, T)
+        else:
+            r = bromwich(_weighted_transform(eigs, w), T)
+        assert r.s_max == s_max and r.evaluations <= nodes
 
     def test_explicit_contour_is_honored(self):
         r = bromwich(lambda z: 1.0 / z**2, 2.0, a=1.0)
