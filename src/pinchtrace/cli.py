@@ -16,7 +16,7 @@ Input documents are versioned JSON objects carrying exactly one payload:
      "ratio": 0.5, "count": 10}}
 
 plus an optional "policy" override object. No document or flag sets the
-contour of an inversion: weighted_inverse derives its line from the trace.
+contour of an inversion: weighted_inverse inverts on the line (w+1)/T.
 
 Every subcommand is one row of _COMMANDS (name, help, flags, payload
 kinds, handler returning (header, rows)), which builds the parser and

@@ -187,6 +187,7 @@ class _BesselSeries:
 
     def __init__(self, w: float, a: float, policy: TruncationPolicy):
         self.policy, self.w, self.a = policy, w, a
+        self.pref = gamma(w + 1.0) / math.sqrt(16.0 * math.pi)  # first: it refuses huge w
         self.sa = math.sqrt(a)
         self.nu = w + 0.5
         self.log_phi0 = self.nu * math.log(a) - math.lgamma(self.nu + 1.0)
@@ -194,7 +195,6 @@ class _BesselSeries:
             raise TruncationBudgetError(
                 f"phi0 = a^nu/Gamma(nu+1) overflows a double (w = {w}, a = {a})")
         self.phi0 = math.exp(self.log_phi0)
-        self.pref = gamma(w + 1.0) / math.sqrt(16.0 * math.pi)
         self.spherical = int(w) if w.is_integer() else None
 
     def terms(self, ell: float, n):

@@ -81,7 +81,9 @@ def _kernel_rule(t: float, d_max: float, log_plain: float, log_norm: float, targ
     """The s-rule on [0, 7] for sum_i c_i G(d_i) e^{-s^2} S(d_i)^{-1/2}, c_i >= 0, d_i <= d_max,
     from the logs of sum c_i G(d_i) and sum c_i G(d_i)/sqrt(sinhc d_i). A term's exponent
     errs by 2 eps per unit size of its parts: |log w| <= 32, G's, and those of e^{-s^2}
-    S^{-1/2} <= 1/sqrt(sinhc d), which by x e^{-x} <= 1/e weigh below 8 (d + 1) sums."""
+    S^{-1/2} <= 1/sqrt(sinhc d), which by x e^{-x} <= 1/e weigh below 8 (d + 1) sums. So
+    a term errs by ulps eps of its envelope w G(d) e^{-s^2}/sqrt(sinhc d) at most, as
+    the tests check against mpmath; the envelopes sum to the rule's mass."""
     rt = math.sqrt(t)
 
     def log_bound(beta):  # e^{beta^2} times the better of (b) and (c), b = 2 sqrt(t) beta

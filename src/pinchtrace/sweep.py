@@ -139,13 +139,14 @@ def run_sweep(
     g_value comes from the Bessel series or (use_bromwich) from
     weighted_inverse of the degenerating trace, series under `policy`, the
     inversion under `inversion_policy`. w and T must be finite and >= 0,
-    and with use_bromwich T > 0, all checked before any row runs.
+    and with use_bromwich T > 0 with 16/T and (w+1)/T finite, all checked
+    before any row runs.
     residual subtracts c_weight(w, T) log_sum (zero below T = 1/4);
     normalized is g_value / log_sum, which approaches c_weight(w, T).
     """
     w, T = _check(w, "weight"), _check(T, "threshold")
     if use_bromwich:
-        _check_line(T)
+        _check_line(T, w)
     if T >= 0.25:
         c_weight(w, T)  # every row's residual needs it, so an overflow fails the call
 

@@ -14,9 +14,9 @@ recomputed.
 
 Every transform here is that of a real function, F(conj z) = conj F(z):
 the sum runs over the upper half-line and takes twice its real part.
-weighted_inverse always takes the line _line derives from the trace;
-bromwich, the primitive for hand-built transforms, takes 1/T unless given
-one.
+weighted_inverse always inverts on a = (w+1)/T, the saddle point of
+e^{zT} z^{-(w+1)}; bromwich, the primitive for hand-built transforms,
+takes 1/T unless given a line.
 """
 
 from __future__ import annotations
@@ -42,19 +42,13 @@ __all__ = [
 _GAUSS_NODES = 16  # per panel, embedded in the Kronrod rule's 33
 _PANEL_NODES = 2 * _GAUSS_NODES + 1
 _EVAL_BLOCK = 262_144
-_EPS = float(np.finfo(float).eps)
 _TERM_ULPS = 4.0  # per term: the exponential and the products w F e^{zT}
-_LOG_POWER_MAX = 600.0  # |log| of a power kept well inside the doubles
 _WIDTH_SHARE = 1.0 / 16.0  # of tol(value), for one extension's width check
 _WIDEN_MARGIN = 1.0 / 64.0  # of that share: a check passed by this much widens
 _START_HEIGHT = 16.0  # times 1/T: a deliberately low first height, doubled as needed
 # first L = 2 (16/T) / 41: panels of width pi/(4T) counted over [-16/T, 16/T]
 # make 41 panels, whatever T is
 _START_PANELS = 41.0
-# the contour sum's rounding, in units of eps times the integrand's size at
-# s = 0 times the line's abscissa: log2 of a few million nodes plus a few
-# roundings per node, times the width of the peak in units of a
-_LINE_ROUNDING = 32.0
 
 
 @dataclass(frozen=True)
@@ -110,11 +104,14 @@ def _size(x: complex) -> float:
         return math.inf
 
 
-def _check_line(T: float, a: float | None = None) -> None:
+def _check_line(T: float, w: float = 0.0) -> None:
+    """Refuse T unless it is finite and > 0, and the first height 16/T and
+    the saddle line (w+1)/T are finite doubles."""
     if not T > 0.0:
         raise DomainError(f"inversion time must be > 0, got {T}")
-    if a is not None and not a > 0.0:
-        raise DomainError(f"contour abscissa must be > 0, got {a}")
+    top = max(_START_HEIGHT, w + 1.0)
+    if not (T < math.inf and top / T < math.inf):
+        raise DomainError(f"inversion time must be finite with {top:g}/T finite, got {T}")
 
 
 def bromwich(
@@ -139,15 +136,18 @@ def bromwich(
     specfun._rounding of the value's terms (4 ulps each, np.sum over
     blocks of at most _EVAL_BLOCK nodes, added in turn).
 
-    DomainError is raised at once for T <= 0 or a <= 0, and where the
-    integrand is not finite. TruncationBudgetError is raised where a width
-    check fails while the rounding of both rules' sums passes it too, as no
-    narrower panel can then be shown to pass; where the rounding passes
-    tol(value), as on a line where the terms cancel down to a far smaller
-    value; and where the nodes would pass policy.max_quad_evals. The error
-    of F itself is F's to bound.
+    DomainError is raised at once for a <= 0, for T <= 0, T = inf or a T
+    at which 16/T overflows, and where the integrand is not finite.
+    TruncationBudgetError is raised where a width check fails while the
+    rounding of both rules' sums passes it too, as no narrower panel can
+    then be shown to pass; where the rounding passes tol(value), as on a
+    line where the terms cancel down to a far smaller value; where the
+    nodes would pass policy.max_quad_evals; and where the height would
+    pass the largest double. The error of F itself is F's to bound.
     """
-    _check_line(T, a)
+    _check_line(T)
+    if a is not None and not a > 0.0:
+        raise DomainError(f"contour abscissa must be > 0, got {a}")
     a = 1.0 / T if a is None else a
     s_hi = _START_HEIGHT / T
     width = 2.0 * s_hi / _START_PANELS
@@ -195,6 +195,10 @@ def bromwich(
         deltas.append(_size(chunk))
         if len(deltas) >= 2 and max(deltas[-1], deltas[-2]) <= policy.tol(value):
             break
+        if not 2.0 * s_hi < math.inf:
+            raise TruncationBudgetError(
+                f"bromwich: the height passes the doubles at s_max = {s_hi:.3e}, "
+                f"tail estimate {deltas[-1]:.3e}")
         s_lo, s_hi = s_hi, 2.0 * s_hi
 
     parts = len(deltas) + evals // _EVAL_BLOCK  # an extension spans <= nodes // block + 1 blocks
@@ -210,26 +214,6 @@ def bromwich(
     )
 
 
-def _line(trace, w: float, T: float) -> float:
-    """The line Re z = a for inverting Gamma(w+1) trace(z) / z^{w+1} at T.
-
-    a = 1/T, unless the contour sum would round off too much there: its
-    terms peak at s = 0 near Gamma(w+1) |trace(a)| a^{-(w+1)} e^{aT} over a
-    width of about a, and cancel down to the value. Where one trace
-    evaluation at 1/T predicts a rounding (in logs) past
-    DEFAULT_INVERSION_POLICY's abs_tol, a moves to (w+1)/T, the saddle
-    point of e^{zT} z^{-(w+1)}, where the terms do not cancel.
-    """
-    a = 1.0 / T
-    size = abs(complex(trace(a)))
-    if not size > 0.0:  # one that underflows there keeps 1/T, inf or NaN moves it
-        return a if size == 0.0 else (w + 1.0) / T
-    log_charge = (math.log(_LINE_ROUNDING * _EPS * size)
-                  + math.lgamma(w + 1.0) - w * math.log(a) + a * T)
-    charge = math.exp(min(log_charge, 709.0))
-    return (w + 1.0) / T if charge > DEFAULT_INVERSION_POLICY.abs_tol else a
-
-
 def weighted_inverse(
     trace,
     w: float,
@@ -238,32 +222,32 @@ def weighted_inverse(
 ) -> float:
     """Weighted counting value at threshold T from a trace on the contour.
 
-    Inverts z -> Gamma(w+1) trace(z) / z^{w+1} along the line Re z = a
-    that _line derives from the trace. The tail is bromwich's
-    two-extension estimate, weakest where the integrand decays slowest:
-    for w <= 3/2 the call emits UncertifiedTailWarning once w and T have
-    passed their checks.
+    Inverts z -> Gamma(w+1) trace(z) / z^{w+1} along the line Re z = a =
+    (w+1)/T, the saddle point of e^{zT} z^{-(w+1)} and the steepest-descent
+    choice (Weideman & Trefethen, Math. Comp. 76, 2007), as Gamma(w+1)
+    a^{-(w+1)} trace(z) (z/a)^{-(w+1)}: the power is at most 1 on the line,
+    and a prefactor that overflows makes the integrand inf, which bromwich
+    refuses. The trace is evaluated only on bromwich's nodes. The tail is
+    bromwich's two-extension estimate, weakest where the integrand decays
+    slowest: for w <= 3/2 the call emits UncertifiedTailWarning once w and
+    T have passed their checks.
     """
     w = _check(w, "weight")
-    _check_line(T)
-    g, unit = gamma(w + 1.0), 1.0
-    a = _line(trace, w, T)
+    _check_line(T, w)
+    log_g = math.log(gamma(w + 1.0))  # gamma refuses a weight whose Gamma(w+1) overflows
     if w <= 1.5:
         warnings.warn(
             f"weighted_inverse: tail not certified for w = {w} <= 3/2",
             UncertifiedTailWarning,
             stacklevel=2,
         )
-    log_a = math.log(a)
-    log_g = math.lgamma(w + 1.0) - (w + 1.0) * log_a
-    if (w + 1.0) * abs(log_a) > _LOG_POWER_MAX >= abs(log_g):
-        # z^-(w+1) nears the end of the doubles where Gamma(w+1) a^-(w+1) does
-        # not (on the saddle line of a large weight): take the power of z/a
-        g, unit = math.exp(log_g), a
+    a = (w + 1.0) / T
+    with np.errstate(over="ignore"):
+        g = np.exp(log_g - (w + 1.0) * math.log(a))
 
     def F(z):
-        value = g * np.asarray(trace(z), dtype=complex)
+        value = np.asarray(trace(z), dtype=complex)
         with np.errstate(all="ignore"):  # bromwich rejects inf and NaN
-            return value * (z / unit) ** (-(w + 1.0))
+            return g * value * (z / a) ** (-(w + 1.0))
 
     return bromwich(F, T, a, policy).value

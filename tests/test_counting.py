@@ -1,6 +1,7 @@
 """Weighted counts, the asymptotic constant, and the degeneration series."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -74,6 +75,15 @@ def test_weight_past_gamma_range_is_a_domain_error():
         c_weight(200.0, 1.0)
     with pytest.raises(DomainError, match="overflows"):
         g_bessel([0.1], 200.0, 1.0)
+
+
+@pytest.mark.parametrize("w", [1e300, 2.6e305, 1.7e308, sys.float_info.max])
+def test_huge_weight_is_refused_before_the_series_is_built(w):
+    # lgamma(w + 3/2) overflows from about 2.5e305: the Gamma check comes first
+    for call in (lambda: g_bessel([0.1], w, 1.0), lambda: g_limit(w, 1.0),
+                 lambda: g_expansion(w, 1.0, 2)):
+        with pytest.raises(DomainError, match="overflows"):
+            call()
 
 
 def test_c_weight_below_quarter_rejected():

@@ -4,6 +4,7 @@ import contextlib
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -348,3 +349,39 @@ def test_cylinder_domain_errors():
         cylinder_trace(1.0, 0.0)
     with pytest.raises(DomainError):
         cylinder_trace(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("t, d", [
+    (t, d) for t in (0.001, 0.05, 1.0, 10.0, 40.0, 600.0)
+    for d in (0.0, 1e-6, 0.5, 6.0, 10.0, 40.0) if d * d / (4.0 * t) < 600.0
+])
+def test_kernel_rule_term_error_is_its_stated_ulps(monkeypatch, t, d):
+    # at heat_kernel's own s-rule nodes, each term errs by at most the rule's
+    # ulps eps of its envelope w G(d) e^{-s^2}/sqrt(sinhc d), which sums to
+    # the rule's mass: formed as heat_kernel forms it (log w in the
+    # exponent) and as cylinder_trace does (w outside), against 50-digit
+    # mpmath (and 2^-1074 where a term is subnormal)
+    rules, ulps = [], []
+    kernel_rule, gauss_rule = hyperbolic._kernel_rule, hyperbolic.gauss_rule
+    monkeypatch.setattr(hyperbolic, "_kernel_rule",
+                        lambda *args: rules.append(kernel_rule(*args)) or rules[-1])
+    monkeypatch.setattr(hyperbolic, "gauss_rule",
+                        lambda *args: ulps.append(args[4]) or gauss_rule(*args))
+    heat_kernel(t, d)
+    (s, w, _), = rules
+    log_g = hyperbolic._log_g(t, d)
+    log_integrand = hyperbolic._log_integrand(t, d, s)
+    formed = (np.exp(np.log(w) + log_g + log_integrand), w * np.exp(log_g + log_integrand))
+    eps = 2.0**-52
+    with mp.workdps(50):
+        t_, d_ = mp.mpf(t), mp.mpf(d)
+        sinhc = mp.sinh(d_) / d_ if d > 0.0 else mp.mpf(1)
+        g = mp.exp(-t_ / 4 - d_ * d_ / (4 * t_)) / (2 * mp.pi**1.5 * t_)
+        for i in range(s.size):
+            s_, w_ = mp.mpf(s[i]), mp.mpf(w[i])
+            r = 2 * mp.sqrt(t_) * s_
+            u = mp.sqrt(d_ * d_ + r * r)
+            want = w_ * g * mp.exp(-s_ * s_) * mp.sqrt(r * r / (2 * (mp.cosh(u) - mp.cosh(d_))))
+            envelope = w_ * g * mp.exp(-s_ * s_) / mp.sqrt(sinhc)
+            for got in formed:
+                assert abs(got[i] - want) <= ulps[0] * eps * envelope + 2.0**-1074

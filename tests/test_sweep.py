@@ -128,6 +128,9 @@ class TestRunSweep:
     ] + [
         # T = 0 is a threshold the series takes, but no contour inverts at it
         pytest.param(1.0, 0.0, "inversion time", True, id="T0-bromwich"),
+        # nor at one where 16/T or the saddle line (w+1)/T overflows
+        pytest.param(1.0, 1e-320, "16/T finite", True, id="T1e-320-bromwich"),
+        pytest.param(170.0, 9e-307, "171/T finite", True, id="w170-T9e-307-bromwich"),
     ])
     def test_bad_weight_or_threshold_fails_before_any_row(self, monkeypatch, w, T, what,
                                                           use_bromwich):

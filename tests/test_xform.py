@@ -25,7 +25,7 @@ from pinchtrace import (
     spectral_trace,
     weighted_inverse,
 )
-from pinchtrace.xform import _line
+from pinchtrace import xform
 
 
 # the eigenvalues of perfbench's dual_routes workload, unperturbed
@@ -101,16 +101,24 @@ class TestBromwich:
             r = bromwich(_weighted_transform(eigs, w), T)
         assert r.s_max == s_max and r.evaluations <= nodes
 
+    def test_height_past_the_doubles_raises(self):
+        # 16/T is a double at T = 1e-307, but the second height 32/T is not
+        with pytest.raises(TruncationBudgetError, match="height passes the doubles"):
+            bromwich(lambda z: 0.0 * z, 1e-307)
+
     def test_explicit_contour_is_honored(self):
         r = bromwich(lambda z: 1.0 / z**2, 2.0, a=1.0)
         assert r.a == 1.0
         assert r.value == pytest.approx(2.0, rel=1e-5)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            bromwich(lambda z: 1.0 / z**2, 0.0)
-        with pytest.raises(DomainError):
-            bromwich(lambda z: 1.0 / z**2, -1.0)
+        for T in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match="inversion time"):
+                bromwich(lambda z: 1.0 / z**2, T)
+        # T = inf, and times at which the first height 16/T overflows
+        for T in (math.inf, 1e-320, 8.8e-308):
+            with pytest.raises(DomainError, match="inversion time must be finite with 16/T finite"):
+                bromwich(lambda z: 1.0 / z**2, T)
         for a in (0.0, -1.0, math.nan):
             with pytest.raises(DomainError, match="abscissa"):
                 bromwich(lambda z: 1.0 / z**2, 1.0, a=a)
@@ -149,7 +157,8 @@ class TestWeightedInverse:
         with pytest.raises(DomainError):
             weighted_inverse(lambda z: spectral_trace(sd, z), -0.5, 1.0)
 
-    @pytest.mark.parametrize("T, a", [(-1.0, None), (0.0, None), (1.0, 0.0), (1.0, -1.0)])
+    @pytest.mark.parametrize("T, a", [(-1.0, None), (0.0, None), (math.inf, None),
+                                      (1e-320, None), (1.0, 0.0), (1.0, -1.0)])
     def test_rejected_call_does_not_warn(self, T, a):
         # w = 1 warns on every inversion that runs, and on none that is refused;
         # a = None is weighted_inverse's own line, a forced line goes through
@@ -193,9 +202,10 @@ class TestWeightedInverse:
 
     @pytest.mark.parametrize("w", [15.0, 30.0, 150.0])
     def test_large_weight_matches_direct_count(self, w):
-        # on a = 1/T the terms reach about Gamma(w+1) T^(w+1) and cancel
-        # down to N_w(T): the line moves to the saddle point a = (w+1)/T,
-        # where at w = 150 z^-(w+1) alone would underflow
+        # on a = 1/T the terms would reach about Gamma(w+1) T^(w+1) and
+        # cancel down to N_w(T); on the saddle line a = (w+1)/T they do not,
+        # and at w = 150, where z^-(w+1) alone would underflow, the power is
+        # taken of z/a
         sd = SpectralData.of([(0.0, 1), (0.2, 1)])
         v = weighted_inverse(lambda z: spectral_trace(sd, z), w, 1.0)
         want = counting_direct(sd, w, 1.0)
@@ -221,8 +231,7 @@ class TestWeightedInverse:
             bromwich(F, 1.0, policy=short)
 
     def test_rounding_on_the_forced_line_raises(self):
-        # weighted_inverse leaves 1/T here; forced onto it through bromwich,
-        # the terms cancel about 32 digits
+        # forced onto 1/T through bromwich, the terms cancel about 32 digits
         with pytest.raises(TruncationBudgetError, match="rounding"):
             bromwich(_weighted_transform([(0.0, 1), (0.2, 1)], 30.0), 1.0, a=1.0)
 
@@ -246,12 +255,64 @@ class TestWeightedInverse:
             return
         assert abs(v - counting_direct(sd, 16.0, 0.406)) <= DEFAULT_INVERSION_POLICY.tol(0.0)
 
-    @pytest.mark.parametrize("w", [1.0, 2.0, 3.0])
-    @pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
-    def test_moderate_weights_keep_the_line(self, w, T):
-        sd = SpectralData.of([(0.0, 1), (0.13, 1), (0.37, 2), (0.71, 1), (0.86, 3),
-                              (1.4, 1), (1.77, 2)])
-        assert _line(lambda z: spectral_trace(sd, z), w, T) == 1.0 / T
+    @pytest.mark.filterwarnings("ignore::pinchtrace.UncertifiedTailWarning")
+    @pytest.mark.parametrize("w", [0.0, 1.0, 2.0, 30.0])
+    def test_line_is_the_saddle_point(self, monkeypatch, w):
+        # every inversion runs on a = (w+1)/T, and the trace is evaluated
+        # only on bromwich's nodes
+        sd, T = SpectralData.of(_DUAL_EIGS), 2.0
+        seen, calls = [], []
+
+        def trace(z):
+            seen.append(z)
+            return spectral_trace(sd, z)
+
+        def spy(F, T, a=None, policy=DEFAULT_INVERSION_POLICY):
+            assert not seen
+            calls.append(a)
+            z = np.array([a, a + 3.0j])
+            want = math.gamma(w + 1.0) * spectral_trace(sd, z) * z ** -(w + 1.0)
+            assert np.allclose(F(z), want, rtol=1e-13, atol=0.0)
+            return InversionResult(0.0, 0.0, a, 0.0, 0)
+
+        monkeypatch.setattr(xform, "bromwich", spy)
+        weighted_inverse(trace, w, T)
+        assert calls == [(w + 1.0) / T]
+
+    def test_overflowing_prefactor_is_refused(self):
+        # Gamma(101) (101/T)^-101 overflows at T = 1e4, as N_100(T) does
+        sd = SpectralData.of([(0.0, 1)])
+        with pytest.raises(DomainError, match="not finite"):
+            weighted_inverse(lambda z: spectral_trace(sd, z), 100.0, 1e4)
+
+    def test_saddle_line_out_of_range_is_refused(self):
+        # 16/T is a double at T = 9e-307, but the saddle line 171/T is not
+        sd = SpectralData.of([(0.0, 1)])
+        with pytest.raises(DomainError, match="finite with 171/T finite"):
+            weighted_inverse(lambda z: spectral_trace(sd, z), 170.0, 9e-307)
+
+
+# CHANGES.md FOUND 57: the value is far below T^w, so the terms on the
+# saddle line (w+1)/T cancel past the tolerance; on a line twice as far
+# right they do not (ROADMAP items 8 and 13)
+_FOUND_57 = ([(1.7736, 3), (2.4406, 1), (3.1890, 1)], 47.58976, 2.7746435)
+
+
+def test_found_57_line_twice_as_far_right_returns_the_count():
+    eigs, w, T = _FOUND_57
+    want = counting_direct(SpectralData.of(eigs), w, T)
+    r = bromwich(_weighted_transform(eigs, w), T, a=2.0 * (w + 1.0) / T)
+    assert abs(r.value - want) <= 1e-14 * want
+
+
+@pytest.mark.xfail(strict=True, raises=TruncationBudgetError,
+                   reason="CHANGES.md FOUND 57: the saddle line rounds off here")
+def test_found_57_saddle_line_returns_the_count():
+    eigs, w, T = _FOUND_57
+    sd = SpectralData.of(eigs)
+    v = weighted_inverse(lambda z: spectral_trace(sd, z), w, T)
+    want = counting_direct(sd, w, T)
+    assert abs(v - want) <= DEFAULT_INVERSION_POLICY.tol(want)
 
 
 @pytest.mark.filterwarnings("ignore::pinchtrace.UncertifiedTailWarning")
