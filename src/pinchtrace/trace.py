@@ -5,10 +5,15 @@ The geodesic trace at complex time z (Re z > 0), principal square root, is
     HTr(z) = e^{-z/4} / (16 pi z)^{1/2}
              * sum_{n>=1} sum_ell m_ell ell / sinh(n ell / 2) e^{-(n ell)^2 / 4z}.
 
-As |e^{-x/z}| = e^{-x Re(1/z)}, successive n-terms fall by e^{-ell/2} at
-least, so a geometric series bounds each tail; the cut takes the smallest
-Re(1/z) of the call and the target policy.tol of the n = 1 terms, and the
-term budget scales with sqrt(1 + (Im z / Re z)^2).
+As |e^{-x/z}| = e^{-x Re(1/z)}, term n of a length ell of multiplicity m is
+at most m ell e^{-g(n ell)}, g(x) = log sinh(x/2) + x^2 c_min/4 (c_min the
+call's smallest Re(1/z)), and the terms fall by e^{-ell/2} at least. So one
+x = n ell cuts every length, each keeping its terms with n ell < x (one at
+least): the tails add up to at most W e^{-g(x)}, W = sum m ell/(1 - e^{-ell/2})
+over the lengths whose n = 1 bound does not underflow. x is the least on the
+shortest length's grid within the target, policy.tol of the n = 1 terms, so
+one length is cut as on its own. The term budget bounds the cuts' sum and
+scales with sqrt(1 + (Im z / Re z)^2).
 
 The cut series S(v) = sum c e^{-y v}, with v = 1/4z, c = m ell/sinh(n ell/2)
 and y = (n ell)^2, goes one of two routes per call:
@@ -34,16 +39,16 @@ holds. Where no centre certifies within that cost, a block of at least
 _SPLIT_NODES nodes and _SPLIT_TERMS direct terms is halved along Im z,
 and each half planned as a call of its own: a narrower block needs fewer
 orders about its box centre. So real scalars and small arrays are summed
-directly, bit for bit;
-on a contour block a node's value depends on the other nodes of the
-call, within the certified tolerance. Every evaluator takes a scalar z
-or an array; a real scalar in gives a float back.
+directly, bit for bit; on a contour block a node's value depends on the
+other nodes of the call, within the certified tolerance. Every evaluator
+takes a scalar z or an array; a real scalar in gives a float back.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -98,101 +103,100 @@ def _give_back(value: np.ndarray, z):
 
 
 def _plan(entries, zs: np.ndarray, policy: TruncationPolicy):
-    """(log_env, target, cap) shared by both routes of a call.
+    """(spec, g, target, cap) shared by both routes of a call: spec is (ell,
+    m ell, log W, the n = 1 bounds' geometric sums added up), the weights
+    scaled by 1 - e^{-ell_0/2} so that one length's is m ell exactly;
+    target = policy.tol of the n = 1 terms; cap is the term budget, scaled
+    up on a contour."""
+    def g(x):
+        return log_sinh(0.5 * x) + x * x * c_min / 4.0
 
-    log_env(ell, mult)(n) bounds term n at every node by the smallest
-    Re(1/z); target = policy.tol of the n = 1 shell; cap is the term
-    budget, scaled up on a contour.
-    """
-    # extreme nodes overflow these to inf or 0: c_min = inf cuts at one
-    # term, c_min = 0 leaves the sinh decay alone, stretch = inf lifts the cap
-    with np.errstate(over="ignore", divide="ignore"):
-        c_min = float(np.min(zs.real / np.abs(zs) ** 2))  # Re(1/z) per node
-        stretch = math.sqrt(1.0 + float(np.max((zs.imag / zs.real) ** 2)))
-
-    def log_env(ell, mult):
-        """log of mult ell / sinh(n ell/2) e^{-(n ell)^2 c_min/4}, a bound on term n."""
-        return lambda n: (math.log(mult * ell) - log_sinh(0.5 * n * ell)
-                          - n * n * ell * ell * c_min / 4.0)
-
-    # a priori scale: the n = 1 shell dominates the unprefixed sum
-    scale = sum(math.exp(log_env(ell, m)(1)) for ell, m in entries)
-    return log_env, policy.tol(scale), int(min(policy.max_terms * stretch, sys.maxsize))
-
-
-def _cuts(entries, log_env, target: float, cap: int) -> list:
-    """n-cut per length, the target shared equally, the cap shared in order."""
-    cuts, used = [], 0
-    for ell, mult in entries:
-        cuts.append(tail_cut(log_env(ell, mult), ell, target / len(entries), cap - used))
-        used += cuts[-1]
-    return cuts
+    ell, mell = np.fromiter(chain.from_iterable(entries), float, 2 * len(entries)).reshape(-1, 2).T
+    mell *= ell
+    d = -np.expm1(-0.5 * ell)
+    # extreme nodes overflow these to inf or 0: c_min = inf cuts at one term, c_min = 0
+    # leaves the sinh decay alone, stretch = inf lifts the cap; a NaN first term has no share
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        c_min = float((zs.real / np.abs(zs) ** 2).min())  # Re(1/z) per node
+        stretch = math.sqrt(1.0 + float(((zs.imag / zs.real) ** 2).max()))
+        first = np.exp(np.log(mell) - g(ell))
+    w = float((mell * (d[0] / d))[first > 0.0].sum())
+    spec = ell, mell, math.log(w) if w > 0.0 else -math.inf, float((first / d).sum())
+    cap = int(min(policy.max_terms * stretch, sys.maxsize))
+    return spec, g, policy.tol(float(first.sum())), cap  # the n = 1 shell dominates the sum
 
 
-def _term_sum(entries, zs: np.ndarray, cuts) -> np.ndarray:
+def _cuts(spec, g, target: float, cap: int):
+    """(cuts, tail): N_i = max(1, ceil(x/ell_i) - 1) terms of length i, x the
+    least (N + 1) ell_0 with W e^{-g(x)} <= target, and that bound on the
+    tails; raises past cap terms in all."""
+    ell, _, log_w, _ = spec
+    ell0 = float(ell[0])
+    n = tail_cut(lambda n: log_w - g(n * ell0), ell0, target, cap)
+    cuts = np.maximum(np.ceil((n + 1) * (ell0 / ell)).astype(int) - 1, 1)
+    if cuts.sum() > cap:
+        raise TruncationBudgetError(f"cannot certify tolerance within {cap} terms (length {ell0})")
+    return cuts, math.exp(log_w - g((n + 1) * ell0)) / -math.expm1(-0.5 * ell0)
+
+
+def _table(spec, cuts):
+    """(n ell, m ell) of every cut term, lengths in order and n ascending."""
+    ell, mell, _, _ = spec
+    ends = cuts.cumsum()
+    n = np.arange(1.0, ends[-1] + 1.0) - (ends - cuts).repeat(cuts)
+    return n * ell.repeat(cuts), mell.repeat(cuts)
+
+
+def _term_sum(spec, zs: np.ndarray, cuts) -> np.ndarray:
     """The cut series summed term by term at every node: the direct route."""
+    x, mell = _table(spec, cuts)
+    coef = mell * np.exp(-log_sinh(0.5 * x))
+    keep = coef > 0.0  # an underflowed term adds nothing, and its n ell may pass the doubles
+    coef, sq = coef[keep], x[keep] ** 2 / 4.0
     total = np.zeros_like(zs)
-    for (ell, mult), ncut in zip(entries, cuts):  # ascending lengths (canonical order)
-        for n0 in range(1, ncut + 1, _N_CHUNK):
-            n = np.arange(n0, min(ncut, n0 + _N_CHUNK - 1) + 1, dtype=float)
-            coef = mult * ell * np.exp(-log_sinh(0.5 * n * ell))
-            if coef[0] == 0.0:  # this term and every later one underflow
-                break
-            sq = (n * ell) ** 2 / 4.0
+    # at a node of subnormal size the quotient passes the largest double (real
+    # part +inf, imaginary part perhaps NaN, inf times 0): its exponential is 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r0 in range(0, coef.size, _N_CHUNK):
+            rows = slice(r0, r0 + _N_CHUNK)
             for j0 in range(0, zs.size, _NODE_CHUNK):
-                sl = slice(j0, min(zs.size, j0 + _NODE_CHUNK))
-                # at a node of subnormal size the quotient passes the largest
-                # double: its real part is +inf and its imaginary part may be
-                # NaN (inf times 0), and either way its exponential is 0
-                with np.errstate(over="ignore", invalid="ignore"):
-                    total[sl] += coef @ np.exp(-sq[:, None] / zs[None, sl])
+                sl = slice(j0, j0 + _NODE_CHUNK)
+                total[sl] += coef[rows] @ np.exp(-sq[rows, None] / zs[None, sl])
     return total
 
 
-def _taylor_sum(entries, zs: np.ndarray, log_env, target: float, cap: int,
-                max_cost: float):
-    """The series at every node from one Taylor expansion in v = 1/4z, None
-    or _SPLIT.
-
-    Half the target goes to the n-cut, half to the truncation and
+def _taylor_sum(spec, zs: np.ndarray, g, target: float, cap: int, max_cost: float):
+    """The series at every node from one Taylor expansion in v = 1/4z, None or
+    _SPLIT. Half the target goes to the n-cut, half to the truncation and
     rounding of the expansion. None when the n-cut passes cap or
     _TAYLOR_TERMS_MAX; _SPLIT when no centre certifies in fewer than
-    max_cost / (nodes + terms) orders, so that only a narrower block may.
-    """
+    max_cost / (nodes + terms) orders, so that only a narrower block may."""
     try:
-        cuts = _cuts(entries, log_env, 0.5 * target, cap)
+        cuts, _ = _cuts(spec, g, 0.5 * target, min(cap, _TAYLOR_TERMS_MAX))
     except TruncationBudgetError:
         return None
-    if sum(cuts) > _TAYLOR_TERMS_MAX:
-        return None
-    log_c, y = _terms(entries, cuts)
-    v = 0.25 / zs
+    x, mell = _table(spec, cuts)
+    log_c = np.log(mell) - log_sinh(0.5 * x)
+    # y = inf fails _coefficients' x < 700; near the top of the doubles 1/4z
+    # and the Horner steps overflow, and such nodes' values are not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, v = x**2, 0.25 / zs
     k_max = int(max_cost / (zs.size + y.size))
     found = None
-    for v0, rho in _centres(v, float(np.min(zs.real))):
+    for v0, rho in _centres(v, float(zs.real.min())):
         coeffs = _coefficients(log_c, y, v0, rho, 0.5 * target, k_max)
         if coeffs:
             found, k_max = (v0, rho, coeffs), len(coeffs) - 1
     if found is None:
         return _SPLIT
     v0, rho, coeffs = found
-    q = (v0 - v) / rho
     total = np.full_like(zs, coeffs[-1])
-    for b in coeffs[-2::-1]:
-        total *= q
-        total += b
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = (v0 - v) / rho
+        for b in coeffs[-2::-1]:
+            total *= q
+            total += b
     return total
-
-
-def _terms(entries, cuts):
-    """(log c, y) of every cut term, lengths in order and n ascending."""
-    n = np.concatenate([np.arange(1.0, k + 1.0) for k in cuts])
-    ell = np.repeat([e for e, _ in entries], cuts)
-    mult = np.repeat([float(m) for _, m in entries], cuts)
-    log_c = np.log(mult * ell) - log_sinh(0.5 * n * ell)
-    with np.errstate(over="ignore"):  # y = inf fails _coefficients' x < 700
-        y = (n * ell) ** 2
-    return log_c, y
 
 
 def _centres(v: np.ndarray, a: float) -> list:
@@ -279,24 +283,23 @@ def _coefficients(log_c, y, v0: complex, rho: float, budget: float, k_max: int):
     return []
 
 
-def _direct_rounding(entries, zs: np.ndarray, log_env, cuts, room: float) -> float:
+def _direct_rounding(spec, zs: np.ndarray, g, cuts, room: float) -> float:
     """sqrt(2) _rounding of _term_sum at any node: BLAS products of at most
     _N_CHUNK terms c e^{-sq/z}, off by (2 + 2|sq/z|) eps each, added chunk by
-    chunk; from the envelope's geometric sum and largest sq if that fits room."""
-    z = 2.0 * float(np.min(np.abs(zs)))
-    parts = min(max(cuts), _N_CHUNK) + sum(-(-k // _N_CHUNK) for k in cuts) - 1
-    mass = sum(math.exp(log_env(e, m)(1)) / -math.expm1(-0.5 * e) for e, m in entries)
-    top = max(k * e for (e, _), k in zip(entries, cuts))  # the largest n ell: inf rather than raise
+    chunk; from the envelope's geometric sums and largest sq if that fits room."""
+    z = 2.0 * float(np.abs(zs).min())
+    terms = int(cuts.sum())
+    parts = min(terms, _N_CHUNK) + -(-terms // _N_CHUNK) - 1
+    ell, _, _, mass = spec
+    top = float((cuts * ell).max())  # the largest n ell
     bound = _rounding(mass, 1, 2.0 + top * top / z, parts)
     if math.sqrt(2.0) * bound <= room:
         return math.sqrt(2.0) * bound
-    mass = own = 0.0
+    x, mell = _table(spec, cuts)
     with np.errstate(over="ignore", invalid="ignore"):  # huge lengths or nodes: terms of 0
-        for (ell, mult), k in zip(entries, cuts):
-            n = np.arange(1.0, k + 1.0)
-            log_size = log_env(ell, mult)(n)  # bounds log |term n| at every node
-            mass += float(np.sum(np.exp(log_size)))
-            own += float(np.sum(np.exp(log_size + 2.0 * np.log(n * ell) - math.log(z))))
+        log_size = np.log(mell) - g(x)  # bounds log |term| at every node
+        mass = float(np.exp(log_size).sum())
+        own = float(np.exp(log_size + 2.0 * np.log(x) - math.log(z)).sum())
     return math.sqrt(2.0) * _rounding(mass, 1, 2.0 + own / (mass or 1.0), parts)
 
 
@@ -318,30 +321,25 @@ def _geodesic_sum(entries, zs: np.ndarray, policy: TruncationPolicy) -> np.ndarr
     """Cut series at every node, by Taylor expansion when that is cheaper, a
     block that no centre certifies within that cost halved along Im z; the
     direct route cuts again where its tails and rounding pass the target."""
-    log_env, target, cap = _plan(entries, zs, policy)
-    cuts = _cuts(entries, log_env, target, cap)
+    spec, g, target, cap = _plan(entries, zs, policy)
+    cuts, tail = _cuts(spec, g, target, cap)
     if zs.size > 1:  # one node is its own centre: the expansion is the direct sum
-        total = _taylor_sum(entries, zs, log_env, target, cap,
-                            _COST_RATIO * sum(cuts) * zs.size)
+        total = _taylor_sum(spec, zs, g, target, cap, _COST_RATIO * cuts.sum() * zs.size)
         if total is _SPLIT:
-            total = _halves(entries, zs, sum(cuts), policy)
+            total = _halves(entries, zs, cuts.sum(), policy)
         if total is not None:
             return total
     while True:
-        tail = sum(math.exp(log_env(ell, mult)(k + 1)) / -math.expm1(-0.5 * ell)
-                   for (ell, mult), k in zip(entries, cuts))
-        rounding = _direct_rounding(entries, zs, log_env, cuts, target - tail)
+        rounding = _direct_rounding(spec, zs, g, cuts, target - tail)
         if tail + rounding <= target:
-            return _term_sum(entries, zs, cuts)
-        recut = _cuts(entries, log_env, target - rounding, cap) if rounding < target else cuts
-        if recut == cuts:
+            return _term_sum(spec, zs, cuts)
+        recut, tail = _cuts(spec, g, target - rounding, cap) if rounding < target else (cuts, tail)
+        if np.array_equal(recut, cuts):
             raise TruncationBudgetError(f"trace: rounding {rounding:.3e} fills tol {target:.3e}")
         cuts = recut
 
 
-def hyperbolic_trace(
-    ls: LengthSpectrum, z, policy: TruncationPolicy = DEFAULT_POLICY
-):
+def hyperbolic_trace(ls: LengthSpectrum, z, policy: TruncationPolicy = DEFAULT_POLICY):
     """Geodesic heat trace of a length spectrum at complex time z, Re z > 0.
 
     Real positive z gives a real positive value. Summation order is fixed
@@ -352,7 +350,8 @@ def hyperbolic_trace(
         ls = LengthSpectrum.of(ls)
     zs = _as_nodes(z)
     body = _geodesic_sum(ls.entries, zs, policy)
-    pref = np.exp(-zs / 4.0) / np.sqrt(16.0 * math.pi * zs)
+    with np.errstate(over="ignore", invalid="ignore"):  # not finite near the top of the doubles
+        pref = np.exp(-zs / 4.0) / np.sqrt(16.0 * math.pi * zs)
     return _give_back(pref * body, z)
 
 

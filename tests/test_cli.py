@@ -268,6 +268,10 @@ class TestMainInProcess:
          ["0.5", "4.9406564584124654e-324", "1.7735048886036274e-162"]),
         (["bessel", "--p", "-0.5", "--x", "5e-324"],
          ["-0.5", "4.9406564584124654e-324", "3.5896138570490509e+161"]),
+        # 1/4z and the trace's prefactor pass the largest double on this contour
+        (["invert", "--input", "{pinch}", "--w", "2", "--T", "9e-308"],
+         "pinchtrace: error: bromwich: the integrand is not finite on the contour"
+         " for T = 9e-308\n"),
     ])
     def test_extreme_arguments_leak_no_runtime_warning(self, tmp_path, capsys, argv, row):
         # a RuntimeWarning is an error under the test configuration, so an
@@ -278,6 +282,9 @@ class TestMainInProcess:
             (tmp_path / name).write_text(json.dumps({"version": 1, **doc}))
         code = main([a.format(long=tmp_path / "long", pinch=tmp_path / "pinch") for a in argv])
         captured = capsys.readouterr()
+        if isinstance(row, str):  # a documented error: exit 1 with its one line alone
+            assert code == 1 and captured.err == row and captured.out == ""
+            return
         assert code == 0 and captured.err == ""
         got = _csv_rows(captured.out)[1]
         if row is not None:

@@ -137,6 +137,98 @@ def test_long_length_underflows_to_zero():
     assert hyperbolic_trace(mixed, 1.0) == hyperbolic_trace(LengthSpectrum.of([(1.0, 1)]), 1.0)
 
 
+@pytest.mark.parametrize("count", [1, 500])
+def test_one_tail_cut_cuts_every_length(count, monkeypatch):
+    # a trace call searches one shared n ell, not a cut per length
+    searches, cut_calls = [], []
+    search, cut = trace.tail_cut, trace._cuts
+    monkeypatch.setattr(trace, "tail_cut", lambda *args: searches.append(args) or search(*args))
+    monkeypatch.setattr(trace, "_cuts", lambda *args: cut_calls.append(args) or cut(*args))
+    ells = np.random.default_rng(count).uniform(0.5, 8.0, count)
+    hyperbolic_trace(LengthSpectrum.of([(ell, 1) for ell in ells]), 1.0)
+    assert len(searches) == len(cut_calls) >= 1
+
+
+def _own_cut(ell, mult, c_min, target):
+    """A length's cut when each length was cut alone, and its tail bound:
+    the smallest N >= 1 with env(N+1) <= log(target (1 - e^{-ell/2})), where
+    env(n) = log(m ell) - log sinh(n ell/2) - (n ell)^2 c_min/4."""
+    def env(n):
+        return (math.log(mult * ell) - specfun.log_sinh(0.5 * n * ell)
+                - n * n * ell * ell * c_min / 4.0)
+
+    limit = math.log(target * -math.expm1(-0.5 * ell))
+    lo, hi = 0, 1  # env(hi + 1) fits, and lo = 0 or env(lo + 1) does not
+    while env(hi + 1) > limit:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if env(mid + 1) <= limit else (mid, hi)
+    return hi, math.exp(env(hi + 1)) / -math.expm1(-0.5 * ell)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    ell=st.floats(1e-3, 50.0),
+    mult=st.integers(1, 3),
+    z=st.tuples(st.floats(0.02, 50.0), st.one_of(st.just(0.0), st.floats(-100.0, 100.0))),
+    log10_share=st.floats(-12.0, 0.0),
+)
+def test_one_length_is_cut_as_on_its_own(ell, mult, z, log10_share):
+    zs = np.array([complex(*z)])
+    spec, g, target, cap = trace._plan(((ell, mult),), zs, DEFAULT_POLICY)
+    c_min = float(np.min(zs.real / np.abs(zs) ** 2))
+    target *= 10.0**log10_share
+    cuts, tail = trace._cuts(spec, g, target, cap)
+    own_cut, own_tail = _own_cut(ell, mult, c_min, target)
+    assert cuts.tolist() == [own_cut] and tail == pytest.approx(own_tail, rel=1e-13)
+
+
+def _trace_oracle(entries, z):
+    """The geodesic trace at 30 digits, each length summed until its terms'
+    bound falls below 1e-40 of the n = 1 terms, and those terms' sum."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        z = mpmath.mpmathify(z)
+        decay = mpmath.re(1 / z) / 4  # |e^{-y/4z}| = e^{-y decay}
+        first = mpmath.fsum(m * ell / mpmath.sinh(ell / 2) * mpmath.exp(-ell**2 * decay)
+                            for ell, m in entries)
+        total = mpmath.mpf(0)
+        for ell, m in entries:
+            n = 1
+            while True:
+                x = n * mpmath.mpf(ell)
+                c = m * ell / mpmath.sinh(x / 2)
+                if c * mpmath.exp(-x**2 * decay) < 1e-40 * first:
+                    break
+                total += c * mpmath.exp(-x**2 / (4 * z))
+                n += 1
+        pref = mpmath.exp(-z / 4) / mpmath.sqrt(16 * mpmath.pi * z)
+        return complex(pref * total), float(first)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    entries=st.lists(st.tuples(st.floats(0.05, 20.0), st.integers(1, 3)), min_size=1,
+                     max_size=40),
+    long=st.one_of(st.none(), st.floats(1500.0, 1e4)),
+    z=st.tuples(st.floats(0.05, 20.0), st.one_of(st.just(0.0), st.floats(-30.0, 30.0))),
+)
+@example(entries=[(0.05, 3), (0.9, 1), (19.0, 2)], long=1500.0, z=(1.0, 0.0))
+def test_many_lengths_match_a_30_digit_sum(entries, long, z):
+    # within the call's own target, |pref| policy.tol of the n = 1 shell
+    if long is not None:
+        entries = entries + [(long, 1)]
+    ls = LengthSpectrum.of(entries)
+    z = complex(*z) if z[1] else z[0]
+    want, first = _trace_oracle(ls.entries, z)
+    got = hyperbolic_trace(ls, z)
+    pref = abs(cmath.exp(-z / 4.0) / cmath.sqrt(16.0 * math.pi * z))
+    # the prefactor's product adds a few ulps of the value
+    assert abs(got - want) <= pref * DEFAULT_POLICY.tol(first) + 4.0 * specfun._EPS * abs(want)
+
+
 def test_spectral_trace_examples():
     sd = SpectralData.of([(0.0, 1), (0.25, 2)])
     assert spectral_trace(sd, 2.0) == pytest.approx(1.0 + 2.0 * math.exp(-0.5), rel=1e-15)
@@ -220,9 +312,9 @@ def test_spectrum_sorted_and_logsum():
 
 def _routes(entries, zs, policy=DEFAULT_POLICY, max_cost=1e8):
     """(Taylor route or None, direct route, per-node target) on one node block."""
-    log_env, target, cap = trace._plan(entries, zs, policy)
-    direct = trace._term_sum(entries, zs, trace._cuts(entries, log_env, target, cap))
-    return trace._taylor_sum(entries, zs, log_env, target, cap, max_cost), direct, target
+    spec, g, target, cap = trace._plan(entries, zs, policy)
+    direct = trace._term_sum(spec, zs, trace._cuts(spec, g, target, cap)[0])
+    return trace._taylor_sum(spec, zs, g, target, cap, max_cost), direct, target
 
 
 def _band(a, doublings):
@@ -261,12 +353,13 @@ def test_taylor_route_matches_direct_route_on_contour_blocks(a, doublings, entri
 def test_skipped_box_centre_never_needs_fewer_orders(a, doublings, entries):
     zs = _band(a, doublings)
     entries = LengthSpectrum.of(entries).entries
-    log_env, target, cap = trace._plan(entries, zs, DEFAULT_POLICY)
+    spec, g, target, cap = trace._plan(entries, zs, DEFAULT_POLICY)
     try:
-        cuts = trace._cuts(entries, log_env, 0.5 * target, cap)
+        cuts, _ = trace._cuts(spec, g, 0.5 * target, cap)
     except TruncationBudgetError:
         return
-    log_c, y = trace._terms(entries, cuts)
+    x, mell = trace._table(spec, cuts)
+    log_c, y = np.log(mell) - specfun.log_sinh(0.5 * x), x**2
     v = 0.25 / zs
     (disc, rho_disc), *kept = trace._centres(v, a)[::-1]
     if kept:  # the box centre is tried
