@@ -18,15 +18,15 @@ Gamma(w+1)/(16 pi)^{1/2}, S(ell) = sum_{n>=1} ell g(n ell). phi is even
 and entire, |phi(z)| <= phi0 e^{sqrt(a) |Im z|} with phi0 = a^nu/Gamma(nu+1),
 and |sinh(z/2)| >= sinh(Re z/2). S(ell) is certified to tol(S) =
 policy.tol(pref S)/pref by the expansion route where its bound meets
-tol(S), else by the direct route.
+tol(S); the lengths it does not serve take the direct route together,
+their joint S certified to tol of it.
 
-Direct route. Term n is at most env(n) = ell/sinh(n ell/2) min(phi0,
-(2 sqrt(a)/(n ell))^nu B(n ell sqrt(a))), B(x) = min(1, sqrt(2/(pi x)))
-for nu = 1/2, else min(1, 0.674886 nu^{-1/3}, 0.785747 x^{-1/3}) (Landau,
-J. London Math. Soc. 61, 2000). specfun.tail_cut cuts where the tail
-env(N+1)/(1 - e^{-ell/2}) meets tol(env(1)), and again while tol of the
-partial sum is smaller; g_sine_form does the same with min(1, n ell
-sqrt(a))/(n sinh(n ell/2)). Rounding x = n ell sqrt(a) (2^-51 relative)
+Direct route. One specfun._Collar sum, whose term n of a length is at most
+ell e^{-G(n ell)}, e^{-G(x)} = min(phi0, (2 sqrt(a)/x)^nu B(x
+sqrt(a)))/sinh(x/2), B(x) = min(1, sqrt(2/(pi x))) for nu = 1/2, else
+min(1, 0.674886 nu^{-1/3}, 0.785747 x^{-1/3}) (Landau, J. London Math.
+Soc. 61, 2000); in g_sine_form e^{-G(x)} = min(1/x, sqrt(a))/sinh(x/2),
+as |sin y| <= min(1, y). Rounding x = n ell sqrt(a) (2^-51 relative)
 moves a term by at most 2^-51 ell/sinh(n ell/2) min(phi0 x^2/(2 nu + 2),
 (2a/x)^nu x B_{nu+1}(x)), as x d/dx (x^-nu J_nu) = -x^-nu x J_{nu+1}.
 That and the sum's rounding (specfun._rounding, with the kernel's
@@ -73,7 +73,7 @@ from .closed import _check, balance_epsilon, c_weight, counting_direct, gamma
 from .errors import DomainError, PinchtraceError, TruncationBudgetError
 from .policy import DEFAULT_POLICY, TruncationPolicy
 from .specfun import (
-    _j_ulps, _rounding, ascending_series, bessel_j, bessel_j_half, log_sinh, tail_cut,
+    _Collar, _j_ulps, _rounding, ascending_series, bessel_j, bessel_j_half, log_sinh,
 )
 from .spectrum import PinchingSet, SpectralData
 
@@ -81,8 +81,6 @@ __all__ = [
     "counting_direct", "c_weight", "g_bessel", "g_sine_form", "g_residual", "g_limit",
     "g_expansion", "sandwich_check", "balance_epsilon",
 ]
-
-_BLOCK = 1 << 21
 
 # Landau's uniform bounds |J_nu(x)| <= b nu^{-1/3} and <= c x^{-1/3},
 # constants rounded up
@@ -130,56 +128,36 @@ def _log_coth(y: float) -> float:
     return math.log1p(math.exp(-2.0 * y)) - math.log(-math.expm1(-2.0 * y))
 
 
-def _series_sum(ell: float, term_fn, log_env, tol, cap: int, charge: bool = True):
-    """Sum over n >= 1 of term_fn's terms, certified within cap terms:
-    (sum, its tail bound plus its rounding).
+def _direct(ells, terms, env, tol, cap: int, charge: bool = True):
+    """The _Collar sum over the lengths ells, weights ell, of terms(ell, n) ->
+    (terms, bounds on |x d/dx| of each in its argument x, on their sizes, on
+    their own errors in eps), charged the argument's rounding and np.sum's
+    of each block, or (charge False) each block's np.sum against fsum."""
+    def block(n, ell, _):
+        t, slopes, sizes, errors = terms(ell, n)
+        part = float(t.sum())
+        drift = abs(part - math.fsum(t)) if not charge and math.isfinite(part) else 0.0
+        return part, (float(slopes.sum()), float(sizes.sum()), float(errors.sum()), drift)
 
-    term_fn(n) -> (terms, bounds on |x d/dx| of each in its argument x,
-    on their sizes, on their own errors in eps); log_env(n) -> log of a
-    bound with |term(m)| <= env(n) e^{-(m-n) ell/2} for m >= n. Cuts again
-    while tol of the sum is below the target, or the tail and the rounding
-    (the argument's and _rounding's) exceed tol. With charge False the
-    tail alone must meet tol, and the caller counts a rounding measured
-    tight: each block's np.sum against fsum."""
-    target = tol(math.exp(log_env(1)))
-    total = slope = mass = own = drift = 0.0
-    n0, blocks = 1, 0
-    while True:
-        ncut = tail_cut(log_env, ell, target, cap)
-        while n0 <= ncut:
-            n1 = min(ncut, n0 + _BLOCK - 1)
-            n = np.arange(n0, n1 + 1, dtype=np.float64)
-            terms, slopes, sizes, errors = term_fn(n)
-            part = float(terms.sum())
-            if not charge and math.isfinite(part):
-                drift += abs(part - math.fsum(terms))
-            total += part
-            slope += float(slopes.sum())
-            mass += float(sizes.sum())
-            own += float(errors.sum())
-            n0, blocks = n1 + 1, blocks + 1
-        if not math.isfinite(total):
-            raise TruncationBudgetError(f"series terms overflow a double (length {ell})")
-        if tol(total) < target:
-            target = tol(total)
-            continue
-        n, parts = (min(ncut, _BLOCK), blocks) if charge else (1, blocks + 1)
-        rounding = _ARG_ROUNDING * slope + drift + _rounding(mass, n, own / (mass or 1.0), parts)
-        charged = rounding if charge else 0.0
-        tail = math.exp(log_env(ncut + 1)) / -math.expm1(-0.5 * ell)
-        if tail + charged <= tol(total):
-            return total, tail + rounding
-        if charged >= tol(total):
-            raise TruncationBudgetError(f"argument rounding plus the sum's, {rounding:.3e}, "
-                                        f"exceeds tolerance {tol(total):.3e} (length {ell})")
-        target = tol(total) - charged
+    def rounding(side, cuts, sizes, room):
+        slope, mass, own, drift = side
+        n, parts = (max(sizes), len(sizes)) if charge else (1, len(sizes) + 1)
+        return _ARG_ROUNDING * slope + drift + _rounding(mass, n, own / (mass or 1.0), parts)
+
+    ell = np.array(sorted(ells))
+    return _Collar(ell, ell, env).sum(block, tol, rounding, cap, charge)
 
 
-def _j_envelope(nu: float, x: float) -> float:
-    """Bound on |J_nu(y)| for all y >= x > 0, non-increasing in x (nu >= 1/2)."""
+def _j_envelope(nu: float, x):
+    """Bound on |J_nu(y)| for all y >= x > 0, non-increasing in x (nu >= 1/2);
+    x a float or an array."""
+    if isinstance(x, float):
+        if nu <= 0.5:
+            return min(1.0, math.sqrt(2.0 / (math.pi * x)))
+        return min(1.0, _LANDAU_NU * nu ** (-1.0 / 3.0), _LANDAU_X * x ** (-1.0 / 3.0))
     if nu <= 0.5:
-        return min(1.0, math.sqrt(2.0 / (math.pi * x)))
-    return min(1.0, _LANDAU_NU * nu ** (-1.0 / 3.0), _LANDAU_X * x ** (-1.0 / 3.0))
+        return np.minimum(1.0, np.sqrt(2.0 / (math.pi * x)))
+    return np.minimum(min(1.0, _LANDAU_NU * nu ** (-1.0 / 3.0)), _LANDAU_X / np.cbrt(x))
 
 
 class _BesselSeries:
@@ -216,7 +194,7 @@ class _BesselSeries:
                 + (0.5 + self.nu) * np.abs(log_nl2) + 0.5 * nl2)
         with np.errstate(over="ignore", divide="ignore"):
             slope = self.phi0 / (2.0 * nu1) * x * x
-            landau = np.minimum(min(1.0, _LANDAU_NU * nu1 ** (-1.0 / 3.0)), _LANDAU_X / np.cbrt(x))
+            landau = _j_envelope(nu1, x)
             if self.nu * (log_sa - math.log(float(np.min(nl2)))) <= _LOG_POWER_MAX + min(
                     0.0, self.log_phi0):
                 power = np.exp(self.nu * (log_sa - log_nl2))
@@ -252,31 +230,19 @@ class _BesselSeries:
             return bessel_j_half(self.spherical, x)
         return bessel_j(self.nu, x)
 
-    def length_sum(self, ell: float) -> float:
-        """S(ell) by the expansion route where it certifies, else directly."""
-        route = self.expansion(ell)
-        if route is not None and route[1] <= self._tol(route[0]) < math.inf:
-            return route[0]
-        return self.direct(ell)[0]
-
     def _tol(self, s: float) -> float:
         """Tolerance on S: abs_tol bounds the error of pref S, not of S,
         which is tiny at large w."""
         return self.policy.tol(self.pref * s) / self.pref
 
-    def direct(self, ell: float, tol=None, charge: bool = True):
-        """S(ell) summed term by term to tol(S) (default _tol), as _series_sum
-        returns it; raises TruncationBudgetError past max_terms."""
-        nu, sa, log_phi0 = self.nu, self.sa, self.log_phi0
-
-        def log_env(n):
-            # |phi| <= phi0 on the reals, and past that the Bessel envelope
-            nl2 = 0.5 * ell * n
-            return math.log(ell) - log_sinh(nl2) + min(
-                log_phi0, nu * math.log(sa / nl2) + math.log(_j_envelope(nu, 2.0 * nl2 * sa)))
-
-        return _series_sum(ell, lambda n: self.terms(ell, n), log_env, tol or self._tol,
-                           self.policy.max_terms, charge)
+    def envelope(self, x):
+        """G(x) of the module docstring: term n of a length ell is at most ell e^{-G(n ell)}."""
+        h, nu, sa = 0.5 * x, self.nu, self.sa
+        if isinstance(x, float):
+            return log_sinh(h) - min(self.log_phi0, nu * math.log(sa / h)
+                                     + math.log(_j_envelope(nu, x * sa)))
+        return log_sinh(h) - np.minimum(self.log_phi0, nu * np.log(sa / h)
+                                        + np.log(_j_envelope(nu, x * sa)))
 
     def expansion(self, ell: float):
         """(S(ell), stated error bound) at the smallest order K whose bound
@@ -379,8 +345,9 @@ def _expansion(w: float, a: float, policy: TruncationPolicy):
         offset = pole + sum(bk * pk for bk, pk in zip(b, powers))
         if e <= _R_SHARE * series._tol(abs(offset) + _s_max(phi0, ell0)):
             try:
-                s, err = series.direct(
-                    ell0, lambda t: _R_SHARE * series._tol(t + offset), charge=False)
+                s, err = _direct((ell0,), series.terms, series.envelope,
+                                 lambda t: _R_SHARE * series._tol(t + offset),
+                                 policy.max_terms, False)
             except TruncationBudgetError:
                 return None
             if e <= _R_SHARE * series._tol(s + offset):
@@ -405,7 +372,17 @@ def g_bessel(ps, w: float, T: float, policy: TruncationPolicy = DEFAULT_POLICY) 
     if a <= 0.0:
         return 0.0
     series = _BesselSeries(w, a, policy)
-    g = series.pref * sum(series.length_sum(ell) for ell in ps.ells)
+    parts, direct = [], []
+    for ell in ps.ells:  # S(ell) by the expansion route where it certifies, else directly
+        route = series.expansion(ell)
+        if route is not None and route[1] <= series._tol(route[0]) < math.inf:
+            parts.append(route[0])
+        else:
+            direct.append(ell)
+    if direct:
+        parts.append(_direct(direct, series.terms, series.envelope, series._tol,
+                             policy.max_terms)[0])
+    g = series.pref * sum(parts)
     if not math.isfinite(g):
         raise TruncationBudgetError(f"G_{w}({T}) overflows a double")
     return g
@@ -476,21 +453,22 @@ def g_sine_form(ps, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> floa
         return 0.0
     sa = math.sqrt(a)
 
-    def one_length(ell: float) -> float:
-        def terms(n):  # and |x cos x|/(n sinh(n ell/2)) at x = n ell sqrt(a)
-            c = np.exp(-log_sinh(0.5 * ell * n))
-            t = np.sin(n * ell * sa) / n * c
-            # off as a direct term's 1/sinh at worst in the block, and by the sine and quotient
-            lo, hi, size = 0.5 * ell * float(n[0]), 0.5 * ell * float(n[-1]), np.abs(t)
-            ulps = 2.0 + 0.5 * (max(abs(math.log(lo)), abs(math.log(hi))) + hi)
-            return t, ell * sa * c, size, ulps * size
+    def terms(ell, n):  # and |x cos x|/(n sinh(n ell/2)) at x = n ell sqrt(a)
+        nl2 = 0.5 * ell * n
+        c = np.exp(-log_sinh(nl2))
+        t = np.sin(n * ell * sa) / n * c
+        # off as a direct term's 1/sinh at worst in the block, and by the sine and quotient
+        lo, hi = (nl2[0], nl2[-1]) if isinstance(ell, float) else (nl2.min(), nl2.max())
+        lo, hi, size = float(lo), float(hi), np.abs(t)
+        ulps = 2.0 + 0.5 * (max(abs(math.log(lo)), abs(math.log(hi))) + hi)
+        return t, ell * sa * c, size, ulps * size
 
-        def log_env(n):  # |sin y| <= min(1, y)
-            return math.log(min(1.0 / n, ell * sa)) - log_sinh(0.5 * ell * n)
+    def env(x):  # |sin y| <= min(1, y): a term is at most ell min(1/x, sqrt(a))/sinh(x/2)
+        if isinstance(x, float):
+            return log_sinh(0.5 * x) - math.log(min(1.0 / x, sa))
+        return log_sinh(0.5 * x) - np.log(np.minimum(1.0 / x, sa))
 
-        return _series_sum(ell, terms, log_env, policy.tol, policy.max_terms)[0]
-
-    return sum(one_length(ell) for ell in ps.ells) / (2.0 * math.pi)
+    return _direct(ps.ells, terms, env, policy.tol, policy.max_terms)[0] / (2.0 * math.pi)
 
 
 def g_residual(ps, w: float, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:

@@ -13,7 +13,8 @@ sqrt(2/(pi x)) cos x. No order loads scipy.special. The 50-digit series
 oracle and gamma live in the numpy-free module closed.
 
 The module also holds the helpers the other modules share: log_sinh, the
-geometric-tail cut tail_cut, ascending_series, the cached Gauss-Legendre
+geometric-tail cut tail_cut, the sum over lengths _Collar that cuts them
+all with one tail_cut, ascending_series, the cached Gauss-Legendre
 rule leggauss and its Kronrod extension kronrod, gauss_rule, which sizes
 leggauss from a bound on the integrand, and _rounding, the one rounding
 model of every certified sum.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import add
 
 import numpy as np
 
@@ -32,6 +34,8 @@ from .errors import DomainError, TruncationBudgetError
 __all__ = ["gamma", "bessel_j", "bessel_j_half", "bessel_j_oracle"]
 
 _EPS = float(np.finfo(float).eps)
+_LOG_2 = math.log(2.0)
+_BLOCK = 1 << 21  # terms a _Collar sum evaluates at once, so that its memory stays flat
 _SERIES_DROP = 2.0**-56  # terms below this add nothing to a sum in [1/2, 1]
 _HANKEL_X = 25.0         # Hankel's expansion reaches eps at orders <= 3/2 from here
 _MILLER_LOG_TOP = math.log(2.0**-60)  # Miller starts where J has fallen this far
@@ -52,8 +56,8 @@ def log_sinh(x):
     A Python float takes the scalar math route, an array numpy's.
     """
     if isinstance(x, float):
-        return x - math.log(2.0) + math.log(-math.expm1(-2.0 * x))
-    return x - math.log(2.0) + np.log(-np.expm1(-2.0 * x))
+        return x - _LOG_2 + math.log(-math.expm1(-2.0 * x))
+    return x - _LOG_2 + np.log(-np.expm1(-2.0 * x))
 
 
 def _rounding(mass, n: int, ulps=0.0, parts: int = 1):
@@ -74,16 +78,17 @@ def _rounding(mass, n: int, ulps=0.0, parts: int = 1):
     return (ulps + 0.5 * adds) * _EPS * mass
 
 
-def tail_cut(log_env, ell: float, target: float, cap: int) -> int:
+def tail_cut(log_env, ell: float, target: float, cap: int, start: int = 1) -> int:
     """Smallest N >= 1 with env(N+1)/(1 - e^{-ell/2}) <= target.
 
     log_env(n) is the log of a non-increasing envelope with
     |term(m)| <= env(n) e^{-(m-n) ell/2} for all m >= n, so the tail
-    past N is at most that geometric sum. Doubling, then bisection;
+    past N is at most that geometric sum. Doubling from start (1 <= start
+    <= cap, an N that passes where the caller knows one), then bisection;
     raises TruncationBudgetError when N would exceed cap.
     """
     limit = math.log(target * -math.expm1(-0.5 * ell))
-    lo, n = 0, 1  # the answer lies in (lo, n] once n passes
+    lo, n = 0, start  # the answer lies in (lo, n] once n passes
     while n > cap or log_env(n + 1) > limit:
         if n >= cap:
             raise TruncationBudgetError(
@@ -96,6 +101,106 @@ def tail_cut(log_env, ell: float, target: float, cap: int) -> int:
         else:
             lo = mid
     return n
+
+
+class _Collar:
+    """sum_i sum_{n>=1} term(n, ell_i) over lengths ell_i (an ascending array),
+    |term(n, ell_i)| <= weight_i e^{-G(n ell_i)}, G = env (floats or arrays)
+    with G(x + ell) >= G(x) + ell/2, cut at one x = (N + 1) ell_0: each length
+    keeps its terms with n ell < x (one at least), and the tails add up to at
+    most W e^{-G(x)}/(1 - e^{-ell_0/2}), W = sum weight_i (1 - e^{-ell_0/2})/
+    (1 - e^{-ell_i/2}) over the lengths whose n = 1 bound does not underflow.
+    shell is the n = 1 bounds' sum, mass that of their geometric sums."""
+
+    def __init__(self, ell: np.ndarray, weight: np.ndarray, env):
+        self.ell, self.weight, self.env = ell, weight, env
+        self.ell0 = ell0 = float(ell[0])
+        self.d0 = -math.expm1(-0.5 * ell0)
+        if ell.size == 1:  # in floats: a one-length call pays for no arrays
+            log_w, g = math.log(float(weight[0])), env(ell0)
+            self.shell = math.exp(log_w - g)
+            self.log_w = log_w if self.shell > 0.0 else -math.inf
+            self.mass, self.top = self.shell / self.d0, self.log_w - g
+            return
+        d = -np.expm1(-0.5 * ell)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            first = np.exp(np.log(weight) - env(ell))
+        w = float((weight * (self.d0 / d))[first > 0.0].sum())  # a NaN bound has no share
+        self.log_w = math.log(w) if w > 0.0 else -math.inf
+        self.shell, self.mass = float(first.sum()), float((first / d).sum())
+        self.top = self.log_w - env(ell0)  # log W e^{-G(ell_0)}
+
+    def cut(self, target: float, cap: int):
+        """(cuts, tail) at the least x with W e^{-G(x)} <= target, by tail_cut on
+        the shortest length's grid (so one length is cut as on its own);
+        raises TruncationBudgetError past cap terms in all."""
+        ell0, log_w, env = self.ell0, self.log_w, self.env
+        # as G((n + 1) ell_0) >= G(ell_0) + n ell_0/2, this many terms pass
+        steps = (self.top - math.log(target * self.d0)) / (0.5 * ell0)
+        start = math.ceil(min(steps, cap)) if steps > 1.0 else 1
+        n = tail_cut(lambda n: log_w - env(n * ell0), ell0, target, cap, start)
+        tail = math.exp(log_w - env((n + 1) * ell0)) / self.d0
+        if self.ell.size == 1:
+            return np.array([n]), tail
+        cuts = np.maximum(np.ceil((n + 1) * (ell0 / self.ell)).astype(int) - 1, 1)
+        if cuts.sum() > cap:
+            raise TruncationBudgetError(
+                f"cannot certify tolerance within {cap} terms (length {ell0})")
+        return cuts, tail
+
+    def blocks(self, lo, hi):
+        """(n, ell, weight) of the terms lo_i < n <= hi_i (lo may be 0), lengths in
+        order and n ascending, at most _BLOCK a block; ell and weight per term,
+        or the one length's floats."""
+        count = hi - lo
+        if self.ell.size == 1:
+            top, w0 = int(hi[0]), float(self.weight[0])
+            for n0 in range(top - int(count[0]), top, _BLOCK):
+                yield np.arange(n0 + 1.0, min(n0 + _BLOCK, top) + 1.0), self.ell0, w0
+            return
+        ends = count.cumsum()
+        total = int(ends[-1])
+        for s in range(0, total, _BLOCK):
+            e = min(s + _BLOCK, total)
+            # each length's terms in [s, e) of the table, and n less the table index + 1
+            k = count if e - s == total else np.clip(ends, s, e) - np.clip(ends - count, s, e)
+            n = np.arange(s + 1.0, e + 1.0) + (lo + count - ends).repeat(k)
+            yield n, self.ell.repeat(k), self.weight.repeat(k)
+
+    def sum(self, terms, tol, rounding, cap: int, charge: bool = True, cut=None):
+        """(total, its tail bound plus its rounding) within tol(total), from
+        terms(n, ell, weight) -> a block's (sum, tuple of side sums) and
+        rounding(side sums, cuts, block sizes, room = tol less the tail). The
+        first cut (or cut, the caller's) is for tol of the n = 1 shell; while
+        tol of the sum is smaller, or the tail and the rounding (not charged
+        with charge False) pass it, it cuts again, for tol, else for tol less
+        the rounding with one more block, and adds the new terms only. Raises
+        where that rounding fills tol, or where tol of the sum is not finite."""
+        target = tol(self.shell)
+        cuts, tail = cut or self.cut(target, cap)
+        done, total, side, sizes = 0, 0.0, (), []
+        while True:
+            for block in self.blocks(done, cuts):
+                part, more = terms(*block)
+                total, side = total + part, tuple(map(add, side, more)) if side else more
+                sizes.append(block[0].size)
+            limit = tol(total)
+            if not math.isfinite(limit):
+                raise TruncationBudgetError(f"series terms overflow a double (length {self.ell0})")
+            if limit < target:
+                target = limit
+            else:
+                r = rounding(side, cuts, sizes, limit - tail)
+                if tail + (r if charge else 0.0) <= limit:
+                    return total, tail + r
+                r = rounding(side, cuts, sizes + [0], limit - tail) if charge else 0.0
+                if not r < limit:
+                    raise TruncationBudgetError(
+                        f"argument rounding plus the sum's, {r:.3e}, exceeds tolerance "
+                        f"{limit:.3e} (length {self.ell0})")
+                target = limit - r
+            done = cuts
+            cuts, tail = self.cut(target, cap)
 
 
 @lru_cache(maxsize=32)

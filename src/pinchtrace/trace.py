@@ -7,20 +7,16 @@ The geodesic trace at complex time z (Re z > 0), principal square root, is
 
 As |e^{-x/z}| = e^{-x Re(1/z)}, term n of a length ell of multiplicity m is
 at most m ell e^{-g(n ell)}, g(x) = log sinh(x/2) + x^2 c_min/4 (c_min the
-call's smallest Re(1/z)), and the terms fall by e^{-ell/2} at least. So one
-x = n ell cuts every length, each keeping its terms with n ell < x (one at
-least): the tails add up to at most W e^{-g(x)}, W = sum m ell/(1 - e^{-ell/2})
-over the lengths whose n = 1 bound does not underflow. x is the least on the
-shortest length's grid within the target, policy.tol of the n = 1 terms, so
-one length is cut as on its own. The term budget bounds the cuts' sum and
-scales with sqrt(1 + (Im z / Re z)^2).
+call's smallest Re(1/z), 0 where |z|^2 overflows): one specfun._Collar cuts
+every length at one n ell within the target, policy.tol of the n = 1
+terms, and a term budget scaled by sqrt(1 + (Im z / Re z)^2).
 
 The cut series S(v) = sum c e^{-y v}, with v = 1/4z, c = m ell/sinh(n ell/2)
 and y = (n ell)^2, goes one of two routes per call:
 
-- direct: every term at every node, about 1/ell complex exponentials per
-  node; the only route for one node, and the other's oracle. Its tails and
-  its rounding share the target.
+- direct: the collar's sum to the constant target, every term at every
+  node, about 1/ell complex exponentials per node; the only route for one
+  node, and the other's oracle.
 - Taylor: S is entire in v, so it is expanded once about a centre v0 and
   evaluated at every node by Horner in (v0 - v)/rho, rho the largest
   |v - v0|, K multiply-adds a node whatever ell is. The centre is that
@@ -55,7 +51,7 @@ import numpy as np
 from .errors import DomainError, TruncationBudgetError
 from .hyperbolic import heat_kernel_origin
 from .policy import DEFAULT_POLICY, TruncationPolicy
-from .specfun import _rounding, log_sinh, tail_cut
+from .specfun import _Collar, _rounding, log_sinh
 from .spectrum import LengthSpectrum, PinchingSet, SpectralData
 
 __all__ = [
@@ -103,56 +99,29 @@ def _give_back(value: np.ndarray, z):
 
 
 def _plan(entries, zs: np.ndarray, policy: TruncationPolicy):
-    """(spec, g, target, cap) shared by both routes of a call: spec is (ell,
-    m ell, log W, the n = 1 bounds' geometric sums added up), the weights
-    scaled by 1 - e^{-ell_0/2} so that one length's is m ell exactly;
-    target = policy.tol of the n = 1 terms; cap is the term budget, scaled
-    up on a contour."""
-    def g(x):
-        return log_sinh(0.5 * x) + x * x * c_min / 4.0
-
-    ell, mell = np.fromiter(chain.from_iterable(entries), float, 2 * len(entries)).reshape(-1, 2).T
-    mell *= ell
-    d = -np.expm1(-0.5 * ell)
+    """(collar, target, cap) shared by both routes of a call."""
     # extreme nodes overflow these to inf or 0: c_min = inf cuts at one term, c_min = 0
-    # leaves the sinh decay alone, stretch = inf lifts the cap; a NaN first term has no share
+    # leaves the sinh decay alone, stretch = inf lifts the cap
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         c_min = float((zs.real / np.abs(zs) ** 2).min())  # Re(1/z) per node
         stretch = math.sqrt(1.0 + float(((zs.imag / zs.real) ** 2).max()))
-        first = np.exp(np.log(mell) - g(ell))
-    w = float((mell * (d[0] / d))[first > 0.0].sum())
-    spec = ell, mell, math.log(w) if w > 0.0 else -math.inf, float((first / d).sum())
+
+    def g(x):  # where c_min is 0 the Gaussian factor is 1, even where x^2 overflows
+        return log_sinh(0.5 * x) + (x * x * c_min / 4.0 if c_min else 0.0)
+
+    ell, m = np.fromiter(chain.from_iterable(entries), float, 2 * len(entries)).reshape(-1, 2).T
+    collar = _Collar(ell, m * ell, g)
     cap = int(min(policy.max_terms * stretch, sys.maxsize))
-    return spec, g, policy.tol(float(first.sum())), cap  # the n = 1 shell dominates the sum
+    return collar, policy.tol(collar.shell), cap  # the n = 1 shell dominates the sum
 
 
-def _cuts(spec, g, target: float, cap: int):
-    """(cuts, tail): N_i = max(1, ceil(x/ell_i) - 1) terms of length i, x the
-    least (N + 1) ell_0 with W e^{-g(x)} <= target, and that bound on the
-    tails; raises past cap terms in all."""
-    ell, _, log_w, _ = spec
-    ell0 = float(ell[0])
-    n = tail_cut(lambda n: log_w - g(n * ell0), ell0, target, cap)
-    cuts = np.maximum(np.ceil((n + 1) * (ell0 / ell)).astype(int) - 1, 1)
-    if cuts.sum() > cap:
-        raise TruncationBudgetError(f"cannot certify tolerance within {cap} terms (length {ell0})")
-    return cuts, math.exp(log_w - g((n + 1) * ell0)) / -math.expm1(-0.5 * ell0)
-
-
-def _table(spec, cuts):
-    """(n ell, m ell) of every cut term, lengths in order and n ascending."""
-    ell, mell, _, _ = spec
-    ends = cuts.cumsum()
-    n = np.arange(1.0, ends[-1] + 1.0) - (ends - cuts).repeat(cuts)
-    return n * ell.repeat(cuts), mell.repeat(cuts)
-
-
-def _term_sum(spec, zs: np.ndarray, cuts) -> np.ndarray:
-    """The cut series summed term by term at every node: the direct route."""
-    x, mell = _table(spec, cuts)
+def _term_sum(zs: np.ndarray, x, mell) -> np.ndarray:
+    """sum m ell/sinh(x/2) e^{-x^2/4z} over a block of terms x = n ell at every node."""
     coef = mell * np.exp(-log_sinh(0.5 * x))
     keep = coef > 0.0  # an underflowed term adds nothing, and its n ell may pass the doubles
-    coef, sq = coef[keep], x[keep] ** 2 / 4.0
+    if not keep.all():
+        coef, x = coef[keep], x[keep]
+    sq = x * x * 0.25
     total = np.zeros_like(zs)
     # at a node of subnormal size the quotient passes the largest double (real
     # part +inf, imaginary part perhaps NaN, inf times 0): its exponential is 0
@@ -165,17 +134,18 @@ def _term_sum(spec, zs: np.ndarray, cuts) -> np.ndarray:
     return total
 
 
-def _taylor_sum(spec, zs: np.ndarray, g, target: float, cap: int, max_cost: float):
+def _taylor_sum(collar, zs: np.ndarray, target: float, cap: int, max_cost: float):
     """The series at every node from one Taylor expansion in v = 1/4z, None or
     _SPLIT. Half the target goes to the n-cut, half to the truncation and
     rounding of the expansion. None when the n-cut passes cap or
     _TAYLOR_TERMS_MAX; _SPLIT when no centre certifies in fewer than
     max_cost / (nodes + terms) orders, so that only a narrower block may."""
     try:
-        cuts, _ = _cuts(spec, g, 0.5 * target, min(cap, _TAYLOR_TERMS_MAX))
+        cuts, _ = collar.cut(0.5 * target, min(cap, _TAYLOR_TERMS_MAX))
     except TruncationBudgetError:
         return None
-    x, mell = _table(spec, cuts)
+    (n, ell, mell), = collar.blocks(0, cuts)  # one: _TAYLOR_TERMS_MAX < _BLOCK
+    x = n * ell
     log_c = np.log(mell) - log_sinh(0.5 * x)
     # y = inf fails _coefficients' x < 700; near the top of the doubles 1/4z
     # and the Horner steps overflow, and such nodes' values are not finite
@@ -283,23 +253,24 @@ def _coefficients(log_c, y, v0: complex, rho: float, budget: float, k_max: int):
     return []
 
 
-def _direct_rounding(spec, zs: np.ndarray, g, cuts, room: float) -> float:
-    """sqrt(2) _rounding of _term_sum at any node: BLAS products of at most
+def _direct_rounding(collar, zs: np.ndarray, cuts, sizes, room: float) -> float:
+    """sqrt(2) _rounding of the direct sum at any node: BLAS products of at most
     _N_CHUNK terms c e^{-sq/z}, off by (2 + 2|sq/z|) eps each, added chunk by
-    chunk; from the envelope's geometric sums and largest sq if that fits room."""
+    chunk within a block of the given sizes, then block by block; from the
+    envelope's geometric sums and largest sq if that fits room."""
     z = 2.0 * float(np.abs(zs).min())
-    terms = int(cuts.sum())
-    parts = min(terms, _N_CHUNK) + -(-terms // _N_CHUNK) - 1
-    ell, _, _, mass = spec
-    top = float((cuts * ell).max())  # the largest n ell
-    bound = _rounding(mass, 1, 2.0 + top * top / z, parts)
+    parts = min(sum(sizes), _N_CHUNK) + -(-max(sizes) // _N_CHUNK) + len(sizes) - 2
+    top = float((cuts * collar.ell).max())  # the largest n ell
+    bound = _rounding(collar.mass, 1, 2.0 + top * top / z, parts)
     if math.sqrt(2.0) * bound <= room:
         return math.sqrt(2.0) * bound
-    x, mell = _table(spec, cuts)
+    mass = own = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # huge lengths or nodes: terms of 0
-        log_size = np.log(mell) - g(x)  # bounds log |term| at every node
-        mass = float(np.exp(log_size).sum())
-        own = float(np.exp(log_size + 2.0 * np.log(x) - math.log(z)).sum())
+        for n, ell, mell in collar.blocks(0, cuts):
+            x = n * ell
+            log_size = np.log(mell) - collar.env(x)  # bounds log |term| at every node
+            mass += float(np.exp(log_size).sum())
+            own += float(np.exp(log_size + 2.0 * np.log(x) - math.log(z)).sum())
     return math.sqrt(2.0) * _rounding(mass, 1, 2.0 + own / (mass or 1.0), parts)
 
 
@@ -319,24 +290,20 @@ def _halves(entries, zs: np.ndarray, terms: int, policy: TruncationPolicy):
 
 def _geodesic_sum(entries, zs: np.ndarray, policy: TruncationPolicy) -> np.ndarray:
     """Cut series at every node, by Taylor expansion when that is cheaper, a
-    block that no centre certifies within that cost halved along Im z; the
-    direct route cuts again where its tails and rounding pass the target."""
-    spec, g, target, cap = _plan(entries, zs, policy)
-    cuts, tail = _cuts(spec, g, target, cap)
+    block that no centre certifies within that cost halved along Im z."""
+    collar, target, cap = _plan(entries, zs, policy)
+    cut = collar.cut(target, cap)
     if zs.size > 1:  # one node is its own centre: the expansion is the direct sum
-        total = _taylor_sum(spec, zs, g, target, cap, _COST_RATIO * cuts.sum() * zs.size)
+        terms = int(cut[0].sum())
+        total = _taylor_sum(collar, zs, target, cap, _COST_RATIO * terms * zs.size)
         if total is _SPLIT:
-            total = _halves(entries, zs, cuts.sum(), policy)
+            total = _halves(entries, zs, terms, policy)
         if total is not None:
             return total
-    while True:
-        rounding = _direct_rounding(spec, zs, g, cuts, target - tail)
-        if tail + rounding <= target:
-            return _term_sum(spec, zs, cuts)
-        recut, tail = _cuts(spec, g, target - rounding, cap) if rounding < target else (cuts, tail)
-        if np.array_equal(recut, cuts):
-            raise TruncationBudgetError(f"trace: rounding {rounding:.3e} fills tol {target:.3e}")
-        cuts = recut
+    return collar.sum(lambda n, ell, mell: (_term_sum(zs, n * ell, mell), ()),
+                      lambda total: target,
+                      lambda _, cuts, sizes, room: _direct_rounding(collar, zs, cuts, sizes, room),
+                      cap, cut=cut)[0]
 
 
 def hyperbolic_trace(ls: LengthSpectrum, z, policy: TruncationPolicy = DEFAULT_POLICY):

@@ -272,6 +272,8 @@ class TestMainInProcess:
         (["invert", "--input", "{pinch}", "--w", "2", "--T", "9e-308"],
          "pinchtrace: error: bromwich: the integrand is not finite on the contour"
          " for T = 9e-308\n"),
+        # |t|^2 overflows, so the Gaussian's decay rate Re(1/t) reads 0
+        (["trace", "--input", "{long}", "--t", "1e200"], ["9.9999999999999997e+199", "0"]),
     ])
     def test_extreme_arguments_leak_no_runtime_warning(self, tmp_path, capsys, argv, row):
         # a RuntimeWarning is an error under the test configuration, so an

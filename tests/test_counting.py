@@ -2,6 +2,7 @@
 
 import math
 import sys
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -28,7 +29,7 @@ from pinchtrace import (
     g_sine_form,
     sandwich_check,
 )
-from pinchtrace import counting
+from pinchtrace import counting, specfun
 from pinchtrace.counting import _BesselSeries, _expansion, _j_envelope
 
 
@@ -265,10 +266,16 @@ R_LIMITS = {
 }
 
 
+def _direct(series, ell):
+    """S(ell) by the direct route alone: a collar sum over the one length."""
+    return counting._direct([ell], series.terms, series.envelope, series._tol,
+                            series.policy.max_terms)
+
+
 def _routes(w, T, ell, policy=DEFAULT_POLICY):
     series = _BesselSeries(float(w), T - 0.25, policy)
     em = series.expansion(ell)
-    return series, em, series.direct(ell)[0]
+    return series, em, _direct(series, ell)[0]
 
 
 @pytest.mark.parametrize("w", EM_GRID_W)
@@ -445,13 +452,13 @@ def test_shallow_length_at_large_threshold_builds_nothing(monkeypatch):
     # ell sqrt(a) = 50: the closed-form lower bound on the remainder shows
     # that no order can certify, so the one direct sum is the length's own,
     # not R's at some ell0
-    lengths, real = [], _BesselSeries.direct
+    lengths, real = [], specfun._Collar.sum
 
-    def spy(self, ell, tol=None, charge=True):
-        lengths.append(ell)
-        return real(self, ell, tol, charge)
+    def spy(self, *args, **kwargs):  # the lengths of every collar sum
+        lengths.extend(self.ell.tolist())
+        return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(_BesselSeries, "direct", spy)
+    monkeypatch.setattr(specfun._Collar, "sum", spy)
     _expansion.cache_clear()
     g_bessel(PinchingSet.of([0.5]), 0.0, 1e4)
     assert lengths == [0.5]
@@ -487,7 +494,7 @@ def test_routes_agree_wherever_the_expansion_is_taken_property(log_ell, w, T):
     ps = PinchingSet.of([ell])
     series = _BesselSeries(w, T - 0.25, DEFAULT_POLICY)
     got = g_bessel(ps, w, T)
-    direct = series.pref * series.direct(ell)[0]
+    direct = series.pref * _direct(series, ell)[0]
     assert abs(got - direct) <= DEFAULT_POLICY.tol(got) + DEFAULT_POLICY.tol(direct)
     got, sine = g_bessel(ps, 0.0, T), g_sine_form(ps, T)
     assert abs(got - sine) <= DEFAULT_POLICY.tol(got) + DEFAULT_POLICY.tol(sine)
@@ -675,7 +682,7 @@ def _limit_reference(w, T):
         g = g_sine_form(PinchingSet.of([ell]), T)
     else:
         series = _BesselSeries(w, a, DEFAULT_POLICY)
-        g = series.pref * series.direct(ell)[0]
+        g = series.pref * _direct(series, ell)[0]
     coef = g_expansion(w, T, 24)
     powers = sum(aj * ell ** (2 * j) for j, aj in enumerate(coef[2:], 1))
     return g - coef[0] * math.log(1.0 / ell) - powers, DEFAULT_POLICY.tol(g)
@@ -743,13 +750,13 @@ def test_expansion_build_halves_ell0_when_the_sum_shows_a_smaller_tolerance(monk
     # the remainder bound at ell0 = 1/4 passes against the largest |R| the
     # envelope allows, but not against 1e-5 of tol(R) once R is summed: the
     # build sums again at 1/8, where the remainder is negligible
-    lengths, real = [], _BesselSeries.direct
+    lengths, real = [], specfun._Collar.sum
 
-    def spy(self, ell, tol=None, charge=True):
-        lengths.append(ell)
-        return real(self, ell, tol, charge)
+    def spy(self, *args, **kwargs):  # the lengths of every collar sum
+        lengths.extend(self.ell.tolist())
+        return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(_BesselSeries, "direct", spy)
+    monkeypatch.setattr(specfun._Collar, "sum", spy)
     series = _BesselSeries(0.0, 4.020151088846724 - 0.25, DEFAULT_POLICY)
     _, r, r_bound, *_ = _expansion.__wrapped__(0.0, series.a, DEFAULT_POLICY)
     assert lengths == [0.25, 0.125]
@@ -811,6 +818,7 @@ def test_bessel_envelope_dominates_forward_supremum(nu, x):
     y = np.linspace(x, x + 2.0 * nu + 100.0, 8001)
     sup = float(np.max(np.abs(special.jv(nu, y))))
     assert sup <= _j_envelope(nu, x)
+    assert _j_envelope(nu, np.array([x]))[0] == pytest.approx(_j_envelope(nu, x), rel=1e-15)
 
 
 @settings(max_examples=120, derandomize=True)
@@ -819,7 +827,7 @@ def test_bessel_envelope_dominates_forward_supremum(nu, x):
 def test_direct_terms_are_within_their_stated_errors(w, log_t, log_ell, frac):
     # each term of the direct route against 40 digits at the exact n ell:
     # its stated own error (kernel, 1/sinh and power) in eps plus the
-    # argument rounding 2^-51 |x d/dx| cover the gap, as _series_sum charges
+    # argument rounding 2^-51 |x d/dx| cover the gap, as counting._direct charges
     T, ell = 0.25 + math.exp(log_t), math.exp(log_ell)
     series = _BesselSeries(w, T - 0.25, DEFAULT_POLICY)
     n = np.array([1.0, 2.0, 1.0 + math.floor(frac * 40.0 / ell)])
@@ -832,3 +840,124 @@ def test_direct_terms_are_within_their_stated_errors(w, log_t, log_ell, frac):
             want = (ell / mpmath.sinh(h) * (mpmath.sqrt(a) / h) ** series.nu
                     * mpmath.besselj(series.nu, 2 * h * mpmath.sqrt(a)))
             assert abs(t - want) <= float(np.finfo(float).eps) * error + 2.0**-51 * slope
+
+
+def _own_sum(ell, terms, log_env, tol, cap):
+    """(sum, cut) of one length summed on its own, by the rule each length had
+    before the collar's one cut: tail_cut for tol of env(1), again for tol of
+    the partial sum while smaller, then for tol less the rounding charged,
+    each time adding the new terms only (fewer than a block of them)."""
+    target = tol(math.exp(log_env(1)))
+    total = slope = mass = own = 0.0
+    n0, blocks = 1, 0
+    while True:
+        ncut = specfun.tail_cut(log_env, ell, target, cap)
+        if n0 <= ncut:
+            t, slopes, sizes, errors = terms(ell, np.arange(n0, ncut + 1, dtype=np.float64))
+            total += float(t.sum())
+            slope += float(slopes.sum())
+            mass += float(sizes.sum())
+            own += float(errors.sum())
+            n0, blocks = ncut + 1, blocks + 1
+        if tol(total) < target:
+            target = tol(total)
+            continue
+        rounding = 2.0**-51 * slope + specfun._rounding(mass, ncut, own / (mass or 1.0), blocks)
+        if math.exp(log_env(ncut + 1)) / -math.expm1(-0.5 * ell) + rounding <= tol(total):
+            return total, ncut
+        if rounding >= tol(total):
+            raise TruncationBudgetError("the rounding alone fills the tolerance")
+        target = tol(total) - rounding
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(log_ell=st.floats(math.log(0.01), math.log(20.0)), w=st.sampled_from([0.0, 0.7, 2.0, 5.5]),
+       log_t=st.floats(math.log(0.3), math.log(1e4)))
+def test_one_length_sums_as_on_its_own(log_ell, w, log_t):
+    # the collar cuts one length where the per-length rule did, and sums the
+    # same terms in the same order: the same cut and the same value, bit for bit
+    ell, T = math.exp(log_ell), math.exp(log_t)
+    series = _BesselSeries(w, T - 0.25, DEFAULT_POLICY)
+    nu, sa = series.nu, series.sa
+
+    def log_env(n):
+        nl2 = 0.5 * ell * n
+        return math.log(ell) - specfun.log_sinh(nl2) + min(
+            series.log_phi0, nu * math.log(sa / nl2) + math.log(_j_envelope(nu, 2.0 * nl2 * sa)))
+
+    def sine_log_env(n):
+        return math.log(min(1.0 / n, ell * sa)) - specfun.log_sinh(0.5 * ell * n)
+
+    def sine_terms(ell, n):
+        c = np.exp(-specfun.log_sinh(0.5 * ell * n))
+        t = np.sin(n * ell * sa) / n * c
+        lo, hi, size = 0.5 * ell * float(n[0]), 0.5 * ell * float(n[-1]), np.abs(t)
+        ulps = 2.0 + 0.5 * (max(abs(math.log(lo)), abs(math.log(hi))) + hi)
+        return t, ell * sa * c, size, ulps * size
+
+    cuts, cut = [], specfun._Collar.cut
+    cap = DEFAULT_POLICY.max_terms
+    with mock.patch.object(specfun._Collar, "cut",
+                           lambda *args: cuts.append(cut(*args)) or cuts[-1]):
+        try:
+            want = _own_sum(ell, series.terms, log_env, series._tol, cap)
+        except TruncationBudgetError:
+            with pytest.raises(TruncationBudgetError):
+                _direct(series, ell)
+        else:
+            assert _direct(series, ell)[0] == want[0] and cuts[-1][0].tolist() == [want[1]]
+        total = g_sine_form(PinchingSet.of([ell]), T)
+        want = _own_sum(ell, sine_terms, sine_log_env, DEFAULT_POLICY.tol, cap)
+        assert total == want[0] / (2.0 * math.pi) and cuts[-1][0].tolist() == [want[1]]
+
+
+def _g_oracle(ells, w, T):
+    """(G_w(T) at 30 digits, pref sum_ell |S(ell)|, the sine form's sum), each
+    length summed until its terms' envelope phi0 ell/sinh(n ell/2) falls
+    below 1e-25 phi0: far below every tolerance, as |S(ell)| <= 2 phi0."""
+    with mpmath.workdps(30):
+        a = mpmath.mpf(T) - mpmath.mpf(0.25)
+        sa, nu = mpmath.sqrt(a), mpmath.mpf(w) + mpmath.mpf(0.5)
+        phi0 = a**nu / mpmath.gamma(nu + 1)
+        pref = mpmath.gamma(mpmath.mpf(w) + 1) / mpmath.sqrt(16 * mpmath.pi)
+        total, size, sine = mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(0)
+        for ell in map(mpmath.mpf, ells):
+            s, sn, n = mpmath.mpf(0), mpmath.mpf(0), 1
+            while ell / mpmath.sinh(n * ell / 2) >= 1e-25:
+                x = n * ell
+                s += ell / mpmath.sinh(x / 2) * (2 * sa / x) ** nu * mpmath.besselj(nu, x * sa)
+                sn += mpmath.sin(x * sa) / (n * mpmath.sinh(x / 2))
+                n += 1
+            total, size, sine = total + s, size + abs(s), sine + sn
+        return float(pref * total), float(pref * size), float(sine)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(short=st.lists(st.floats(0.05, 0.3), max_size=3),
+       long=st.lists(st.floats(0.3, 20.0), max_size=37),
+       w=st.sampled_from([0.0, 0.7, 2.0]), T=st.floats(0.3, 50.0))
+@example(short=[0.05, 0.1, 0.2], long=[0.5, 1.0, 3.0, 19.0], w=2.0, T=1.0)
+@example(short=[0.06, 0.25], long=[0.4, 0.9, 7.0] * 12 + [20.0], w=0.0, T=3.0)
+def test_many_length_series_match_a_30_digit_sum(short, long, w, T):
+    # expansion-route lengths each within tol of their S, the direct ones summed
+    # by one collar within tol of their joint sum: G within the sum of those.
+    # Short lengths (most terms of the oracle) take the expansion route at small T
+    ells = short + long
+    assume(ells)
+    want, size, sine = _g_oracle(ells, w, T)
+    ps = PinchingSet.of(ells)
+    tol = DEFAULT_POLICY.rel_tol * size + (len(ells) + 1) * DEFAULT_POLICY.abs_tol
+    assert abs(g_bessel(ps, w, T) - want) <= tol
+    got = 2.0 * math.pi * g_sine_form(ps, T)
+    assert abs(got - sine) <= DEFAULT_POLICY.tol(got)
+
+
+@pytest.mark.parametrize("count", [1, 500])
+def test_one_tail_cut_serves_every_direct_length(count, monkeypatch):
+    # every direct-route length of a call is cut at one shared n ell
+    ps = PinchingSet.of(np.random.default_rng(count).uniform(0.5, 2.0, count))
+    g_bessel(ps, 2.0, 1.0)  # builds and caches R, if any length tries the expansion
+    searches, search = [], specfun.tail_cut
+    monkeypatch.setattr(specfun, "tail_cut", lambda *args: searches.append(args) or search(*args))
+    g_bessel(ps, 2.0, 1.0)
+    assert len(searches) == 1

@@ -12,8 +12,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from pinchtrace import counting, trace, xform
-from pinchtrace.counting import _expansion, _series_sum
+from pinchtrace import counting, specfun, trace, xform
+from pinchtrace.counting import _expansion
 from pinchtrace.policy import DEFAULT_POLICY
 from pinchtrace.specfun import _rounding
 
@@ -195,17 +195,17 @@ def test_direct_trace_charges_its_blas_products():
 
 @pytest.mark.parametrize("charge", [True, False])
 def test_series_sum_charges_its_blocks(monkeypatch, charge):
-    # 36,000 terms in blocks of 4096; with charge False (R's sum) each
-    # block is measured against math.fsum
-    monkeypatch.setattr(counting, "_BLOCK", 4096)
+    # 36,000 terms of one length in the collar's blocks of 4096; with charge
+    # False (R's sum) each block is measured against math.fsum
+    monkeypatch.setattr(specfun, "_BLOCK", 4096)
     a = _adversarial()
 
-    def terms(n):
+    def terms(ell, n):
         t = a[n.astype(int) - 1]
         return t, np.zeros_like(t), t, np.zeros_like(t)
 
-    total, bound = _series_sum(1.0, terms, lambda n: 0.0 if n <= a.size else -math.inf,
-                               lambda s: 1.0, 10**6, charge)
+    total, bound = counting._direct((1.0,), terms, lambda x: 0.0 if x <= a.size else math.inf,
+                                    lambda s: 1.0, 10**6, charge)
     _covers(total, a, bound)
 
 

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -74,6 +75,30 @@ def test_tail_cut_raises_past_its_cap():
     for cap in (0, 1, n // 2, n - 1):
         with pytest.raises(TruncationBudgetError):
             tail_cut(log_env, 0.05, 1e-10, cap)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(counts=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=12),
+       block=st.integers(1, 50))
+def test_collar_blocks_hold_the_table_in_order(counts, block):
+    # the terms lo_i < n <= hi_i of every length, lengths in order and n
+    # ascending, in blocks of at most _BLOCK terms: the whole table, once
+    # a re-cut may add no terms to some lengths: lo_i = hi_i, never past it
+    hi = np.array([max(a, b, 1) for a, b in counts])
+    lo = np.minimum([min(a, b) for a, b in counts], hi - (hi == hi.max()))
+    ell = np.arange(1.0, lo.size + 1.0)
+    collar = specfun._Collar(ell, 10.0 * ell, lambda x: 0.5 * x)
+    want = [(k, i + 1.0) for i in range(lo.size) for k in range(lo[i] + 1, hi[i] + 1)]
+    with mock.patch.object(specfun, "_BLOCK", block):
+        for start in (lo, 0 * lo):
+            got = list(collar.blocks(start, hi))
+            assert all(0 < part[0].size <= block for part in got)
+            n, e, w = (np.concatenate([np.broadcast_to(part[i], part[0].shape) for part in got])
+                       for i in range(3))
+            table = want if start is lo else [(k, i + 1.0) for i in range(lo.size)
+                                             for k in range(1, hi[i] + 1)]
+            assert n.tolist() == [k for k, _ in table] and e.tolist() == [x for _, x in table]
+            assert w.tolist() == [10.0 * x for _, x in table]
 
 
 def test_half_order_collapses_to_cosine():

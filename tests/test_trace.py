@@ -137,13 +137,22 @@ def test_long_length_underflows_to_zero():
     assert hyperbolic_trace(mixed, 1.0) == hyperbolic_trace(LengthSpectrum.of([(1.0, 1)]), 1.0)
 
 
+@pytest.mark.parametrize("ell, z", [(1e300, 1e200), (1e200, 1.0 + 1e200j)])
+def test_huge_length_at_huge_node_is_zero(ell, z):
+    # |z|^2 overflows, so c_min = Re z/|z|^2 is 0: the envelope keeps the
+    # sinh decay alone rather than taking inf * 0 for the Gaussian's
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hyperbolic_trace(LengthSpectrum.of([(ell, 1)]), z) == 0.0
+
+
 @pytest.mark.parametrize("count", [1, 500])
 def test_one_tail_cut_cuts_every_length(count, monkeypatch):
     # a trace call searches one shared n ell, not a cut per length
     searches, cut_calls = [], []
-    search, cut = trace.tail_cut, trace._cuts
-    monkeypatch.setattr(trace, "tail_cut", lambda *args: searches.append(args) or search(*args))
-    monkeypatch.setattr(trace, "_cuts", lambda *args: cut_calls.append(args) or cut(*args))
+    search, cut = specfun.tail_cut, specfun._Collar.cut
+    monkeypatch.setattr(specfun, "tail_cut", lambda *args: searches.append(args) or search(*args))
+    monkeypatch.setattr(specfun._Collar, "cut", lambda *args: cut_calls.append(args) or cut(*args))
     ells = np.random.default_rng(count).uniform(0.5, 8.0, count)
     hyperbolic_trace(LengthSpectrum.of([(ell, 1) for ell in ells]), 1.0)
     assert len(searches) == len(cut_calls) >= 1
@@ -176,10 +185,10 @@ def _own_cut(ell, mult, c_min, target):
 )
 def test_one_length_is_cut_as_on_its_own(ell, mult, z, log10_share):
     zs = np.array([complex(*z)])
-    spec, g, target, cap = trace._plan(((ell, mult),), zs, DEFAULT_POLICY)
+    collar, target, cap = trace._plan(((ell, mult),), zs, DEFAULT_POLICY)
     c_min = float(np.min(zs.real / np.abs(zs) ** 2))
     target *= 10.0**log10_share
-    cuts, tail = trace._cuts(spec, g, target, cap)
+    cuts, tail = collar.cut(target, cap)
     own_cut, own_tail = _own_cut(ell, mult, c_min, target)
     assert cuts.tolist() == [own_cut] and tail == pytest.approx(own_tail, rel=1e-13)
 
@@ -312,9 +321,10 @@ def test_spectrum_sorted_and_logsum():
 
 def _routes(entries, zs, policy=DEFAULT_POLICY, max_cost=1e8):
     """(Taylor route or None, direct route, per-node target) on one node block."""
-    spec, g, target, cap = trace._plan(entries, zs, policy)
-    direct = trace._term_sum(spec, zs, trace._cuts(spec, g, target, cap)[0])
-    return trace._taylor_sum(spec, zs, g, target, cap, max_cost), direct, target
+    collar, target, cap = trace._plan(entries, zs, policy)
+    (n, ell, mell), = collar.blocks(0, collar.cut(target, cap)[0])
+    direct = trace._term_sum(zs, n * ell, mell)
+    return trace._taylor_sum(collar, zs, target, cap, max_cost), direct, target
 
 
 def _band(a, doublings):
@@ -353,12 +363,13 @@ def test_taylor_route_matches_direct_route_on_contour_blocks(a, doublings, entri
 def test_skipped_box_centre_never_needs_fewer_orders(a, doublings, entries):
     zs = _band(a, doublings)
     entries = LengthSpectrum.of(entries).entries
-    spec, g, target, cap = trace._plan(entries, zs, DEFAULT_POLICY)
+    collar, target, cap = trace._plan(entries, zs, DEFAULT_POLICY)
     try:
-        cuts, _ = trace._cuts(spec, g, 0.5 * target, cap)
+        cuts, _ = collar.cut(0.5 * target, cap)
     except TruncationBudgetError:
         return
-    x, mell = trace._table(spec, cuts)
+    (n, ell, mell), = collar.blocks(0, cuts)
+    x = n * ell
     log_c, y = np.log(mell) - specfun.log_sinh(0.5 * x), x**2
     v = 0.25 / zs
     (disc, rho_disc), *kept = trace._centres(v, a)[::-1]
@@ -388,7 +399,7 @@ def _direct_sizes(monkeypatch):
     sizes = []
     direct = trace._term_sum
     monkeypatch.setattr(trace, "_term_sum",
-                        lambda entries, zs, cuts: sizes.append(zs.size) or direct(entries, zs, cuts))
+                        lambda zs, *args: sizes.append(zs.size) or direct(zs, *args))
     return sizes
 
 
