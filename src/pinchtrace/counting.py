@@ -93,6 +93,7 @@ _ELL0_MIN = 2.0**-12  # R's last direct sum, about 1e5 terms: T up to about 1e7
 _ARG_ROUNDING = 2.0**-51  # relative rounding of x = n ell sqrt(a): three roundings
 _LOG_POWER_MAX = 600.0      # a larger power leaves J_nu too close to underflow
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
+_ELL_TINY = 1.2e-308  # _s_max's closed form overflows below about 1.1e-308
 
 # Bernoulli numbers B_2, B_4, ..., B_48
 _BERNOULLI = (
@@ -286,7 +287,11 @@ class _BesselSeries:
 
 
 def _s_max(phi0: float, ell: float) -> float:
-    """phi0 (ell/sinh(ell/2) + 2 log coth(ell/4)) >= phi0 sum_n ell/sinh(n ell/2) >= |S(ell)|."""
+    """phi0 (ell/sinh(ell/2) + 2 log coth(ell/4)) >= phi0 sum_n ell/sinh(n ell/2) >= |S(ell)|;
+    below _ELL_TINY, where 2/ell overflows and ell/4 may round to 0, the bracket is
+    at most 2 + 2 log(4/ell) + ell^2/24, and ell^2 underflows."""
+    if ell < _ELL_TINY:
+        return phi0 * (2.0 + 4.0 * _LOG_2 - 2.0 * math.log(ell))
     return phi0 * (ell * math.exp(-log_sinh(0.5 * ell)) + 2.0 * _log_coth(0.25 * ell))
 
 

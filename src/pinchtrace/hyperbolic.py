@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError
 from .policy import DEFAULT_POLICY, TruncationPolicy
-from .specfun import _rounding, gauss_rule, log_sinh, tail_cut
+from .specfun import _Collar, _rounding, gauss_rule, log_sinh
 
 __all__ = [
     "heat_kernel",
@@ -188,16 +188,16 @@ def cylinder_trace(ell: float, t: float, policy: TruncationPolicy = DEFAULT_POLI
     cylinder_displacement, as 2 ell sum_{n >= 1} int_0^inf K(t, d_n) cosh
     sigma dsigma with v = sinh sigma, sinh(d_n/2) = sinh(n ell/2) cosh sigma.
     Of policy.tol(L), L the closed-form n = 1 term, half goes to the n-cut
-    of the envelope ell/sinh(n ell/2) e^{-(n ell)^2/4t}, and a quarter each
-    to one s-rule for all distances and one outer rule on [0, Sigma] for
-    all rows. Past d_1 = D = sqrt(ell^2 + 196 t), (d) leaves a row within
-    2 sqrt(t/pi) coth(Sigma) (2 D tanh(D/2))^{-1/2} e^{-49} of itself. On
-    |Im sigma| <= beta < pi/2, |Im d| <= 2 beta, Re d >= 2 asinh(k cosh Re
-    sigma), k = sinh(n ell/2) cos beta, and (a), (b) give |K(t, d)| <=
-    e^{-t/4 - Re(d^2)/4t}/(4 pi t sinc|Im d|): row n is below 2 ell e^{-t/4
-    + beta^2/t + P}/(4 pi t sinc 2 beta), P the peak of log y - asinh(k y)^2/t
-    on y >= 1, at y = 1 if 2k asinh k >= t sqrt(1 + k^2), else below t/4 -
-    log 2k.
+    of a one-length specfun._Collar, weight ell and G(x) = log sinh(x/2) +
+    x^2/4t (the trace's at c_min = 1/t), and a quarter each to one s-rule
+    for all distances and one outer rule on [0, Sigma] for all rows. Past
+    d_1 = D = sqrt(ell^2 + 196 t), (d) leaves a row within 2 sqrt(t/pi)
+    coth(Sigma) (2 D tanh(D/2))^{-1/2} e^{-49} of itself. On |Im sigma| <=
+    beta < pi/2, |Im d| <= 2 beta, Re d >= 2 asinh(k cosh Re sigma), k =
+    sinh(n ell/2) cos beta, and (a), (b) give |K(t, d)| <= e^{-t/4 -
+    Re(d^2)/4t}/(4 pi t sinc|Im d|): row n is below 2 ell e^{-t/4 + beta^2/t
+    + P}/(4 pi t sinc 2 beta), P the peak of log y - asinh(k y)^2/t on y >=
+    1, at y = 1 if 2k asinh k >= t sqrt(1 + k^2), else below t/4 - log 2k.
 
     ell below 0.05 is rejected: the pre-decay sum length ~2/ell would
     blow the quadrature budget, and the closed-form route in the trace
@@ -210,19 +210,17 @@ def cylinder_trace(ell: float, t: float, policy: TruncationPolicy = DEFAULT_POLI
     if ell < 0.05:
         raise DomainError(f"cylinder_trace guard: ell >= 0.05 required, got {ell}")
 
-    # a product, not ** 2, so that a huge n ell gives inf rather than OverflowError
-    def log_env(n):
-        return math.log(ell) - log_sinh(0.5 * n * ell) - (n * ell) * (n * ell) / (4.0 * t)
-
-    # the trace is the closed form e^{-t/4} (16 pi t)^{-1/2} sum_n env(n), at
-    # most its n = 1 term over 1 - e^{-ell/2}: where that underflows, so does it
+    # the trace is e^{log_c} sum_n ell e^{-G(n ell)}, at most e^{log_c} collar.mass:
+    # where that underflows, so does it (x * x, not ** 2: a huge x gives inf)
+    collar = _Collar(np.array([ell]), np.array([ell]),
+                     lambda x: log_sinh(0.5 * x) + x * x / (4.0 * t))
     log_c = -0.25 * t - 0.5 * math.log(16.0 * math.pi * t)
-    top = math.exp(log_env(1) + log_c - math.log(-math.expm1(-0.5 * ell)))
+    top = collar.mass * math.exp(log_c)
     if top == 0.0:
         return 0.0
-    tol = policy.tol(math.exp(log_env(1) + log_c))
-    count = tail_cut(log_env, ell, 0.5 * tol * math.exp(min(-log_c, 700.0)),
-                     min(100_000, policy.max_terms))
+    tol = policy.tol(collar.shell * math.exp(log_c))
+    count = int(collar.cut(0.5 * tol * math.exp(min(-log_c, 700.0)),
+                           min(100_000, policy.max_terms))[0][0])
     n = np.arange(1, count + 1, dtype=float)
     log_s = log_sinh(0.5 * ell * n)
     # the outer integrand is positive: over [0, inf) its rows sum to their closed form

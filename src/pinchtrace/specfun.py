@@ -13,8 +13,8 @@ sqrt(2/(pi x)) cos x. No order loads scipy.special. The 50-digit series
 oracle and gamma live in the numpy-free module closed.
 
 The module also holds the helpers the other modules share: log_sinh, the
-geometric-tail cut tail_cut, the sum over lengths _Collar that cuts them
-all with one tail_cut, ascending_series, the cached Gauss-Legendre
+sum over lengths _Collar, whose cut is the one n-cut search of every
+geodesic sum, ascending_series, the cached Gauss-Legendre
 rule leggauss and its Kronrod extension kronrod, gauss_rule, which sizes
 leggauss from a bound on the integrand, and _rounding, the one rounding
 model of every certified sum.
@@ -78,31 +78,6 @@ def _rounding(mass, n: int, ulps=0.0, parts: int = 1):
     return (ulps + 0.5 * adds) * _EPS * mass
 
 
-def tail_cut(log_env, ell: float, target: float, cap: int, start: int = 1) -> int:
-    """Smallest N >= 1 with env(N+1)/(1 - e^{-ell/2}) <= target.
-
-    log_env(n) is the log of a non-increasing envelope with
-    |term(m)| <= env(n) e^{-(m-n) ell/2} for all m >= n, so the tail
-    past N is at most that geometric sum. Doubling from start (1 <= start
-    <= cap, an N that passes where the caller knows one), then bisection;
-    raises TruncationBudgetError when N would exceed cap.
-    """
-    limit = math.log(target * -math.expm1(-0.5 * ell))
-    lo, n = 0, start  # the answer lies in (lo, n] once n passes
-    while n > cap or log_env(n + 1) > limit:
-        if n >= cap:
-            raise TruncationBudgetError(
-                f"cannot certify tolerance within {cap} terms (length {ell})")
-        lo, n = n, min(2 * n, cap)
-    while n - lo > 1:
-        mid = (lo + n) // 2
-        if log_env(mid + 1) <= limit:
-            n = mid
-        else:
-            lo = mid
-    return n
-
-
 class _Collar:
     """sum_i sum_{n>=1} term(n, ell_i) over lengths ell_i (an ascending array),
     |term(n, ell_i)| <= weight_i e^{-G(n ell_i)}, G = env (floats or arrays)
@@ -131,14 +106,24 @@ class _Collar:
         self.top = self.log_w - env(ell0)  # log W e^{-G(ell_0)}
 
     def cut(self, target: float, cap: int):
-        """(cuts, tail) at the least x with W e^{-G(x)} <= target, by tail_cut on
-        the shortest length's grid (so one length is cut as on its own);
-        raises TruncationBudgetError past cap terms in all."""
+        """(cuts, tail) at the least x = (N + 1) ell_0, N >= 1, with W e^{-G(x)}/
+        (1 - e^{-ell_0/2}) <= target: the search runs on the shortest length's
+        grid (so one length is cut as on its own), doubling N from a cut known
+        to pass, then bisecting. Raises TruncationBudgetError past cap terms in all."""
         ell0, log_w, env = self.ell0, self.log_w, self.env
-        # as G((n + 1) ell_0) >= G(ell_0) + n ell_0/2, this many terms pass
-        steps = (self.top - math.log(target * self.d0)) / (0.5 * ell0)
-        start = math.ceil(min(steps, cap)) if steps > 1.0 else 1
-        n = tail_cut(lambda n: log_w - env(n * ell0), ell0, target, cap, start)
+        limit = math.log(target * self.d0)
+        # as G((n + 1) ell_0) >= G(ell_0) + n ell_0/2, this many terms pass;
+        # N lies in (lo, n] once n passes
+        steps = (self.top - limit) / (0.5 * ell0)
+        lo, n = 0, math.ceil(min(steps, cap)) if steps > 1.0 else 1
+        while n > cap or log_w - env((n + 1) * ell0) > limit:
+            if n >= cap:
+                raise TruncationBudgetError(
+                    f"cannot certify tolerance within {cap} terms (length {ell0})")
+            lo, n = n, min(2 * n, cap)
+        while n - lo > 1:
+            mid = (lo + n) // 2
+            lo, n = (lo, mid) if log_w - env((mid + 1) * ell0) <= limit else (mid, n)
         tail = math.exp(log_w - env((n + 1) * ell0)) / self.d0
         if self.ell.size == 1:
             return np.array([n]), tail

@@ -83,7 +83,7 @@ class PinchingSet:
 
     @property
     def log_sum(self) -> float:
-        return sum(math.log(1.0 / ell) for ell in self.ells)
+        return sum(-math.log(ell) for ell in self.ells)  # 1/ell overflows below about 5.6e-309
 
     def as_length_spectrum(self) -> LengthSpectrum:
         """One entry per pinching length, multiplicity 1."""

@@ -34,8 +34,8 @@ __all__ = ["Schedule", "SweepRow", "SweepResult", "run_sweep", "fit_growth_expon
 class Schedule:
     """A walk of pinching sets with strictly decreasing sup norm.
 
-    kind "geometric": single-length sets start * ratio^i for i < count,
-    with start and ratio in (0, 1) and count >= 2. kind "explicit": any
+    kind "geometric": single-length sets start * ratio^i for i < count, start
+    and ratio in (0, 1), count >= 2, the last point > 0. kind "explicit": any
     non-empty tuple of pinching sets, sup norms strictly decreasing.
     """
 
@@ -53,6 +53,9 @@ class Schedule:
                 raise DomainError(f"geometric ratio must be in (0,1), got {self.ratio}")
             if not (isinstance(self.count, int) and self.count >= 2):
                 raise DomainError(f"geometric count must be an integer >= 2, got {self.count}")
+            last = self.start * self.ratio ** (self.count - 1)
+            if not last > 0.0:
+                raise DomainError(f"geometric start * ratio^(count - 1) must be > 0, got {last}")
         elif self.kind == "explicit":
             if not self.values:
                 raise DomainError("explicit schedule must be non-empty")

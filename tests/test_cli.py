@@ -87,6 +87,10 @@ class TestParseInput:
         with pytest.raises(SchemaError, match=r"eigenvalues\[0\]\.multiplicity"):
             parse_input(_doc(eigenvalues=[{"lambda": 0.0, "multiplicity": 0}],
                              volume=1.0))
+        # a last point start * ratio^4 that underflows is the schedule's fault
+        with pytest.raises(SchemaError, match=r"^schedule: geometric start \* ratio"):
+            parse_input(_doc(schedule={
+                "kind": "geometric", "start": 0.5, "ratio": 1e-100, "count": 5}))
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(SchemaError, match="extra"):
@@ -274,15 +278,21 @@ class TestMainInProcess:
          " for T = 9e-308\n"),
         # |t|^2 overflows, so the Gaussian's decay rate Re(1/t) reads 0
         (["trace", "--input", "{long}", "--t", "1e200"], ["9.9999999999999997e+199", "0"]),
+        # 2/ell and 1/ell pass the doubles, and at 5e-324 ell/4 rounds to 0
+        (["gfunc", "--input", "{tiny}", "--w", "2", "--T", "1"], None),
+        (["residual", "--input", "{tiny}", "--w", "2", "--T", "1"], None),
+        (["gfunc", "--input", "{least}", "--w", "0", "--T", "1"], None),
+        (["residual", "--input", "{least}", "--w", "0", "--T", "1"], None),
     ])
     def test_extreme_arguments_leak_no_runtime_warning(self, tmp_path, capsys, argv, row):
         # a RuntimeWarning is an error under the test configuration, so an
         # overflow in numpy fails the call rather than reaching stderr
         docs = {"long": {"length_spectrum": [{"length": 1e300, "multiplicity": 1}]},
-                "pinch": {"pinching": [0.1]}}
+                "pinch": {"pinching": [0.1]}, "tiny": {"pinching": [1e-310]},
+                "least": {"pinching": [5e-324]}}
         for name, doc in docs.items():
             (tmp_path / name).write_text(json.dumps({"version": 1, **doc}))
-        code = main([a.format(long=tmp_path / "long", pinch=tmp_path / "pinch") for a in argv])
+        code = main([a.format(**{name: tmp_path / name for name in docs}) for a in argv])
         captured = capsys.readouterr()
         if isinstance(row, str):  # a documented error: exit 1 with its one line alone
             assert code == 1 and captured.err == row and captured.out == ""
@@ -291,8 +301,10 @@ class TestMainInProcess:
         got = _csv_rows(captured.out)[1]
         if row is not None:
             assert got == row
-        else:  # J_1.2(1e300) lies within its envelope sqrt(2/(pi x))
+        elif argv[0] == "bessel":  # J_1.2(1e300) lies within its envelope sqrt(2/(pi x))
             assert 0.0 < abs(float(got[2])) <= math.sqrt(2.0 / (math.pi * 1e300))
+        else:
+            assert all(math.isfinite(float(v)) for v in got)
 
     def test_sweep_header_contract(self, tmp_path, capsys):
         f = tmp_path / "s.json"
@@ -715,12 +727,18 @@ class TestSubprocess:
          "pinchtrace: error: gamma(1.7e+308) overflows"),
         (["residual", "--input", "{pinch}", "--w", "1.7e308", "--T", "1"], 1,
          "pinchtrace: error: gamma(1.7e+308) overflows"),
+        # 2/ell and 1/ell pass the doubles, and at 5e-324 ell/4 rounds to 0
+        (["gfunc", "--input", "{tiny}", "--w", "2", "--T", "1"], 0, ""),
+        (["residual", "--input", "{tiny}", "--w", "2", "--T", "1"], 0, ""),
+        (["gfunc", "--input", "{least}", "--w", "0", "--T", "1"], 0, ""),
+        (["residual", "--input", "{least}", "--w", "0", "--T", "1"], 0, ""),
     ])
     def test_extreme_arguments_exit_without_traceback(self, tmp_path, argv, code, prefix):
         # an unrepresentable argument is a domain error; values that
         # underflow are the closed form's 0
         docs = {"eig": {"eigenvalues": [{"lambda": 0.0, "multiplicity": 1}], "volume": 1.0},
-                "pinch": {"pinching": [0.1]},
+                "pinch": {"pinching": [0.1]}, "tiny": {"pinching": [1e-310]},
+                "least": {"pinching": [5e-324]},
                 "sched": {"schedule": {"kind": "explicit", "values": [[0.5]]}}}
         for name, doc in docs.items():
             (tmp_path / name).write_text(json.dumps({"version": 1, **doc}))

@@ -644,6 +644,23 @@ def test_deep_lengths_certified_within_default_budget():
             assert residual == pytest.approx(R_LIMITS[(w, T)], abs=1e-9)
 
 
+@pytest.mark.parametrize("ell", [1e-300, 1.1e-308, 1e-310, 5e-324])
+@pytest.mark.parametrize("w", [0.0, 0.7, 2.0, 5.0])
+def test_every_pinching_length_reaches_the_expansion(ell, w):
+    # 2/ell passes the doubles below about 1.1e-308, and ell/4 rounds to 0 at
+    # 5e-324: the gate's bound on |S(ell)| takes neither, and S(ell) is
+    # c_0 log(1/ell) plus R up to terms that underflow
+    got = g_bessel([ell], w, 1.0)
+    want = g_limit(w, 1.0) - c_weight(w, 1.0) * math.log(ell)
+    assert got == pytest.approx(want, rel=3e-15)
+
+
+def test_log_sum_is_finite_at_every_length():
+    # 1/ell overflows below about 5.6e-309; -log ell does not
+    for ell in (1e-300, 1e-310, 5e-324):
+        assert PinchingSet.of([ell, 0.5]).log_sum == -math.log(ell) - math.log(0.5)
+
+
 def test_sine_form_stays_on_the_direct_series():
     # same policy: R's direct sum at ell0 = 1/4 (about 250 terms) fits 1000
     # terms, the sine form's term-by-term sum (about 36/ell terms) does not
@@ -842,16 +859,31 @@ def test_direct_terms_are_within_their_stated_errors(w, log_t, log_ell, frac):
             assert abs(t - want) <= float(np.finfo(float).eps) * error + 2.0**-51 * slope
 
 
+def _own_cut(log_env, ell, target, cap):
+    """The smallest N >= 1 with env(N+1)/(1 - e^{-ell/2}) <= target, by doubling
+    from 1, then bisection; TruncationBudgetError where N would pass cap."""
+    limit = math.log(target * -math.expm1(-0.5 * ell))
+    lo, n = 0, 1  # the answer lies in (lo, n] once n passes
+    while n > cap or log_env(n + 1) > limit:
+        if n >= cap:
+            raise TruncationBudgetError(f"cannot certify tolerance within {cap} terms")
+        lo, n = n, min(2 * n, cap)
+    while n - lo > 1:
+        mid = (lo + n) // 2
+        lo, n = (lo, mid) if log_env(mid + 1) <= limit else (mid, n)
+    return n
+
+
 def _own_sum(ell, terms, log_env, tol, cap):
     """(sum, cut) of one length summed on its own, by the rule each length had
-    before the collar's one cut: tail_cut for tol of env(1), again for tol of
+    before the collar's one cut: _own_cut for tol of env(1), again for tol of
     the partial sum while smaller, then for tol less the rounding charged,
     each time adding the new terms only (fewer than a block of them)."""
     target = tol(math.exp(log_env(1)))
     total = slope = mass = own = 0.0
     n0, blocks = 1, 0
     while True:
-        ncut = specfun.tail_cut(log_env, ell, target, cap)
+        ncut = _own_cut(log_env, ell, target, cap)
         if n0 <= ncut:
             t, slopes, sizes, errors = terms(ell, np.arange(n0, ncut + 1, dtype=np.float64))
             total += float(t.sum())
@@ -957,7 +989,7 @@ def test_one_tail_cut_serves_every_direct_length(count, monkeypatch):
     # every direct-route length of a call is cut at one shared n ell
     ps = PinchingSet.of(np.random.default_rng(count).uniform(0.5, 2.0, count))
     g_bessel(ps, 2.0, 1.0)  # builds and caches R, if any length tries the expansion
-    searches, search = [], specfun.tail_cut
-    monkeypatch.setattr(specfun, "tail_cut", lambda *args: searches.append(args) or search(*args))
+    searches, search = [], specfun._Collar.cut
+    monkeypatch.setattr(specfun._Collar, "cut", lambda *args: searches.append(args) or search(*args))
     g_bessel(ps, 2.0, 1.0)
     assert len(searches) == 1

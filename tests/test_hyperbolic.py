@@ -22,7 +22,7 @@ from pinchtrace import (
     heat_kernel_origin,
     hyperbolic_trace,
 )
-from pinchtrace import hyperbolic
+from pinchtrace import hyperbolic, specfun
 
 
 def _mp_kernel(t: float, rho: float) -> float:
@@ -342,6 +342,15 @@ def test_cylinder_outer_rounding_counts_the_rows():
     fine = TruncationPolicy(rel_tol=1e-11, abs_tol=1e-300)
     closed = hyperbolic_trace(LengthSpectrum.of([(0.05, 1)]), 2.0, fine)
     assert abs(cylinder_trace(0.05, 2.0, fine) - closed) <= fine.tol(closed)
+
+
+@pytest.mark.parametrize("ell, t", [(0.05, 2.0), (1.0, 1.0), (3.0, 20.0)])
+def test_cylinder_cuts_its_rows_by_one_collar_search(ell, t, monkeypatch):
+    # the rows' n-cut is the one search of every geodesic n-sum, run once a call
+    cut_calls, cut = [], specfun._Collar.cut
+    monkeypatch.setattr(specfun._Collar, "cut", lambda *args: cut_calls.append(args) or cut(*args))
+    cylinder_trace(ell, t)
+    assert len(cut_calls) == 1
 
 
 def test_cylinder_domain_errors():

@@ -13,7 +13,7 @@ from pinchtrace import (
     DomainError, TruncationBudgetError, bessel_j, bessel_j_half, bessel_j_oracle, gamma,
 )
 from pinchtrace import specfun
-from pinchtrace.specfun import ascending_series, kronrod, leggauss, log_sinh, tail_cut
+from pinchtrace.specfun import ascending_series, kronrod, leggauss, log_sinh
 
 
 def test_gamma_known_values():
@@ -47,34 +47,63 @@ def test_log_sinh_against_mpmath(x):
     assert abs(float(log_sinh(np.array([x]))[0]) - want) <= 1e-15 * max(1.0, abs(want))
 
 
-def _sine_envelope(ell, sa):
-    """log of min(1, n ell sa)/(n sinh(n ell/2)), which bounds the w = 0 term
-    |sin(n ell sa)|/(n sinh(n ell/2)) and every later one geometrically."""
-    return lambda n: math.log(min(1.0 / n, ell * sa)) - log_sinh(0.5 * n * ell)
+def _sine_envelope(sa):
+    """G(x) = log sinh(x/2) - log min(1/x, sa): at weight ell, ell e^{-G(n ell)}
+    = min(1/n, ell sa)/sinh(n ell/2) bounds the w = 0 term |sin(n ell sa)|/
+    (n sinh(n ell/2)) and every later one geometrically."""
+    return lambda x: log_sinh(0.5 * x) - np.log(np.minimum(1.0 / x, sa))
+
+
+def _sine_collar(ells, sa):
+    ells = np.sort(np.asarray(ells, dtype=float))
+    return specfun._Collar(ells, ells, _sine_envelope(sa))
+
+
+def _sine_tail(ells, cuts, sa):
+    """The true tails of the w = 0 terms past each length's cut, summed until
+    e^{-m ell/2} is below 1e-35."""
+    total = 0.0
+    for ell, cut in zip(ells, cuts):
+        m = np.arange(cut + 1.0, cut + 2.0 + math.ceil(160.0 / ell))
+        total += np.sum(np.abs(np.sin(m * ell * sa)) / m * np.exp(-log_sinh(0.5 * m * ell)))
+    return total
 
 
 @settings(max_examples=40)
-@given(ell=st.floats(0.05, 3.0), sa=st.floats(0.1, 4.0), log_target=st.floats(-32.0, -2.0))
-def test_tail_cut_is_the_smallest_certified_cut(ell, sa, log_target):
+@given(ell=st.floats(0.05, 3.0), sa=st.floats(0.1, 4.0), log_target=st.floats(-32.0, -2.0),
+       ells=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=40))
+def test_tail_cut_is_the_smallest_certified_cut(ell, sa, log_target, ells):
     target = math.exp(log_target)
-    log_env = _sine_envelope(ell, sa)
-    n = tail_cut(log_env, ell, target, 10**6)
+    env = _sine_envelope(sa)
+
+    def log_env(n):
+        return math.log(ell) - env(n * ell)
+
+    (n,), _ = _sine_collar([ell], sa).cut(target, 10**6)
     limit = math.log(target * -math.expm1(-0.5 * ell))
     assert log_env(n + 1) <= limit
     assert n == 1 or log_env(n) > limit
-    # the true tail, summed until e^{-m ell/2} is below 1e-35
-    m = np.arange(n + 1.0, n + 2.0 + math.ceil(160.0 / ell))
-    tail = np.sum(np.abs(np.sin(m * ell * sa)) / m * np.exp(-log_sinh(0.5 * m * ell)))
-    assert tail <= target
+    assert _sine_tail([ell], [n], sa) <= target
+    # many lengths: the least passing point on the shortest length's grid,
+    # and every length's true tail summed within target
+    collar = _sine_collar(ells, sa)
+    cuts, _ = collar.cut(target, 10**6)
+    ell0, n, lengths = min(ells), int(cuts[0]), np.array(ells)
+    d0 = -math.expm1(-0.5 * ell0)
+    log_w = math.log(float(np.sum(lengths * (d0 / -np.expm1(-0.5 * lengths)))))
+    limit = math.log(target * d0)
+    assert log_w - env((n + 1) * ell0) <= limit
+    assert n == 1 or log_w - env(n * ell0) > limit
+    assert _sine_tail(collar.ell, cuts, sa) <= target
 
 
 def test_tail_cut_raises_past_its_cap():
-    log_env = _sine_envelope(0.05, 1.0)
-    n = tail_cut(log_env, 0.05, 1e-10, 10**6)
-    assert tail_cut(log_env, 0.05, 1e-10, n) == n
+    collar = _sine_collar([0.05], 1.0)
+    (n,), _ = collar.cut(1e-10, 10**6)
+    assert collar.cut(1e-10, n)[0].tolist() == [n]
     for cap in (0, 1, n // 2, n - 1):
         with pytest.raises(TruncationBudgetError):
-            tail_cut(log_env, 0.05, 1e-10, cap)
+            collar.cut(1e-10, cap)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

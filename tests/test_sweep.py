@@ -46,6 +46,10 @@ class TestSchedule:
             Schedule.geometric(0.5, -0.1, 4)
         with pytest.raises(DomainError):
             Schedule.geometric(0.5, 0.5, 1)
+        # the last point underflows to 0; a subnormal one stays legal
+        with pytest.raises(DomainError, match=r"ratio\^\(count - 1\) must be > 0"):
+            Schedule.geometric(0.5, 1e-100, 5)
+        assert Schedule.geometric(0.5, 1e-103, 4).points()[-1].sup == 0.5 * 1e-103**3
 
     def test_explicit_validation(self):
         with pytest.raises(DomainError):

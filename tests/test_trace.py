@@ -149,13 +149,11 @@ def test_huge_length_at_huge_node_is_zero(ell, z):
 @pytest.mark.parametrize("count", [1, 500])
 def test_one_tail_cut_cuts_every_length(count, monkeypatch):
     # a trace call searches one shared n ell, not a cut per length
-    searches, cut_calls = [], []
-    search, cut = specfun.tail_cut, specfun._Collar.cut
-    monkeypatch.setattr(specfun, "tail_cut", lambda *args: searches.append(args) or search(*args))
+    cut_calls, cut = [], specfun._Collar.cut
     monkeypatch.setattr(specfun._Collar, "cut", lambda *args: cut_calls.append(args) or cut(*args))
     ells = np.random.default_rng(count).uniform(0.5, 8.0, count)
     hyperbolic_trace(LengthSpectrum.of([(ell, 1) for ell in ells]), 1.0)
-    assert len(searches) == len(cut_calls) >= 1
+    assert len(cut_calls) == 1
 
 
 def _own_cut(ell, mult, c_min, target):
