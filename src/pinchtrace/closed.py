@@ -4,7 +4,7 @@ gamma, the direct count N_w(T), the asymptotic constant c_w(T), the
 error-balancing epsilon and the 50-digit Bessel series oracle are a few
 float (or mpmath) operations each. This module imports neither numpy
 nor any module that does, so a CLI call that runs only these pays for
-no array library at start-up; counting and specfun re-export them.
+no array library at start-up; counting and specfun import what they use.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ m(lambda) (T - lambda)^w, 0^0 = 1. Its degenerating-surface analogue is
 
 with a = T - 1/4, zero for T <= 1/4. As the lengths pinch, G_w(T) =
 c_w(T) sum_k log(1/ell_k) + O(1): c_weight, g_residual, its limit per
-length g_limit, and g_expansion in powers of ell^2. The closed forms
-live in the numpy-free module closed and are re-exported here.
+length g_limit, and g_expansion in powers of ell^2. c_weight and the
+direct count live in the numpy-free module closed.
 
 With nu = w + 1/2, phi(x) = (2 sqrt(a)/x)^nu J_nu(sqrt(a) x) and
 g(x) = phi(x)/sinh(x/2), a length contributes pref S(ell), pref =
@@ -50,26 +50,26 @@ is analytic in |Im z| < 2 pi, and Euler-Maclaurin from x = 0 gives
   + 2 log coth(ell0/4)) >= |R|. R's bound adds the tail, the roundings
   and the remainder bound.
 
-These depend only on (w, T, policy): one cached build serves every
-length, which then costs O(K) float operations, K the least order whose
-bounds meet tol(S); where R's sum misses max_terms the direct route
-serves. R_K grows like (ell sqrt(a)/pi)^2K, so the route certifies up to
-ell of about 0.4 at T = 1, 0.3 at T = 5, 0.12 at T = 100, and none past
-T = 1e7. Before any build a length is tested against a closed-form lower
-bound on E_K ell^2K: 2 phi0 |B_2K| ell^2K e^{3 sqrt(a) r} r^{1-2K} at r =
-min(2, (2K - 1)/(3 sqrt(a))), as the grid's radii are at most 2; where
-no order meets the tolerance of phi0 (ell/sinh(ell/2) + 2 log coth(ell/4))
->= |S(ell)|, the length takes the direct route with nothing built.
+These depend only on (w, T, policy): one cached _BesselSeries per triple
+holds them, its table (c_j, b_k, their rounding bounds and log E_K) built
+on first use and R summed on first need. A length then costs O(K) float
+operations, K the least order whose bounds meet tol(S). Its gate is the
+table's own bound: where E_K ell^2K misses, at every order, the tolerance
+of phi0 (ell/sinh(ell/2) + 2 log coth(ell/4)) >= |S(ell)|, the length takes
+the direct route and R is not summed for it; where R's sum misses max_terms
+the direct route serves too. R_K grows like (ell sqrt(a)/pi)^2K, so the
+route certifies up to ell of about 0.4 at T = 1, 0.3 at T = 5, 0.12 at
+T = 100, and none past T = 1e7.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .closed import _check, balance_epsilon, c_weight, counting_direct, gamma
+from .closed import _check, c_weight, counting_direct, gamma
 from .errors import DomainError, PinchtraceError, TruncationBudgetError
 from .policy import DEFAULT_POLICY, TruncationPolicy
 from .specfun import (
@@ -77,10 +77,7 @@ from .specfun import (
 )
 from .spectrum import PinchingSet, SpectralData
 
-__all__ = [
-    "counting_direct", "c_weight", "g_bessel", "g_sine_form", "g_residual", "g_limit",
-    "g_expansion", "sandwich_check", "balance_epsilon",
-]
+__all__ = ["g_bessel", "g_sine_form", "g_residual", "g_limit", "g_expansion", "sandwich_check"]
 
 # Landau's uniform bounds |J_nu(x)| <= b nu^{-1/3} and <= c x^{-1/3},
 # constants rounded up
@@ -113,11 +110,6 @@ _CSCH = (1.0,) + tuple(
     for k, (num, den) in enumerate(_BERNOULLI, 1)
 )
 _LOG_2 = math.log(2.0)
-# (2K - 1, log |B_2K|, (2K - 1)(1 - log(2K - 1))) from K = J down, so that
-# a deep length passes _may_certify at the first order it tries
-_GATE_ORDERS = tuple(
-    (2 * k - 1, math.log(abs(num / den)), (2 * k - 1) * (1.0 - math.log(2 * k - 1)))
-    for k, (num, den) in reversed(list(enumerate(_BERNOULLI, 1))))
 
 
 def _exp(x: float) -> float:
@@ -146,7 +138,8 @@ def _direct(ells, terms, env, tol, cap: int, charge: bool = True):
         return _ARG_ROUNDING * slope + drift + _rounding(mass, n, own / (mass or 1.0), parts)
 
     ell = np.array(sorted(ells))
-    return _Collar(ell, ell, env).sum(block, tol, rounding, cap, charge)
+    collar = _Collar(ell, ell, env)  # where every term's bound underflows, so does the sum
+    return collar.sum(block, tol, rounding, cap, charge) if collar.log_w > -math.inf else (0.0, 0.0)
 
 
 def _j_envelope(nu: float, x):
@@ -240,23 +233,29 @@ class _BesselSeries:
         """G(x) of the module docstring: term n of a length ell is at most ell e^{-G(n ell)}."""
         h, nu, sa = 0.5 * x, self.nu, self.sa
         if isinstance(x, float):
-            return log_sinh(h) - min(self.log_phi0, nu * math.log(sa / h)
-                                     + math.log(_j_envelope(nu, x * sa)))
+            bessel = _j_envelope(nu, x * sa)
+            if bessel == 0.0:  # x sqrt(a) overflows: so would G
+                return math.inf
+            return log_sinh(h) - min(self.log_phi0, nu * math.log(sa / h) + math.log(bessel))
         return log_sinh(h) - np.minimum(self.log_phi0, nu * np.log(sa / h)
                                         + np.log(_j_envelope(nu, x * sa)))
 
     def expansion(self, ell: float):
         """(S(ell), stated error bound) at the smallest order K whose bound
-        meets tol(S), else at K = J; None where the route cannot run: where
-        _may_certify rules the length out, before anything is built, or where
-        R's direct sum certifies at no ell0."""
+        meets tol(S), else at K = J; None where the route cannot run: where no
+        order's E_K ell^2K meets the tolerance of the envelope of |S(ell)|,
+        before R is summed, or where R's direct sum certifies at no ell0."""
         log_ell = math.log(ell)
-        if not self._may_certify(ell, log_ell):
+        c, b, b_mass, log_rem, rate = self.table
+        ceiling = self._tol(_s_max(self.phi0, ell))
+        for k in range(_LAURENT_TERMS, 0, -1):  # a deep length passes at K = J
+            if _exp(log_rem[k - 1] + 2 * k * log_ell) <= ceiling:
+                break
+        else:
             return None
-        e = _expansion(self.w, self.a, self.policy)
-        if e is None:
+        if self.constant is None:
             return None
-        c, r, r_bound, b, b_mass, log_rem, rate = e
+        r, r_bound = self.constant
         pole = -c[0] * (math.log(-math.expm1(-ell)) + 0.5 * ell)
         s = pole + r
         size = abs(pole) + abs(r)  # of the terms summed so far, for their rounding
@@ -272,18 +271,82 @@ class _BesselSeries:
                 break
         return s, bound
 
-    def _may_certify(self, ell: float, log_ell: float) -> bool:
-        """False where, by the closed-form lower bound on E_K ell^2K of the
-        module docstring, no order can meet the tolerance of the envelope of
-        |S(ell)|."""
-        ceiling = self._tol(_s_max(self.phi0, ell))
-        base, log_3sa, six_sa = self.log_phi0 + _LOG_2, math.log(3.0 * self.sa), 6.0 * self.sa
-        for m, log_b, inner in _GATE_ORDERS:  # m = 2K - 1
-            # e^{3 sqrt(a) r} r^{-m} at r = m/(3 sqrt(a)), or at r = 2 past it
-            x = inner + m * log_3sa if m <= six_sa else six_sa - m * _LOG_2
-            if _exp(log_b + x + base + (m + 1) * log_ell) <= ceiling:
-                return True
-        return False
+    @cached_property
+    def table(self):
+        """(c_0..c_J, b_1..b_J, their rounding bounds, log E_1..E_J, rounding
+        per unit size of the terms pole, R and b_k ell^2k), b_k = (B_2k/2k)(c_k
+        - c_0/(2k)!), |R_K| <= E_K ell^2K. Each sum here adds at most J + 2
+        terms in turn, off by phi0's error, by the recurrence's 2 eps a step,
+        or by the k + 1 roundings of ell^2k."""
+        a, sa, nu, phi0, log_phi0 = self.a, self.sa, self.nu, self.phi0, self.log_phi0
+        J, u0 = _LAURENT_TERMS, self.phi0_ulps()
+        rate = _rounding(1.0, 1, u0 + J / 2 + 3.0, J + 2)
+        # c_j, and the absolute size of the alternating sum behind it
+        p = [phi0]
+        for m in range(1, J + 1):
+            p.append(p[-1] * (-0.25 * a) / (m * (m + nu)))
+        products = [[p[m] * _CSCH[j - m] for m in range(j + 1)] for j in range(J + 1)]
+        c = [2.0 * sum(t) for t in products]
+        mass = [2.0 * sum(map(abs, t)) for t in products]
+
+        b, b_mass = [], []
+        for k, (num, den) in enumerate(_BERNOULLI, 1):
+            tail = c[0] / math.factorial(2 * k)
+            factor = num / (den * 2 * k)
+            b.append(factor * (c[k] - tail))
+            # the k + 1 products behind c_k and c_0's tail, added in turn
+            b_mass.append(_rounding(abs(factor) * (mass[k] + tail), 1,
+                                    u0 + 2 * k + 4, k + 2))
+
+        # bracket(r)/phi0 of the Cauchy estimate, over the radius grid (c_0 = 2 phi0)
+        log_brackets = []
+        for rc in _CAUCHY_RADII:
+            h_max = _exp(3.0 * sa * rc) / math.sin(1.5 * rc) + 2.0 * math.exp(3.0 * rc) / (3.0 * rc)
+            bracket = (2.0 * rc * h_max + 2.0 * _exp(sa * rc) * _log_coth(0.25 * rc)
+                       + 2.0 * math.exp(-rc) * math.log1p(1.0 / rc))
+            log_brackets.append((math.log(rc), math.log(bracket)))
+        log_rem = tuple(
+            math.log(abs(num / den)) + log_phi0 + min(lb - 2 * k * lr for lr, lb in log_brackets)
+            for k, (num, den) in enumerate(_BERNOULLI, 1))
+        return tuple(c), tuple(b), tuple(b_mass), log_rem, rate
+
+    @cached_property
+    def constant(self):
+        """(R, bound on its error), summed on first need; None where R's direct
+        sum certifies at no ell0."""
+        # R = S(ell0) + c_0 log(1 - e^-ell0) + c_0 ell0/2 + sum_k b_k ell0^2k - R_K(ell0),
+        # at the largest ell0 = 2^-m >= 2^-12 whose E_K ell0^2K is a share of tol(R).
+        # No sum is run where that share misses even the tolerance of |offset|
+        # plus phi0 sum_n ell0/sinh(n ell0/2) >= |S(ell0)|.
+        if self.phi0 == 0.0:  # g underflows, and so R
+            return 0.0, 0.0
+        c, b, b_mass, log_rem, _ = self.table
+        u0 = self.phi0_ulps()
+        ell0 = 0.25
+        while ell0 >= _ELL0_MIN:
+            e, order = min((_exp(lr + 2 * k * math.log(ell0)), k)
+                           for k, lr in enumerate(log_rem, 1))
+            powers = [ell0 ** (2 * k) for k in range(1, order + 1)]
+            pole = c[0] * (math.log(-math.expm1(-ell0)) + 0.5 * ell0)
+            offset = pole + sum(bk * pk for bk, pk in zip(b, powers))
+            if e <= _R_SHARE * self._tol(abs(offset) + _s_max(self.phi0, ell0)):
+                try:
+                    s, err = _direct((ell0,), self.terms, self.envelope,
+                                     lambda t: _R_SHARE * self._tol(t + offset),
+                                     self.policy.max_terms, False)
+                except TruncationBudgetError:
+                    return None
+                if e <= _R_SHARE * self._tol(s + offset):
+                    # the b_k ell0^2k added in turn, the pole part's own error, and
+                    # the two additions that make offset and R
+                    small = sum(abs(bk * pk) for bk, pk in zip(b, powers))
+                    err += (e + sum(m * pk for m, pk in zip(b_mass, powers))
+                            + _rounding(small, 1, order / 2 + 1.0, order)
+                            + _rounding(abs(pole), 1, u0 + 2.5)
+                            + _rounding(abs(s) + abs(pole) + small, 1, 0.0, 3))
+                    return s + offset, err
+            ell0 *= 0.5
+        return None
 
 
 def _s_max(phi0: float, ell: float) -> float:
@@ -295,77 +358,8 @@ def _s_max(phi0: float, ell: float) -> float:
     return phi0 * (ell * math.exp(-log_sinh(0.5 * ell)) + 2.0 * _log_coth(0.25 * ell))
 
 
-@lru_cache(maxsize=128)
-def _expansion(w: float, a: float, policy: TruncationPolicy):
-    """(c_0..c_J, R, bound on R, b_1..b_J, their rounding bounds, log E_1..E_J,
-    rounding per unit size of the terms pole, R and b_k ell^2k), b_k =
-    (B_2k/2k)(c_k - c_0/(2k)!), |R_K| <= E_K ell^2K; None when R's direct
-    sum certifies at no ell0. Pure, so one build serves every call. Each
-    sum here adds at most J + 2 terms in turn, off by phi0's error, by the
-    recurrence's 2 eps a step, or by the k + 1 roundings of ell^2k."""
-    series = _BesselSeries(w, a, policy)
-    sa, nu, phi0, log_phi0 = series.sa, series.nu, series.phi0, series.log_phi0
-    J, u0 = _LAURENT_TERMS, series.phi0_ulps()
-    rate = _rounding(1.0, 1, u0 + J / 2 + 3.0, J + 2)
-
-    # c_j, and the absolute size of the alternating sum behind it
-    p = [phi0]
-    for m in range(1, J + 1):
-        p.append(p[-1] * (-0.25 * a) / (m * (m + nu)))
-    products = [[p[m] * _CSCH[j - m] for m in range(j + 1)] for j in range(J + 1)]
-    c = [2.0 * sum(t) for t in products]
-    mass = [2.0 * sum(map(abs, t)) for t in products]
-
-    b, b_mass = [], []
-    for k, (num, den) in enumerate(_BERNOULLI, 1):
-        tail = c[0] / math.factorial(2 * k)
-        factor = num / (den * 2 * k)
-        b.append(factor * (c[k] - tail))
-        # the k + 1 products behind c_k and c_0's tail, added in turn
-        b_mass.append(_rounding(abs(factor) * (mass[k] + tail), 1,
-                                u0 + 2 * k + 4, k + 2))
-
-    # bracket(r)/phi0 of the Cauchy estimate, over the radius grid (c_0 = 2 phi0)
-    log_brackets = []
-    for rc in _CAUCHY_RADII:
-        h_max = _exp(3.0 * sa * rc) / math.sin(1.5 * rc) + 2.0 * math.exp(3.0 * rc) / (3.0 * rc)
-        bracket = (2.0 * rc * h_max + 2.0 * _exp(sa * rc) * _log_coth(0.25 * rc)
-                   + 2.0 * math.exp(-rc) * math.log1p(1.0 / rc))
-        log_brackets.append((math.log(rc), math.log(bracket)))
-    log_rem = tuple(
-        math.log(abs(num / den)) + log_phi0 + min(lb - 2 * k * lr for lr, lb in log_brackets)
-        for k, (num, den) in enumerate(_BERNOULLI, 1))
-
-    # R = S(ell0) + c_0 log(1 - e^-ell0) + c_0 ell0/2 + sum_k b_k ell0^2k - R_K(ell0),
-    # at the largest ell0 = 2^-m >= 2^-12 whose E_K ell0^2K is a share of tol(R).
-    # No sum is run where that share misses even the tolerance of |offset|
-    # plus phi0 sum_n ell0/sinh(n ell0/2) >= |S(ell0)|.
-    if phi0 == 0.0:  # g underflows, and so R
-        return (tuple(c), 0.0, 0.0, tuple(b), tuple(b_mass), log_rem, rate)
-    ell0 = 0.25
-    while ell0 >= _ELL0_MIN:
-        e, order = min((_exp(lr + 2 * k * math.log(ell0)), k) for k, lr in enumerate(log_rem, 1))
-        powers = [ell0 ** (2 * k) for k in range(1, order + 1)]
-        pole = c[0] * (math.log(-math.expm1(-ell0)) + 0.5 * ell0)
-        offset = pole + sum(bk * pk for bk, pk in zip(b, powers))
-        if e <= _R_SHARE * series._tol(abs(offset) + _s_max(phi0, ell0)):
-            try:
-                s, err = _direct((ell0,), series.terms, series.envelope,
-                                 lambda t: _R_SHARE * series._tol(t + offset),
-                                 policy.max_terms, False)
-            except TruncationBudgetError:
-                return None
-            if e <= _R_SHARE * series._tol(s + offset):
-                # the b_k ell0^2k added in turn, the pole part's own error, and
-                # the two additions that make offset and R
-                small = sum(abs(bk * pk) for bk, pk in zip(b, powers))
-                err += (e + sum(m * pk for m, pk in zip(b_mass, powers))
-                        + _rounding(small, 1, order / 2 + 1.0, order)
-                        + _rounding(abs(pole), 1, u0 + 2.5)
-                        + _rounding(abs(s) + abs(pole) + small, 1, 0.0, 3))
-                return (tuple(c), s + offset, err, tuple(b), tuple(b_mass), log_rem, rate)
-        ell0 *= 0.5
-    return None
+# one series per (w, a, policy): every call at a (w, T, policy) shares its table and R
+_series = lru_cache(maxsize=128)(_BesselSeries)
 
 
 def g_bessel(ps, w: float, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
@@ -376,7 +370,7 @@ def g_bessel(ps, w: float, T: float, policy: TruncationPolicy = DEFAULT_POLICY) 
     a = T - 0.25
     if a <= 0.0:
         return 0.0
-    series = _BesselSeries(w, a, policy)
+    series = _series(w, a, policy)
     parts, direct = [], []
     for ell in ps.ells:  # S(ell) by the expansion route where it certifies, else directly
         route = series.expansion(ell)
@@ -408,12 +402,11 @@ def g_limit(w: float, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> fl
         raise DomainError(f"g_limit requires T >= 1/4, got {T}")
     if T == 0.25:
         return 0.0
-    series = _BesselSeries(w, T - 0.25, policy)
-    e = _expansion(w, series.a, policy)
-    if e is None:
+    series = _series(w, T - 0.25, policy)
+    if series.constant is None:
         raise TruncationBudgetError(
             "g_limit: R's direct sum certifies at no length from 1/4 to 2^-12")
-    _, r, r_bound, *_ = e
+    r, r_bound = series.constant
     if not r_bound <= series._tol(r) < math.inf:
         raise TruncationBudgetError(
             f"g_limit bound {series.pref * r_bound:.3e} exceeds tolerance at value "
@@ -435,8 +428,8 @@ def g_expansion(w: float, T: float, order: int,
     a0 = g_limit(w, T, policy)
     if float(T) == 0.25:
         return (0.0,) * (order + 2)
-    series = _BesselSeries(float(w), float(T) - 0.25, policy)
-    c = _expansion(series.w, series.a, policy)[0]
+    series = _series(float(w), float(T) - 0.25, policy)
+    c = series.table[0]
     out = (series.pref * c[0], a0) + tuple(
         -series.pref * c[j] * num / (den * 2 * j)
         for j, (num, den) in enumerate(_BERNOULLI[:order], 1))

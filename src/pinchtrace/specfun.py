@@ -28,10 +28,10 @@ from operator import add
 
 import numpy as np
 
-from .closed import _check_order, bessel_j_oracle, gamma
+from .closed import _check_order, bessel_j_oracle  # read as specfun.bessel_j_oracle
 from .errors import DomainError, TruncationBudgetError
 
-__all__ = ["gamma", "bessel_j", "bessel_j_half", "bessel_j_oracle"]
+__all__ = ["bessel_j", "bessel_j_half"]
 
 _EPS = float(np.finfo(float).eps)
 _LOG_2 = math.log(2.0)
@@ -91,6 +91,8 @@ class _Collar:
         self.ell, self.weight, self.env = ell, weight, env
         self.ell0 = ell0 = float(ell[0])
         self.d0 = -math.expm1(-0.5 * ell0)
+        if self.d0 == 0.0:  # ell_0/2 underflows: no geometric tail bound is finite
+            raise TruncationBudgetError(f"cannot certify tolerance at length {ell0}")
         if ell.size == 1:  # in floats: a one-length call pays for no arrays
             log_w, g = math.log(float(weight[0])), env(ell0)
             self.shell = math.exp(log_w - g)
@@ -109,9 +111,10 @@ class _Collar:
         """(cuts, tail) at the least x = (N + 1) ell_0, N >= 1, with W e^{-G(x)}/
         (1 - e^{-ell_0/2}) <= target: the search runs on the shortest length's
         grid (so one length is cut as on its own), doubling N from a cut known
-        to pass, then bisecting. Raises TruncationBudgetError past cap terms in all."""
+        to pass, then bisecting (a target that underflows passes a vanishing tail
+        only). Raises TruncationBudgetError past cap terms in all."""
         ell0, log_w, env = self.ell0, self.log_w, self.env
-        limit = math.log(target * self.d0)
+        limit = math.log(target * self.d0) if target * self.d0 > 0.0 else -math.inf
         # as G((n + 1) ell_0) >= G(ell_0) + n ell_0/2, this many terms pass;
         # N lies in (lo, n] once n passes
         steps = (self.top - limit) / (0.5 * ell0)
@@ -329,8 +332,12 @@ def _power_over_gamma(nu: float, x):
         y = nu + 1.0
         gam = math.gamma(y) * (1.0 + (nu - (y - 1.0)) * (math.log(y) - 0.5 / y))
         return np.power(x, nu) * (2.0**-nu / gam)
+    try:
+        log_gamma = math.lgamma(nu + 1.0)
+    except OverflowError:  # past nu = 2.5e305 J_nu underflows wherever x^2 <= 2(nu + 1)
+        return np.zeros_like(x)
     with np.errstate(divide="ignore"):
-        return np.exp(nu * (np.log(x) - math.log(2.0)) - math.lgamma(nu + 1.0))
+        return np.exp(nu * (np.log(x) - math.log(2.0)) - log_gamma)
 
 
 def _upward(n: int, x):

@@ -36,7 +36,6 @@ __all__ = [
     "bromwich",
     "weighted_inverse",
     "InversionResult",
-    "DEFAULT_INVERSION_POLICY",
 ]
 
 _GAUSS_NODES = 16  # per panel, embedded in the Kronrod rule's 33

@@ -732,16 +732,33 @@ class TestSubprocess:
         (["residual", "--input", "{tiny}", "--w", "2", "--T", "1"], 0, ""),
         (["gfunc", "--input", "{least}", "--w", "0", "--T", "1"], 0, ""),
         (["residual", "--input", "{least}", "--w", "0", "--T", "1"], 0, ""),
+        # 5e-324/2 underflows: no tail bound of a direct sum is finite
+        (["dtrace", "--input", "{least}", "--t", "1"], 2, "pinchtrace: did not converge"),
+        (["invert", "--input", "{least}", "--w", "2", "--T", "1"], 2,
+         "pinchtrace: did not converge"),
+        (["trace", "--input", "{shortest}", "--t", "1"], 2, "pinchtrace: did not converge"),
+        # tol(R) times 1 - e^{-ell0/2} underflows to 0
+        (["gfunc", "--input", "{short}", "--w", "43.7684217324403", "--T", "0.25000133793834134",
+          "--rel-tol", "1e-6", "--abs-tol", "1e-300"], 2, "pinchtrace: did not converge"),
+        # x sqrt(a) and 2 ell overflow: every term's bound underflows, and G is 0
+        (["gfunc", "--input", "{huge}", "--w", "2", "--T", "1"], 0, ""),
+        (["gfunc", "--input", "{huge}", "--w", "0.1", "--T", "1e8"], 0, ""),
+        # Gamma(p + 1) overflows, and J_p underflows
+        (["bessel", "--p", "3e305", "--x", "0"], 0, ""),
+        (["bessel", "--p", "3e305", "--x", "1"], 0, ""),
     ])
     def test_extreme_arguments_exit_without_traceback(self, tmp_path, argv, code, prefix):
         # an unrepresentable argument is a domain error; values that
         # underflow are the closed form's 0
         docs = {"eig": {"eigenvalues": [{"lambda": 0.0, "multiplicity": 1}], "volume": 1.0},
                 "pinch": {"pinching": [0.1]}, "tiny": {"pinching": [1e-310]},
-                "least": {"pinching": [5e-324]},
+                "least": {"pinching": [5e-324]}, "short": {"pinching": [0.00015]},
+                "huge": {"pinching": [1.7976931348623157e308]},
+                "shortest": {"length_spectrum": [{"length": 5e-324, "multiplicity": 1}]},
                 "sched": {"schedule": {"kind": "explicit", "values": [[0.5]]}}}
         for name, doc in docs.items():
             (tmp_path / name).write_text(json.dumps({"version": 1, **doc}))
+        zero = argv[0] in ("cylinder", "heatkernel", "invert", "bessel") or "{huge}" in argv
         argv = [a.format(**{name: tmp_path / name for name in docs}) for a in argv]
         proc = subprocess.run(self.CMD + argv, capture_output=True, text=True)
         assert proc.returncode == code
@@ -750,7 +767,7 @@ class TestSubprocess:
             assert proc.stderr == ""
             values = [float(v) for v in proc.stdout.splitlines()[1].split(",")]
             assert all(map(math.isfinite, values))
-            if argv[0] in ("cylinder", "heatkernel", "invert"):
+            if zero:
                 assert values[-1] == 0.0
 
     def test_kernel_at_tiny_time_fits_a_double(self):

@@ -30,7 +30,7 @@ from pinchtrace import (
     sandwich_check,
 )
 from pinchtrace import counting, specfun
-from pinchtrace.counting import _BesselSeries, _expansion, _j_envelope
+from pinchtrace.counting import _BesselSeries, _j_envelope, _series
 
 
 def test_counting_examples():
@@ -273,7 +273,7 @@ def _direct(series, ell):
 
 
 def _routes(w, T, ell, policy=DEFAULT_POLICY):
-    series = _BesselSeries(float(w), T - 0.25, policy)
+    series = _series(float(w), T - 0.25, policy)
     em = series.expansion(ell)
     return series, em, _direct(series, ell)[0]
 
@@ -323,16 +323,36 @@ def test_expansion_route_certifies_and_matches_direct_property(w, T, ell):
 def test_expansion_cache_gives_the_cold_build_bit_for_bit():
     cases = [(0.0, 1.0), (2.0, 1.0), (0.7, 1.0), (5.0, 10.0)]
     ells = [2.0**-6, 2.0**-12, 2.0**-24]
-    _expansion.cache_clear()
+    _series.cache_clear()
     cold = [g_bessel(PinchingSet.of([ell]), w, T) for w, T in cases for ell in ells]
     cold_limits = [g_limit(w, T) for w, T in cases]
-    assert _expansion.cache_info().misses == len(cases)
+    assert _series.cache_info().misses == len(cases)
     warm = [g_bessel(PinchingSet.of([ell]), w, T) for w, T in cases for ell in ells]
     assert warm == cold
     assert [g_limit(w, T) for w, T in cases] == cold_limits
-    built = _expansion(0.0, 0.75, DEFAULT_POLICY)
-    _expansion.cache_clear()
-    assert _expansion(0.0, 0.75, DEFAULT_POLICY) == built
+    built = _series(0.0, 0.75, DEFAULT_POLICY)
+    _series.cache_clear()
+    fresh = _series(0.0, 0.75, DEFAULT_POLICY)
+    assert (fresh.table, fresh.constant) == (built.table, built.constant)
+
+
+def test_one_series_serves_every_call_at_a_threshold(monkeypatch):
+    # g_bessel on a deep length, g_limit and g_expansion at one (w, T, policy)
+    # build one series and sum R once, at ell0 = 1/4
+    lengths, real = [], specfun._Collar.sum
+
+    def spy(self, *args, **kwargs):  # the lengths of every collar sum
+        lengths.extend(self.ell.tolist())
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(specfun._Collar, "sum", spy)
+    _series.cache_clear()
+    g = g_bessel(PinchingSet.of([2.0**-12]), 2.0, 1.0)
+    coef = g_expansion(2.0, 1.0, 3)
+    assert g_limit(2.0, 1.0) == coef[1]
+    assert _series.cache_info().misses == 1
+    assert lengths == [0.25]
+    assert g == pytest.approx(coef[0] * 12.0 * math.log(2.0) + coef[1], rel=1e-6)
 
 
 @pytest.mark.parametrize("w,T", [(0.0, 1.0), (2.0, 1.0), (0.7, 1.0), (0.0, 0.5), (0.0, 10.0),
@@ -414,22 +434,30 @@ def test_direct_series_match_their_full_sums(w, T, ell):
     assert abs(got - sine) <= DEFAULT_POLICY.tol(sine) + 1e-15
 
 
+def test_sine_form_at_extreme_lengths():
+    # at 5e-324 half the length underflows, so no tail bound is finite; at the
+    # largest double every term's bound underflows, and so does the sum
+    with pytest.raises(TruncationBudgetError):
+        g_sine_form(PinchingSet.of([5e-324]), 1.0)
+    assert g_sine_form(PinchingSet.of([1.7976931348623157e308]), 1.0) == 0.0
+
+
 def test_em_route_falls_back_when_its_bound_misses():
     # at large T the remainder grows like (ell sqrt(a)/pi)^2K, here with
-    # ell sqrt(a) = 1.7, while R itself is certified: even its closed-form
-    # lower bound misses, at every order, the tolerance of the largest |S|
-    # the envelope allows, so the route gives up with nothing built and the
-    # length takes the direct series
+    # ell sqrt(a) = 1.7, while R itself is certified: the remainder bound
+    # misses, at every order, the tolerance of the largest |S| the envelope
+    # allows, so the route gives up before R is summed and the length takes
+    # the direct series
     ell, w, T = 2.0**-5, 0.0, 3000.0
     series, em, direct = _routes(w, T, ell)
-    assert _expansion(w, T - 0.25, DEFAULT_POLICY)[2] <= 1e-3 * series._tol(direct)
+    assert series.constant[1] <= 1e-3 * series._tol(direct)
     assert em is None
     assert g_bessel(PinchingSet.of([ell]), w, T) == series.pref * direct
 
 
 def test_em_route_falls_back_when_the_summed_bound_misses():
-    # at ell = 0.403, T = 1 the closed-form test passes but the bound at the
-    # summed value misses: the route must still hand the length to the
+    # at ell = 0.403, T = 1 the gate passes but the bound at the summed
+    # value misses: the route must still hand the length to the
     # direct series, never return it
     series, (em, bound), direct = _routes(0.0, 1.0, 0.403)
     assert bound > series._tol(em)
@@ -449,9 +477,8 @@ def test_em_route_serves_every_length_it_certifies():
 
 
 def test_shallow_length_at_large_threshold_builds_nothing(monkeypatch):
-    # ell sqrt(a) = 50: the closed-form lower bound on the remainder shows
-    # that no order can certify, so the one direct sum is the length's own,
-    # not R's at some ell0
+    # ell sqrt(a) = 50: the remainder bound shows that no order can certify,
+    # so the one direct sum is the length's own, not R's at some ell0
     lengths, real = [], specfun._Collar.sum
 
     def spy(self, *args, **kwargs):  # the lengths of every collar sum
@@ -459,26 +486,36 @@ def test_shallow_length_at_large_threshold_builds_nothing(monkeypatch):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(specfun._Collar, "sum", spy)
-    _expansion.cache_clear()
+    _series.cache_clear()
     g_bessel(PinchingSet.of([0.5]), 0.0, 1e4)
     assert lengths == [0.5]
-    assert _expansion.cache_info().misses == 0
+    assert "constant" not in vars(_series(0.0, 1e4 - 0.25, DEFAULT_POLICY))
 
 
 @settings(max_examples=60)
 @given(log_ell=st.floats(math.log(2.0**-20), math.log(4.0)), w=st.floats(0.0, 40.0),
        log_t=st.floats(math.log(0.26), math.log(1e6)))
 def test_gate_passes_every_length_the_remainder_bound_can_serve_property(log_ell, w, log_t):
-    # _may_certify tests a closed-form lower bound on E_K ell^2K; wherever the
-    # grid's own E_K ell^2K meets the tolerance at some order, so must it
+    # the gate tests E_K ell^2K against the tolerance of the envelope of |S|;
+    # wherever it refuses a length, no order's whole bound (E_K ell^2K, R's
+    # bound and the rounding) meets the tolerance of the sum at that order
     ell, T = math.exp(log_ell), math.exp(log_t)
-    series = _BesselSeries(w, T - 0.25, DEFAULT_POLICY)
-    built = _expansion(w, series.a, DEFAULT_POLICY)
-    assume(built is not None)
+    series = _series(w, T - 0.25, DEFAULT_POLICY)
+    c, b, b_mass, log_rem, rate = series.table
     ceiling = series._tol(counting._s_max(series.phi0, ell))
-    exact = any(counting._exp(lr + 2 * k * log_ell) <= ceiling
-                for k, lr in enumerate(built[5], 1))
-    assert series._may_certify(ell, log_ell) or not exact
+    assume(not any(counting._exp(lr + 2 * k * log_ell) <= ceiling
+                   for k, lr in enumerate(log_rem, 1)))
+    assert series.expansion(ell) is None
+    assume(series.constant is not None)
+    r, r_bound = series.constant
+    pole = -c[0] * (math.log(-math.expm1(-ell)) + 0.5 * ell)
+    s, size, rounding, power = pole + r, abs(pole) + abs(r), r_bound, 1.0
+    for k, lr in enumerate(log_rem, 1):
+        power *= ell * ell
+        s -= b[k - 1] * power
+        size += abs(b[k - 1] * power)
+        rounding += b_mass[k - 1] * power
+        assert not counting._exp(lr + 2 * k * log_ell) + rounding + rate * size <= series._tol(s)
 
 
 @settings(max_examples=40)
@@ -743,8 +780,8 @@ def test_g_limit_certifies_at_a_zero_of_the_limit():
     assert abs(got) < 1e-12
     ref, ref_tol = _limit_reference(0.0, _R_ZERO_T)
     assert abs(got - ref) <= DEFAULT_POLICY.tol(got) + ref_tol
-    series = _BesselSeries(0.0, _R_ZERO_T - 0.25, DEFAULT_POLICY)
-    r_bound = _expansion(0.0, series.a, DEFAULT_POLICY)[2]
+    series = _series(0.0, _R_ZERO_T - 0.25, DEFAULT_POLICY)
+    r_bound = series.constant[1]
     assert series.pref * r_bound <= 0.95 * DEFAULT_POLICY.abs_tol
 
 
@@ -775,7 +812,7 @@ def test_expansion_build_halves_ell0_when_the_sum_shows_a_smaller_tolerance(monk
 
     monkeypatch.setattr(specfun._Collar, "sum", spy)
     series = _BesselSeries(0.0, 4.020151088846724 - 0.25, DEFAULT_POLICY)
-    _, r, r_bound, *_ = _expansion.__wrapped__(0.0, series.a, DEFAULT_POLICY)
+    r, r_bound = series.constant
     assert lengths == [0.25, 0.125]
     assert r_bound <= 5e-5 * series._tol(r)
 
@@ -790,7 +827,7 @@ def test_expansion_build_sums_nothing_where_no_length_can_serve(monkeypatch):
         return real(n, x)
 
     monkeypatch.setattr(counting, "bessel_j_half", counted)
-    assert _expansion.__wrapped__(0.0, 1e8 - 0.25, DEFAULT_POLICY) is None
+    assert _BesselSeries(0.0, 1e8 - 0.25, DEFAULT_POLICY).constant is None
     assert calls == []
     with pytest.raises(TruncationBudgetError, match="no length"):
         g_limit(0.0, 1e8)
@@ -800,7 +837,7 @@ def test_expansion_build_sums_nothing_where_no_length_can_serve(monkeypatch):
 def test_expansion_route_serves_deep_lengths_at_large_threshold():
     # the direct route would need about 36/ell = 2.4e6 terms here
     ell, T = 2.0**-16, 5000.0
-    series = _BesselSeries(0.0, T - 0.25, DEFAULT_POLICY)
+    series = _series(0.0, T - 0.25, DEFAULT_POLICY)
     em, bound = series.expansion(ell)
     assert bound <= series._tol(em)
     assert g_bessel(PinchingSet.of([ell]), 0.0, T) == series.pref * em

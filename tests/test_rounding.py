@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from pinchtrace import counting, specfun, trace, xform
-from pinchtrace.counting import _expansion
 from pinchtrace.policy import DEFAULT_POLICY
 from pinchtrace.specfun import _rounding
 
@@ -212,7 +211,7 @@ def test_series_sum_charges_its_blocks(monkeypatch, charge):
 def test_expansion_route_charges_its_sum_in_turn():
     # S(ell) = pole + R - sum_k b_k ell^2k, added one term at a time: the
     # build's rate per unit size covers J + 2 adversarial terms
-    rate = _expansion(2.0, 0.75, DEFAULT_POLICY)[-1]
+    rate = counting._series(2.0, 0.75, DEFAULT_POLICY).table[-1]
     a = [1.0] + [_DELTA] * (counting._LAURENT_TERMS + 1)
     s = a[0] + a[1]
     for t in a[2:]:

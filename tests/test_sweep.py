@@ -159,7 +159,7 @@ class TestSeriesCost:
             return kernel(n, x)
 
         monkeypatch.setattr(counting, "bessel_j_half", counted)
-        counting._expansion.cache_clear()
+        counting._series.cache_clear()
         res = run_sweep(Schedule.geometric(2.0**-12, 0.5, rows), 2.0, 1.0)
         assert all(row.error is None for row in res.rows)
         return sum(points)
