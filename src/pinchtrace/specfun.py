@@ -82,7 +82,8 @@ class _Collar:
     """sum_i sum_{n>=1} term(n, ell_i) over lengths ell_i (an ascending array),
     |term(n, ell_i)| <= weight_i e^{-G(n ell_i)}, G = env (floats or arrays)
     with G(x + ell) >= G(x) + ell/2, cut at one x = (N + 1) ell_0: each length
-    keeps its terms with n ell < x (one at least), and the tails add up to at
+    keeps its terms with n ell < x (one at least where its n = 1 bound does not
+    underflow), and the tails add up to at
     most W e^{-G(x)}/(1 - e^{-ell_0/2}), W = sum weight_i (1 - e^{-ell_0/2})/
     (1 - e^{-ell_i/2}) over the lengths whose n = 1 bound does not underflow.
     shell is the n = 1 bounds' sum, mass that of their geometric sums."""
@@ -99,12 +100,14 @@ class _Collar:
             self.log_w = log_w if self.shell > 0.0 else -math.inf
             self.mass, self.top = self.shell / self.d0, self.log_w - g
             return
-        d = -np.expm1(-0.5 * ell)
+        d = -np.expm1(-0.5 * ell)  # subnormal where ell is: first/d may pass the doubles
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             first = np.exp(np.log(weight) - env(ell))
-        w = float((weight * (self.d0 / d))[first > 0.0].sum())  # a NaN bound has no share
+            self.mass = float((first / d).sum())
+        self.live = first > 0.0  # a NaN bound has no share
+        w = float((weight * (self.d0 / d))[self.live].sum())
         self.log_w = math.log(w) if w > 0.0 else -math.inf
-        self.shell, self.mass = float(first.sum()), float((first / d).sum())
+        self.shell = float(first.sum())
         self.top = self.log_w - env(ell0)  # log W e^{-G(ell_0)}
 
     def cut(self, target: float, cap: int):
@@ -130,7 +133,7 @@ class _Collar:
         tail = math.exp(log_w - env((n + 1) * ell0)) / self.d0
         if self.ell.size == 1:
             return np.array([n]), tail
-        cuts = np.maximum(np.ceil((n + 1) * (ell0 / self.ell)).astype(int) - 1, 1)
+        cuts = np.maximum(np.ceil((n + 1) * (ell0 / self.ell)).astype(int) - 1, self.live)
         if cuts.sum() > cap:
             raise TruncationBudgetError(
                 f"cannot certify tolerance within {cap} terms (length {ell0})")
@@ -447,13 +450,14 @@ def _jv(nu: float, x):
 
     The ascending series where x^2 <= 2(nu + 1); Hankel's expansion at
     the order mu = nu - round(nu) and mu + 1, then upward recurrence, where
-    x >= 25 and x >= nu; Miller's backward recurrence everywhere else.
+    x >= 25 and x >= nu; 0 where J's bound underflows, and Miller's
+    backward recurrence everywhere else.
     """
     k = math.floor(nu + 0.5)
     mu = nu - k
     out = np.full_like(x, np.nan)
-    with np.errstate(over="ignore"):  # x^2 = inf is not near
-        near = x * x <= 2.0 * (nu + 1.0)
+    with np.errstate(over="ignore"):  # x^2 = inf is not near (2(nu + 1) is inf past 9e307)
+        near = 0.5 * (x * x) <= nu + 1.0
     xn = x[near]
     out[near] = _power_over_gamma(nu, xn) * ascending_series(nu, xn)
     if near.all():
@@ -467,6 +471,9 @@ def _jv(nu: float, x):
             a, b = b, (2.0 * (mu + m) / xf) * b - a
         out[far] = b if k else a
     mid = ~(near | far) & (x < np.inf)
+    if nu > 1.0:  # |J_nu(x)| <= (x/2)^nu/nu! <= (e x/2nu)^nu (DLMF 10.14.4), below 2^-1075 here
+        gone = mid & (x < 2.0 / math.e * nu * 2.0 ** (-1075.0 / nu))
+        out[gone], mid = 0.0, mid & ~gone
     if mid.any():
         out[mid] = _miller(mu, k, x[mid])
     return out

@@ -19,21 +19,18 @@ and y = (n ell)^2, goes one of two routes per call:
   node, and the other's oracle.
 - Taylor: S is entire in v, so it is expanded once about a centre v0 and
   evaluated at every node by Horner in (v0 - v)/rho, rho the largest
-  |v - v0|, K multiply-adds a node whatever ell is. The centre is that
-  of the v's bounding box, and where that fails or needs more terms,
-  1/(8 min Re z), as Re z >= a maps into |v - 1/8a| <= 1/8a. A box
-  whose rho and |v0| reach 1/8a and whose rho reaches Re v0 bounds every
-  term of the disc's truncation and rounding from above, so it is not
-  built. The n-cut takes half the target, the truncation after K terms,
-  sum c e^{y (rho - Re v0)} P(K, y rho) (P the regularized lower
-  incomplete gamma function), and the rounding of the build and of
-  Horner's steps the other half.
+  |v - v0|, K multiply-adds a node whatever ell is. One centre a block
+  (_centre): that of the v's bounding box, or 1/(8 min Re z) where the
+  box cannot need fewer orders. The n-cut takes half the target, the
+  truncation after K terms, sum c e^{y (rho - Re v0)} P(K, y rho) (P the
+  regularized lower incomplete gamma function), and the rounding of the
+  build and of Horner's steps the other half.
 
 Both roundings are specfun._rounding's. A call takes the Taylor route when
 K (nodes + terms) < _COST_RATIO (direct terms) (nodes) and its bound
-holds. Where no centre certifies within that cost, a block of at least
-_SPLIT_NODES nodes and _SPLIT_TERMS direct terms is halved along Im z,
-and each half planned as a call of its own: a narrower block needs fewer
+holds. Where its centre does not certify within that cost, a block of at
+least _SPLIT_NODES nodes and _SPLIT_TERMS direct terms is halved along
+Im z, and each half planned as a call of its own: a narrower block needs fewer
 orders about its box centre. So real scalars and small arrays are summed
 directly, bit for bit; on a contour block a node's value depends on the
 other nodes of the call, within the certified tolerance. Every evaluator
@@ -69,11 +66,7 @@ _N_CHUNK = 512
 _COST_RATIO = 4.0
 _TAYLOR_TERMS_MAX = 1 << 19  # the Taylor route keeps ~10 floats per term: ~50 MB
 _EPS = float(np.finfo(float).eps)
-# |t_i| and the real w_i = e^{log c_i + y_i (rho - Re v0)} differ by eps times
-# their exponents' terms, far below 1%: a test on w_i this far past budget
-# holds on |t_i| too
-_REJECT_MARGIN = 1.01
-_SPLIT = "split"  # _taylor_sum's answer where no centre certifies within the cost
+_SPLIT = "split"  # _taylor_sum's answer where its centre does not certify within the cost
 # a block of fewer nodes, or of fewer direct terms (about 0.7 ms at 20 ns a
 # term), is summed directly rather than halved: planning each half costs
 # 30-150 us, and the halves may be summed directly all the same
@@ -138,7 +131,7 @@ def _taylor_sum(collar, zs: np.ndarray, target: float, cap: int, max_cost: float
     """The series at every node from one Taylor expansion in v = 1/4z, None or
     _SPLIT. Half the target goes to the n-cut, half to the truncation and
     rounding of the expansion. None when the n-cut passes cap or
-    _TAYLOR_TERMS_MAX; _SPLIT when no centre certifies in fewer than
+    _TAYLOR_TERMS_MAX; _SPLIT when its centre does not certify in fewer than
     max_cost / (nodes + terms) orders, so that only a narrower block may."""
     try:
         cuts, _ = collar.cut(0.5 * target, min(cap, _TAYLOR_TERMS_MAX))
@@ -151,15 +144,10 @@ def _taylor_sum(collar, zs: np.ndarray, target: float, cap: int, max_cost: float
     # and the Horner steps overflow, and such nodes' values are not finite
     with np.errstate(over="ignore", invalid="ignore"):
         y, v = x**2, 0.25 / zs
-    k_max = int(max_cost / (zs.size + y.size))
-    found = None
-    for v0, rho in _centres(v, float(zs.real.min())):
-        coeffs = _coefficients(log_c, y, v0, rho, 0.5 * target, k_max)
-        if coeffs:
-            found, k_max = (v0, rho, coeffs), len(coeffs) - 1
-    if found is None:
+    v0, rho = _centre(v, float(zs.real.min()))
+    coeffs = _coefficients(log_c, y, v0, rho, 0.5 * target, int(max_cost / (zs.size + y.size)))
+    if not coeffs:
         return _SPLIT
-    v0, rho, coeffs = found
     total = np.full_like(zs, coeffs[-1])
     with np.errstate(over="ignore", invalid="ignore"):
         q = (v0 - v) / rho
@@ -169,22 +157,18 @@ def _taylor_sum(collar, zs: np.ndarray, target: float, cap: int, max_cost: float
     return total
 
 
-def _centres(v: np.ndarray, a: float) -> list:
-    """The centres (v0, rho) to try for the nodes' v = 1/4z, Re z >= a, in turn.
-
-    The bounding-box centre is tight on a narrow band; Re z >= a maps into
-    the disc |v - 1/8a| <= 1/8a, so centred there no term ever grows. As
-    that rho <= 1/8a, a box with rho >= 1/8a, rho >= Re v0 and |v0| >= 1/8a
-    has every x_i, w_i and rounding charge of _coefficients at least the
-    disc's: it needs no fewer orders and is not tried.
-    """
+def _centre(v: np.ndarray, a: float) -> tuple:
+    """The centre (v0, rho) for the nodes' v = 1/4z, Re z >= a: the bounding
+    box's, tight on a narrow band, unless its rho >= 1/8a, rho >= Re v0 and
+    |v0| >= 1/8a. Then every x_i, w_i and rounding charge of _coefficients is
+    at least that of the disc |v - 1/8a| <= 1/8a, into which Re z >= a maps
+    (rho <= 1/8a about 1/8a, where no term grows), and 1/8a is taken."""
     box = complex(0.5 * (v.real.min() + v.real.max()), 0.5 * (v.imag.min() + v.imag.max()))
     disc = complex(0.125 / a)
     rho_box = float(np.max(np.abs(v - box)))
-    centres = [(disc, float(np.max(np.abs(v - disc))))]
-    if not (rho_box >= max(disc.real, box.real) and abs(box) >= disc.real):
-        centres.insert(0, (box, rho_box))
-    return centres
+    if rho_box >= max(disc.real, box.real) and abs(box) >= disc.real:
+        return disc, float(np.max(np.abs(v - disc)))
+    return box, rho_box
 
 
 def _coefficients(log_c, y, v0: complex, rho: float, budget: float, k_max: int):
@@ -213,11 +197,6 @@ def _coefficients(log_c, y, v0: complex, rho: float, budget: float, k_max: int):
     log_w = log_c + y * (rho - v0.real)
     if not float(np.max(log_w)) < math.log(budget / _EPS):
         return []
-    # P(K, x) > 1/2 for x >= K (a Gamma(K) law's median is below K): such terms
-    # alone fail. Tested first on the real w_i, a few ulps from |t_i|, with a
-    # margin, it rejects only what the test below on |t_i| would
-    if 0.5 * float(np.sum(np.exp(log_w[x >= k_max]))) > _REJECT_MARGIN * budget:
-        return []
     # B_k = sum_i t_i e^{-x_i} x_i^k/k! with t_i = c_i e^{-y_i v0 + x_i} and
     # |t_i| = w_i; the Poisson factors are at most 1, so nothing overflows
     t = np.exp(log_c - y * v0 + x)
@@ -227,7 +206,8 @@ def _coefficients(log_c, y, v0: complex, rho: float, budget: float, k_max: int):
     # their sizes each; its exponential and modulus add 1.5 eps
     own = float(np.sum(w * (np.abs(log_c) + 1.5 * y * abs(v0) + 0.5 * x + 1.5))) / (mass or 1.0)
     allowance = 4.0 * _rounding(mass, y.size, own + 1.5 * np.arange(k_max + 1.0))
-    # past this order the allowance alone fails
+    # past this order the allowance alone fails; P(K, x) > 1/2 for x >= K (a
+    # Gamma(K) law's median is below K): such terms alone fail
     k_max = min(k_max, int(np.searchsorted(allowance, budget, side="right")) - 1)
     if k_max < 1 or 0.5 * float(np.sum(w[x >= k_max])) > budget:
         return []
@@ -290,7 +270,7 @@ def _halves(entries, zs: np.ndarray, terms: int, policy: TruncationPolicy):
 
 def _geodesic_sum(entries, zs: np.ndarray, policy: TruncationPolicy) -> np.ndarray:
     """Cut series at every node, by Taylor expansion when that is cheaper, a
-    block that no centre certifies within that cost halved along Im z."""
+    block whose centre does not certify within that cost halved along Im z."""
     collar, target, cap = _plan(entries, zs, policy)
     cut = collar.cut(target, cap)
     if zs.size > 1:  # one node is its own centre: the expansion is the direct sum
@@ -331,14 +311,22 @@ def degenerating_trace(ps, z, policy: TruncationPolicy = DEFAULT_POLICY):
 def spectral_trace(sd: SpectralData, z):
     """Finite eigenvalue sum sum_n m_n e^{-lambda_n z}, Re z > 0.
 
-    The supplied list is the model spectrum; no tail is estimated.
-    """
+    The supplied list is the model spectrum; no tail is estimated. A term whose
+    modulus underflows adds exactly 0, one whose phase lambda Im z overflows raises."""
     if not isinstance(sd, SpectralData):
         sd = SpectralData.of(sd)
     zs = _as_nodes(z)
     total = np.zeros_like(zs)
-    for lam, mult in sd.eigenvalues:
-        total += mult * np.exp(-lam * zs)
+    top = float(np.max(np.abs(zs.imag)))  # no lambda Im z overflows unless lambda top does
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lam, mult in sd.eigenvalues:
+            term = np.exp(-lam * zs)
+            if lam * top == math.inf:  # NaN where lambda Im z overflowed
+                lost = ~np.isfinite(term)
+                if np.any(np.exp(-lam * zs.real[lost]) > 0.0):
+                    raise DomainError(f"eigenvalue {lam} times Im z passes the largest double")
+                term[lost] = 0.0  # where the modulus underflows
+            total += mult * term
     return _give_back(total, z)
 
 

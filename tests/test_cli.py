@@ -283,13 +283,24 @@ class TestMainInProcess:
         (["residual", "--input", "{tiny}", "--w", "2", "--T", "1"], None),
         (["gfunc", "--input", "{least}", "--w", "0", "--T", "1"], None),
         (["residual", "--input", "{least}", "--w", "0", "--T", "1"], None),
+        # (e x/2p)^p underflows: J_p(x) is 0 with no recurrence run
+        (["bessel", "--p", "3e305", "--x", "1e200"],
+         ["2.9999999999999998e+305", "9.9999999999999997e+199", "0"]),
+        # lambda Im z overflows where e^{-lambda Re z} underflows: that term adds 0
+        (["strace", "--input", "{eig}", "--t", "1", "--s", "1e300"],
+         ["1", "1.0000000000000001e+300", "1", "0"]),
+        # lambda Im z overflows where e^{-lambda Re z} does not: no phase
+        (["strace", "--input", "{eig}", "--t", "1e-300", "--s", "1e10"],
+         "pinchtrace: error: eigenvalue 1e+300 times Im z passes the largest double\n"),
     ])
     def test_extreme_arguments_leak_no_runtime_warning(self, tmp_path, capsys, argv, row):
         # a RuntimeWarning is an error under the test configuration, so an
         # overflow in numpy fails the call rather than reaching stderr
         docs = {"long": {"length_spectrum": [{"length": 1e300, "multiplicity": 1}]},
                 "pinch": {"pinching": [0.1]}, "tiny": {"pinching": [1e-310]},
-                "least": {"pinching": [5e-324]}}
+                "least": {"pinching": [5e-324]},
+                "eig": {"eigenvalues": [{"lambda": 0.0, "multiplicity": 1},
+                                        {"lambda": 1e300, "multiplicity": 1}], "volume": 1.0}}
         for name, doc in docs.items():
             (tmp_path / name).write_text(json.dumps({"version": 1, **doc}))
         code = main([a.format(**{name: tmp_path / name for name in docs}) for a in argv])
@@ -305,6 +316,29 @@ class TestMainInProcess:
             assert 0.0 < abs(float(got[2])) <= math.sqrt(2.0 / (math.pi * 1e300))
         else:
             assert all(math.isfinite(float(v)) for v in got)
+
+    def test_lengths_at_both_ends_of_the_doubles_leak_no_runtime_warning(self, tmp_path, capsys):
+        # 1 - e^{-ell/2} is subnormal at 1e-310, and the n = 1 bound of 10000 underflows
+        f = tmp_path / "mixed.json"
+        f.write_text(json.dumps({"version": 1, "pinching": [0.1, 1e-310, 10000]}))
+        code = main(["dtrace", "--input", str(f), "--t", "0.5", "--max-terms", "100"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("pinchtrace: did not converge: cannot certify tolerance "
+                                "within 100 terms (length 1e-310)\n")
+
+    def test_spectral_inversion_at_tiny_time_leaks_no_runtime_warning(self, tmp_path, capsys):
+        # lambda Re z overflows on the contour Re z = 1/T for lambda = 1e300
+        f = tmp_path / "eig.json"
+        f.write_text(json.dumps({"version": 1, "volume": 1.0, "eigenvalues": [
+            {"lambda": 0.0, "multiplicity": 1}, {"lambda": 1e300, "multiplicity": 1}]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", pinchtrace.UncertifiedTailWarning)  # w = 0
+            code = main(["invert", "--input", str(f), "--w", "0", "--T", "1e-300"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("pinchtrace: did not converge: bromwich: quadrature budget")
+        assert captured.err.count("\n") == 1
 
     def test_sweep_header_contract(self, tmp_path, capsys):
         f = tmp_path / "s.json"

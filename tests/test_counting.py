@@ -442,6 +442,17 @@ def test_sine_form_at_extreme_lengths():
     assert g_sine_form(PinchingSet.of([1.7976931348623157e308]), 1.0) == 0.0
 
 
+def test_length_whose_bound_underflows_keeps_no_term():
+    # next to a shorter length, the largest double's n = 1 bound underflows and
+    # its n ell sqrt(a) would pass the doubles: the sum is the shorter one's
+    huge = 1.7976931348623157e308
+    for call, ell in ((lambda ps: g_bessel(ps, 2.0, 1e8), 0.5),
+                      (lambda ps: g_sine_form(ps, 1e8), 1.0)):
+        alone = call(PinchingSet.of([ell]))
+        assert call(PinchingSet.of([ell, huge])) == pytest.approx(
+            alone, rel=DEFAULT_POLICY.rel_tol, abs=DEFAULT_POLICY.abs_tol)
+
+
 def test_em_route_falls_back_when_its_bound_misses():
     # at large T the remainder grows like (ell sqrt(a)/pi)^2K, here with
     # ell sqrt(a) = 1.7, while R itself is certified: the remainder bound

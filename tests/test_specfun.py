@@ -332,6 +332,14 @@ def test_kronrod_extends_the_sixteen_point_rule():
         assert abs(math.fsum(terms) - exact) <= 4.0 * _EPS * math.fsum(np.abs(terms))
 
 
+
+@pytest.mark.parametrize("p, x", [(3e305, 1e200), (1e300, 1e299), (400.3, 30.0), (1e308, 1e200)])
+def test_bessel_j_is_zero_where_its_bound_underflows(p, x):
+    # |J_p(x)| <= (e x/2p)^p (DLMF 10.14.4) is below 2^-1075: 0 before any
+    # recurrence (mpmath gives 9.1e-400 at p = 400.3); at p = 1e308, 2(p + 1)
+    # overflows, and x^2 = inf lies past it
+    assert bessel_j(p, x) == 0.0
+
 @pytest.mark.parametrize("x", [1e308, 1.7e308])
 @pytest.mark.parametrize("p", [-0.5, 0.0, 0.5, 1.2, 1.5])
 def test_bessel_j_near_the_largest_double(p, x):

@@ -245,6 +245,16 @@ def test_spectral_trace_examples():
     assert got == pytest.approx(want, rel=1e-15)
 
 
+def test_spectral_terms_past_the_doubles():
+    sd = SpectralData.of([(0.0, 1), (1e300, 1)])
+    # lambda Im z overflows, but e^{-lambda Re z} underflows: the term adds 0
+    assert spectral_trace(sd, 1.0 + 1e300j) == 1.0
+    got = spectral_trace(sd, np.array([1.0 + 1e300j, 1e-300 + 1e8j]))
+    assert got[0] == 1.0 and got[1] == 1.0 + cmath.exp(complex(-1e300 * 1e-300, -1e300 * 1e8))
+    with pytest.raises(DomainError, match="passes the largest double"):  # e^{-1}: no phase
+        spectral_trace(sd, 1e-300 + 1e10j)
+
+
 def test_spectral_trace_real_for_real_time():
     sd = SpectralData.of([(0.0, 1), (0.3, 2)])
     assert isinstance(spectral_trace(sd, 1.5), float)
@@ -370,8 +380,8 @@ def test_skipped_box_centre_never_needs_fewer_orders(a, doublings, entries):
     x = n * ell
     log_c, y = np.log(mell) - specfun.log_sinh(0.5 * x), x**2
     v = 0.25 / zs
-    (disc, rho_disc), *kept = trace._centres(v, a)[::-1]
-    if kept:  # the box centre is tried
+    disc, rho_disc = trace._centre(v, a)
+    if disc != 0.125 / a:  # the box centre is taken
         return
     box = complex(0.5 * (v.real.min() + v.real.max()), 0.5 * (v.imag.min() + v.imag.max()))
     at_box = trace._coefficients(log_c, y, box, float(np.max(np.abs(v - box))),
@@ -382,7 +392,7 @@ def test_skipped_box_centre_never_needs_fewer_orders(a, doublings, entries):
 
 @pytest.mark.parametrize("ell", [0.3, 0.01])
 def test_first_band_builds_one_expansion(ell, monkeypatch):
-    # on [0, 16/a] the box centre cannot win, so only the disc's is built
+    # on [0, 16/a] the disc centre is the one centre, and it certifies
     calls = []
     build = trace._coefficients
     monkeypatch.setattr(trace, "_coefficients", lambda *args: calls.append(args) or build(*args))
@@ -390,6 +400,31 @@ def test_first_band_builds_one_expansion(ell, monkeypatch):
     total = trace._geodesic_sum(((ell, 1),), 1.0 + 1j * s, DEFAULT_POLICY)
     assert len(calls) == 1 and calls[0][2] == 0.125
     assert np.array_equal(total, _routes(((ell, 1),), 1.0 + 1j * s)[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_BLOCKS)
+# the first band [0, 16/T] of an inversion on Re z = a = (w + 1)/T is [0, 16/a]
+# at T = a; at w = 5, a = sqrt 6, the band is narrow next to a
+@example(a=math.sqrt(6.0), doublings=-1, entries=[(0.01, 1)])
+def test_each_taylor_sum_builds_at_most_one_expansion(a, doublings, entries):
+    builds = []  # the expansions of each _taylor_sum call, a split block's halves' calls too
+    expand, build = trace._taylor_sum, trace._coefficients
+
+    def counted_expand(*args):
+        builds.append(0)
+        return expand(*args)
+
+    def counted_build(*args):
+        builds[-1] += 1
+        return build(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trace, "_taylor_sum", counted_expand)
+        patch.setattr(trace, "_coefficients", counted_build)
+        trace._geodesic_sum(LengthSpectrum.of(entries).entries, _band(a, doublings),
+                            DEFAULT_POLICY)
+    assert max(builds, default=0) <= 1
 
 
 def _direct_sizes(monkeypatch):
@@ -403,8 +438,8 @@ def _direct_sizes(monkeypatch):
 
 @pytest.mark.parametrize("a", [0.02, 0.05])
 def test_large_t_bands_are_expanded(a, monkeypatch):
-    # near the real axis at small a no centre certifies a whole band; its
-    # halves, each planned as its own call, do
+    # near the real axis at small a a whole band's centre does not certify;
+    # its halves, each planned as its own call, do
     entries = ((0.01, 1),)
     blocks = []
 
