@@ -32,6 +32,13 @@ moves a term by at most 2^-51 ell/sinh(n ell/2) min(phi0 x^2/(2 nu + 2),
 That and the sum's rounding (specfun._rounding, with the kernel's
 _J_ULPS and the factors' errors) join the tail; a sum raises where they
 alone exceed the tolerance (at w = 0 from about T = 1e12, ell = 0.05).
+They are charged a priori first: a term's |x d/dx| and size are within
+factors of its envelope fixed by the largest n ell sqrt(a), its own error
+within the ulps at the ends of the n ell range, and the collar's geometric
+mass sum_k ell_k e^{-G(ell_k)}/(1 - e^{-ell_k/2}) bounds the envelopes'
+sum. Only where that misses half the room left by the tail (a cancelling
+sum at large T) are the per-term bounds built; the value and the cut are
+the per-term charge's either way.
 
 Expansion route. With x g(x) = sum_{j<=24} c_j x^2j, h = g - c_0 e^{-x}/x
 is analytic in |Im z| < 2 pi, and Euler-Maclaurin from x = 0 gives
@@ -53,19 +60,26 @@ is analytic in |Im z| < 2 pi, and Euler-Maclaurin from x = 0 gives
 These depend only on (w, T, policy): one cached _BesselSeries per triple
 holds them, its table (c_j, b_k, their rounding bounds and log E_K) built
 on first use and R summed on first need. A length then costs O(K) float
-operations, K the least order whose bounds meet tol(S). Its gate is the
-table's own bound: where E_K ell^2K misses, at every order, the tolerance
-of phi0 (ell/sinh(ell/2) + 2 log coth(ell/4)) >= |S(ell)|, the length takes
-the direct route and R is not summed for it; where R's sum misses max_terms
-the direct route serves too. R_K grows like (ell sqrt(a)/pi)^2K, so the
-route certifies up to ell of about 0.4 at T = 1, 0.3 at T = 5, 0.12 at
-T = 100, and none past T = 1e7.
+operations, K the least order whose bounds meet tol(S), and one
+certification: where no order's bound meets it, the direct route serves.
+Its gate is one comparison, ell <= ell_star. Where E_K ell^2K misses, at
+every order, the tolerance of phi0 (ell/sinh(ell/2) + 2 log coth(ell/4))
+>= |S(ell)|, no order can certify, so the length takes the direct route
+and R is not summed for it. Each E_K ell^2K rises with ell and that
+tolerance does not, so the lengths the gate passes are those up to
+ell_star, which the table finds once, in about eight evaluations of the
+24-order test: secant steps on log ell, then steps of an ulp. Where R's sum
+misses max_terms the direct route serves too. R_K grows like (ell
+sqrt(a)/pi)^2K, so the route certifies up to ell of about 0.4 at T = 1,
+0.3 at T = 5, 0.12 at T = 100, and none past T = 1e7.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from functools import cached_property, lru_cache
+from operator import add
 
 import numpy as np
 
@@ -73,7 +87,7 @@ from .closed import _check, c_weight, counting_direct, gamma
 from .errors import DomainError, PinchtraceError, TruncationBudgetError
 from .policy import DEFAULT_POLICY, TruncationPolicy
 from .specfun import (
-    _Collar, _j_ulps, _rounding, ascending_series, bessel_j, bessel_j_half, log_sinh,
+    _BLOCK, _Collar, _j_ulps, _rounding, ascending_series, bessel_j, bessel_j_half, log_sinh,
 )
 from .spectrum import PinchingSet, SpectralData
 
@@ -91,6 +105,9 @@ _ARG_ROUNDING = 2.0**-51  # relative rounding of x = n ell sqrt(a): three roundi
 _LOG_POWER_MAX = 600.0      # a larger power leaves J_nu too close to underflow
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
 _ELL_TINY = 1.2e-308  # _s_max's closed form overflows below about 1.1e-308
+_SECANT_STEPS = 8  # ell_star's secant steps before the gate's own search
+_DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
+_BITS_INF = 0x7FF0000000000000  # inf's bits: a positive double's bits order as it does
 
 # Bernoulli numbers B_2, B_4, ..., B_48
 _BERNOULLI = (
@@ -117,24 +134,76 @@ def _exp(x: float) -> float:
     return math.exp(x) if x <= _LOG_DBL_MAX else math.inf
 
 
+def _bits(x: float) -> int:
+    return _INT64.unpack(_DOUBLE.pack(x))[0]
+
+
+def _double(bits: int) -> float:
+    return _DOUBLE.unpack(_INT64.pack(bits))[0]
+
+
 def _log_coth(y: float) -> float:
     return math.log1p(math.exp(-2.0 * y)) - math.log(-math.expm1(-2.0 * y))
 
 
-def _direct(ells, terms, env, tol, cap: int, charge: bool = True):
+def _direct(ells, terms, env, tol, cap: int, charge: bool = True, bounds=None):
     """The _Collar sum over the lengths ells, weights ell, of terms(ell, n) ->
     (terms, bounds on |x d/dx| of each in its argument x, on their sizes, on
     their own errors in eps), charged the argument's rounding and np.sum's
-    of each block, or (charge False) each block's np.sum against fsum."""
+    of each block, or (charge False) each block's np.sum against fsum.
+
+    With bounds(x_lo, x_hi) -> (slope, size, ulps), or None, a charged sum takes
+    terms(ell, n, False) -> (terms, a call that gives the rest) and charges
+    first a priori: where each term with n ell in [x_lo, x_hi] has its |x d/dx|
+    and size within slope and size times its envelope ell e^{-G(n ell)}, and its
+    own error within ulps eps of its size, the collar's geometric mass bounds
+    their sums. Only where that misses half the room are the per-term arrays
+    built, block by block as summed, so that the value and the cut stay the
+    per-term charge's; it defers them for one block of terms at most."""
+    lazy = charge and bounds is not None
+    deferred, held, side = [], 0, ()  # lazy: the calls yet to make, their terms, the sums
+    missed = False  # once the a priori charge misses, the per-term one serves the rest
+
+    def sums(slopes, sizes, errors, drift=0.0):
+        return float(slopes.sum()), float(sizes.sum()), float(errors.sum()), drift
+
+    def settle():  # the deferred per-term arrays' sums, added in block order
+        nonlocal side
+        for rest in deferred:
+            more = sums(*rest())
+            side = tuple(map(add, side, more)) if side else more
+        deferred.clear()
+
     def block(n, ell, _):
+        nonlocal held
+        if lazy:
+            t, rest = terms(ell, n, False)
+            deferred.append(rest)
+            held += n.size
+            if held > _BLOCK:
+                settle()
+            return float(t.sum()), ()
         t, slopes, sizes, errors = terms(ell, n)
         part = float(t.sum())
         drift = abs(part - math.fsum(t)) if not charge and math.isfinite(part) else 0.0
-        return part, (float(slopes.sum()), float(sizes.sum()), float(errors.sum()), drift)
+        return part, sums(slopes, sizes, errors, drift)
 
-    def rounding(side, cuts, sizes, room):
-        slope, mass, own, drift = side
+    def rounding(sides, rounds, sizes, room):
+        nonlocal missed
         n, parts = (max(sizes), len(sizes)) if charge else (1, len(sizes) + 1)
+        if lazy:
+            factors = None if missed else bounds(
+                collar.ell0, float((rounds[-1][1] * collar.ell).max()))
+            if factors is not None:
+                slope, size, ulps = factors
+                r = (_ARG_ROUNDING * slope * collar.mass
+                     + _rounding(size * collar.mass, n, ulps, parts))
+                if r <= 0.5 * room:
+                    return r
+            missed = True
+            settle()
+            sides = side
+        slope, mass, own, drift = sides
         return _ARG_ROUNDING * slope + drift + _rounding(mass, n, own / (mass or 1.0), parts)
 
     ell = np.array(sorted(ells))
@@ -169,9 +238,10 @@ class _BesselSeries:
         self.phi0 = math.exp(self.log_phi0)
         self.spherical = int(w) if w.is_integer() else None
 
-    def terms(self, ell: float, n):
+    def terms(self, ell: float, n, charged: bool = True):
         """(ell g(n ell), bounds on its |x d/dx| at x = n ell sqrt(a), on its size
-        and on its own error in eps), vectorized.
+        and on its own error in eps), vectorized; where not charged, (ell g(n ell),
+        a call that gives the three bounds).
 
         The size is J's _J_ULPS scale times the other factors, the error
         _j_ulps of it plus, of the term, 1 + (|log nl2| + nl2)/2 for
@@ -184,30 +254,67 @@ class _BesselSeries:
         coef = ell * np.exp(-log_sinh(nl2))
         log_sa, log_nl2 = math.log(self.sa), np.log(nl2)
         nu1 = self.nu + 1.0
-        ulps = (_j_ulps(self.nu) + 1.0 + self.nu * (0.625 + abs(log_sa))
-                + (0.5 + self.nu) * np.abs(log_nl2) + 0.5 * nl2)
         with np.errstate(over="ignore", divide="ignore"):
-            slope = self.phi0 / (2.0 * nu1) * x * x
-            landau = _j_envelope(nu1, x)
             if self.nu * (log_sa - math.log(float(np.min(nl2)))) <= _LOG_POWER_MAX + min(
                     0.0, self.log_phi0):
                 power = np.exp(self.nu * (log_sa - log_nl2))
-                slope = np.minimum(slope, power * x * landau)
-                bessel, slope = self._bessel(x), coef * slope
-                coef *= power
-                size = coef * self._scale(bessel, x)
-                return coef * bessel, slope, size, size * ulps
-            near = x * x <= 2.0 * (self.nu + 1.0)
-            far = ~near
-            phi = np.empty_like(x)
-            power = np.exp(self.nu * (log_sa - log_nl2[far]))
-            bessel = self._bessel(x[far])
-            phi[far] = power * bessel
-            phi[near] = self.phi0 * ascending_series(self.nu, x[near])
-            slope[far] = np.minimum(slope[far], power * x[far] * landau[far])
-            size = coef * np.abs(phi)
-            size[far] = coef[far] * power * self._scale(bessel, x[far])
-            return coef * phi, coef * slope, size, size * (ulps + self.phi0_ulps())
+                bessel, scaled = self._bessel(x), coef * power
+                t = scaled * bessel
+
+                def rest():
+                    with np.errstate(over="ignore", divide="ignore"):
+                        slope = np.minimum(self.phi0 / (2.0 * nu1) * x * x,
+                                           power * x * _j_envelope(nu1, x))
+                        size = scaled * self._scale(bessel, x)
+                    return coef * slope, size, size * self._ulps(log_nl2, nl2)
+            else:
+                near = x * x <= 2.0 * (self.nu + 1.0)
+                far = ~near
+                phi = np.empty_like(x)
+                power = np.exp(self.nu * (log_sa - log_nl2[far]))
+                bessel = self._bessel(x[far])
+                phi[far] = power * bessel
+                phi[near] = self.phi0 * ascending_series(self.nu, x[near])
+                t = coef * phi
+
+                def rest():
+                    with np.errstate(over="ignore", divide="ignore"):
+                        slope = self.phi0 / (2.0 * nu1) * x * x
+                        slope[far] = np.minimum(slope[far],
+                                                power * x[far] * _j_envelope(nu1, x[far]))
+                        size = coef * np.abs(phi)
+                        size[far] = coef[far] * power * self._scale(bessel, x[far])
+                    return (coef * slope, size,
+                            size * (self._ulps(log_nl2, nl2) + self.phi0_ulps()))
+        return (t, *rest()) if charged else (t, rest)
+
+    def _ulps(self, log_nl2, nl2):
+        """The error in eps of a term at nl2 = n ell/2, relative to its size, but phi0's."""
+        return (_j_ulps(self.nu) + 1.0 + self.nu * (0.625 + abs(math.log(self.sa)))
+                + (0.5 + self.nu) * abs(log_nl2) + 0.5 * nl2)
+
+    def charges(self, x_lo: float, x_hi: float):
+        """(slope, size, ulps) of _direct's a priori charge on the terms with n ell
+        in [x_lo, x_hi], None where terms takes the ascending series. At X = n ell
+        sqrt(a), a term's |x d/dx| is at most X^2/(2 nu + 2) times its envelope
+        where that is phi0, so below X = 2 Gamma(nu + 1)^(1/nu), and else at most
+        X max(1, X^1/6) times it, as B_{nu+1} <= B_nu (at nu = 1/2, <= X^1/6 B_nu). Its
+        size is at most the envelope at w = 0 and at X <= w; past that, with
+        m(X) = min(1, sqrt(2/(pi X))) and X' = max(w, the least X), at most
+        max(m(X)/B_nu(X) <= max(1.1, m(X') nu^1/3/0.674886), (2/X')^nu Gamma(nu+1))
+        times it. Its own error is at most terms' ulps at an end."""
+        lo, hi, nu = 0.5 * x_lo, 0.5 * x_hi, self.nu
+        if nu * (math.log(self.sa) - math.log(lo)) > _LOG_POWER_MAX + min(0.0, self.log_phi0):
+            return None
+        top = x_hi * self.sa
+        turn = min(top, 2.0 * math.exp(math.lgamma(nu + 1.0) / nu))
+        slope = max(turn * turn / (2.0 * nu + 2.0), top * max(1.0, top ** (1.0 / 6.0)))
+        size = 1.0
+        if self.w > 0.0:
+            least = max(self.w, x_lo * self.sa)
+            size = max(1.1, min(1.0, math.sqrt(2.0 / (math.pi * least))) * nu ** (1.0 / 3.0)
+                       / _LANDAU_NU, _exp(nu * math.log(2.0 / least) + math.lgamma(nu + 1.0)))
+        return slope, size, max(self._ulps(math.log(lo), lo), self._ulps(math.log(hi), hi))
 
     def phi0_ulps(self) -> float:
         """phi0's error in eps: eps/2 of its exponent's parts three times, and e^."""
@@ -242,34 +349,73 @@ class _BesselSeries:
 
     def expansion(self, ell: float):
         """(S(ell), stated error bound) at the smallest order K whose bound
-        meets tol(S), else at K = J; None where the route cannot run: where no
-        order's E_K ell^2K meets the tolerance of the envelope of |S(ell)|,
-        before R is summed, or where R's direct sum certifies at no ell0."""
-        log_ell = math.log(ell)
-        c, b, b_mass, log_rem, rate = self.table
-        ceiling = self._tol(_s_max(self.phi0, ell))
-        for k in range(_LAURENT_TERMS, 0, -1):  # a deep length passes at K = J
-            if _exp(log_rem[k - 1] + 2 * k * log_ell) <= ceiling:
-                break
-        else:
+        meets tol(S); None where no order's does, where ell > ell_star (before
+        R is summed), or where R's direct sum certifies at no ell0."""
+        if ell > self.ell_star or self.constant is None:
             return None
-        if self.constant is None:
-            return None
+        c, _, _, _, rate = self.table
         r, r_bound = self.constant
+        pref, rel_tol, abs_tol = self.pref, self.policy.rel_tol, self.policy.abs_tol
+        log_ell, ell2 = math.log(ell), ell * ell
         pole = -c[0] * (math.log(-math.expm1(-ell)) + 0.5 * ell)
         s = pole + r
         size = abs(pole) + abs(r)  # of the terms summed so far, for their rounding
         rounding, power = r_bound, 1.0
-        for k in range(1, _LAURENT_TERMS + 1):
-            power *= ell * ell
-            term = b[k - 1] * power
+        for b, b_mass, log_rem, two_k in self.orders:
+            power *= ell2
+            term = b * power
             s -= term
             size += abs(term)
-            rounding += b_mass[k - 1] * power
-            bound = _exp(log_rem[k - 1] + 2 * k * log_ell) + rounding + rate * size
-            if bound <= self._tol(s):
+            rounding += b_mass * power
+            log_e = log_rem + two_k * log_ell
+            remainder = math.exp(log_e) if log_e <= _LOG_DBL_MAX else math.inf  # _exp, inline
+            bound = remainder + rounding + rate * size
+            tol = (rel_tol * abs(pref * s) + abs_tol) / pref  # self._tol(s), inline
+            if bound <= tol:
+                return (s, bound) if tol < math.inf else None
+        return None
+
+    def _gate(self, ell: float):
+        """(whether some order's E_K ell^2K meets the tolerance of the envelope
+        phi0 (ell/sinh(ell/2) + 2 log coth(ell/4)) >= |S(ell)|, log ell less the
+        log of the longest length at which an order meets the tolerance at ell)."""
+        log_ell, log_rem = math.log(ell), self.table[3]
+        ceiling = self._tol(_s_max(self.phi0, ell))
+        passes = any(_exp(lr + 2 * k * log_ell) <= ceiling for k, lr in enumerate(log_rem, 1))
+        log_c = math.log(ceiling) if ceiling > 0.0 else -math.inf
+        return passes, log_ell - max((log_c - lr) / (2 * k) for k, lr in enumerate(log_rem, 1))
+
+    @cached_property
+    def ell_star(self) -> float:
+        """The longest length the gate passes (0 where it passes none). Each
+        E_K ell^2K rises with ell and the tolerance of the envelope does not, so
+        the gate passes exactly the lengths up to it. At a fixed tolerance C,
+        order K passes up to (C/E_K)^(1/2K); secant steps on log ell find where
+        the longest of those meets the tolerance at ell, to within rounding
+        (about five gates), then the gate itself steps to its last pass, in
+        doubling then halving steps of one ulp (about three)."""
+        lo, hi = 0, _BITS_INF  # the bits of a length known to pass, of one known to fail
+        ell, last = 0.25, None
+        for _ in range(_SECANT_STEPS):
+            passes, gap = self._gate(ell)
+            lo, hi = (_bits(ell), hi) if passes else (lo, _bits(ell))
+            u = math.log(ell)
+            if not math.isfinite(gap) or (last is not None and gap == last[1]):
                 break
-        return s, bound
+            step = gap if last is None else gap * (u - last[0]) / (gap - last[1])
+            last, ell = (u, gap), math.exp(min(u - step, _LOG_DBL_MAX))
+            if not lo < _bits(ell) < hi:  # where the step rounds to a gated length
+                break
+        up, width = passes, 1  # 1, 2, 4, ... ulps on from the last gate until it turns
+        while hi - lo > 1:
+            if width:
+                bits = min(lo + width, hi - 1) if up else max(hi - width, lo + 1)
+            else:
+                bits = (lo + hi) // 2
+            passed = self._gate(_double(bits))[0]
+            lo, hi = (bits, hi) if passed else (lo, bits)
+            width = 2 * width if width and passed == up else 0
+        return _double(lo)
 
     @cached_property
     def table(self):
@@ -309,6 +455,12 @@ class _BesselSeries:
             math.log(abs(num / den)) + log_phi0 + min(lb - 2 * k * lr for lr, lb in log_brackets)
             for k, (num, den) in enumerate(_BERNOULLI, 1))
         return tuple(c), tuple(b), tuple(b_mass), log_rem, rate
+
+    @cached_property
+    def orders(self):
+        """(b_k, its rounding bound, log E_k, 2k) for k = 1..J, in turn."""
+        _, b, b_mass, log_rem, _ = self.table
+        return tuple(zip(b, b_mass, log_rem, range(2, 2 * _LAURENT_TERMS + 1, 2)))
 
     @cached_property
     def constant(self):
@@ -374,13 +526,13 @@ def g_bessel(ps, w: float, T: float, policy: TruncationPolicy = DEFAULT_POLICY) 
     parts, direct = [], []
     for ell in ps.ells:  # S(ell) by the expansion route where it certifies, else directly
         route = series.expansion(ell)
-        if route is not None and route[1] <= series._tol(route[0]) < math.inf:
-            parts.append(route[0])
-        else:
+        if route is None:
             direct.append(ell)
+        else:
+            parts.append(route[0])
     if direct:
         parts.append(_direct(direct, series.terms, series.envelope, series._tol,
-                             policy.max_terms)[0])
+                             policy.max_terms, bounds=series.charges)[0])
     g = series.pref * sum(parts)
     if not math.isfinite(g):
         raise TruncationBudgetError(f"G_{w}({T}) overflows a double")
@@ -451,22 +603,31 @@ def g_sine_form(ps, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> floa
         return 0.0
     sa = math.sqrt(a)
 
-    def terms(ell, n):  # and |x cos x|/(n sinh(n ell/2)) at x = n ell sqrt(a)
+    def terms(ell, n, charged=True):  # and |x cos x|/(n sinh(n ell/2)) at x = n ell sqrt(a)
         nl2 = 0.5 * ell * n
         c = np.exp(-log_sinh(nl2))
         t = np.sin(n * ell * sa) / n * c
-        # off as a direct term's 1/sinh at worst in the block, and by the sine and quotient
-        lo, hi = (nl2[0], nl2[-1]) if isinstance(ell, float) else (nl2.min(), nl2.max())
-        lo, hi, size = float(lo), float(hi), np.abs(t)
-        ulps = 2.0 + 0.5 * (max(abs(math.log(lo)), abs(math.log(hi))) + hi)
-        return t, ell * sa * c, size, ulps * size
+
+        def rest():
+            # off as a direct term's 1/sinh at worst in the block, and by the sine and quotient
+            lo, hi = (nl2[0], nl2[-1]) if isinstance(ell, float) else (nl2.min(), nl2.max())
+            size = np.abs(t)
+            return ell * sa * c, size, ulps(float(lo), float(hi)) * size
+        return (t, *rest()) if charged else (t, rest)
+
+    def ulps(lo, hi):  # of a term with n ell/2 in [lo, hi], relative to its size
+        return 2.0 + 0.5 * (max(abs(math.log(lo)), abs(math.log(hi))) + hi)
 
     def env(x):  # |sin y| <= min(1, y): a term is at most ell min(1/x, sqrt(a))/sinh(x/2)
         if isinstance(x, float):
             return log_sinh(0.5 * x) - math.log(min(1.0 / x, sa))
         return log_sinh(0.5 * x) - np.log(np.minimum(1.0 / x, sa))
 
-    return _direct(ps.ells, terms, env, policy.tol, policy.max_terms)[0] / (2.0 * math.pi)
+    def charges(x_lo, x_hi):  # |x cos x| <= max(1, x sqrt(a)) times the envelope
+        return max(1.0, x_hi * sa), 1.0, ulps(0.5 * x_lo, 0.5 * x_hi)
+
+    return _direct(ps.ells, terms, env, policy.tol, policy.max_terms,
+                   bounds=charges)[0] / (2.0 * math.pi)
 
 
 def g_residual(ps, w: float, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:

@@ -161,7 +161,8 @@ class _Collar:
     def sum(self, terms, tol, rounding, cap: int, charge: bool = True, cut=None):
         """(total, its tail bound plus its rounding) within tol(total), from
         terms(n, ell, weight) -> a block's (sum, tuple of side sums) and
-        rounding(side sums, cuts, block sizes, room = tol less the tail). The
+        rounding(side sums, rounds, block sizes, room = tol less the tail),
+        rounds the (from, to) cuts of every round of blocks so far. The
         first cut (or cut, the caller's) is for tol of the n = 1 shell; while
         tol of the sum is smaller, or the tail and the rounding (not charged
         with charge False) pass it, it cuts again, for tol, else for tol less
@@ -169,8 +170,9 @@ class _Collar:
         where that rounding fills tol, or where tol of the sum is not finite."""
         target = tol(self.shell)
         cuts, tail = cut or self.cut(target, cap)
-        done, total, side, sizes = 0, 0.0, (), []
+        done, total, side, sizes, rounds = 0, 0.0, (), [], []
         while True:
+            rounds.append((done, cuts))
             for block in self.blocks(done, cuts):
                 part, more = terms(*block)
                 total, side = total + part, tuple(map(add, side, more)) if side else more
@@ -181,10 +183,10 @@ class _Collar:
             if limit < target:
                 target = limit
             else:
-                r = rounding(side, cuts, sizes, limit - tail)
+                r = rounding(side, rounds, sizes, limit - tail)
                 if tail + (r if charge else 0.0) <= limit:
                     return total, tail + r
-                r = rounding(side, cuts, sizes + [0], limit - tail) if charge else 0.0
+                r = rounding(side, rounds, sizes + [0], limit - tail) if charge else 0.0
                 if not r < limit:
                     raise TruncationBudgetError(
                         f"argument rounding plus the sum's, {r:.3e}, exceeds tolerance "
@@ -471,8 +473,23 @@ def _jv(nu: float, x):
             a, b = b, (2.0 * (mu + m) / xf) * b - a
         out[far] = b if k else a
     mid = ~(near | far) & (x < np.inf)
-    if nu > 1.0:  # |J_nu(x)| <= (x/2)^nu/nu! <= (e x/2nu)^nu (DLMF 10.14.4), below 2^-1075 here
-        gone = mid & (x < 2.0 / math.e * nu * 2.0 ** (-1075.0 / nu))
+    # |J_nu(nu y)| <= e^{-nu (atanh s - s)}, s = sqrt(1 - y^2), 0 < y <= 1 (DLMF
+    # 10.14.5): 0 where that is below 2^-1075. atanh s - s = log((1 + s)/y) - s,
+    # and below s = 1/4 its series, cut short; 1 - y = (nu - x)/nu keeps s exact.
+    # The bound rises with y: where it does not underflow at the band's least
+    # x, sqrt(2 (nu + 1)), it does nowhere, and no x is tested
+    y0 = math.sqrt(2.0) * math.sqrt(nu + 1.0) / nu if nu > 1.0 else 1.0
+    s0 = math.sqrt((1.0 - y0) * (1.0 + y0)) if y0 < 1.0 else 0.0
+    if nu * (math.log1p(s0) - math.log(min(y0, 1.0)) - s0) > 1075.0 * _LOG_2:
+        gone = mid & (x < nu)
+        xg = x[gone]
+        d = (nu - xg) / nu
+        s = np.sqrt(d * (2.0 - d))
+        s2 = s * s
+        gap = np.where(s < 0.25, s * s2 * (1.0 / 3.0 + s2 * (0.2 + s2 / 7.0)),
+                       np.log1p(s) - np.log(xg / nu) - s)
+        with np.errstate(over="ignore"):
+            gone[gone] = nu * gap > 1075.0 * _LOG_2
         out[gone], mid = 0.0, mid & ~gone
     if mid.any():
         out[mid] = _miller(mu, k, x[mid])

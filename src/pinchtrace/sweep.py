@@ -5,10 +5,10 @@ per point in order, the counting series, its log-sum normalizer and the
 residual against the asymptotic constant; a failed row keeps its error
 message. Rows come from the Bessel series or, on request, the contour
 inversion of the degenerating trace. Series rows hold the GIL and run in
-the caller's thread; contour rows run on a pool capped by
-SPECTRA_THREADS, no faster than one thread on a 2-vCPU box (a 6-row
-contour sweep at T = 1, w = 1: 0.185-0.205 s on 1 thread, 0.172-0.188 s
-on 2, medians of 5).
+the caller's thread, and never read the thread cap; contour rows run on a
+pool capped by SPECTRA_THREADS, no faster than one thread on a 2-vCPU
+box (a 6-row contour sweep at T = 1, w = 1: 0.185-0.205 s on 1 thread,
+0.172-0.188 s on 2, medians of 5).
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ def run_sweep(
             return str(exc)
 
     points = sch.points()
-    workers = thread_cap(len(points) if use_bromwich else 1)
+    workers = thread_cap(len(points)) if use_bromwich else 1
     if workers == 1:
         values = [one(ps) for ps in points]
     else:

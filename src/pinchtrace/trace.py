@@ -282,7 +282,8 @@ def _geodesic_sum(entries, zs: np.ndarray, policy: TruncationPolicy) -> np.ndarr
             return total
     return collar.sum(lambda n, ell, mell: (_term_sum(zs, n * ell, mell), ()),
                       lambda total: target,
-                      lambda _, cuts, sizes, room: _direct_rounding(collar, zs, cuts, sizes, room),
+                      lambda _, rounds, sizes, room: _direct_rounding(
+                          collar, zs, rounds[-1][1], sizes, room),
                       cap, cut=cut)[0]
 
 

@@ -467,11 +467,12 @@ def test_em_route_falls_back_when_its_bound_misses():
 
 
 def test_em_route_falls_back_when_the_summed_bound_misses():
-    # at ell = 0.403, T = 1 the gate passes but the bound at the summed
-    # value misses: the route must still hand the length to the
-    # direct series, never return it
-    series, (em, bound), direct = _routes(0.0, 1.0, 0.403)
-    assert bound > series._tol(em)
+    # at ell = 0.403, T = 1 the gate passes but no order's bound meets the
+    # tolerance of the summed value: the route returns None, and the length's
+    # value is the direct series', bit for bit
+    series, em, direct = _routes(0.0, 1.0, 0.403)
+    assert 0.403 <= series.ell_star and "constant" in vars(series)
+    assert em is None
     assert g_bessel(PinchingSet.of([0.403]), 0.0, 1.0) == series.pref * direct
 
 
@@ -527,6 +528,159 @@ def test_gate_passes_every_length_the_remainder_bound_can_serve_property(log_ell
         size += abs(b[k - 1] * power)
         rounding += b_mass[k - 1] * power
         assert not counting._exp(lr + 2 * k * log_ell) + rounding + rate * size <= series._tol(s)
+
+
+def _gate(series, ell):
+    """The 24-order gate that ell_star replaced: some order's E_K ell^2K meets
+    the tolerance of the envelope of |S(ell)|."""
+    log_ell = math.log(ell)
+    ceiling = series._tol(counting._s_max(series.phi0, ell))
+    return any(counting._exp(lr + 2 * k * log_ell) <= ceiling
+               for k, lr in enumerate(series.table[3], 1))
+
+
+@settings(max_examples=200, derandomize=True)
+@given(w=st.floats(0.0, 40.0), log_t=st.floats(math.log(0.26), math.log(1e6)),
+       log2_ell=st.floats(-40.0, 2.0))
+@example(w=0.0, log_t=0.0, log2_ell=math.log2(0.403))
+def test_threshold_routes_every_length_as_the_gate_did_property(w, log_t, log2_ell):
+    # ell_star is the gate's last pass, and outside 4 ulps of it ell <= ell_star
+    # routes a length as the 24-order gate does, also 2^-40 and 1e-9 from it
+    series = _series(w, math.exp(log_t) - 0.25, DEFAULT_POLICY)
+    star = series.ell_star
+    assert _gate(series, star) and not _gate(series, math.nextafter(star, math.inf))
+    near = [star * (1.0 + f) for f in (-1e-9, -2.0**-40, 2.0**-40, 1e-9)]
+    for ell in [2.0**log2_ell] + near:
+        if abs(ell - star) > 4.0 * math.ulp(star):
+            assert (ell <= star) == _gate(series, ell)
+
+
+def test_cold_table_finds_its_threshold_in_a_few_gates(monkeypatch):
+    # secant steps on log ell, then one-ulp steps: at most 8 gates on the
+    # pinch_series tables and at T = 20, about 8 on average over w and T
+    calls, gate = [], _BesselSeries._gate
+    monkeypatch.setattr(_BesselSeries, "_gate", lambda self, ell: calls.append(ell) or gate(self, ell))
+    for w, T in ((0.0, 1.0), (2.0, 1.0), (0.0, 0.5), (0.7, 1.0), (5.0, 20.0)):
+        calls.clear()
+        _BesselSeries(w, T - 0.25, DEFAULT_POLICY).ell_star
+        assert len(calls) <= 8
+    rng, counts = np.random.default_rng(26), []
+    for w, log_t in zip(rng.uniform(0.0, 40.0, 50), rng.uniform(math.log(0.26), math.log(1e6), 50)):
+        calls.clear()
+        _BesselSeries(float(w), math.exp(log_t) - 0.25, DEFAULT_POLICY).ell_star
+        counts.append(len(calls))
+    assert np.mean(counts) <= 9.0 and max(counts) <= 16
+
+
+# float.hex(g_bessel) recorded before ell_star replaced the 24-order gate: per
+# (w, T), just past ell_star (the gate refuses) and at 3/4 of it, at T = 1 also
+# just below it (the gate passes, no order certifies), then deep and long lengths
+_G_PINS = [
+    (0.0, 0.5, 0.430680029666, '0x1.7e32adea99f95p-2'),  # direct
+    (0.0, 0.5, 0.323010021926, '0x1.acfdabad51e51p-2'),  # expansion
+    (0.0, 1.0, 0.407857857704, '0x1.17b0415ec8858p-1'),  # direct
+    (0.0, 1.0, 0.40785785852, '0x1.17b0415a11549p-1'),  # direct
+    (0.0, 1.0, 0.305893393584, '0x1.40262abf6782fp-1'),  # expansion
+    (0.0, 20.0, 0.239616156936, '0x1.586ad3e715a9cp+0'),  # direct
+    (0.0, 20.0, 0.179712117523, '0x1.be0c2987b36e2p+0'),  # expansion
+    (0.0, 10000.0, 0.013182873788, '0x1.7cf639059f85fp+4'),  # direct
+    (0.0, 10000.0, 0.00988715533115, '0x1.0502dbc3c45b4p+5'),  # expansion
+    (0.7, 0.5, 0.430680803434, '0x1.bd35c9d6b12ccp-4'),  # direct
+    (0.7, 0.5, 0.323010602252, '0x1.f10fee8b881c5p-4'),  # expansion
+    (0.7, 1.0, 0.407857957953, '0x1.6df619f68cd45p-2'),  # direct
+    (0.7, 1.0, 0.407857958769, '0x1.6df619f0e8823p-2'),  # direct
+    (0.7, 1.0, 0.305893468771, '0x1.9e5b50734e218p-2'),  # expansion
+    (0.7, 20.0, 0.239616149294, '0x1.3f97d8f2adce0p+3'),  # direct
+    (0.7, 20.0, 0.179712111791, '0x1.8b1e1dd85b84ep+3'),  # expansion
+    (0.7, 10000.0, 0.0131828737753, '0x1.c800d15cca4e9p+13'),  # direct
+    (0.7, 10000.0, 0.00988715532156, '0x1.244f975cdf18ep+14'),  # expansion
+    (2.0, 0.5, 0.430688622204, '0x1.bf5b34346e461p-7'),  # direct
+    (2.0, 0.5, 0.32301646633, '0x1.f14bf8b616909p-7'),  # expansion
+    (2.0, 1.0, 0.407858205016, '0x1.8e3e0673eb716p-3'),  # direct
+    (2.0, 1.0, 0.407858205831, '0x1.8e3e066e41b3fp-3'),  # direct
+    (2.0, 1.0, 0.305893654068, '0x1.bede58c568d92p-3'),  # expansion
+    (2.0, 20.0, 0.239616147778, '0x1.afb633f94de7cp+8'),  # direct
+    (2.0, 20.0, 0.179712110654, '0x1.01bc7e1858d34p+9'),  # expansion
+    (2.0, 10000.0, 0.0131828737752, '0x1.0078ffab8b25fp+31'),  # direct
+    (2.0, 10000.0, 0.00988715532154, '0x1.39c41cd1d20adp+31'),  # expansion
+    (5.0, 0.5, 0.431481072184, '0x1.412856e682c16p-13'),  # direct
+    (5.0, 0.5, 0.323610803814, '0x1.63c1455d0d12ep-13'),  # expansion
+    (5.0, 1.0, 0.407859406758, '0x1.f551fa98e1175p-5'),  # direct
+    (5.0, 1.0, 0.407859407574, '0x1.f551fa923f58bp-5'),  # direct
+    (5.0, 1.0, 0.305894555375, '0x1.1717ca145bbb2p-4'),  # expansion
+    (5.0, 20.0, 0.239616147734, '0x1.5860368c1979ap+21'),  # direct
+    (5.0, 20.0, 0.179712110621, '0x1.8f3285e8dba17p+21'),  # expansion
+    (5.0, 10000.0, 0.0131828737752, '0x1.99cc40833e5c3p+70'),  # direct
+    (5.0, 10000.0, 0.00988715532154, '0x1.e283e899e7d89p+70'),  # expansion
+    (0.0, 1.0, 0.49, '0x1.fbdf4b6364502p-2'),  # direct
+    (2.0, 1.0, 0.000244140625, '0x1.9db8dbb7a830dp-1'),  # expansion
+    (0.7, 1.0, 6.103515625e-05, '0x1.cecf6dc474ddcp+0'),  # expansion
+    (0.0, 0.5, 3.814697265625e-06, '0x1.1cc279c961da7p+1'),  # expansion
+    (5.0, 20.0, 3.0, '0x1.5ffb215d060cbp+9'),  # direct
+    (0.0, 1.0, 0.25, '0x1.5c9118e443ad4p-1'),  # expansion
+]
+
+
+@pytest.mark.parametrize("w, T, ell, want", _G_PINS)
+def test_g_bessel_is_bit_for_bit_as_recorded(w, T, ell, want):
+    assert float.hex(g_bessel(PinchingSet.of([ell]), w, T)) == want
+
+
+def _charged_direct(series, ells, bounds):
+    """(value, stated bound) or the error message, and every cut, of
+    counting._direct over ells with the given a priori bounds."""
+    cuts, cut = [], specfun._Collar.cut
+    with mock.patch.object(specfun._Collar, "cut", lambda *args: cuts.append(cut(*args)) or cuts[-1]):
+        try:
+            got = counting._direct(ells, series.terms, series.envelope, series._tol,
+                                   series.policy.max_terms, bounds=bounds)
+        except TruncationBudgetError as exc:
+            got = str(exc)
+    return got, [c[0].tolist() for c in cuts]
+
+
+@settings(max_examples=80, derandomize=True)
+@given(w=st.sampled_from([0.0, 0.7, 2.0, 5.5]), log_t=st.floats(math.log(0.3), math.log(1e5)),
+       ells=st.lists(st.floats(0.05, 8.0), min_size=1, max_size=4))
+@example(w=0.0, log_t=0.0, ells=[0.49])
+@example(w=0.7, log_t=math.log(1.35e4), ells=[0.0545])
+@example(w=0.0, log_t=math.log(1e12), ells=[0.5])
+def test_a_priori_charge_keeps_the_value_and_the_cut_property(w, log_t, ells):
+    # charged a priori, or per term where that misses half the room, the direct
+    # route sums to the per-term charge's value at its cuts, bit for bit, and
+    # states no smaller a bound; where the rounding fills the tolerance both raise
+    series = _BesselSeries(w, math.exp(log_t) - 0.25, DEFAULT_POLICY)
+    lazy, lazy_cuts = _charged_direct(series, ells, series.charges)
+    eager, eager_cuts = _charged_direct(series, ells, None)
+    assert lazy_cuts == eager_cuts
+    if isinstance(eager, str):
+        assert lazy == eager
+    else:
+        assert lazy[0] == eager[0] and lazy[1] >= eager[1]
+
+
+@pytest.mark.parametrize("w, T, ell, a_priori", [(0.0, 1.0, 0.49, True), (0.0, 0.5, 0.49, True),
+                                                 (0.7, 1.35e4, 0.0545, False)])
+def test_direct_route_builds_per_term_charges_only_where_the_envelope_misses(
+        w, T, ell, a_priori, monkeypatch):
+    # the pinch_series direct rows fit the envelope's charge and build no
+    # per-term sizes; at large T the cancelling sum leaves too little room
+    scaled, scale = [], _BesselSeries._scale
+    monkeypatch.setattr(_BesselSeries, "_scale", lambda *args: scaled.append(1) or scale(*args))
+    g_bessel(PinchingSet.of([ell]), w, T)
+    assert (not scaled) == a_priori
+
+
+def test_deferred_charges_settle_past_one_block(monkeypatch):
+    # with blocks of 16 terms and at most 16 held, the charges settle block by
+    # block as they are summed: the same value and bound as charged at once
+    monkeypatch.setattr(specfun, "_BLOCK", 16)
+    monkeypatch.setattr(counting, "_BLOCK", 16)
+    for w, T, ell in ((0.7, 1.35e4, 0.0545), (0.0, 1e4, 0.05), (0.0, 1.0, 0.49)):
+        series = _BesselSeries(w, T - 0.25, DEFAULT_POLICY)
+        lazy, lazy_cuts = _charged_direct(series, [ell], series.charges)
+        eager, eager_cuts = _charged_direct(series, [ell], None)
+        assert lazy[0] == eager[0] and lazy_cuts == eager_cuts and lazy[1] >= eager[1]
 
 
 @settings(max_examples=40)

@@ -335,10 +335,44 @@ def test_kronrod_extends_the_sixteen_point_rule():
 
 @pytest.mark.parametrize("p, x", [(3e305, 1e200), (1e300, 1e299), (400.3, 30.0), (1e308, 1e200)])
 def test_bessel_j_is_zero_where_its_bound_underflows(p, x):
-    # |J_p(x)| <= (e x/2p)^p (DLMF 10.14.4) is below 2^-1075: 0 before any
+    # |J_p(x)| <= (e x/2p)^p (DLMF 10.14.4), and so the sharper DLMF 10.14.5
+    # bound the mask reads, is below 2^-1075: 0 before any
     # recurrence (mpmath gives 9.1e-400 at p = 400.3); at p = 1e308, 2(p + 1)
     # overflows, and x^2 = inf lies past it
     assert bessel_j(p, x) == 0.0
+
+def _debye_edge(nu: float) -> float:
+    """The y at which e^{-nu (atanh s - s)}, s = sqrt(1 - y^2), is 2^-1075, by mpmath."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        def excess(y):
+            s = mpmath.sqrt(1 - y * y)
+            return nu * (mpmath.atanh(s) - s) - 1075 * mpmath.log(2)
+
+        return float(mpmath.findroot(excess, (mpmath.mpf("1e-3"), 1 - mpmath.mpf("1e-12")),
+                                     solver="bisect"))
+
+
+@pytest.mark.parametrize("p", [1500.0, 2000.5, 5000.3, 20000.0])
+def test_bessel_j_is_zero_where_the_debye_bound_underflows(p, monkeypatch):
+    # |J_p(p y)| <= e^{-p (atanh s - s)} (DLMF 10.14.5) is below 2^-1075 just inside
+    # its edge, past where (e x/2p)^p is: 0 with no recurrence run, and mpmath,
+    # its limits raised, finds |J| < 2^-1075 there. Just outside, Miller runs.
+    import mpmath
+
+    x = p * _debye_edge(p)
+    inside, outside = x * (1.0 - 1e-9), x * (1.0 + 1e-6)
+    assert inside > 2.0 / math.e * p * 2.0 ** (-1075.0 / p)
+    with mpmath.workdps(30):
+        want = mpmath.besselj(p, inside, maxterms=10**6, maxprec=10**6)
+    assert abs(want) < mpmath.mpf(2) ** -1075
+    runs, miller = [], specfun._miller
+    monkeypatch.setattr(specfun, "_miller", lambda *args: runs.append(1) or miller(*args))
+    assert bessel_j(p, inside) == 0.0 and not runs
+    bessel_j(p, outside)
+    assert runs
+
 
 @pytest.mark.parametrize("x", [1e308, 1.7e308])
 @pytest.mark.parametrize("p", [-0.5, 0.0, 0.5, 1.2, 1.5])

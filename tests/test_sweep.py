@@ -23,6 +23,36 @@ from pinchtrace import (
 )
 
 
+# the g_value column of the four pinch_series-shaped sweeps, (w, T, start, rows),
+# recorded before ell_star replaced the expansion route's 24-order gate
+_SWEEP_PINS = [
+    ((0.0, 1.0, 0.4925, 18), [
+        '0x1.fa7203275747ep-2', '0x1.5eb23f346b677p-1', '0x1.c070216287cadp-1',
+        '0x1.111f922c19ef1p+0', '0x1.4209377d5789bp+0', '0x1.72f365c007b59p+0',
+        '0x1.a3ddb63ed215ep+0', '0x1.d4c80f4c9edc4p+0', '0x1.02d9353f15fcep+1',
+        '0x1.1b4e631c54948p+1', '0x1.33c3910ab12e2p+1', '0x1.4c38befd55486p+1',
+        '0x1.64adecf10b42bp+1', '0x1.7d231ae505b51p+1', '0x1.959848d911456p+1',
+        '0x1.ae0d76cd211d3p+1', '0x1.c682a4c13206fp+1', '0x1.def7d2b543352p+1',
+    ]),
+    ((2.0, 1.0, 0.000240478515625, 7), [
+        '0x1.9e5caefdf9bf8p-1', '0x1.bbb61955cfdf2p-1', '0x1.d90f83add4f1ep-1',
+        '0x1.f668ee05e5c19p-1', '0x1.09e12c2efcc02p+0', '0x1.188de15b06fd8p+0',
+        '0x1.273a968711524p+0',
+    ]),
+    ((0.0, 0.5, 0.4925, 18), [
+        '0x1.68672d8bc0854p-2', '0x1.d9298d987f5a4p-2', '0x1.2509c2c004932p-1',
+        '0x1.5d83b02dcd09ep-1', '0x1.95fed9e21642dp-1', '0x1.ce7a52a680053p-1',
+        '0x1.037aef976cf86p+0', '0x1.1fb8b85417339p+0', '0x1.3bf681aee0b42p+0',
+        '0x1.58344b3132054p+0', '0x1.747214bd654a8p+0', '0x1.90afde4c110cdp+0',
+        '0x1.aceda7db5aee6p+0', '0x1.c92b716acc57bp+0', '0x1.e5693afa47a30p+0',
+        '0x1.00d38244e2b35p+1', '0x1.0ef2670ca1e46p+1', '0x1.1d114bd461291p+1',
+    ]),
+    ((0.7, 1.0, 0.000240478515625, 3), [
+        '0x1.94fd13d02aca3p+0', '0x1.b237d4da445e7p+0', '0x1.cf7295e49c3f6p+0',
+    ]),
+]
+
+
 class TestSchedule:
     def test_geometric_points(self):
         sch = Schedule.geometric(0.5, 0.5, 4)
@@ -171,6 +201,23 @@ class TestSeriesCost:
         few = self._bessel_points(monkeypatch, 3)
         many = self._bessel_points(monkeypatch, 18)
         assert few == many > 0
+
+    @pytest.mark.parametrize("key, column", _SWEEP_PINS)
+    def test_pinch_series_columns_are_bit_for_bit_as_recorded(self, key, column):
+        w, T, start, rows = key
+        res = run_sweep(Schedule.geometric(start, 0.5, rows), w, T)
+        assert [float.hex(row.g_value) for row in res.rows] == column
+
+    def test_series_rows_read_no_thread_cap(self, monkeypatch):
+        # one g_bessel call per row, and no worker count: a malformed cap
+        # reaches contour sweeps only
+        monkeypatch.setenv("SPECTRA_THREADS", "many")
+        calls, inner = [], sweep.g_bessel
+        monkeypatch.setattr(sweep, "g_bessel", lambda *args: calls.append(args) or inner(*args))
+        res = run_sweep(Schedule.geometric(0.5, 0.5, 6), 0.0, 1.0)
+        assert len(calls) == 6 and all(row.error is None for row in res.rows)
+        with pytest.raises(DomainError, match="SPECTRA_THREADS"):
+            run_sweep(Schedule.geometric(0.5, 0.5, 2), 2.0, 1.0, use_bromwich=True)
 
     def test_series_rows_run_in_the_calling_thread(self, monkeypatch):
         monkeypatch.setenv("SPECTRA_THREADS", "4")
