@@ -148,18 +148,18 @@ def _log_coth(y: float) -> float:
 
 def _direct(ells, terms, env, tol, cap: int, charge: bool = True, bounds=None):
     """The _Collar sum over the lengths ells, weights ell, of terms(ell, n) ->
-    (terms, bounds on |x d/dx| of each in its argument x, on their sizes, on
-    their own errors in eps), charged the argument's rounding and np.sum's
-    of each block, or (charge False) each block's np.sum against fsum.
+    (terms, a call that gives bounds on |x d/dx| of each in its argument x,
+    on their sizes, on their own errors in eps), charged the argument's
+    rounding and np.sum's of each block, or (charge False) each block's
+    np.sum against fsum.
 
-    With bounds(x_lo, x_hi) -> (slope, size, ulps), or None, a charged sum takes
-    terms(ell, n, False) -> (terms, a call that gives the rest) and charges
-    first a priori: where each term with n ell in [x_lo, x_hi] has its |x d/dx|
-    and size within slope and size times its envelope ell e^{-G(n ell)}, and its
-    own error within ulps eps of its size, the collar's geometric mass bounds
-    their sums. Only where that misses half the room are the per-term arrays
-    built, block by block as summed, so that the value and the cut stay the
-    per-term charge's; it defers them for one block of terms at most."""
+    With bounds(x_lo, x_hi) -> (slope, size, ulps), or None, a charged sum
+    charges first a priori: where each term with n ell in [x_lo, x_hi] has its
+    |x d/dx| and size within slope and size times its envelope ell e^{-G(n ell)},
+    and its own error within ulps eps of its size, the collar's geometric mass
+    bounds their sums. Only where that misses half the room are the per-term
+    arrays built, block by block as summed, so that the value and the cut stay
+    the per-term charge's; it defers them for one block of terms at most."""
     lazy = charge and bounds is not None
     deferred, held, side = [], 0, ()  # lazy: the calls yet to make, their terms, the sums
     missed = False  # once the a priori charge misses, the per-term one serves the rest
@@ -176,17 +176,16 @@ def _direct(ells, terms, env, tol, cap: int, charge: bool = True, bounds=None):
 
     def block(n, ell, _):
         nonlocal held
+        t, rest = terms(ell, n)
+        part = float(t.sum())
         if lazy:
-            t, rest = terms(ell, n, False)
             deferred.append(rest)
             held += n.size
             if held > _BLOCK:
                 settle()
-            return float(t.sum()), ()
-        t, slopes, sizes, errors = terms(ell, n)
-        part = float(t.sum())
+            return part, ()
         drift = abs(part - math.fsum(t)) if not charge and math.isfinite(part) else 0.0
-        return part, sums(slopes, sizes, errors, drift)
+        return part, sums(*rest(), drift)
 
     def rounding(sides, rounds, sizes, room):
         nonlocal missed
@@ -238,10 +237,9 @@ class _BesselSeries:
         self.phi0 = math.exp(self.log_phi0)
         self.spherical = int(w) if w.is_integer() else None
 
-    def terms(self, ell: float, n, charged: bool = True):
-        """(ell g(n ell), bounds on its |x d/dx| at x = n ell sqrt(a), on its size
-        and on its own error in eps), vectorized; where not charged, (ell g(n ell),
-        a call that gives the three bounds).
+    def terms(self, ell: float, n):
+        """(ell g(n ell), a call that gives bounds on its |x d/dx| at x = n ell
+        sqrt(a), on its size and on its own error in eps), vectorized.
 
         The size is J's _J_ULPS scale times the other factors, the error
         _j_ulps of it plus, of the term, 1 + (|log nl2| + nl2)/2 for
@@ -286,7 +284,7 @@ class _BesselSeries:
                         size[far] = coef[far] * power * self._scale(bessel, x[far])
                     return (coef * slope, size,
                             size * (self._ulps(log_nl2, nl2) + self.phi0_ulps()))
-        return (t, *rest()) if charged else (t, rest)
+        return t, rest
 
     def _ulps(self, log_nl2, nl2):
         """The error in eps of a term at nl2 = n ell/2, relative to its size, but phi0's."""
@@ -603,7 +601,7 @@ def g_sine_form(ps, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> floa
         return 0.0
     sa = math.sqrt(a)
 
-    def terms(ell, n, charged=True):  # and |x cos x|/(n sinh(n ell/2)) at x = n ell sqrt(a)
+    def terms(ell, n):  # and |x cos x|/(n sinh(n ell/2)) at x = n ell sqrt(a)
         nl2 = 0.5 * ell * n
         c = np.exp(-log_sinh(nl2))
         t = np.sin(n * ell * sa) / n * c
@@ -613,7 +611,7 @@ def g_sine_form(ps, T: float, policy: TruncationPolicy = DEFAULT_POLICY) -> floa
             lo, hi = (nl2[0], nl2[-1]) if isinstance(ell, float) else (nl2.min(), nl2.max())
             size = np.abs(t)
             return ell * sa * c, size, ulps(float(lo), float(hi)) * size
-        return (t, *rest()) if charged else (t, rest)
+        return t, rest
 
     def ulps(lo, hi):  # of a term with n ell/2 in [lo, hi], relative to its size
         return 2.0 + 0.5 * (max(abs(math.log(lo)), abs(math.log(hi))) + hi)

@@ -35,7 +35,7 @@ __all__ = ["bessel_j", "bessel_j_half"]
 
 _EPS = float(np.finfo(float).eps)
 _LOG_2 = math.log(2.0)
-_BLOCK = 1 << 21  # terms a _Collar sum evaluates at once, so that its memory stays flat
+_BLOCK = 1 << 19  # terms a _Collar walk evaluates at once, so that its memory stays flat
 _SERIES_DROP = 2.0**-56  # terms below this add nothing to a sum in [1/2, 1]
 _HANKEL_X = 25.0         # Hankel's expansion reaches eps at orders <= 3/2 from here
 _MILLER_LOG_TOP = math.log(2.0**-60)  # Miller starts where J has fallen this far

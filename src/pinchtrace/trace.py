@@ -24,24 +24,26 @@ and y = (n ell)^2, goes one of two routes per call:
   box cannot need fewer orders. The n-cut takes half the target, the
   truncation after K terms, sum c e^{y (rho - Re v0)} P(K, y rho) (P the
   regularized lower incomplete gamma function), and the rounding of the
-  build and of Horner's steps the other half.
+  build and of Horner's steps the other half; the build walks the collar's
+  blocks of terms, each within its share, in one block's memory at any ell.
 
 Both roundings are specfun._rounding's. A call takes the Taylor route when
 K (nodes + terms) < _COST_RATIO (direct terms) (nodes) and its bound
-holds. Where its centre does not certify within that cost, a block of at
-least _SPLIT_NODES nodes and _SPLIT_TERMS direct terms is halved along
-Im z, and each half planned as a call of its own: a narrower block needs fewer
-orders about its box centre. So real scalars and small arrays are summed
-directly, bit for bit; on a contour block a node's value depends on the
-other nodes of the call, within the certified tolerance. Every evaluator
-takes a scalar z or an array; a real scalar in gives a float back.
+holds, save where its n-cut passes the policy's cap. Where its centre does
+not certify within that cost, a block of at least _SPLIT_NODES nodes and
+_SPLIT_TERMS direct terms is halved along Im z, and each half planned as a
+call of its own: a narrower block needs fewer orders about its box centre.
+So real scalars and small arrays are summed directly, bit for bit; on a
+contour block a node's value depends on the other nodes of the call, within
+the certified tolerance. Every evaluator takes a scalar z or an array; a
+real scalar in gives a float back.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from itertools import chain
+from itertools import chain, islice, starmap
 
 import numpy as np
 
@@ -64,7 +66,6 @@ _N_CHUNK = 512
 # costs this many Taylor steps (per node or per term, about 10 ns on
 # contour blocks of a few hundred to a few thousand nodes)
 _COST_RATIO = 4.0
-_TAYLOR_TERMS_MAX = 1 << 19  # the Taylor route keeps ~10 floats per term: ~50 MB
 _EPS = float(np.finfo(float).eps)
 _SPLIT = "split"  # _taylor_sum's answer where its centre does not certify within the cost
 # a block of fewer nodes, or of fewer direct terms (about 0.7 ms at 20 ns a
@@ -128,24 +129,24 @@ def _term_sum(zs: np.ndarray, x, mell) -> np.ndarray:
 
 
 def _taylor_sum(collar, zs: np.ndarray, target: float, cap: int, max_cost: float):
-    """The series at every node from one Taylor expansion in v = 1/4z, None or
-    _SPLIT. Half the target goes to the n-cut, half to the truncation and
-    rounding of the expansion. None when the n-cut passes cap or
-    _TAYLOR_TERMS_MAX; _SPLIT when its centre does not certify in fewer than
-    max_cost / (nodes + terms) orders, so that only a narrower block may."""
+    """The series at every node from one Taylor expansion in v = 1/4z, built
+    over the collar's blocks, None or _SPLIT. Half the target goes to the
+    n-cut, half to the truncation and rounding of the expansion. None only
+    where that n-cut passes cap; _SPLIT when its centre does not certify in
+    fewer than max_cost / (nodes + terms) orders, so only a narrower block may."""
     try:
-        cuts, _ = collar.cut(0.5 * target, min(cap, _TAYLOR_TERMS_MAX))
+        cuts, _ = collar.cut(0.5 * target, cap)
     except TruncationBudgetError:
         return None
-    (n, ell, mell), = collar.blocks(0, cuts)  # one: _TAYLOR_TERMS_MAX < _BLOCK
-    x = n * ell
-    log_c = np.log(mell) - log_sinh(0.5 * x)
-    # y = inf fails _coefficients' x < 700; near the top of the doubles 1/4z
-    # and the Horner steps overflow, and such nodes' values are not finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        y, v = x**2, 0.25 / zs
+    with np.errstate(over="ignore", invalid="ignore"):  # not finite near the top of the doubles
+        v = 0.25 / zs
     v0, rho = _centre(v, float(zs.real.min()))
-    coeffs = _coefficients(log_c, y, v0, rho, 0.5 * target, int(max_cost / (zs.size + y.size)))
+
+    def block(n, ell, mell):  # log c, c = m ell/sinh(n ell/2), and y = (n ell)^2
+        with np.errstate(over="ignore"):  # y = inf fails _coefficients' x < 700
+            return np.log(mell) - log_sinh(0.5 * n * ell), (n * ell)**2
+    coeffs = _coefficients(lambda: starmap(block, collar.blocks(0, cuts)), v0, rho,
+                           0.5 * target, int(max_cost / (zs.size + int(cuts.sum()))))
     if not coeffs:
         return _SPLIT
     total = np.full_like(zs, coeffs[-1])
@@ -171,66 +172,87 @@ def _centre(v: np.ndarray, a: float) -> tuple:
     return box, rho_box
 
 
-def _coefficients(log_c, y, v0: complex, rho: float, budget: float, k_max: int):
+def _coefficients(blocks, v0: complex, rho: float, budget: float, k_max: int):
     """B_0..B_{K-1} of the expansion about v0 for the least K <= k_max that
-    certifies, [] when none does.
+    certifies, [] when none does, from blocks() -> each block's (log c_i, y_i).
 
     S(v) = sum_i c_i e^{-y_i v} = sum_k B_k q^k, q = (v0 - v)/rho, B_k =
     sum_i t_i p_ik with t_i = c_i e^{-y_i v0 + x_i}, x_i = y_i rho and p_ik =
     e^{-x_i} x_i^k/k!. With w_i = |t_i|, truncating after K terms costs at
     most L_K = sum_i w_i P(K, x_i) where |q| <= 1 (P the regularized lower
     incomplete gamma function): the running sum_i w_i - sum_{j<K} s_j, s_j
-    = sum_i w_i p_ij. Every s_j, sum_i w_i and part of B_j is an np.sum of
-    N terms off by (j + 1) eps each (p_ij's 2j + 1 roundings, the product)
-    and t_i's own error u_i; rounding x_i moves P(K, x_i) by K eps/2 p_iK,
-    and the K subtractions and Horner's complex steps add K/2 and 2K eps of
-    sum w_i. As sum_j p_ij <= 1, 4 _rounding(sum w_i, N, 1.5 K + u) covers
-    it, u the w-weighted u_i. K is the first order with L_K plus that within
-    budget. No order does where an x_i passes 700, a w_i passes budget/eps,
-    or the allowance passes budget before the truncation falls within it.
+    = sum_i w_i p_ij. Every s_j, sum_i w_i and part of B_j adds up np.sums of
+    N terms or fewer, a block each, off by (j + 1) eps each (p_ij's 2j + 1
+    roundings, the product) and t_i's own error u_i; rounding x_i moves
+    P(K, x_i) by K eps/2 p_iK, and the K subtractions and Horner's complex
+    steps add K/2 and 2K eps of sum w_i. As sum_j p_ij <= 1, 4 _rounding(sum
+    w_i, N, 1.5 K + u, blocks) covers it, u the w-weighted u_i. A block takes
+    orders until its L_K is within its share of sum w_i (1 on one block) of
+    budget less that; K, the most taken, certifies if all L_K plus that at K
+    do. No order does where an x_i passes 700, a w_i passes budget/eps, or
+    the allowance passes budget before the truncation falls within it.
     """
-    x = y * rho
-    # a subnormal e^{-x} would void the relative-error model of the
-    # recurrence; a single w_i past budget/eps cannot certify
-    if not (rho > 0.0 and float(np.max(x)) < 700.0):
-        return []
-    log_w = log_c + y * (rho - v0.real)
-    if not float(np.max(log_w)) < math.log(budget / _EPS):
-        return []
-    # B_k = sum_i t_i e^{-x_i} x_i^k/k! with t_i = c_i e^{-y_i v0 + x_i} and
-    # |t_i| = w_i; the Poisson factors are at most 1, so nothing overflows
-    t = np.exp(log_c - y * v0 + x)
-    w = np.abs(t)
-    mass = float(np.sum(w))
-    # t_i's exponent, summed from log c_i, y_i v0 and x_i, is off by eps/2 of
-    # their sizes each; its exponential and modulus add 1.5 eps
-    own = float(np.sum(w * (np.abs(log_c) + 1.5 * y * abs(v0) + 0.5 * x + 1.5))) / (mass or 1.0)
-    allowance = 4.0 * _rounding(mass, y.size, own + 1.5 * np.arange(k_max + 1.0))
+    def weights(log_c, y):  # a block's x_i, t_i and w_i
+        x = y * rho
+        t = np.exp(log_c - y * v0 + x)
+        return x, t, np.abs(t)
+
+    last, mass, own, top, size, count = None, 0.0, 0.0, 0.0, 0, 0
+    for log_c, y in blocks():
+        last = None  # only the last block's arrays are kept, and serve both passes
+        # a subnormal e^{-x} would void the relative-error model of the
+        # recurrence; a single w_i past budget/eps cannot certify
+        if not (rho > 0.0 and float(np.max(y * rho)) < 700.0
+                and float(np.max(log_c + y * (rho - v0.real))) < math.log(budget / _EPS)):
+            return []
+        x, t, w = last = weights(log_c, y)
+        mass += float(np.sum(w))
+        # t_i's exponent, summed from log c_i, y_i v0 and x_i, is off by eps/2
+        # of their sizes each; its exponential and modulus add 1.5 eps
+        own += float(np.sum(w * (np.abs(log_c) + 1.5 * y * abs(v0) + 0.5 * x + 1.5)))
+        top, size, count = max(top, float(np.max(w))), max(size, y.size), count + 1
+        del log_c, y, x, t, w  # while the next block is built, only last is held
+    allowance = 4.0 * _rounding(mass, size, own / (mass or 1.0) + 1.5 * np.arange(k_max + 1.0),
+                                count)
     # past this order the allowance alone fails; P(K, x) > 1/2 for x >= K (a
     # Gamma(K) law's median is below K): such terms alone fail
     k_max = min(k_max, int(np.searchsorted(allowance, budget, side="right")) - 1)
-    if k_max < 1 or 0.5 * float(np.sum(w[x >= k_max])) > budget:
-        return []
     # rows t_i p_ik and w_i p_ik, each summed pairwise: the parts of B_k (no
     # imaginary one about a real centre) and s_k. A factor 2^s <= 2^1023 takes
     # the largest w_i near 2^1000: an entry in the subnormals then errs by at
     # most 2^-1075 e^{x_i} < 2^-65, far below an ulp of the mass, and no row,
     # at most its w_i, overflows. Where no entry is subnormal, each sum is the
     # unscaled one times 2^s, bit for bit
-    scale = min(1023, max(0, 1000 - math.frexp(float(np.max(w)))[1]))
-    rows = np.stack([t.real, w] + ([t.imag] if v0.imag else [])) * (np.exp(-x) * 2.0**scale)
-    unscale = 2.0**-scale
-    step = np.empty_like(x)
-    left = mass  # L_K once the orders so far are kept
-    coeffs = []
-    for k in range(1, k_max + 1):
-        re, share, *im = rows.sum(axis=1)
-        coeffs.append(complex(re, *im))
-        left -= share * unscale
-        if left + allowance[k] <= budget:
-            return [b * unscale for b in coeffs]
-        rows *= np.divide(x, k, out=step)
-    return []
+    scale = min(1023, max(0, 1000 - math.frexp(top)[1]))
+    unscale, heavy = 2.0**-scale, 0.0
+
+    def orders(x, t, w):  # a block's B_k 2^s to its own K, and its L_K; None past k_max
+        nonlocal heavy
+        heavy += float(np.sum(w[x >= k_max]))
+        if k_max < 1 or 0.5 * heavy > budget:
+            return None
+        rows = np.stack([t.real, w] + ([t.imag] if v0.imag else []))
+        rows *= np.exp(-x) * 2.0**scale
+        step, left, coeffs = np.empty_like(x), float(np.sum(w)), []
+        share = left / (mass or 1.0)
+        for k in range(1, k_max + 1):
+            re, part, *im = rows.sum(axis=1)
+            coeffs.append(complex(re, *im))
+            left -= part * unscale
+            if left + allowance[k] * share <= budget * share:
+                return coeffs, left
+            rows *= np.divide(x, k, out=step)
+        return None
+
+    coeffs, left, rebuilt = [], 0.0, starmap(weights, islice(blocks(), count - 1))
+    for _ in range(count):
+        got, last = orders(*(last or next(rebuilt))), None  # the last block first
+        if got is None:
+            return []
+        more, part = got
+        coeffs = [a + b for a, b in zip(coeffs, more)] + coeffs[len(more):] + more[len(coeffs):]
+        left += part
+    return [b * unscale for b in coeffs] if left + allowance[len(coeffs)] <= budget else []
 
 
 def _direct_rounding(collar, zs: np.ndarray, cuts, sizes, room: float) -> float:

@@ -173,7 +173,7 @@ def test_taylor_build_sums_pairwise_along_rows():
     # the t_i = e^{log c_i}, taken along one row of the buffer it multiplies
     log_c = np.log(_adversarial())
     t = np.exp(log_c)
-    coeffs = trace._coefficients(log_c, np.zeros_like(log_c), 0j, 1.0, 1e-6, 4)
+    coeffs = trace._coefficients(lambda: [(log_c, np.zeros_like(log_c))], 0j, 1.0, 1e-6, 4)
     assert len(coeffs) == 1 and coeffs[0].imag == 0.0
     _covers(coeffs[0].real, t, _rounding(math.fsum(t), t.size))
 
@@ -201,7 +201,7 @@ def test_series_sum_charges_its_blocks(monkeypatch, charge):
 
     def terms(ell, n):
         t = a[n.astype(int) - 1]
-        return t, np.zeros_like(t), t, np.zeros_like(t)
+        return t, lambda: (np.zeros_like(t), t, np.zeros_like(t))
 
     total, bound = counting._direct((1.0,), terms, lambda x: 0.0 if x <= a.size else math.inf,
                                     lambda s: 1.0, 10**6, charge)

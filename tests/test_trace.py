@@ -330,8 +330,8 @@ def test_spectrum_sorted_and_logsum():
 def _routes(entries, zs, policy=DEFAULT_POLICY, max_cost=1e8):
     """(Taylor route or None, direct route, per-node target) on one node block."""
     collar, target, cap = trace._plan(entries, zs, policy)
-    (n, ell, mell), = collar.blocks(0, collar.cut(target, cap)[0])
-    direct = trace._term_sum(zs, n * ell, mell)
+    direct = sum(trace._term_sum(zs, n * ell, mell)
+                 for n, ell, mell in collar.blocks(0, collar.cut(target, cap)[0]))
     return trace._taylor_sum(collar, zs, target, cap, max_cost), direct, target
 
 
@@ -384,9 +384,9 @@ def test_skipped_box_centre_never_needs_fewer_orders(a, doublings, entries):
     if disc != 0.125 / a:  # the box centre is taken
         return
     box = complex(0.5 * (v.real.min() + v.real.max()), 0.5 * (v.imag.min() + v.imag.max()))
-    at_box = trace._coefficients(log_c, y, box, float(np.max(np.abs(v - box))),
+    at_box = trace._coefficients(lambda: [(log_c, y)], box, float(np.max(np.abs(v - box))),
                                  0.5 * target, 4000)
-    at_disc = trace._coefficients(log_c, y, disc, rho_disc, 0.5 * target, 4000)
+    at_disc = trace._coefficients(lambda: [(log_c, y)], disc, rho_disc, 0.5 * target, 4000)
     assert not at_box or (at_disc and len(at_disc) <= len(at_box))
 
 
@@ -398,7 +398,7 @@ def test_first_band_builds_one_expansion(ell, monkeypatch):
     monkeypatch.setattr(trace, "_coefficients", lambda *args: calls.append(args) or build(*args))
     s, _, _ = xform._panel_nodes(0.0, 16.0, 11)  # bromwich's first extension at T = 1
     total = trace._geodesic_sum(((ell, 1),), 1.0 + 1j * s, DEFAULT_POLICY)
-    assert len(calls) == 1 and calls[0][2] == 0.125
+    assert len(calls) == 1 and calls[0][1] == 0.125
     assert np.array_equal(total, _routes(((ell, 1),), 1.0 + 1j * s)[0])
 
 
@@ -408,8 +408,14 @@ def test_first_band_builds_one_expansion(ell, monkeypatch):
 # at T = a; at w = 5, a = sqrt 6, the band is narrow next to a
 @example(a=math.sqrt(6.0), doublings=-1, entries=[(0.01, 1)])
 def test_each_taylor_sum_builds_at_most_one_expansion(a, doublings, entries):
-    builds = []  # the expansions of each _taylor_sum call, a split block's halves' calls too
-    expand, build = trace._taylor_sum, trace._coefficients
+    _, builds = _builds(LengthSpectrum.of(entries).entries, _band(a, doublings))
+    assert max(builds, default=0) <= 1
+
+
+def _builds(entries, zs):
+    """(the call's value, the expansions each _taylor_sum call builds, a
+    split block's halves' calls too)."""
+    builds, expand, build = [], trace._taylor_sum, trace._coefficients
 
     def counted_expand(*args):
         builds.append(0)
@@ -422,9 +428,82 @@ def test_each_taylor_sum_builds_at_most_one_expansion(a, doublings, entries):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trace, "_taylor_sum", counted_expand)
         patch.setattr(trace, "_coefficients", counted_build)
-        trace._geodesic_sum(LengthSpectrum.of(entries).entries, _band(a, doublings),
-                            DEFAULT_POLICY)
-    assert max(builds, default=0) <= 1
+        return trace._geodesic_sum(entries, zs, DEFAULT_POLICY), builds
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_BLOCKS)
+@example(a=1.0, doublings=-1, entries=[(0.003, 1)])
+@example(a=3.0, doublings=2, entries=[(0.002, 2), (0.05, 1)])
+def test_streamed_taylor_build_matches_direct_route(a, doublings, entries):
+    # with blocks of 4096 terms the expansion is built over several blocks,
+    # each taking orders for its share: within target of the direct route,
+    # one build a call, and no Taylor call falls back on its term count
+    zs = _band(a, doublings)
+    entries = LengthSpectrum.of(entries).entries
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(specfun, "_BLOCK", 4096)
+        taylor, direct, target = _routes(entries, zs)
+        total, builds = _builds(entries, zs)
+    assert taylor is not None and max(builds, default=0) <= 1
+    assert float(np.max(np.abs(total - direct))) <= 2.0 * target
+
+
+@pytest.mark.parametrize("ell", [0.003, 0.001])
+def test_streamed_build_serves_contour_extensions(ell, monkeypatch):
+    # a band whose Taylor cut spans four blocks of 4096 terms or more certifies as one
+    # expansion, within target of the direct route
+    monkeypatch.setattr(specfun, "_BLOCK", 4096)
+    entries = ((ell, 1),)
+    zs = 1.0 + 1j * np.linspace(16.0, 32.0, 2000)
+    collar, target, cap = trace._plan(entries, zs, DEFAULT_POLICY)
+    assert collar.cut(0.5 * target, cap)[0].sum() > 3 * 4096
+    taylor, direct, target = _routes(entries, zs)
+    assert isinstance(taylor, np.ndarray)
+    assert float(np.max(np.abs(taylor - direct))) <= 2.0 * target
+
+
+def test_inversion_past_one_block_stays_on_the_taylor_route(monkeypatch):
+    # at ell = 5e-5 the Taylor cut passes one block of terms: every contour
+    # block is expanded or halved, none summed directly for its term count
+    answers, expand = [], trace._taylor_sum
+    monkeypatch.setattr(trace, "_taylor_sum",
+                        lambda *args: answers.append(expand(*args)) or answers[-1])
+    ps = PinchingSet.of([5e-5])
+    got = xform.weighted_inverse(lambda z: degenerating_trace(ps, z), 2.0, 1.0)
+    assert answers and all(answer is not None for answer in answers)
+    assert got == pytest.approx(g_bessel(ps, 2.0, 1.0), rel=1e-10)
+
+
+# float.hex(weighted_inverse) recorded before the Taylor build streamed over
+# the collar's blocks: each cut fits one block, so the value is kept bit for
+# bit; (ell, w, T), and the three lengths (0.3, 1), (0.6, 2), (1.1, 1)
+_INVERSION_PINS = [
+    (0.3, 1.0, 1.0, '0x1.652a48b68851ap-2'),
+    (0.1, 1.0, 1.0, '0x1.000e8d72cc10bp-1'),
+    (0.03, 1.0, 1.0, '0x1.5503dc6271c96p-1'),
+    (0.01, 1.0, 1.0, '0x1.a28b30989e486p-1'),
+    (0.0003, 1.0, 1.0, '0x1.4d003a47066ddp+0'),
+    (0.0001, 1.0, 1.0, '0x1.73c3f65e00eccp+0'),
+    (0.3, 2.0, 1.0, '0x1.c228a74119357p-3'),
+    (0.1, 2.0, 1.0, '0x1.3e0f84d50dc9fp-2'),
+    (0.03, 2.0, 1.0, '0x1.a4030a8b65354p-2'),
+    (0.01, 2.0, 1.0, '0x1.0085eef61eafap-1'),
+    (0.0003, 2.0, 1.0, '0x1.94ff7ea00da89p-1'),
+    (0.0001, 2.0, 1.0, '0x1.c383f9ee683f9p-1'),
+    (0.01, 2.0, 20.0, '0x1.551c556f46bb9p+10'),
+    (0.01, 2.0, 1000.0, '0x1.b7a30893363e4p+23'),
+    (0.1, 5.0, 1.0, '0x1.85b666889c7ddp-4'),
+    (None, 2.0, 1.0, '0x1.5101ad7f9be14p-1'),
+]
+
+
+@pytest.mark.parametrize("ell, w, T, want", _INVERSION_PINS)
+@pytest.mark.filterwarnings("ignore::pinchtrace.UncertifiedTailWarning")
+def test_one_block_inversions_are_bit_for_bit_as_recorded(ell, w, T, want):
+    ls = LengthSpectrum.of([(0.3, 1), (0.6, 2), (1.1, 1)] if ell is None else [(ell, 1)])
+    got = xform.weighted_inverse(lambda z: hyperbolic_trace(ls, z), w, T)
+    assert float.hex(got) == want
 
 
 def _direct_sizes(monkeypatch):
@@ -534,7 +613,7 @@ def test_taylor_certificate_bounds_the_true_truncation(terms, v0, rho, log10_sha
     budget = 10.0**log10_share * math.fsum(w)
     if not budget > 0.0:
         return
-    coeffs = trace._coefficients(log_c, y, v0, rho, budget, 400)
+    coeffs = trace._coefficients(lambda: [(log_c, y)], v0, rho, budget, 400)
     if not coeffs:  # None where no order can certify, [] where none up to 400 does
         return
     k = len(coeffs)
