@@ -32,13 +32,14 @@ moves a term by at most 2^-51 ell/sinh(n ell/2) min(phi0 x^2/(2 nu + 2),
 That and the sum's rounding (specfun._rounding, with the kernel's
 _J_ULPS and the factors' errors) join the tail; a sum raises where they
 alone exceed the tolerance (at w = 0 from about T = 1e12, ell = 0.05).
-They are charged a priori first: a term's |x d/dx| and size are within
-factors of its envelope fixed by the largest n ell sqrt(a), its own error
-within the ulps at the ends of the n ell range, and the collar's geometric
-mass sum_k ell_k e^{-G(ell_k)}/(1 - e^{-ell_k/2}) bounds the envelopes'
-sum. Only where that misses half the room left by the tail (a cancelling
-sum at large T) are the per-term bounds built; the value and the cut are
-the per-term charge's either way.
+The collar cuts and sums; _direct charges them, a priori first: a term's
+|x d/dx| and size are within factors of its envelope fixed by the largest
+n ell sqrt(a), its own error within the ulps at the ends of the n ell
+range, and the collar's geometric mass sum_k ell_k e^{-G(ell_k)}/(1 -
+e^{-ell_k/2}) bounds the envelopes' sum. Once that misses half the room
+left by the tail (a cancelling sum at large T), and in the tests' oracle,
+the per-term bounds serve; the value and the cut are theirs either way.
+R's sum is cut on its tail alone, then charged per term.
 
 Expansion route. With x g(x) = sum_{j<=24} c_j x^2j, h = g - c_0 e^{-x}/x
 is analytic in |Im z| < 2 pi, and Euler-Maclaurin from x = 0 gives
@@ -79,7 +80,6 @@ from __future__ import annotations
 import math
 import struct
 from functools import cached_property, lru_cache
-from operator import add
 
 import numpy as np
 
@@ -150,64 +150,66 @@ def _direct(ells, terms, env, tol, cap: int, charge: bool = True, bounds=None):
     """The _Collar sum over the lengths ells, weights ell, of terms(ell, n) ->
     (terms, a call that gives bounds on |x d/dx| of each in its argument x,
     on their sizes, on their own errors in eps), charged the argument's
-    rounding and np.sum's of each block, or (charge False) each block's
-    np.sum against fsum.
+    rounding and np.sum's of each block; or (charge False) cut on the tail
+    alone, then charged the argument's rounding, the terms' own errors, each
+    block's np.sum against fsum and the additions of the blocks.
 
     With bounds(x_lo, x_hi) -> (slope, size, ulps), or None, a charged sum
     charges first a priori: where each term with n ell in [x_lo, x_hi] has its
     |x d/dx| and size within slope and size times its envelope ell e^{-G(n ell)},
     and its own error within ulps eps of its size, the collar's geometric mass
-    bounds their sums. Only where that misses half the room are the per-term
-    arrays built, block by block as summed, so that the value and the cut stay
-    the per-term charge's; it defers them for one block of terms at most."""
-    lazy = charge and bounds is not None
-    deferred, held, side = [], 0, ()  # lazy: the calls yet to make, their terms, the sums
-    missed = False  # once the a priori charge misses, the per-term one serves the rest
-
-    def sums(slopes, sizes, errors, drift=0.0):
-        return float(slopes.sum()), float(sizes.sum()), float(errors.sum()), drift
-
-    def settle():  # the deferred per-term arrays' sums, added in block order
-        nonlocal side
-        for rest in deferred:
-            more = sums(*rest())
-            side = tuple(map(add, side, more)) if side else more
-        deferred.clear()
+    bounds their sums. Once that misses half the room (at once, bounds None),
+    the per-term charge serves; its arrays are built in block order, deferred
+    for one block of terms at most, and the value and cut are its either way."""
+    deferred, held, blocks = [], 0, 0  # the calls yet to make, their terms, the blocks summed
+    slope = mass = own = drift = 0.0  # the per-term sums of the calls made, the fsum drift
+    missed = bounds is None  # once set, the per-term charge serves
 
     def block(n, ell, _):
-        nonlocal held
+        nonlocal held, blocks, drift
         t, rest = terms(ell, n)
         part = float(t.sum())
-        if lazy:
-            deferred.append(rest)
-            held += n.size
-            if held > _BLOCK:
-                settle()
-            return part, ()
-        drift = abs(part - math.fsum(t)) if not charge and math.isfinite(part) else 0.0
-        return part, sums(*rest(), drift)
+        if not charge and math.isfinite(part):
+            drift += abs(part - math.fsum(t))
+        deferred.append(rest)
+        held, blocks = held + n.size, blocks + 1
+        if held > _BLOCK:
+            settle()
+        return part
 
-    def rounding(sides, rounds, sizes, room):
+    def settle():
+        nonlocal held, slope, mass, own
+        for rest in deferred:
+            slopes, sizes, errors = (float(a.sum()) for a in rest())
+            slope, mass, own = slope + slopes, mass + sizes, own + errors
+        deferred.clear()
+        held = 0
+
+    def per_term(n, parts):
+        settle()
+        return _ARG_ROUNDING * slope + drift + _rounding(mass, n, own / (mass or 1.0), parts)
+
+    def rounding(cuts, sizes, room):
         nonlocal missed
-        n, parts = (max(sizes), len(sizes)) if charge else (1, len(sizes) + 1)
-        if lazy:
-            factors = None if missed else bounds(
-                collar.ell0, float((rounds[-1][1] * collar.ell).max()))
+        if not charge:
+            return 0.0
+        if not missed:
+            factors = bounds(collar.ell0, float((cuts * collar.ell).max()))
             if factors is not None:
-                slope, size, ulps = factors
-                r = (_ARG_ROUNDING * slope * collar.mass
-                     + _rounding(size * collar.mass, n, ulps, parts))
+                arg, size, ulps = factors
+                r = (_ARG_ROUNDING * arg * collar.mass
+                     + _rounding(size * collar.mass, max(sizes), ulps, len(sizes)))
                 if r <= 0.5 * room:
                     return r
             missed = True
-            settle()
-            sides = side
-        slope, mass, own, drift = sides
-        return _ARG_ROUNDING * slope + drift + _rounding(mass, n, own / (mass or 1.0), parts)
+        return per_term(max(sizes), len(sizes))
 
     ell = np.array(sorted(ells))
     collar = _Collar(ell, ell, env)  # where every term's bound underflows, so does the sum
-    return collar.sum(block, tol, rounding, cap, charge) if collar.log_w > -math.inf else (0.0, 0.0)
+    if collar.log_w == -math.inf:
+        return 0.0, 0.0
+    total, bound = collar.sum(block, tol, rounding, cap)
+    return total, bound if charge else bound + per_term(1, blocks + 1)
 
 
 def _j_envelope(nu: float, x):

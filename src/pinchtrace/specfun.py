@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import add
 
 import numpy as np
 
@@ -158,24 +157,21 @@ class _Collar:
             n = np.arange(s + 1.0, e + 1.0) + (lo + count - ends).repeat(k)
             yield n, self.ell.repeat(k), self.weight.repeat(k)
 
-    def sum(self, terms, tol, rounding, cap: int, charge: bool = True, cut=None):
+    def sum(self, terms, tol, rounding, cap: int, cut=None):
         """(total, its tail bound plus its rounding) within tol(total), from
-        terms(n, ell, weight) -> a block's (sum, tuple of side sums) and
-        rounding(side sums, rounds, block sizes, room = tol less the tail),
-        rounds the (from, to) cuts of every round of blocks so far. The
+        terms(n, ell, weight) -> a block's sum and rounding(cuts, block sizes,
+        room = tol less the tail) -> the rounding the caller charges. The
         first cut (or cut, the caller's) is for tol of the n = 1 shell; while
-        tol of the sum is smaller, or the tail and the rounding (not charged
-        with charge False) pass it, it cuts again, for tol, else for tol less
-        the rounding with one more block, and adds the new terms only. Raises
-        where that rounding fills tol, or where tol of the sum is not finite."""
+        tol of the sum is smaller, or the tail and the rounding pass it, it
+        cuts again, for tol, else for tol less the rounding with one more
+        block, and adds the new terms only. Raises where that rounding fills
+        tol, or where tol of the sum is not finite."""
         target = tol(self.shell)
         cuts, tail = cut or self.cut(target, cap)
-        done, total, side, sizes, rounds = 0, 0.0, (), [], []
+        done, total, sizes = 0, 0.0, []
         while True:
-            rounds.append((done, cuts))
             for block in self.blocks(done, cuts):
-                part, more = terms(*block)
-                total, side = total + part, tuple(map(add, side, more)) if side else more
+                total += terms(*block)
                 sizes.append(block[0].size)
             limit = tol(total)
             if not math.isfinite(limit):
@@ -183,10 +179,10 @@ class _Collar:
             if limit < target:
                 target = limit
             else:
-                r = rounding(side, rounds, sizes, limit - tail)
-                if tail + (r if charge else 0.0) <= limit:
+                r = rounding(cuts, sizes, limit - tail)
+                if tail + r <= limit:
                     return total, tail + r
-                r = rounding(side, rounds, sizes + [0], limit - tail) if charge else 0.0
+                r = rounding(cuts, sizes + [0], limit - tail)
                 if not r < limit:
                     raise TruncationBudgetError(
                         f"argument rounding plus the sum's, {r:.3e}, exceeds tolerance "

@@ -302,10 +302,9 @@ def _geodesic_sum(entries, zs: np.ndarray, policy: TruncationPolicy) -> np.ndarr
             total = _halves(entries, zs, terms, policy)
         if total is not None:
             return total
-    return collar.sum(lambda n, ell, mell: (_term_sum(zs, n * ell, mell), ()),
+    return collar.sum(lambda n, ell, mell: _term_sum(zs, n * ell, mell),
                       lambda total: target,
-                      lambda _, rounds, sizes, room: _direct_rounding(
-                          collar, zs, rounds[-1][1], sizes, room),
+                      lambda cuts, sizes, room: _direct_rounding(collar, zs, cuts, sizes, room),
                       cap, cut=cut)[0]
 
 

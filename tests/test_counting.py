@@ -673,14 +673,28 @@ def test_direct_route_builds_per_term_charges_only_where_the_envelope_misses(
 
 def test_deferred_charges_settle_past_one_block(monkeypatch):
     # with blocks of 16 terms and at most 16 held, the charges settle block by
-    # block as they are summed: the same value and bound as charged at once
+    # block as they are summed: the same value and cuts as charged at once, and
+    # at large T, where the a priori charge misses after many blocks, the same
+    # bound too, for one length and for several
     monkeypatch.setattr(specfun, "_BLOCK", 16)
     monkeypatch.setattr(counting, "_BLOCK", 16)
-    for w, T, ell in ((0.7, 1.35e4, 0.0545), (0.0, 1e4, 0.05), (0.0, 1.0, 0.49)):
+    for w, T, ells in ((0.7, 1.35e4, [0.0545]), (0.0, 1e4, [0.05]), (0.0, 1e4, [0.05, 0.07, 0.3]),
+                       (2.0, 1e5, [0.3, 1.0, 1.7]), (0.0, 1.0, [0.49])):
         series = _BesselSeries(w, T - 0.25, DEFAULT_POLICY)
-        lazy, lazy_cuts = _charged_direct(series, [ell], series.charges)
-        eager, eager_cuts = _charged_direct(series, [ell], None)
+        lazy, lazy_cuts = _charged_direct(series, ells, series.charges)
+        eager, eager_cuts = _charged_direct(series, ells, None)
         assert lazy[0] == eager[0] and lazy_cuts == eager_cuts and lazy[1] >= eager[1]
+        assert sum(lazy_cuts[0]) > 16 and (lazy[1] == eager[1]) == (T > 1e3)
+
+
+@pytest.mark.parametrize("w, T, ells", [(100.0, 0.35, [0.5]), (100.0, 0.4, [0.2, 0.5, 1.0])])
+def test_a_priori_charge_gives_way_where_the_terms_take_the_ascending_series(w, T, ells):
+    # where the power (2 sqrt(a)/(n ell))^nu may overflow, charges has no bound
+    # and the direct route is charged per term from the first round
+    series = _BesselSeries(w, T - 0.25, DEFAULT_POLICY)
+    assert series.charges(ells[0], ells[-1]) is None
+    got = _charged_direct(series, ells, series.charges)
+    assert got == _charged_direct(series, ells, None) and got[0][0] > 0.0
 
 
 @settings(max_examples=40)

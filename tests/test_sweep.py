@@ -1,5 +1,6 @@
 """Degeneration schedules, the sweep driver, and growth-exponent fits."""
 
+import concurrent.futures
 import math
 import os
 import threading
@@ -249,6 +250,27 @@ class TestThreadCap:
         monkeypatch.delenv("SPECTRA_THREADS", raising=False)
         assert thread_cap(1) == 1
         assert thread_cap(3) <= 3
+
+    def test_contour_rows_on_a_pool_give_the_serial_bytes(self, monkeypatch):
+        # three contour rows, the last failing on max_terms: two workers give
+        # the column and the errors of one, through a thread pool
+        pools = []
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, **kwargs):
+                pools.append(kwargs)
+                super().__init__(**kwargs)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        sch, policy = Schedule.geometric(0.9, 0.1, 3), TruncationPolicy(max_terms=300)
+        results = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SPECTRA_THREADS", threads)
+            results.append(run_sweep(sch, 2.0, 1.0, policy, use_bromwich=True))
+        serial, pooled = results
+        assert pools == [{"max_workers": 2}] and [i for i, _ in serial.errors] == [2]
+        assert pooled.g_packed == serial.g_packed and pooled.errors == serial.errors
 
 
 class TestGrowthFit:

@@ -475,6 +475,23 @@ def test_inversion_past_one_block_stays_on_the_taylor_route(monkeypatch):
     assert got == pytest.approx(g_bessel(ps, 2.0, 1.0), rel=1e-10)
 
 
+def test_taylor_route_gives_way_where_its_cut_passes_the_cap(monkeypatch):
+    # with max_terms at the full target's cut, the Taylor route's half-target
+    # cut passes it: the block is summed directly, within tolerance of each
+    # node summed on its own
+    ps, zs = PinchingSet.of([0.05, 0.3]), np.array([0.5, 1.0, 2.0, 4.0])
+    collar, target, cap = trace._plan(ps.as_length_spectrum().entries, zs + 0j, DEFAULT_POLICY)
+    policy = TruncationPolicy(max_terms=int(collar.cut(target, cap)[0].sum()))
+    answers, expand = [], trace._taylor_sum
+    monkeypatch.setattr(trace, "_taylor_sum",
+                        lambda *args: answers.append(expand(*args)) or answers[-1])
+    got = degenerating_trace(ps, zs, policy)
+    assert answers and not any(isinstance(answer, np.ndarray) for answer in answers)
+    for z, value in zip(zs, got):
+        one = degenerating_trace(ps, float(z), policy)
+        assert abs(value - one) <= policy.tol(value) + policy.tol(one)
+
+
 # float.hex(weighted_inverse) recorded before the Taylor build streamed over
 # the collar's blocks: each cut fits one block, so the value is kept bit for
 # bit; (ell, w, T), and the three lengths (0.3, 1), (0.6, 2), (1.1, 1)
