@@ -33,16 +33,33 @@ holds, save where its n-cut passes the policy's cap. Where its centre does
 not certify within that cost, a block of at least _SPLIT_NODES nodes and
 _SPLIT_TERMS direct terms is halved along Im z, and each half planned as a
 call of its own: a narrower block needs fewer orders about its box centre.
-So real scalars and small arrays are summed directly, bit for bit; on a
-contour block a node's value depends on the other nodes of the call, within
-the certified tolerance. Every evaluator takes a scalar z or an array; a
-real scalar in gives a float back.
+
+A call whose nodes share one real part a, as each extension of a Bromwich
+inversion does, first tries its line (_Line): Re z = a maps onto the circle
+|v - 1/8a| = 1/8a, so one expansion about 1/8a serves every node of the
+line. It is built once per (entries, a, policy), by the first call that can
+pay for its orders, kept in a bounded cache, cut at c_min = 0 (the longest
+cut any node of the line needs) and built to the target at c_min = 1/a (the
+tightest). Each call re-centres its K coefficients on the call's own centre
+by an exact Taylor shift, one K x K product, and runs Horner on the leading
+J terms, certified by the line's cut and build, the shift's tail sum_{j>=J}
+|b_j| and a derived rounding charge of 5 K eps sum_k |B_k| (|delta| + h)^k.
+Where the line does not certify (an x_i past 700, or more than _LINE_ORDERS
+orders) or pays no better than the direct sum, or no shift fits the call's
+target, the call goes on as above, unchanged. So real scalars, small arrays
+and nodes off one line are summed as before, bit for bit; on a contour
+block a node's value depends on the other nodes of the call, within the
+certified tolerance. Every evaluator takes a scalar z or an array; a real
+scalar in gives a float back.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
+import threading
+from functools import lru_cache
 from itertools import chain, islice, starmap
 
 import numpy as np
@@ -73,6 +90,12 @@ _SPLIT = "split"  # _taylor_sum's answer where its centre does not certify withi
 # 30-150 us, and the halves may be summed directly all the same
 _SPLIT_NODES = 16
 _SPLIT_TERMS = 1 << 15
+# the most orders a line's expansion takes: past it a cold line costs more
+# than the per-call builds it replaces (K = 402 at ell = 0.1, w = 2, T = 5:
+# an inversion took 28 ms against 6), and each call's K x K shift grows with K^2
+_LINE_ORDERS = 256
+# widens a line's rho and a call's box radius past their nodes' rounding
+_MARGIN = 1.0 + 2.0**-40
 
 
 def _as_nodes(z):
@@ -92,6 +115,15 @@ def _give_back(value: np.ndarray, z):
     return value.reshape(np.shape(z))
 
 
+def _collar(entries, c_min: float) -> _Collar:
+    """The lengths' collar under the envelope g(x) = log sinh(x/2) + x^2 c_min/4."""
+    def g(x):  # where c_min is 0 the Gaussian factor is 1, even where x^2 overflows
+        return log_sinh(0.5 * x) + (x * x * c_min / 4.0 if c_min else 0.0)
+
+    ell, m = np.fromiter(chain.from_iterable(entries), float, 2 * len(entries)).reshape(-1, 2).T
+    return _Collar(ell, m * ell, g)
+
+
 def _plan(entries, zs: np.ndarray, policy: TruncationPolicy):
     """(collar, target, cap) shared by both routes of a call."""
     # extreme nodes overflow these to inf or 0: c_min = inf cuts at one term, c_min = 0
@@ -99,12 +131,7 @@ def _plan(entries, zs: np.ndarray, policy: TruncationPolicy):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         c_min = float((zs.real / np.abs(zs) ** 2).min())  # Re(1/z) per node
         stretch = math.sqrt(1.0 + float(((zs.imag / zs.real) ** 2).max()))
-
-    def g(x):  # where c_min is 0 the Gaussian factor is 1, even where x^2 overflows
-        return log_sinh(0.5 * x) + (x * x * c_min / 4.0 if c_min else 0.0)
-
-    ell, m = np.fromiter(chain.from_iterable(entries), float, 2 * len(entries)).reshape(-1, 2).T
-    collar = _Collar(ell, m * ell, g)
+    collar = _collar(entries, c_min)
     cap = int(min(policy.max_terms * stretch, sys.maxsize))
     return collar, policy.tol(collar.shell), cap  # the n = 1 shell dominates the sum
 
@@ -128,6 +155,12 @@ def _term_sum(zs: np.ndarray, x, mell) -> np.ndarray:
     return total
 
 
+def _log_terms(n, ell, mell):
+    """A block's log c, c = m ell/sinh(n ell/2), and y = (n ell)^2."""
+    with np.errstate(over="ignore"):  # y = inf fails _coefficients' x < 700
+        return np.log(mell) - log_sinh(0.5 * n * ell), (n * ell)**2
+
+
 def _taylor_sum(collar, zs: np.ndarray, target: float, cap: int, max_cost: float):
     """The series at every node from one Taylor expansion in v = 1/4z, built
     over the collar's blocks, None or _SPLIT. Half the target goes to the
@@ -141,11 +174,7 @@ def _taylor_sum(collar, zs: np.ndarray, target: float, cap: int, max_cost: float
     with np.errstate(over="ignore", invalid="ignore"):  # not finite near the top of the doubles
         v = 0.25 / zs
     v0, rho = _centre(v, float(zs.real.min()))
-
-    def block(n, ell, mell):  # log c, c = m ell/sinh(n ell/2), and y = (n ell)^2
-        with np.errstate(over="ignore"):  # y = inf fails _coefficients' x < 700
-            return np.log(mell) - log_sinh(0.5 * n * ell), (n * ell)**2
-    coeffs = _coefficients(lambda: starmap(block, collar.blocks(0, cuts)), v0, rho,
+    coeffs = _coefficients(lambda: starmap(_log_terms, collar.blocks(0, cuts)), v0, rho,
                            0.5 * target, int(max_cost / (zs.size + int(cuts.sum()))))
     if not coeffs:
         return _SPLIT
@@ -172,6 +201,111 @@ def _centre(v: np.ndarray, a: float) -> tuple:
     return box, rho_box
 
 
+class _Line:
+    """The expansion that serves every node on the line Re z = a, where v =
+    1/4z lies on the circle |v - 1/8a| = 1/8a: B_0..B_{K-1} about v0 = 1/8a
+    with rho = 1/8a, widened by _MARGIN so that each node's rounded v is
+    inside. The series is cut at c_min = 0, the longest cut any node of the
+    line needs (within the policy's max_terms, the smallest cap of any
+    call), to half the target at c_min = 1/a, the tightest, and expanded to
+    a quarter of it; spent is the sum of both.
+
+    A call builds it to the most orders the call can pay for, K_call <=
+    _LINE_ORDERS, once no call has tried as many (tried): as _coefficients
+    returns the least K that certifies, the expansion is the same whichever
+    call builds it, and a failed try shows only that none certifies within
+    K_call. built holds (K, |B_k|, the orders k, hankel), hankel C(j + m, j)
+    B_{j+m} at [j, m], each C rounded once from the exact integer."""
+
+    def __init__(self, entries, a: float, policy: TruncationPolicy):
+        self.a, self.v0 = a, complex(0.125 / a)
+        self.rho = self.v0.real * _MARGIN
+        target = policy.tol(_collar(entries, 1.0 / a).shell)
+        self.spent, self.budget = 0.75 * target, 0.25 * target
+        self.collar, self.terms, self.tried, self.built = _collar(entries, 0.0), 0, 0, None
+        self.lock = threading.Lock()  # a sweep's threads share the cached line
+        try:
+            self.cuts, _ = self.collar.cut(0.5 * target, policy.max_terms)
+        except TruncationBudgetError:  # past max_terms: every call plans its own
+            self.tried = _LINE_ORDERS
+        else:
+            self.terms = int(self.cuts.sum())
+
+    def _build(self, k_max: int):
+        """built, or None where no K <= k_max certifies."""
+        self.tried = k_max
+        coeffs = _coefficients(lambda: starmap(_log_terms, self.collar.blocks(0, self.cuts)),
+                               self.v0, self.rho, self.budget, k_max)
+        if not coeffs:
+            return None
+        coeffs = np.array(coeffs, dtype=complex)
+        k = coeffs.size
+        hankel, row = np.zeros((k, k), dtype=complex), [1]
+        for n in range(k):  # row holds C(n, j); [j, n - j] lies at n + j (k - 1) in the buffer
+            hankel.reshape(-1)[n:n * k + 1:max(k - 1, 1)] = np.array(row, float) * coeffs[n]
+            row = list(map(operator.add, row + [0], [0] + row))
+        return k, np.abs(coeffs), np.arange(k), hankel
+
+    def sum(self, zs: np.ndarray, target: float, max_cost: float):
+        """The cut series at every node of the line, or None where the line
+        is not built (no call has yet paid for its orders, or none
+        certifies), its K (terms + nodes), a Taylor call's cost, is not below
+        max_cost, or no shift fits target less spent.
+
+        The coefficients are re-centred on the nodes' own centre c and radius
+        r (_centre's): with q = (v0 - v)/rho = delta + h u, delta = (v0 -
+        c)/rho, h = r/rho (widened by _MARGIN) and u = (c - v)/(rho h),
+        sum_k B_k q^k is exactly sum_j b_j u^j, b_j = h^j sum_m C(j + m, j)
+        B_{j+m} delta^m, and Horner takes the J leading terms, the least J
+        whose tail sum_{j>=J} |b_j| plus the rounding fits. With R = |delta|
+        + h, the rounding of each b_j (a rounded C, one product each for C
+        B_k, delta^m and h^j, m - 1 complex ones for delta^m, j - 1 for h^j
+        and K - 1 additions: sqrt5 k + K + 1 half ulps of each of its paths,
+        which add up to |B_k| R^k over j), Horner's (sqrt5 + 1) (J - 1) + 1
+        half ulps of sum_j |b_j| <= sum_k |B_k| R^k, and the node's move by
+        the rounding of delta, h and u (|dq| <= 3 eps/2 R, so at most 3
+        eps/2 sum_k k |B_k| R^k) add up to less than 5 K eps sum_k |B_k| R^k."""
+        with self.lock:
+            k_call = min(_LINE_ORDERS, int(max_cost / (self.terms + zs.size)))
+            if self.built is None and k_call > self.tried:
+                self.built = self._build(k_call)
+            built = self.built
+        if built is None:
+            return None
+        k, sizes, exponents, hankel = built
+        if k * (self.terms + zs.size) >= max_cost:
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):  # not finite near the top of the doubles
+            v = 0.25 / zs
+        c, r = _centre(v, self.a)
+        delta = (self.v0 - c) / self.rho
+        if delta and abs(delta) ** (k - 1) < 2.0**-1000:  # a subnormal power: keep the disc
+            c, delta = self.v0, 0j
+            r = float(np.max(np.abs(v - c)))
+        if not r > 2.0**-969:  # a wider box keeps c - v, and so u, off the subnormals
+            return None
+        h = r / self.rho * _MARGIN
+        steps, scale = np.full(k, delta), np.full(k, h)
+        steps[0] = scale[0] = 1.0
+        b = (hankel @ np.cumprod(steps)) * np.cumprod(scale)
+        with np.errstate(over="ignore", invalid="ignore"):  # an R^k past the doubles fits nothing
+            room = target - self.spent - 5.0 * k * _EPS * float(
+                sizes @ ((abs(delta) + h) * _MARGIN) ** exponents)
+        if not room >= 0.0:
+            return None
+        # sum_{j>=J} |b_j| for J = K - 1 down to 0: the least J whose tail fits
+        j = max(1, k - int(np.searchsorted(np.cumsum(np.abs(b[::-1])), room, side="right")))
+        u = (c - v) / (self.rho * h)
+        total = np.full_like(zs, b[j - 1])
+        for bj in b[j - 2::-1] if j > 1 else ():
+            total *= u
+            total += bj
+        return total
+
+
+_line = lru_cache(maxsize=8)(_Line)  # on (entries, a, policy), as counting's _series
+
+
 def _coefficients(blocks, v0: complex, rho: float, budget: float, k_max: int):
     """B_0..B_{K-1} of the expansion about v0 for the least K <= k_max that
     certifies, [] when none does, from blocks() -> each block's (log c_i, y_i).
@@ -188,9 +322,10 @@ def _coefficients(blocks, v0: complex, rho: float, budget: float, k_max: int):
     steps add K/2 and 2K eps of sum w_i. As sum_j p_ij <= 1, 4 _rounding(sum
     w_i, N, 1.5 K + u, blocks) covers it, u the w-weighted u_i. A block takes
     orders until its L_K is within its share of sum w_i (1 on one block) of
-    budget less that; K, the most taken, certifies if all L_K plus that at K
-    do. No order does where an x_i passes 700, a w_i passes budget/eps, or
-    the allowance passes budget before the truncation falls within it.
+    budget less that, K_b of them; K is the least order at which the blocks'
+    L_min(K, K_b) plus the allowance at K fit budget. No order does where an
+    x_i passes 700, a w_i passes budget/eps, or the allowance passes budget
+    before the truncation falls within it.
     """
     def weights(log_c, y):  # a block's x_i, t_i and w_i
         x = y * rho
@@ -226,33 +361,42 @@ def _coefficients(blocks, v0: complex, rho: float, budget: float, k_max: int):
     scale = min(1023, max(0, 1000 - math.frexp(top)[1]))
     unscale, heavy = 2.0**-scale, 0.0
 
-    def orders(x, t, w):  # a block's B_k 2^s to its own K, and its L_K; None past k_max
+    def orders(x, t, w):  # a block's B_k 2^s to its own K_b, and its L_1..L_{K_b}; None past k_max
         nonlocal heavy
         heavy += float(np.sum(w[x >= k_max]))
         if k_max < 1 or 0.5 * heavy > budget:
             return None
-        rows = np.stack([t.real, w] + ([t.imag] if v0.imag else []))
+        # about a real centre each t_i is real and positive, t_i = w_i bit
+        # for bit, so one row gives both B_k and s_k
+        rows = np.stack([t.real, w, t.imag] if v0.imag else [w])
         rows *= np.exp(-x) * 2.0**scale
-        step, left, coeffs = np.empty_like(x), float(np.sum(w)), []
+        step, left, coeffs, lefts = np.empty_like(x), float(np.sum(w)), [], []
         share = left / (mass or 1.0)
         for k in range(1, k_max + 1):
-            re, part, *im = rows.sum(axis=1)
-            coeffs.append(complex(re, *im))
+            sums = rows.sum(axis=1)
+            re, part, im = sums if v0.imag else (sums[0], sums[0], 0.0)
+            coeffs.append(complex(re, im))
             left -= part * unscale
+            lefts.append(left)
             if left + allowance[k] * share <= budget * share:
-                return coeffs, left
+                return coeffs, lefts
             rows *= np.divide(x, k, out=step)
         return None
 
-    coeffs, left, rebuilt = [], 0.0, starmap(weights, islice(blocks(), count - 1))
+    coeffs, lefts, rebuilt = [], [], starmap(weights, islice(blocks(), count - 1))
     for _ in range(count):
         got, last = orders(*(last or next(rebuilt))), None  # the last block first
         if got is None:
             return []
-        more, part = got
+        more, tail = got
         coeffs = [a + b for a, b in zip(coeffs, more)] + coeffs[len(more):] + more[len(coeffs):]
-        left += part
-    return [b * unscale for b in coeffs] if left + allowance[len(coeffs)] <= budget else []
+        lefts.append(tail)
+    # a block that stopped at K_b < K still leaves L_{K_b}: the truncation at K
+    # is sum_b L_b(min(K, K_b)), and K the least order at which it fits
+    top_k = len(coeffs)
+    left = sum(np.pad(tail, (0, top_k - len(tail)), mode="edge") for tail in lefts)
+    fits = np.flatnonzero(left + allowance[1:top_k + 1] <= budget)
+    return [b * unscale for b in coeffs[:fits[0] + 1]] if fits.size else []
 
 
 def _direct_rounding(collar, zs: np.ndarray, cuts, sizes, room: float) -> float:
@@ -291,13 +435,19 @@ def _halves(entries, zs: np.ndarray, terms: int, policy: TruncationPolicy):
 
 
 def _geodesic_sum(entries, zs: np.ndarray, policy: TruncationPolicy) -> np.ndarray:
-    """Cut series at every node, by Taylor expansion when that is cheaper, a
-    block whose centre does not certify within that cost halved along Im z."""
+    """Cut series at every node: on nodes of one line Re z = a by the line's
+    expansion where it serves, else by the call's own Taylor expansion when
+    that is cheaper, a block whose centre does not certify within that cost
+    halved along Im z."""
     collar, target, cap = _plan(entries, zs, policy)
     cut = collar.cut(target, cap)
     if zs.size > 1:  # one node is its own centre: the expansion is the direct sum
         terms = int(cut[0].sum())
-        total = _taylor_sum(collar, zs, target, cap, _COST_RATIO * terms * zs.size)
+        max_cost = _COST_RATIO * terms * zs.size
+        a = float(zs.real[0])
+        total = _line(entries, a, policy).sum(zs, target, max_cost) if np.all(zs.real == a) else None
+        if total is None:
+            total = _taylor_sum(collar, zs, target, cap, max_cost)
         if total is _SPLIT:
             total = _halves(entries, zs, terms, policy)
         if total is not None:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -390,16 +391,29 @@ def test_skipped_box_centre_never_needs_fewer_orders(a, doublings, entries):
     assert not at_box or (at_disc and len(at_disc) <= len(at_box))
 
 
+def _off_line(zs):
+    """The nodes with every other real part moved by 2^-40 of it: off one line."""
+    return zs + zs.real * 2.0**-40 * (np.arange(zs.size) % 2)
+
+
 @pytest.mark.parametrize("ell", [0.3, 0.01])
 def test_first_band_builds_one_expansion(ell, monkeypatch):
-    # on [0, 16/a] the disc centre is the one centre, and it certifies
+    # on [0, 16/a] the disc centre 1/8a is the one centre, and it certifies: on
+    # the line Re z = a it is the line's expansion, off it the call's own
     calls = []
     build = trace._coefficients
     monkeypatch.setattr(trace, "_coefficients", lambda *args: calls.append(args) or build(*args))
     s, _, _ = xform._panel_nodes(0.0, 16.0, 11)  # bromwich's first extension at T = 1
-    total = trace._geodesic_sum(((ell, 1),), 1.0 + 1j * s, DEFAULT_POLICY)
-    assert len(calls) == 1 and calls[0][1] == 0.125
-    assert np.array_equal(total, _routes(((ell, 1),), 1.0 + 1j * s)[0])
+    for zs in (1.0 + 1j * s, _off_line(1.0 + 1j * s)):
+        trace._line.cache_clear()
+        calls.clear()
+        total = trace._geodesic_sum(((ell, 1),), zs, DEFAULT_POLICY)
+        assert len(calls) == 1 and calls[0][1] == 0.125
+        taylor, direct, target = _routes(((ell, 1),), zs)
+        if np.all(zs.real == 1.0):
+            assert float(np.max(np.abs(total - direct))) <= 2.0 * target
+        else:
+            assert np.array_equal(total, taylor)
 
 
 @settings(max_examples=30, deadline=None)
@@ -414,15 +428,20 @@ def test_each_taylor_sum_builds_at_most_one_expansion(a, doublings, entries):
 
 def _builds(entries, zs):
     """(the call's value, the expansions each _taylor_sum call builds, a
-    split block's halves' calls too)."""
-    builds, expand, build = [], trace._taylor_sum, trace._coefficients
+    split block's halves' calls too); a line's build is no call's."""
+    builds, expand, build, inside = [], trace._taylor_sum, trace._coefficients, []
 
     def counted_expand(*args):
         builds.append(0)
-        return expand(*args)
+        inside.append(True)
+        try:
+            return expand(*args)
+        finally:
+            inside.pop()
 
     def counted_build(*args):
-        builds[-1] += 1
+        if inside:
+            builds[-1] += 1
         return build(*args)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -465,13 +484,12 @@ def test_streamed_build_serves_contour_extensions(ell, monkeypatch):
 
 def test_inversion_past_one_block_stays_on_the_taylor_route(monkeypatch):
     # at ell = 5e-5 the Taylor cut passes one block of terms: every contour
-    # block is expanded or halved, none summed directly for its term count
-    answers, expand = [], trace._taylor_sum
-    monkeypatch.setattr(trace, "_taylor_sum",
-                        lambda *args: answers.append(expand(*args)) or answers[-1])
+    # block is expanded (by the line's expansion or its own) or halved, none
+    # summed directly for its term count
+    sizes = _direct_sizes(monkeypatch)
     ps = PinchingSet.of([5e-5])
     got = xform.weighted_inverse(lambda z: degenerating_trace(ps, z), 2.0, 1.0)
-    assert answers and all(answer is not None for answer in answers)
+    assert max(sizes, default=1) == 1
     assert got == pytest.approx(g_bessel(ps, 2.0, 1.0), rel=1e-10)
 
 
@@ -492,9 +510,10 @@ def test_taylor_route_gives_way_where_its_cut_passes_the_cap(monkeypatch):
         assert abs(value - one) <= policy.tol(value) + policy.tol(one)
 
 
-# float.hex(weighted_inverse) recorded before the Taylor build streamed over
-# the collar's blocks: each cut fits one block, so the value is kept bit for
-# bit; (ell, w, T), and the three lengths (0.3, 1), (0.6, 2), (1.1, 1)
+# float.hex(weighted_inverse) by the call route (each trace call's own
+# expansion, the line route off), recorded before the Taylor build streamed
+# over the collar's blocks: each cut fits one block, so the value is kept bit
+# for bit; (ell, w, T), and the three lengths (0.3, 1), (0.6, 2), (1.1, 1)
 _INVERSION_PINS = [
     (0.3, 1.0, 1.0, '0x1.652a48b68851ap-2'),
     (0.1, 1.0, 1.0, '0x1.000e8d72cc10bp-1'),
@@ -514,13 +533,53 @@ _INVERSION_PINS = [
     (None, 2.0, 1.0, '0x1.5101ad7f9be14p-1'),
 ]
 
+# the same inversions by the default route: at T = 1 the line route serves
+# every extension, and each value is within 7e-13 relative of its call-route
+# pin; at T = 20 and 1000 the line does not certify, and the call-route pin
+# stands bit for bit
+_LINE_INVERSION_PINS = [
+    (0.3, 1.0, 1.0, '0x1.652a48b68741ap-2'),
+    (0.1, 1.0, 1.0, '0x1.000e8d72cb7dcp-1'),
+    (0.03, 1.0, 1.0, '0x1.5503dc6271348p-1'),
+    (0.01, 1.0, 1.0, '0x1.a28b30989db5bp-1'),
+    (0.0003, 1.0, 1.0, '0x1.4d003a470624cp+0'),
+    (0.0001, 1.0, 1.0, '0x1.73c3f65e00a34p+0'),
+    (0.3, 2.0, 1.0, '0x1.c228a74119637p-3'),
+    (0.1, 2.0, 1.0, '0x1.3e0f84d50dd09p-2'),
+    (0.03, 2.0, 1.0, '0x1.a4030a8b653d1p-2'),
+    (0.01, 2.0, 1.0, '0x1.0085eef61eb38p-1'),
+    (0.0003, 2.0, 1.0, '0x1.94ff7ea00dac5p-1'),
+    (0.0001, 2.0, 1.0, '0x1.c383f9ee68438p-1'),
+    (0.01, 2.0, 20.0, '0x1.551c556f46bb9p+10'),
+    (0.01, 2.0, 1000.0, '0x1.b7a30893363e4p+23'),
+    (0.1, 5.0, 1.0, '0x1.85b666889cc25p-4'),
+    (None, 2.0, 1.0, '0x1.5101ad7f9bfc1p-1'),
+]
+
+
+def _inverse(ell, w, T):
+    ls = LengthSpectrum.of([(0.3, 1), (0.6, 2), (1.1, 1)] if ell is None else [(ell, 1)])
+    return float.hex(xform.weighted_inverse(lambda z: hyperbolic_trace(ls, z), w, T))
+
+
+class _NoLine:
+    """A line that never serves: every call takes its own route."""
+
+    def sum(self, zs, target, max_cost):
+        return None
+
 
 @pytest.mark.parametrize("ell, w, T, want", _INVERSION_PINS)
 @pytest.mark.filterwarnings("ignore::pinchtrace.UncertifiedTailWarning")
-def test_one_block_inversions_are_bit_for_bit_as_recorded(ell, w, T, want):
-    ls = LengthSpectrum.of([(0.3, 1), (0.6, 2), (1.1, 1)] if ell is None else [(ell, 1)])
-    got = xform.weighted_inverse(lambda z: hyperbolic_trace(ls, z), w, T)
-    assert float.hex(got) == want
+def test_one_block_inversions_are_bit_for_bit_as_recorded(ell, w, T, want, monkeypatch):
+    monkeypatch.setattr(trace, "_line", lambda entries, a, policy: _NoLine())
+    assert _inverse(ell, w, T) == want
+
+
+@pytest.mark.parametrize("ell, w, T, want", _LINE_INVERSION_PINS)
+@pytest.mark.filterwarnings("ignore::pinchtrace.UncertifiedTailWarning")
+def test_line_route_inversions_are_bit_for_bit_as_recorded(ell, w, T, want):
+    assert _inverse(ell, w, T) == want
 
 
 def _direct_sizes(monkeypatch):
@@ -566,15 +625,152 @@ def test_large_t_inversion_matches_the_series(T, monkeypatch):
 
 
 def test_taylor_route_serves_contour_extensions():
+    # on one line the line's expansion serves, off it the call's own, bit for bit
     entries = ((0.01, 1),)
-    zs = 1.0 + 1j * np.linspace(16.0, 32.0, 2000)
-    taylor, direct, target = _routes(entries, zs)
-    assert taylor is not None
-    assert np.array_equal(trace._geodesic_sum(entries, zs, DEFAULT_POLICY), taylor)
-    assert float(np.max(np.abs(taylor - direct))) <= 2.0 * target
+    for zs in (1.0 + 1j * np.linspace(16.0, 32.0, 2000),
+               _off_line(1.0 + 1j * np.linspace(16.0, 32.0, 2000))):
+        taylor, direct, target = _routes(entries, zs)
+        assert isinstance(taylor, np.ndarray)
+        assert float(np.max(np.abs(taylor - direct))) <= 2.0 * target
+        total = trace._geodesic_sum(entries, zs, DEFAULT_POLICY)
+        if np.all(zs.real == 1.0):
+            assert float(np.max(np.abs(total - direct))) <= 2.0 * target
+        else:
+            assert np.array_equal(total, taylor)
 
 
-@pytest.mark.parametrize("z", [1.3, np.array([0.5 + 0.0j, 1.0 + 1.0j, 2.0 - 0.5j])])
+def _line_route(entries, zs, policy=DEFAULT_POLICY):
+    """(the line route's value or None, direct route, per-node target) on
+    nodes of one line Re z = a."""
+    collar, target, cap = trace._plan(entries, zs, policy)
+    cut = collar.cut(target, cap)[0]
+    direct = sum(trace._term_sum(zs, n * ell, mell) for n, ell, mell in collar.blocks(0, cut))
+    line = trace._line(entries, float(zs.real[0]), policy)
+    return line.sum(zs, target, trace._COST_RATIO * int(cut.sum()) * zs.size), direct, target
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_BLOCKS)
+@example(a=3.0, doublings=-1, entries=[(0.003, 1)])
+@example(a=3.0, doublings=3, entries=[(0.01, 1), (0.3, 2)])
+def test_line_route_matches_direct_route_on_contour_blocks(a, doublings, entries):
+    # where the line serves a band, the call takes it, within 2 targets of the direct route
+    zs = _band(a, doublings)
+    entries = LengthSpectrum.of(entries).entries
+    line, direct, target = _line_route(entries, zs)
+    if line is not None:
+        assert float(np.max(np.abs(line - direct))) <= 2.0 * target
+        assert np.array_equal(trace._geodesic_sum(entries, zs, DEFAULT_POLICY), line)
+
+
+@pytest.mark.parametrize("ell, w", [(0.1, 1.0), (0.1, 2.0), (0.01, 2.0), (0.1, 5.0)])
+def test_line_route_serves_every_extension_of_an_inversion(ell, w):
+    # every extension bromwich takes at T = 1 on the saddle line a = w + 1
+    entries, blocks = ((ell, 1),), []
+
+    def F(z):
+        blocks.append(z)
+        return trace._geodesic_sum(entries, z, DEFAULT_POLICY) / z**(w + 1.0)
+
+    xform.bromwich(F, 1.0, w + 1.0)
+    for zs in blocks:
+        line, direct, target = _line_route(entries, zs)
+        assert line is not None
+        assert float(np.max(np.abs(line - direct))) <= 2.0 * target
+
+
+def test_cold_and_cached_line_give_the_same_bits():
+    entries = ((0.01, 1), (0.3, 2))
+    first, later = (3.0 + 1j * np.linspace(lo, 2.0 * lo, 500) for lo in (16.0, 64.0))
+    trace._line.cache_clear()
+    cold = trace._geodesic_sum(entries, later, DEFAULT_POLICY)
+    trace._line.cache_clear()
+    trace._geodesic_sum(entries, first, DEFAULT_POLICY)  # builds the line
+    cached = trace._geodesic_sum(entries, later, DEFAULT_POLICY)
+    assert trace._line.cache_info().hits == 1 and np.array_equal(cold, cached)
+
+
+def test_a_line_is_the_same_whichever_call_builds_it(monkeypatch):
+    # a call that cannot pay for the line's orders tries it once, builds
+    # nothing and keeps its own route; a larger call then builds the line
+    entries = ((1e-3, 1),)
+    small, large = 3.0 + 1j * np.array([0.0, 1.0, 2.0]), 3.0 + 1j * np.linspace(0.0, 16.0 / 3.0, 363)
+    trace._line.cache_clear()
+    at_once = trace._geodesic_sum(entries, large, DEFAULT_POLICY)
+    trace._line.cache_clear()
+    tries, build = [], trace._Line._build
+    monkeypatch.setattr(trace._Line, "_build", lambda self, k: tries.append(k) or build(self, k))
+    got = [trace._geodesic_sum(entries, small, DEFAULT_POLICY) for _ in range(2)]
+    assert len(tries) == 1 and trace._line(entries, 3.0, DEFAULT_POLICY).built is None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trace._Line, "sum", lambda *args: None)
+        own = trace._geodesic_sum(entries, small, DEFAULT_POLICY)
+    assert np.array_equal(got[0], own) and np.array_equal(got[1], own)
+    assert np.array_equal(trace._geodesic_sum(entries, large, DEFAULT_POLICY), at_once)
+    assert len(tries) == 2 and tries[1] == trace._LINE_ORDERS
+
+
+def test_threads_that_share_a_line_keep_its_build(monkeypatch):
+    # a small call's try, held until a large call's build is done (or 1 s),
+    # fails: it must not undo that build
+    entries = ((1e-3, 1),)
+    small, large = 3.0 + 1j * np.array([0.0, 1.0, 2.0]), 3.0 + 1j * np.linspace(0.0, 16.0 / 3.0, 363)
+    want = [trace._geodesic_sum(entries, zs, DEFAULT_POLICY) for zs in (small, large)]
+    trace._line.cache_clear()
+    entered, done, build = threading.Event(), threading.Event(), trace._Line._build
+
+    def held_build(self, k_max):
+        if k_max == trace._LINE_ORDERS:
+            try:
+                return build(self, k_max)
+            finally:
+                done.set()
+        entered.set()
+        done.wait(timeout=1.0)
+        return build(self, k_max)
+
+    monkeypatch.setattr(trace._Line, "_build", held_build)
+    got = [None, None]
+
+    def call(i, zs):
+        got[i] = trace._geodesic_sum(entries, zs, DEFAULT_POLICY)
+
+    first = threading.Thread(target=call, args=(0, small))
+    first.start()
+    assert entered.wait(timeout=30)
+    second = threading.Thread(target=call, args=(1, large))
+    second.start()
+    for t in (first, second):
+        t.join(timeout=60)
+    assert not first.is_alive() and not second.is_alive()
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    built = trace._line(entries, 3.0, DEFAULT_POLICY).built
+    assert built is not None and built[0] > 0
+
+
+@pytest.mark.parametrize("ell, w", [(0.1, 2.0), (3e-4, 2.0), (0.1, 5.0), (None, 2.0)])
+def test_inversion_on_a_certified_line_builds_one_expansion(ell, w, monkeypatch):
+    ls = LengthSpectrum.of([(0.3, 1), (0.6, 2), (1.1, 1)] if ell is None else [(ell, 1)])
+    calls, build = [], trace._coefficients
+    monkeypatch.setattr(trace, "_coefficients", lambda *args: calls.append(args) or build(*args))
+    trace._line.cache_clear()
+    xform.weighted_inverse(lambda z: hyperbolic_trace(ls, z), w, 1.0)
+    assert len(calls) == 1 and calls[0][1] == 0.125 / (w + 1.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(**_BLOCKS)
+def test_nodes_off_one_line_keep_the_call_route(a, doublings, entries):
+    zs = _off_line(_band(a, doublings))
+    entries = LengthSpectrum.of(entries).entries
+    got = trace._geodesic_sum(entries, zs, DEFAULT_POLICY)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trace._Line, "sum", lambda *args: None)
+        assert np.array_equal(got, trace._geodesic_sum(entries, zs, DEFAULT_POLICY))
+
+
+@pytest.mark.parametrize("z", [1.3, np.array([0.5 + 0.0j, 1.0 + 1.0j, 2.0 - 0.5j]),
+                               np.array([1.0 + 0.0j, 1.0 + 1.0j, 1.0 + 2.0j])])
 def test_scalars_and_small_arrays_take_the_direct_route(z):
     entries = LengthSpectrum.of([(0.9, 1), (1.4, 3)]).entries
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
