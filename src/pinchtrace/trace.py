@@ -232,10 +232,11 @@ class _Line:
             self.terms = int(self.cuts.sum())
 
     def _build(self, k_max: int):
-        """built, or None where no K <= k_max certifies."""
-        self.tried = k_max
+        """built, or None where no K <= k_max certifies; where none would at
+        any k_max, no later call tries again."""
         coeffs = _coefficients(lambda: starmap(_log_terms, self.collar.blocks(0, self.cuts)),
                                self.v0, self.rho, self.budget, k_max)
+        self.tried = _LINE_ORDERS if coeffs is None else k_max
         if not coeffs:
             return None
         coeffs = np.array(coeffs, dtype=complex)
@@ -308,7 +309,8 @@ _line = lru_cache(maxsize=8)(_Line)  # on (entries, a, policy), as counting's _s
 
 def _coefficients(blocks, v0: complex, rho: float, budget: float, k_max: int):
     """B_0..B_{K-1} of the expansion about v0 for the least K <= k_max that
-    certifies, [] when none does, from blocks() -> each block's (log c_i, y_i).
+    certifies from blocks() -> each block's (log c_i, y_i); [] when none
+    does, None when no K would at any k_max.
 
     S(v) = sum_i c_i e^{-y_i v} = sum_k B_k q^k, q = (v0 - v)/rho, B_k =
     sum_i t_i p_ik with t_i = c_i e^{-y_i v0 + x_i}, x_i = y_i rho and p_ik =
@@ -324,22 +326,32 @@ def _coefficients(blocks, v0: complex, rho: float, budget: float, k_max: int):
     orders until its L_K is within its share of sum w_i (1 on one block) of
     budget less that, K_b of them; K is the least order at which the blocks'
     L_min(K, K_b) plus the allowance at K fit budget. No order does where an
-    x_i passes 700, a w_i passes budget/eps, or the allowance passes budget
-    before the truncation falls within it.
+    x_i passes 700 or a w_i passes budget/eps (None), or where the allowance
+    passes budget before the truncation falls within it. As P(K, x) > 1/2
+    for x >= K (a Gamma(K) law's median is below K), the terms with x_i >=
+    k_max alone fail where half their w_i pass budget: their mass is taken
+    from log c_i and y_i by real exponentials before a block's complex
+    t_i, so such a try ends before them.
     """
     def weights(log_c, y):  # a block's x_i, t_i and w_i
         x = y * rho
         t = np.exp(log_c - y * v0 + x)
         return x, t, np.abs(t)
 
-    last, mass, own, top, size, count = None, 0.0, 0.0, 0.0, 0, 0
+    last, mass, own, top, size, count, early = None, 0.0, 0.0, 0.0, 0, 0, 0.0
     for log_c, y in blocks():
         last = None  # only the last block's arrays are kept, and serve both passes
         # a subnormal e^{-x} would void the relative-error model of the
         # recurrence; a single w_i past budget/eps cannot certify
-        if not (rho > 0.0 and float(np.max(y * rho)) < 700.0
-                and float(np.max(log_c + y * (rho - v0.real))) < math.log(budget / _EPS)):
-            return []
+        x, log_w = y * rho, log_c + y * (rho - v0.real)
+        top_x = float(np.max(x))
+        if not (rho > 0.0 and top_x < 700.0 and float(np.max(log_w)) < math.log(budget / _EPS)):
+            return None
+        if top_x >= k_max:  # the terms past k_max
+            early += float(np.sum(np.exp(log_w[x >= k_max])))
+            if 0.5 * early > budget:
+                return []
+        del x, log_w
         x, t, w = last = weights(log_c, y)
         mass += float(np.sum(w))
         # t_i's exponent, summed from log c_i, y_i v0 and x_i, is off by eps/2
@@ -349,8 +361,7 @@ def _coefficients(blocks, v0: complex, rho: float, budget: float, k_max: int):
         del log_c, y, x, t, w  # while the next block is built, only last is held
     allowance = 4.0 * _rounding(mass, size, own / (mass or 1.0) + 1.5 * np.arange(k_max + 1.0),
                                 count)
-    # past this order the allowance alone fails; P(K, x) > 1/2 for x >= K (a
-    # Gamma(K) law's median is below K): such terms alone fail
+    # past this order the allowance alone fails
     k_max = min(k_max, int(np.searchsorted(allowance, budget, side="right")) - 1)
     # rows t_i p_ik and w_i p_ik, each summed pairwise: the parts of B_k (no
     # imaginary one about a real centre) and s_k. A factor 2^s <= 2^1023 takes
@@ -463,11 +474,12 @@ def hyperbolic_trace(ls: LengthSpectrum, z, policy: TruncationPolicy = DEFAULT_P
 
     Real positive z gives a real positive value. Summation order is fixed
     (ascending n within each length, lengths ascending), so results are
-    bit-stable for a fixed policy and node array.
+    bit-stable for a fixed policy and node array. A node array of any shape
+    is summed as its flat (row-major) sequence.
     """
     if not isinstance(ls, LengthSpectrum):
         ls = LengthSpectrum.of(ls)
-    zs = _as_nodes(z)
+    zs = _as_nodes(z).reshape(-1)
     body = _geodesic_sum(ls.entries, zs, policy)
     with np.errstate(over="ignore", invalid="ignore"):  # not finite near the top of the doubles
         pref = np.exp(-zs / 4.0) / np.sqrt(16.0 * math.pi * zs)
@@ -480,14 +492,51 @@ def degenerating_trace(ps, z, policy: TruncationPolicy = DEFAULT_POLICY):
     return hyperbolic_trace(ps.as_length_spectrum(), z, policy)
 
 
+def _grid_sum(eigenvalues, zs: np.ndarray):
+    """sum m e^{-lambda z} on a grid by rows and columns, or None off one.
+
+    A grid is a 2-D array of at least 2 x 2 nodes on one line Re z = a whose
+    imaginary parts are c_p + d_k, c_p = Im z[p, 0] and d_k = Im z[0, k] -
+    Im z[0, 0], to the last bit (one add and one compare a node), as each
+    extension of a Bromwich inversion is. There e^{-lambda z} = e^{-lambda
+    (a + i c_p)} e^{-i lambda d_k}: P + K exponentials an eigenvalue and one
+    (P x E) (E x K) product, not P K E exponentials. Each factor's phase
+    rounds once, so a term moves by at most (4 + lambda |z|) eps of its
+    size from the per-node route's; lambda = 0 adds its multiplicity
+    exactly, and a term whose modulus e^{-lambda a} underflows adds 0. Where
+    some lambda (max |c_p| + max |d_k|) overflows, the per-node route
+    serves, and raises as it does."""
+    if zs.ndim != 2 or min(zs.shape) < 2 or not eigenvalues:
+        return None
+    a, c = zs.real[0, 0], zs.imag[:, 0]
+    d = zs.imag[0] - zs.imag[0, 0]
+    lams, mults = np.array(eigenvalues, dtype=float).T
+    if not (float(lams.max()) * (float(np.max(np.abs(c))) + float(np.max(np.abs(d)))) < math.inf
+            and np.all(zs.real == a) and np.array_equal(c[:, None] + d, zs.imag)):
+        return None
+    rows = np.empty((c.size, lams.size), dtype=complex)
+    rows.real, rows.imag = -lams * a, -np.multiply.outer(c, lams)
+    columns = np.zeros((lams.size, d.size), dtype=complex)
+    columns.imag = -np.multiply.outer(lams, d)
+    return (np.exp(rows, out=rows) * mults) @ np.exp(columns, out=columns)
+
+
 def spectral_trace(sd: SpectralData, z):
     """Finite eigenvalue sum sum_n m_n e^{-lambda_n z}, Re z > 0.
 
     The supplied list is the model spectrum; no tail is estimated. A term whose
-    modulus underflows adds exactly 0, one whose phase lambda Im z overflows raises."""
+    modulus underflows adds exactly 0, one whose phase lambda Im z overflows raises.
+    A 2-D grid of nodes on one line whose rows are exact shifts of one
+    another, as bromwich hands over each extension, is summed by rows and
+    columns (_grid_sum), within (4 + lambda |z|) eps of each term's size;
+    every other array, and a grid on which some phase could overflow, node
+    by node, term by term."""
     if not isinstance(sd, SpectralData):
         sd = SpectralData.of(sd)
     zs = _as_nodes(z)
+    total = _grid_sum(sd.eigenvalues, zs)
+    if total is not None:
+        return _give_back(total, z)
     total = np.zeros_like(zs)
     top = float(np.max(np.abs(zs.imag)))  # no lambda Im z overflows unless lambda top does
     with np.errstate(over="ignore", invalid="ignore"):

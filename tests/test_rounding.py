@@ -134,21 +134,30 @@ def _covers(got, terms, allowance):
 
 
 def test_bromwich_sums_block_by_block(monkeypatch):
-    # _rule_sums on 36,003 nodes in blocks of 4096: complex np.sum per block
-    # and a Python accumulation of the blocks, the real part charged
-    monkeypatch.setattr(xform, "_EVAL_BLOCK", 4096)
-    s, w, _ = xform._panel_nodes(0.0, 1.0, 1091)
-    target = _adversarial(s.size)
+    # _rule_sums on 1091 panels (36,003 nodes) in blocks of 124 rows (4092
+    # nodes): complex np.sum per block and a Python accumulation of the
+    # blocks, the real part charged; the Gauss terms likewise
+    monkeypatch.setattr(xform, "_EVAL_BLOCK", 124)
+    xform._kernels.clear()
+    centres, offsets, wk, wg = xform._grid(0.0, 1.0, 1091)
+    z = np.empty((centres.size, offsets.size), dtype=complex)
+    z.real, z.imag = 0.0, centres[:, None] + offsets
+    kernel = (np.exp(z) * wk).ravel()  # the Kronrod kernel w e^{zT} at T = 1
+    target = _adversarial(kernel.size)
     done = [0]
 
-    def F(z):  # the Kronrod terms w F(z) e^{zT} come within a few ulps of the input
-        lo, done[0] = done[0], done[0] + z.size
-        return target[lo:done[0]] / (w[lo:done[0]] * np.exp(z))
+    def F(zb):  # the Kronrod terms F(z) w e^{zT} come within a few ulps of the input
+        lo, done[0] = done[0], done[0] + zb.size
+        return target[lo:done[0]] / kernel[lo:done[0]]
 
-    (total, mass), _ = xform._rule_sums(F, 0.0, 1.0, 0.0, 1.0, 1091)
-    z = 1j * s
-    terms = w * ((target / (w * np.exp(z))) * np.exp(z))
-    _covers(total.real, terms.real, _rounding(mass, 4096, 0.0, -(-s.size // 4096)))
+    (total, mass), (rough, rough_mass) = xform._rule_sums(F, 0.0, 1.0, 0.0, 1.0, 1091)
+    terms = (target / kernel) * kernel
+    blocks = -(-centres.size // 124)
+    _covers(total.real, terms.real, _rounding(mass, 124 * offsets.size, 0.0, blocks))
+    gauss = np.flatnonzero(wg)
+    rough_terms = terms.reshape(z.shape)[:, gauss] * (wg[gauss] / wk[gauss])
+    _covers(rough.real, rough_terms.ravel().real,
+            _rounding(rough_mass, 124 * gauss.size, 0.0, blocks))
 
 
 def test_gauss_rule_sums_one_np_sum():

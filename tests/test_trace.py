@@ -261,6 +261,83 @@ def test_spectral_trace_real_for_real_time():
     assert isinstance(spectral_trace(sd, 1.5), float)
 
 
+def _grid_nodes(a, s_lo, s_hi, panels):
+    """A Bromwich extension's nodes as bromwich hands them to F: (panels, 33)."""
+    centres, offsets, _, _ = xform._grid(s_lo, s_hi, panels)
+    zs = np.empty((panels, offsets.size), dtype=complex)
+    zs.real, zs.imag = a, centres[:, None] + offsets
+    return zs
+
+
+def _per_node(sd, zs):
+    """spectral_trace's per-node route: the same nodes as one flat array."""
+    return spectral_trace(sd, zs.ravel()).reshape(zs.shape)
+
+
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(w=st.floats(0.0, 20.0), T=st.floats(0.05, 20.0), doublings=st.integers(-1, 12),
+       panels=st.integers(2, 60),
+       eigs=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 60.0)),
+                               st.integers(1, 3)), min_size=1, max_size=7))
+def test_grid_sum_matches_the_per_node_route(w, T, doublings, panels, eigs):
+    # on an extension's exact grid (the band [0, 16/T], or [S, 2S] with S =
+    # 2^k 16/T, on the saddle line) the trace is summed by rows and columns,
+    # within (4 + lambda |z|) eps of each term's size of the per-node route,
+    # plus 4 ulps of the subnormals for a term whose modulus is one; many
+    # moduli e^{-lambda a} underflow, and those terms add 0
+    a, s_hi = (w + 1.0) / T, 16.0 / T * 2.0 ** max(doublings, 0)
+    zs = _grid_nodes(a, 0.0 if doublings < 0 else 0.5 * s_hi, s_hi, panels)
+    sd = SpectralData.of(eigs)
+    assert trace._grid_sum(sd.eigenvalues, zs) is not None
+    tol = np.zeros(zs.shape)
+    for lam, m in sd.eigenvalues:
+        size = m * math.exp(-lam * a)
+        tol += (4.0 + lam * np.abs(zs)) * _EPS * size + (4.0 * m * 2.0**-1074 if size < _TINY else 0.0)
+    assert np.all(np.abs(spectral_trace(sd, zs) - _per_node(sd, zs)) <= tol)
+
+
+def test_grid_sum_adds_lambda_zero_exactly_and_underflowed_terms_not_at_all():
+    zs = _grid_nodes(1.0, 64.0, 128.0, 7)
+    assert np.all(spectral_trace(SpectralData.of([(0.0, 3)]), zs) == 3.0)
+    assert np.all(spectral_trace(SpectralData.of([(0.0, 3), (800.0, 2)]), zs) == 3.0)
+
+
+def test_grid_sum_gives_way_where_a_phase_may_overflow():
+    # lambda max |Im z| overflows: the per-node route zeroes a term whose
+    # modulus underflows and raises for one whose modulus does not
+    sd = SpectralData.of([(0.0, 1), (1e300, 1)])
+    for a, s_lo in ((1.0, 1e10), (1e-300, 1e8)):
+        zs = _grid_nodes(a, s_lo, 2.0 * s_lo, 4)
+        assert trace._grid_sum(sd.eigenvalues, zs) is None
+    assert np.all(spectral_trace(sd, _grid_nodes(1.0, 1e10, 2e10, 4)) == 1.0)
+    with pytest.raises(DomainError, match="passes the largest double"):
+        spectral_trace(sd, _grid_nodes(1e-300, 1e8, 2e8, 4))
+
+
+def test_off_grid_arrays_take_the_per_node_route_bit_for_bit():
+    # rows that are not exact shifts (one node an ulp off), a node off the
+    # line, and a single row: each is summed node by node
+    sd = SpectralData.of([(0.0, 1), (0.13, 1), (0.37, 2), (1.77, 2)])
+    zs = _grid_nodes(2.0, 16.0, 32.0, 5)
+    shifted, off_line = zs.copy(), zs.copy()
+    shifted[3, 7] = complex(zs.real[3, 7], np.nextafter(zs.imag[3, 7], np.inf))
+    off_line[2, 5] = complex(np.nextafter(2.0, 3.0), zs.imag[2, 5])
+    for nodes in (shifted, off_line, zs[:1]):
+        assert trace._grid_sum(sd.eigenvalues, nodes) is None
+        assert np.array_equal(spectral_trace(sd, nodes), _per_node(sd, nodes))
+
+
+def test_geodesic_trace_sums_a_grid_as_its_flat_nodes():
+    ls = LengthSpectrum.of([(0.1, 1), (0.7, 2)])
+    zs = _grid_nodes(3.0, 16.0, 32.0, 6)
+    got = hyperbolic_trace(ls, zs)
+    assert got.shape == zs.shape
+    assert np.array_equal(got, hyperbolic_trace(ls, zs.ravel()).reshape(zs.shape))
+
+
 def test_regularized_is_sum_of_addends():
     ls = LengthSpectrum.of([(1.0, 2)])
     vol, t = 2.0 * math.pi, 0.8
@@ -403,7 +480,8 @@ def test_first_band_builds_one_expansion(ell, monkeypatch):
     calls = []
     build = trace._coefficients
     monkeypatch.setattr(trace, "_coefficients", lambda *args: calls.append(args) or build(*args))
-    s, _, _ = xform._panel_nodes(0.0, 16.0, 11)  # bromwich's first extension at T = 1
+    centres, offsets, _, _ = xform._grid(0.0, 16.0, 11)  # bromwich's first extension at T = 1
+    s = (centres[:, None] + offsets).ravel()
     for zs in (1.0 + 1j * s, _off_line(1.0 + 1j * s)):
         trace._line.cache_clear()
         calls.clear()
@@ -513,24 +591,28 @@ def test_taylor_route_gives_way_where_its_cut_passes_the_cap(monkeypatch):
 # float.hex(weighted_inverse) by the call route (each trace call's own
 # expansion, the line route off), recorded before the Taylor build streamed
 # over the collar's blocks: each cut fits one block, so the value is kept bit
-# for bit; (ell, w, T), and the three lengths (0.3, 1), (0.6, 2), (1.1, 1)
+# for bit; (ell, w, T), and the three lengths (0.3, 1), (0.6, 2), (1.1, 1).
+# Re-recorded, every one within 7.1e-16 relative and at its old gap to
+# g_bessel, when bromwich's nodes became an exact grid (each within an ulp
+# of the height of its old place) and its terms the trace times a kernel
+# w e^{zT} g (z/a)^{-(w+1)}, multiplied in that order
 _INVERSION_PINS = [
-    (0.3, 1.0, 1.0, '0x1.652a48b68851ap-2'),
-    (0.1, 1.0, 1.0, '0x1.000e8d72cc10bp-1'),
-    (0.03, 1.0, 1.0, '0x1.5503dc6271c96p-1'),
-    (0.01, 1.0, 1.0, '0x1.a28b30989e486p-1'),
-    (0.0003, 1.0, 1.0, '0x1.4d003a47066ddp+0'),
-    (0.0001, 1.0, 1.0, '0x1.73c3f65e00eccp+0'),
-    (0.3, 2.0, 1.0, '0x1.c228a74119357p-3'),
-    (0.1, 2.0, 1.0, '0x1.3e0f84d50dc9fp-2'),
-    (0.03, 2.0, 1.0, '0x1.a4030a8b65354p-2'),
-    (0.01, 2.0, 1.0, '0x1.0085eef61eafap-1'),
-    (0.0003, 2.0, 1.0, '0x1.94ff7ea00da89p-1'),
-    (0.0001, 2.0, 1.0, '0x1.c383f9ee683f9p-1'),
-    (0.01, 2.0, 20.0, '0x1.551c556f46bb9p+10'),
-    (0.01, 2.0, 1000.0, '0x1.b7a30893363e4p+23'),
-    (0.1, 5.0, 1.0, '0x1.85b666889c7ddp-4'),
-    (None, 2.0, 1.0, '0x1.5101ad7f9be14p-1'),
+    (0.3, 1.0, 1.0, '0x1.652a48b68851dp-2'),
+    (0.1, 1.0, 1.0, '0x1.000e8d72cc10dp-1'),
+    (0.03, 1.0, 1.0, '0x1.5503dc6271c99p-1'),
+    (0.01, 1.0, 1.0, '0x1.a28b30989e488p-1'),
+    (0.0003, 1.0, 1.0, '0x1.4d003a47066e1p+0'),
+    (0.0001, 1.0, 1.0, '0x1.73c3f65e00ecfp+0'),
+    (0.3, 2.0, 1.0, '0x1.c228a74119359p-3'),
+    (0.1, 2.0, 1.0, '0x1.3e0f84d50dca0p-2'),
+    (0.03, 2.0, 1.0, '0x1.a4030a8b65357p-2'),
+    (0.01, 2.0, 1.0, '0x1.0085eef61eafbp-1'),
+    (0.0003, 2.0, 1.0, '0x1.94ff7ea00da8cp-1'),
+    (0.0001, 2.0, 1.0, '0x1.c383f9ee683fap-1'),
+    (0.01, 2.0, 20.0, '0x1.551c556f46bb6p+10'),
+    (0.01, 2.0, 1000.0, '0x1.b7a30893363e9p+23'),
+    (0.1, 5.0, 1.0, '0x1.85b666889c7e0p-4'),
+    (None, 2.0, 1.0, '0x1.5101ad7f9be17p-1'),
 ]
 
 # the same inversions by the default route: at T = 1 the line route serves
@@ -538,22 +620,22 @@ _INVERSION_PINS = [
 # pin; at T = 20 and 1000 the line does not certify, and the call-route pin
 # stands bit for bit
 _LINE_INVERSION_PINS = [
-    (0.3, 1.0, 1.0, '0x1.652a48b68741ap-2'),
-    (0.1, 1.0, 1.0, '0x1.000e8d72cb7dcp-1'),
-    (0.03, 1.0, 1.0, '0x1.5503dc6271348p-1'),
-    (0.01, 1.0, 1.0, '0x1.a28b30989db5bp-1'),
-    (0.0003, 1.0, 1.0, '0x1.4d003a470624cp+0'),
-    (0.0001, 1.0, 1.0, '0x1.73c3f65e00a34p+0'),
-    (0.3, 2.0, 1.0, '0x1.c228a74119637p-3'),
-    (0.1, 2.0, 1.0, '0x1.3e0f84d50dd09p-2'),
-    (0.03, 2.0, 1.0, '0x1.a4030a8b653d1p-2'),
-    (0.01, 2.0, 1.0, '0x1.0085eef61eb38p-1'),
-    (0.0003, 2.0, 1.0, '0x1.94ff7ea00dac5p-1'),
-    (0.0001, 2.0, 1.0, '0x1.c383f9ee68438p-1'),
-    (0.01, 2.0, 20.0, '0x1.551c556f46bb9p+10'),
-    (0.01, 2.0, 1000.0, '0x1.b7a30893363e4p+23'),
-    (0.1, 5.0, 1.0, '0x1.85b666889cc25p-4'),
-    (None, 2.0, 1.0, '0x1.5101ad7f9bfc1p-1'),
+    (0.3, 1.0, 1.0, '0x1.652a48b68741dp-2'),
+    (0.1, 1.0, 1.0, '0x1.000e8d72cb7dep-1'),
+    (0.03, 1.0, 1.0, '0x1.5503dc627134bp-1'),
+    (0.01, 1.0, 1.0, '0x1.a28b30989db5fp-1'),
+    (0.0003, 1.0, 1.0, '0x1.4d003a470624ep+0'),
+    (0.0001, 1.0, 1.0, '0x1.73c3f65e00a38p+0'),
+    (0.3, 2.0, 1.0, '0x1.c228a74119638p-3'),
+    (0.1, 2.0, 1.0, '0x1.3e0f84d50dd0dp-2'),
+    (0.03, 2.0, 1.0, '0x1.a4030a8b653d5p-2'),
+    (0.01, 2.0, 1.0, '0x1.0085eef61eb3ap-1'),
+    (0.0003, 2.0, 1.0, '0x1.94ff7ea00dac8p-1'),
+    (0.0001, 2.0, 1.0, '0x1.c383f9ee6843bp-1'),
+    (0.01, 2.0, 20.0, '0x1.551c556f46bb6p+10'),
+    (0.01, 2.0, 1000.0, '0x1.b7a30893363e9p+23'),
+    (0.1, 5.0, 1.0, '0x1.85b666889cc27p-4'),
+    (None, 2.0, 1.0, '0x1.5101ad7f9bfc4p-1'),
 ]
 
 
@@ -598,7 +680,8 @@ def test_large_t_bands_are_expanded(a, monkeypatch):
     entries = ((0.01, 1),)
     blocks = []
 
-    def F(z):
+    def F(z):  # an extension's rows, summed as hyperbolic_trace sums them: flat
+        z = z.ravel()
         blocks.append(z)
         return 2.0 * trace._geodesic_sum(entries, z, DEFAULT_POLICY) / z**3
 
@@ -668,7 +751,8 @@ def test_line_route_serves_every_extension_of_an_inversion(ell, w):
     # every extension bromwich takes at T = 1 on the saddle line a = w + 1
     entries, blocks = ((ell, 1),), []
 
-    def F(z):
+    def F(z):  # an extension's rows, summed as hyperbolic_trace sums them: flat
+        z = z.ravel()
         blocks.append(z)
         return trace._geodesic_sum(entries, z, DEFAULT_POLICY) / z**(w + 1.0)
 
@@ -746,6 +830,63 @@ def test_threads_that_share_a_line_keep_its_build(monkeypatch):
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     built = trace._line(entries, 3.0, DEFAULT_POLICY).built
     assert built is not None and built[0] > 0
+
+
+class _ExpSpy:
+    """numpy, counting the exponentials of complex arrays."""
+
+    def __init__(self):
+        self.complex = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        self.complex += np.iscomplexobj(x)
+        return np.exp(x, *args, **kwargs)
+
+
+def test_a_line_try_that_fails_past_its_cap_takes_no_complex_weight(monkeypatch):
+    # CHANGES.md FOUND 98: three nodes of the line Re z = 1 at ell = 1e-4 try
+    # the line at the few orders they can pay for; the terms with x_i past
+    # that cap fail it alone, so the try ends before the weights' complex
+    # exponentials, and the call keeps its own route
+    ps, zs = PinchingSet.of([1e-4]), 1.0 + 1j * np.array([0.0, 1.0, 2.0])
+    spy, tries, build = _ExpSpy(), [], trace._Line._build
+
+    def counted(self, k_max):
+        before = spy.complex
+        built = build(self, k_max)
+        tries.append((built, spy.complex - before))
+        return built
+
+    trace._line.cache_clear()
+    monkeypatch.setattr(trace, "np", spy)
+    monkeypatch.setattr(trace._Line, "_build", counted)
+    got = degenerating_trace(ps, zs)
+    assert tries == [(None, 0)]
+    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trace._Line, "sum", lambda *args: None)
+        assert np.array_equal(got, degenerating_trace(ps, zs))
+
+
+def test_a_line_that_fails_at_every_order_is_tried_once(monkeypatch):
+    # CHANGES.md FOUND 99: at ell = 0.01, T = 1000 an x_i of the line passes
+    # 700, which no cap mends: the first try says so and no call tries again
+    # (the parent tried 4 times, 115 builds; the grid's nodes move two of the
+    # calls' own splits, so the count is 114, not 112)
+    tries, calls = [], []
+    build, coefficients = trace._Line._build, trace._coefficients
+    monkeypatch.setattr(trace._Line, "_build", lambda self, k: tries.append(k) or build(self, k))
+    monkeypatch.setattr(trace, "_coefficients",
+                        lambda *args: calls.append(1) or coefficients(*args))
+    trace._line.cache_clear()
+    ps = PinchingSet.of([0.01])
+    xform.weighted_inverse(lambda z: degenerating_trace(ps, z), 2.0, 1000.0)
+    assert len(tries) == 1 and trace._line(ps.as_length_spectrum().entries, 3.0 / 1000.0,
+                                           DEFAULT_POLICY).tried == trace._LINE_ORDERS
+    assert len(calls) == 114
 
 
 @pytest.mark.parametrize("ell, w", [(0.1, 2.0), (3e-4, 2.0), (0.1, 5.0), (None, 2.0)])

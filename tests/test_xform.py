@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import os
+import sys
 import warnings
 
 import numpy as np
@@ -15,6 +17,7 @@ from pinchtrace import (
     DomainError,
     InversionResult,
     PinchingSet,
+    Schedule,
     SpectralData,
     TruncationBudgetError,
     UncertifiedTailWarning,
@@ -22,6 +25,7 @@ from pinchtrace import (
     counting_direct,
     degenerating_trace,
     g_bessel,
+    run_sweep,
     spectral_trace,
     weighted_inverse,
 )
@@ -327,3 +331,112 @@ def test_spectral_inversion_matches_direct_count_or_raises(eigs, w, T):
     except TruncationBudgetError:
         return
     assert abs(v - want) <= 10.0 * DEFAULT_INVERSION_POLICY.tol(want)
+
+
+def _dual_spectral(w, T):
+    sd = SpectralData.of(_DUAL_EIGS)
+    return weighted_inverse(lambda z: spectral_trace(sd, z), w, T)
+
+
+@pytest.mark.filterwarnings("ignore::pinchtrace.UncertifiedTailWarning")
+def test_cold_and_warm_inversions_give_the_same_bits():
+    ps = PinchingSet.of([0.1])
+    calls = [lambda: _dual_spectral(1.0, 1.0), lambda: _dual_spectral(3.0, 0.5),
+             lambda: weighted_inverse(lambda z: degenerating_trace(ps, z), 2.0, 1.0)]
+    for call in calls:
+        xform._kernels.clear()
+        cold = call()
+        assert xform._kernels.nodes > 0
+        assert float.hex(call()) == float.hex(cold)
+
+
+def test_kernel_lru_keeps_its_node_budget():
+    def entry(panels):  # (centres, offsets, kernel) of 40 nodes a panel
+        return np.zeros(panels), np.zeros(40), np.zeros((panels, 40), dtype=complex)
+
+    kernels = xform._Kernels(100)
+    for key in range(5):
+        kernels.put(key, entry(1))
+        assert kernels.nodes == sum(k.size for *_, k in kernels.entries.values()) <= 100
+    assert list(kernels.entries) == [3, 4]
+    assert kernels.get(3) is not None and list(kernels.entries) == [4, 3]  # 3 is now the newest
+    kernels.put(5, entry(1))
+    assert list(kernels.entries) == [3, 5]
+    kernels.put(6, entry(3))  # more than the budget: never kept
+    assert list(kernels.entries) == [3, 5] and kernels.get(6) is None
+    assert not any(part.flags.writeable for part in kernels.get(3))
+
+
+@pytest.mark.filterwarnings("ignore::pinchtrace.UncertifiedTailWarning")
+def test_kernel_cache_filled_past_its_budget_stays_within_it(monkeypatch):
+    # the nine dual_routes spectral inversions take about 110k nodes, and the
+    # w = 0 inversion of ell = 0.1 some 237k more: the cache holds at most
+    # 2^18 nodes, never an extension's kernel twice, and gives the same bits
+    offered, put = [], xform._kernels.put
+
+    def checked(key, entry):
+        put(key, entry)
+        offered.append(entry[-1].size)
+        assert xform._kernels.nodes == sum(
+            k.size for *_, k in xform._kernels.entries.values()) <= xform._KERNEL_NODES
+
+    xform._kernels.clear()
+    monkeypatch.setattr(xform._kernels, "put", checked)
+    ps = PinchingSet.of([0.1])
+    first = [_dual_spectral(w, T) for w in (1.0, 2.0, 3.0) for T in (0.5, 1.0, 2.0)]
+    weighted_inverse(lambda z: degenerating_trace(ps, z), 0.0, 1.0)
+    assert sum(offered) > xform._KERNEL_NODES
+    again = [_dual_spectral(w, T) for w in (1.0, 2.0, 3.0) for T in (0.5, 1.0, 2.0)]
+    assert list(map(float.hex, again)) == list(map(float.hex, first))
+
+
+def test_sweep_threads_that_share_a_contour_keep_its_bits(monkeypatch):
+    # four contour rows at one (w, T) share every extension's kernel: two
+    # threads, switching often, fill and read the cache at once
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    sch = Schedule.geometric(0.4, 0.5, 4)
+    monkeypatch.setenv("SPECTRA_THREADS", "1")
+    xform._kernels.clear()
+    serial = run_sweep(sch, 2.0, 1.0, use_bromwich=True)
+    monkeypatch.setenv("SPECTRA_THREADS", "2")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            xform._kernels.clear()
+            pooled = run_sweep(sch, 2.0, 1.0, use_bromwich=True)
+            assert pooled.g_packed == serial.g_packed and not pooled.errors
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("T", [0.3, 0.5])
+def test_rounding_charges_the_argument_of_the_exponential(T):
+    # one extension at T = 0.3: the charge, the terms' sizes times _TERM_ULPS
+    # + |zT|/2 at the extension's top, covers each term's own and is within
+    # twice it; at T = 0.5, a power of two, fl(zT) is exact and not charged
+    sd, w = SpectralData.of(_DUAL_EIGS), 1.0
+    a, s_lo, s_hi, panels = (w + 1.0) / T, 64.0 / T, 128.0 / T, 37
+    F = xform._Weighted(lambda z: spectral_trace(sd, z), w, a, math.gamma(w + 1.0) * a ** -(w + 1.0))
+    (_, size), _ = xform._rule_sums(F, a, T, s_lo, s_hi, panels)
+    centres, offsets, wk, _ = xform._grid(s_lo, s_hi, panels)
+    z = a + 1j * (centres[:, None] + offsets)
+    terms = np.abs(F(z) * np.exp(z * T) * wk)
+    arg = np.abs(z) * T / 2.0 if T == 0.3 else 0.0
+    own = float(np.sum(terms * (xform._TERM_ULPS + arg)))
+    charged = size * xform._term_ulps(a, T, s_hi)
+    assert own <= charged <= 2.0 * own
+    assert (xform._term_ulps(a, T, s_hi) == xform._TERM_ULPS) == (T == 0.5)
+
+
+def test_extensions_past_the_budget_are_summed_and_dropped(monkeypatch):
+    # with room for 1000 nodes, the extensions of 198 to 792 nodes are kept
+    # in turn and the last, of 1584, built 7 panels at a time and dropped,
+    # with the same bits as a cache that keeps them all
+    monkeypatch.setattr(xform, "_EVAL_BLOCK", 7)
+    xform._kernels.clear()
+    want = _dual_spectral(2.0, 1.0)
+    monkeypatch.setattr(xform, "_kernels", xform._Kernels(1000))
+    assert float.hex(_dual_spectral(2.0, 1.0)) == float.hex(want)
+    assert 0 < xform._kernels.nodes <= 1000
+    assert all(k.size <= 1000 for *_, k in xform._kernels.entries.values())
