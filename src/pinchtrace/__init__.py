@@ -21,12 +21,12 @@ _MODULES = {name: module for module, names in (
     ("counting", "g_bessel g_expansion g_limit g_residual g_sine_form sandwich_check"),
     ("errors", "DomainError PinchtraceError SchemaError TruncationBudgetError "
                "UncertifiedTailWarning"),
-    ("hyperbolic", "cylinder_displacement cylinder_trace heat_kernel heat_kernel_origin"),
+    ("hyperbolic", "cylinder_trace heat_kernel heat_kernel_origin"),
     ("policy", "DEFAULT_INVERSION_POLICY DEFAULT_POLICY TruncationPolicy"),
-    ("specfun", "bessel_j bessel_j_half"),
+    ("specfun", "bessel_j"),
     ("spectrum", "LengthSpectrum PinchingSet SpectralData"),
     ("sweep", "Schedule SweepResult SweepRow fit_growth_exponent run_sweep thread_cap"),
-    ("trace", "degenerating_trace hyperbolic_trace regularized_trace spectral_trace"),
+    ("trace", "degenerating_trace hyperbolic_trace spectral_trace"),
     ("xform", "InversionResult bromwich weighted_inverse"),
 ) for name in names.split()}
 

@@ -228,16 +228,6 @@ def _time_rows(a, doc, series, inversion):
     return ["t", "s", f"{label}_re", f"{label}_im"], [[a.t, a.s, val.real, val.imag]]
 
 
-def _trace(a, doc, series, inversion):
-    if a.volume is None:
-        return _time_rows(a, doc, series, inversion)
-    if a.s != 0.0:
-        raise DomainError("regularized trace is defined for real time only")
-    from .trace import regularized_trace
-
-    return ["t", "rtr"], [[a.t, regularized_trace(doc.payload, a.volume, a.t, series)]]
-
-
 def _bessel(a, doc, series, inversion):
     if a.oracle:
         value = bessel_j_oracle(a.p, a.x, a.terms)
@@ -345,9 +335,8 @@ _COMMANDS = (
     _Command("cylinder", "regularized cylinder trace by unfolding", (
         _flag("--ell", required=True), _flag("--t", required=True),
     ), (), _cylinder),
-    _Command("trace", "geodesic heat trace of a length spectrum", _TIME + (
-        _flag("--volume", help="add volume * K(t, 0): the regularized trace (real t only)"),
-    ), ("length_spectrum",), _trace),
+    _Command("trace", "geodesic heat trace of a length spectrum", _TIME,
+             ("length_spectrum",), _time_rows),
     _Command("dtrace", "degenerating heat trace of a pinching set", _TIME,
              ("pinching",), _time_rows),
     _Command("strace", "spectral heat trace of an eigenvalue list", _TIME,

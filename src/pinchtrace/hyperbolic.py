@@ -1,4 +1,4 @@
-"""Heat kernel on the hyperbolic plane and cylinder geometry.
+"""Heat kernel on the hyperbolic plane and the heat trace of the hyperbolic cylinder.
 
 At distance rho the kernel is the classical integral (time always comes first)
 
@@ -37,7 +37,6 @@ from .specfun import _Collar, _rounding, gauss_rule, log_sinh
 __all__ = [
     "heat_kernel",
     "heat_kernel_origin",
-    "cylinder_displacement",
     "cylinder_trace",
 ]
 
@@ -160,33 +159,13 @@ def heat_kernel_origin(t: float, policy: TruncationPolicy = DEFAULT_POLICY) -> f
     return lead - float(rem) / math.pi
 
 
-def cylinder_displacement(ell: float, n: int, v: float) -> float:
-    """Orbit displacement on the hyperbolic cylinder of core length ell.
-
-    The n-th generator power moves the cross-section point with
-    parameter v (v = cot theta in the upper half-plane) by d >= |n| ell:
-
-        sinh(d/2) = sinh(|n| ell/2) sqrt(1 + v^2),
-
-    that is cosh d = 1 + 2 sinh^2(n ell/2)(1 + v^2), taken in log space.
-    """
-    if not ell > 0.0:
-        raise DomainError(f"cylinder requires ell > 0, got {ell}")
-    if n == 0:
-        raise DomainError("displacement is defined for nonzero powers only")
-    v2 = float(v) * float(v)
-    if v2 == 0.0:
-        return abs(n) * ell  # on-axis: translation length exactly
-    d = 2.0 * float(_half_distance(log_sinh(0.5 * abs(n) * ell) + 0.5 * math.log1p(v2)))
-    return max(d, abs(n) * ell)
-
-
 def cylinder_trace(ell: float, t: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """Regularized heat trace of the hyperbolic cylinder by unfolding.
 
-    Computes (1/2) ell int_R sum_{n != 0} K(t, d_n(v)) dv, d_n(v) the
-    cylinder_displacement, as 2 ell sum_{n >= 1} int_0^inf K(t, d_n) cosh
-    sigma dsigma with v = sinh sigma, sinh(d_n/2) = sinh(n ell/2) cosh sigma.
+    Computes (1/2) ell int_R sum_{n != 0} K(t, d_n(v)) dv, d_n(v) the distance
+    the n-th generator power moves the section point v = cot theta, as 2 ell
+    sum_{n >= 1} int_0^inf K(t, d_n) cosh sigma dsigma with v = sinh sigma,
+    sinh(d_n/2) = sinh(n ell/2) cosh sigma (in log space: _half_distance).
     Of policy.tol(L), L the closed-form n = 1 term, half goes to the n-cut
     of a one-length specfun._Collar, weight ell and G(x) = log sinh(x/2) +
     x^2/4t (the trace's at c_min = 1/t), and a quarter each to one s-rule

@@ -30,7 +30,7 @@ import numpy as np
 from .closed import _check_order, bessel_j_oracle  # read as specfun.bessel_j_oracle
 from .errors import DomainError, TruncationBudgetError
 
-__all__ = ["bessel_j", "bessel_j_half"]
+__all__ = ["bessel_j"]
 
 _EPS = float(np.finfo(float).eps)
 _LOG_2 = math.log(2.0)

@@ -27,7 +27,7 @@ from .spectrum import PinchingSet
 from .trace import degenerating_trace
 from .xform import _check_line, weighted_inverse
 
-__all__ = ["Schedule", "SweepRow", "SweepResult", "run_sweep", "fit_growth_exponent"]
+__all__ = ["Schedule", "SweepRow", "SweepResult", "run_sweep", "fit_growth_exponent", "thread_cap"]
 
 
 @dataclass(frozen=True)

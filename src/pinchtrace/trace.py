@@ -65,7 +65,6 @@ from itertools import chain, islice, starmap
 import numpy as np
 
 from .errors import DomainError, TruncationBudgetError
-from .hyperbolic import heat_kernel_origin
 from .policy import DEFAULT_POLICY, TruncationPolicy
 from .specfun import _Collar, _rounding, log_sinh
 from .spectrum import LengthSpectrum, PinchingSet, SpectralData
@@ -74,7 +73,6 @@ __all__ = [
     "hyperbolic_trace",
     "degenerating_trace",
     "spectral_trace",
-    "regularized_trace",
 ]
 
 _NODE_CHUNK = 4096
@@ -549,27 +547,3 @@ def spectral_trace(sd: SpectralData, z):
                 term[lost] = 0.0  # where the modulus underflows
             total += mult * term
     return _give_back(total, z)
-
-
-def regularized_trace(
-    ls: LengthSpectrum,
-    volume: float,
-    z,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> float:
-    """Geodesic trace plus volume times the plane kernel at distance zero.
-
-    Supported for real z > 0 only; the origin-kernel quadrature is not
-    implemented for complex time.
-    """
-    if isinstance(z, complex) or np.iscomplexobj(z):
-        if np.imag(z) != 0:
-            raise DomainError("regularized_trace is defined for real z only")
-        z = float(np.real(z))
-    z = float(z)
-    if not z > 0.0:
-        raise DomainError(f"regularized_trace requires z > 0, got {z}")
-    volume = float(volume)
-    if not volume > 0.0:
-        raise DomainError(f"volume must be > 0, got {volume}")
-    return hyperbolic_trace(ls, z, policy) + volume * heat_kernel_origin(z, policy)

@@ -471,6 +471,14 @@ class TestMainInProcess:
             assert exc.value.code == 64
             assert capsys.readouterr().out == ""
 
+    def test_trace_volume_is_a_usage_error(self, docs, capsys):
+        # the geodesic trace plus volume * heat_kernel_origin(t) is two calls
+        # away: no flag adds them
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--input", docs["length_spectrum"], "--t", "1", "--volume", "1"])
+        assert exc.value.code == 64
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("field", ["a", "s_max", "n_nodes"])
     def test_removed_contour_fields_are_unknown(self, tmp_path, capsys, field):
         f = tmp_path / "eig.json"
@@ -696,7 +704,8 @@ class TestLibraryBytes:
 
 
 def test_each_public_name_lives_in_its_listed_module():
-    # the lazy-import table names each name's home module, not a re-export
+    # the lazy-import table names each name's home module, not a re-export,
+    # and is the union of the modules' own __all__
     assert pinchtrace.__all__ == ["__version__", *pinchtrace._MODULES]
     for name, module in pinchtrace._MODULES.items():
         home = importlib.import_module(f"pinchtrace.{module}")
@@ -704,6 +713,9 @@ def test_each_public_name_lives_in_its_listed_module():
         assert value is getattr(home, name), name
         if inspect.isfunction(value) or inspect.isclass(value):
             assert value.__module__ == home.__name__, name
+    for module in set(pinchtrace._MODULES.values()):
+        mapped = {name for name, home in pinchtrace._MODULES.items() if home == module}
+        assert mapped == set(importlib.import_module(f"pinchtrace.{module}").__all__), module
 
 
 class TestSubprocess:

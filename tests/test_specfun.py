@@ -9,11 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pinchtrace import (
-    DomainError, TruncationBudgetError, bessel_j, bessel_j_half, bessel_j_oracle, gamma,
-)
+from pinchtrace import DomainError, TruncationBudgetError, bessel_j, bessel_j_oracle, gamma
 from pinchtrace import specfun
-from pinchtrace.specfun import ascending_series, kronrod, leggauss, log_sinh
+from pinchtrace.specfun import ascending_series, bessel_j_half, kronrod, leggauss, log_sinh
 
 
 def test_gamma_known_values():

@@ -1,4 +1,4 @@
-"""Geodesic, degenerating, spectral and regularized heat traces."""
+"""Geodesic, degenerating and spectral heat traces."""
 
 import cmath
 import math
@@ -20,9 +20,7 @@ from pinchtrace import (
     TruncationPolicy,
     degenerating_trace,
     g_bessel,
-    heat_kernel_origin,
     hyperbolic_trace,
-    regularized_trace,
     spectral_trace,
 )
 from pinchtrace.policy import DEFAULT_POLICY
@@ -338,27 +336,6 @@ def test_geodesic_trace_sums_a_grid_as_its_flat_nodes():
     assert np.array_equal(got, hyperbolic_trace(ls, zs.ravel()).reshape(zs.shape))
 
 
-def test_regularized_is_sum_of_addends():
-    ls = LengthSpectrum.of([(1.0, 2)])
-    vol, t = 2.0 * math.pi, 0.8
-    want = hyperbolic_trace(ls, t) + vol * heat_kernel_origin(t)
-    assert regularized_trace(ls, vol, t) == pytest.approx(want, rel=1e-14)
-
-
-def test_regularized_volume_linearity():
-    ls = LengthSpectrum.of([(1.0, 1)])
-    t = 1.0
-    lo = regularized_trace(ls, 2.0 * math.pi, t)
-    hi = regularized_trace(ls, 4.0 * math.pi, t)
-    assert hi - lo == pytest.approx(2.0 * math.pi * heat_kernel_origin(t), rel=1e-12)
-
-
-@pytest.mark.parametrize("t", [1e20, 1e300])
-def test_regularized_trace_underflows_to_zero(t):
-    # e^{-t/4} underflows: both addends are 0, not a quadrature failure
-    assert regularized_trace(LengthSpectrum.of([(1.0, 2)]), 1.0, t) == 0.0
-
-
 def test_budget_exhaustion_is_reported():
     tight = TruncationPolicy(rel_tol=1e-9, abs_tol=1e-14, max_terms=1,
                              max_quad_evals=2_000_000)
@@ -372,12 +349,6 @@ def test_domain_errors():
         hyperbolic_trace(ls, 0.0)
     with pytest.raises(DomainError):
         hyperbolic_trace(ls, -1.0 + 2.0j)
-    with pytest.raises(DomainError):
-        regularized_trace(ls, 2.0 * math.pi, 1.0 + 0.5j)
-    with pytest.raises(DomainError):
-        regularized_trace(ls, 2.0 * math.pi, -1.0)
-    with pytest.raises(DomainError):
-        regularized_trace(ls, 0.0, 1.0)
     with pytest.raises(DomainError):
         spectral_trace(SpectralData.of([(0.0, 1)]), 0.0)
 
