@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -82,20 +83,26 @@ def test_kernel_near_zero_distance_equals_origin_value(t, rho):
 
 @contextlib.contextmanager
 def _stated_bounds():
-    """Record the bound of every rule gauss_rule builds for hyperbolic."""
-    bounds = []
-    real = hyperbolic.gauss_rule
+    """Record the bound of every rule gauss_rule builds for hyperbolic, and
+    the tail e^{log_tail(c)} past each cut _least_cut sets."""
+    bounds, tails = [], []
+    real_rule, real_cut = hyperbolic.gauss_rule, hyperbolic._least_cut
 
     def spy(*args):
-        rule = real(*args)
+        rule = real_rule(*args)
         bounds.append(rule[2])
         return rule
 
-    hyperbolic.gauss_rule = spy
+    def cut_spy(log_tail, target):
+        c = real_cut(log_tail, target)
+        tails.append(math.exp(log_tail(c)))
+        return c
+
+    hyperbolic.gauss_rule, hyperbolic._least_cut = spy, cut_spy
     try:
-        yield bounds
+        yield bounds, tails
     finally:
-        hyperbolic.gauss_rule = real
+        hyperbolic.gauss_rule, hyperbolic._least_cut = real_rule, real_cut
 
 
 def _mp_kernel_v(t: float, rho: float):
@@ -138,13 +145,13 @@ _LOG_T = st.floats(math.log(1e-3), math.log(100.0))
 @given(log_t=_LOG_T, log_rho=st.one_of(st.none(), st.floats(math.log(1e-300), math.log(10.0))))
 def test_kernel_within_stated_bound_property(log_t, log_rho):
     t, rho = math.exp(log_t), 0.0 if log_rho is None else math.exp(log_rho)
-    with _stated_bounds() as bounds:
+    with _stated_bounds() as (bounds, tails):
         got = heat_kernel(t, rho)
     want = _mp_kernel_v(t, rho)
     err = float(abs(got - want))
     assert err <= DEFAULT_POLICY.tol(float(want))
     if bounds:  # else K underflowed before any rule was built
-        assert err <= bounds[0]
+        assert err <= bounds[0] + tails[0]
     else:
         assert got == 0.0 and want < 1e-300
 
@@ -153,7 +160,7 @@ def test_kernel_within_stated_bound_property(log_t, log_rho):
 @given(log_t=_LOG_T)
 def test_origin_within_stated_bound_property(log_t):
     t = math.exp(log_t)
-    with _stated_bounds() as bounds:
+    with _stated_bounds() as (bounds, _):
         got = heat_kernel_origin(t)
     want = _mp_origin_tanh(t)
     err = float(abs(got - want))
@@ -310,17 +317,20 @@ def test_cylinder_short_length_guard():
 @example(log_ell=1.1015625, log_t=0.0)
 def test_cylinder_within_stated_bounds_property(log_ell, log_t):
     ell, t = math.exp(log_ell), math.exp(log_t)
-    with _stated_bounds() as bounds:
+    with _stated_bounds() as (bounds, tails):
         got = cylinder_trace(ell, t)
     # the closed form to 1e-12: at the default policy its own error, up to
     # tol(closed), would be charged to the cylinder (at ell = 3, t = 1 it is
     # 1.03e-11, the cylinder's 2.5e-16)
     closed = hyperbolic_trace(LengthSpectrum.of([(ell, 1)]), t,
                               TruncationPolicy(rel_tol=1e-12, abs_tol=1e-300))
-    err = abs(got - closed)
-    assert err <= DEFAULT_POLICY.tol(closed)
-    # the two rules' stated bounds, plus the half of the tolerance the n-cut takes
-    assert err <= sum(bounds) + 0.5 * DEFAULT_POLICY.tol(closed)
+    err, tol = abs(got - closed), DEFAULT_POLICY.tol(closed)
+    assert err <= tol
+    # the two rules' stated bounds and the tails past their cuts, plus the half
+    # of the tolerance the n-cut takes, the sixteenth the dropped points take
+    # and the rounding of the one sum over the kept points
+    assert err <= (sum(bounds) + sum(tails) + (0.5 + 0.0625) * tol
+                   + specfun._rounding(1.001 * closed + 0.25 * tol, 10**9))
 
 
 def test_cylinder_quadrature_budget():
@@ -360,27 +370,26 @@ def test_cylinder_domain_errors():
         cylinder_trace(-1.0, 1.0)
 
 
-@pytest.mark.parametrize("t, d", [
-    (t, d) for t in (0.001, 0.05, 1.0, 10.0, 40.0, 600.0)
-    for d in (0.0, 1e-6, 0.5, 6.0, 10.0, 40.0) if d * d / (4.0 * t) < 600.0
-])
-def test_kernel_rule_term_error_is_its_stated_ulps(monkeypatch, t, d):
-    # at heat_kernel's own s-rule nodes, each term errs by at most the rule's
-    # ulps eps of its envelope w G(d) e^{-s^2}/sqrt(sinhc d), which sums to
-    # the rule's mass: formed as heat_kernel forms it (log w in the
-    # exponent) and as cylinder_trace does (w outside), against 50-digit
-    # mpmath (and 2^-1074 where a term is subnormal)
+def _terms_within_stated_ulps(t, d):
+    """At heat_kernel's own s-rule nodes, the smallest (r -> 0) included, each
+    term errs by at most the rule's ulps eps of its envelope w G(d) e^{-s^2}/
+    sqrt(sinhc d), which sums to the rule's mass: formed as heat_kernel forms
+    it (G sqrt(pi)/2 in the exponent, the term scaled back) and as
+    cylinder_trace does (a one-point array), against 50-digit mpmath through
+    cosh u - cosh d = 2 sinh((u + d)/2) sinh(r^2/2(u + d)) (and 2^-1074 where a
+    term is subnormal)."""
     rules, ulps = [], []
     kernel_rule, gauss_rule = hyperbolic._kernel_rule, hyperbolic.gauss_rule
-    monkeypatch.setattr(hyperbolic, "_kernel_rule",
-                        lambda *args: rules.append(kernel_rule(*args)) or rules[-1])
-    monkeypatch.setattr(hyperbolic, "gauss_rule",
-                        lambda *args: ulps.append(args[4]) or gauss_rule(*args))
-    heat_kernel(t, d)
+    hyperbolic._kernel_rule = lambda *args: rules.append(kernel_rule(*args)) or rules[-1]
+    hyperbolic.gauss_rule = lambda *args: ulps.append(args[4]) or gauss_rule(*args)
+    try:
+        heat_kernel(t, d)
+    finally:
+        hyperbolic._kernel_rule, hyperbolic.gauss_rule = kernel_rule, gauss_rule
     (s, w, _), = rules
-    log_g = hyperbolic._log_g(t, d)
-    log_integrand = hyperbolic._log_integrand(t, d, s)
-    formed = (np.exp(np.log(w) + log_g + log_integrand), w * np.exp(log_g + log_integrand))
+    log_g, half = hyperbolic._log_g(t, d), hyperbolic._HALF_SQRT_PI
+    formed = (hyperbolic._terms(t, log_g + math.log(half), d, s, w) / half,
+              hyperbolic._terms(t, np.array([log_g]), np.array([d]), s, w)[0])
     eps = 2.0**-52
     with mp.workdps(50):
         t_, d_ = mp.mpf(t), mp.mpf(d)
@@ -389,8 +398,93 @@ def test_kernel_rule_term_error_is_its_stated_ulps(monkeypatch, t, d):
         for i in range(s.size):
             s_, w_ = mp.mpf(s[i]), mp.mpf(w[i])
             r = 2 * mp.sqrt(t_) * s_
-            u = mp.sqrt(d_ * d_ + r * r)
-            want = w_ * g * mp.exp(-s_ * s_) * mp.sqrt(r * r / (2 * (mp.cosh(u) - mp.cosh(d_))))
+            up = mp.sqrt(d_ * d_ + r * r) + d_
+            want = w_ * g * mp.exp(-s_ * s_) * r / mp.sqrt(4 * mp.sinh(up / 2)
+                                                           * mp.sinh(r * r / (2 * up)))
             envelope = w_ * g * mp.exp(-s_ * s_) / mp.sqrt(sinhc)
             for got in formed:
                 assert abs(got[i] - want) <= ulps[0] * eps * envelope + 2.0**-1074
+
+
+@pytest.mark.parametrize("t, d", [
+    (t, d) for t in (0.001, 0.05, 1.0, 10.0, 40.0, 600.0)
+    for d in (0.0, 1e-6, 0.5, 6.0, 10.0, 40.0) if d * d / (4.0 * t) < 600.0
+])
+def test_kernel_rule_term_error_is_its_stated_ulps(t, d):
+    _terms_within_stated_ulps(t, d)
+
+
+@settings(max_examples=60)
+@given(log_t=st.floats(math.log(1e-3), math.log(600.0)),
+       frac=st.floats(0.0, 1.0, exclude_max=True))
+@example(log_t=0.0, frac=0.0)
+@example(log_t=math.log(1e-300), frac=0.0)
+def test_kernel_terms_within_stated_ulps_property(log_t, frac):
+    # t log-uniform on [1e-3, 600] and d on [0, 40] with d^2/4t < 600; d = 0
+    # and t = 1e-300 at d = 0 as examples
+    t = math.exp(log_t)
+    _terms_within_stated_ulps(t, frac * min(40.0, math.sqrt(2400.0 * t)))
+
+
+def test_found_44_cylinder_certifies_at_rel_tol_1e_11():
+    # the s-rule's per-term charge at (0.05, 10) was 958.6 ulps, above half its
+    # 1.83e-14 target; the linear form has no sinhc terms and the kept points
+    # reach a shorter distance
+    fine = TruncationPolicy(rel_tol=1e-11, abs_tol=1e-300)
+    closed = hyperbolic_trace(LengthSpectrum.of([(0.05, 1)]), 10.0,
+                              TruncationPolicy(rel_tol=1e-12, abs_tol=1e-300))
+    assert abs(cylinder_trace(0.05, 10.0, fine) - closed) <= fine.tol(closed)
+
+
+@lru_cache(maxsize=None)
+def _mp_cylinder(ell: float, t: float) -> float:
+    """30-digit closed form e^{-t/4} (16 pi t)^{-1/2} sum_n ell e^{-(n ell)^2/4t}/sinh(n ell/2)."""
+    with mp.workdps(30):
+        t_, ell_ = mp.mpf(t), mp.mpf(ell)
+        total, n = mp.mpf(0), 1
+        while True:
+            term = ell_ * mp.exp(-(n * ell_) ** 2 / (4 * t_)) / mp.sinh(n * ell_ / 2)
+            total += term
+            if term < total * mp.mpf(10) ** -35:
+                return float(mp.exp(-t_ / 4) / mp.sqrt(16 * mp.pi * t_) * total)
+            n += 1
+
+
+# the cut follows the target: at its floor c = 1 where abs_tol is half, near
+# it at rel_tol 0.5, and past 25 where rel_tol is 1e-13 or abs_tol 1e-12 leads
+_CUT_POLICIES = {
+    "floor": TruncationPolicy(rel_tol=0.5, abs_tol=0.5),
+    "rel_tol 0.5": TruncationPolicy(rel_tol=0.5),
+    "rel_tol 1e-13": TruncationPolicy(rel_tol=1e-13, abs_tol=1e-300),
+    "abs_tol dominates": TruncationPolicy(rel_tol=1e-300, abs_tol=1e-12),
+}
+
+
+@pytest.mark.parametrize("name", list(_CUT_POLICIES))
+@pytest.mark.parametrize("ell, t", [(0.5, 1.0), (1.0, 2.0), (2.0, 0.5), (0.05, 2.0)])
+def test_cylinder_cut_from_the_policy_meets_it(name, ell, t):
+    policy, want = _CUT_POLICIES[name], _mp_cylinder(ell, t)
+    with _stated_bounds() as (_, tails):
+        if name == "rel_tol 1e-13":  # the rounding passes the target, as before the cut moved
+            with pytest.raises(TruncationBudgetError):
+                cylinder_trace(ell, t, policy)
+            return
+        got = cylinder_trace(ell, t, policy)
+    assert abs(got - want) <= policy.tol(want)
+    assert len(tails) == 2 and max(tails) <= 0.0625 * policy.tol(want)
+
+
+@pytest.mark.parametrize("name", list(_CUT_POLICIES))
+@pytest.mark.parametrize("t, rho", [(0.1, 0.2), (1.0, 0.5), (5.0, 1.0), (1.0, 0.0)])
+def test_kernel_cut_from_the_policy_meets_it(name, t, rho, monkeypatch):
+    policy, want = _CUT_POLICIES[name], float(_mp_kernel_v(t, rho))
+    cuts, least_cut = [], hyperbolic._least_cut
+    monkeypatch.setattr(hyperbolic, "_least_cut", lambda *args: cuts.append(least_cut(*args))
+                        or cuts[-1])
+    if name == "rel_tol 1e-13" and t >= 1.0:  # the rounding passes the target, as before
+        with pytest.raises(TruncationBudgetError):
+            heat_kernel(t, rho, policy)
+        return
+    assert abs(heat_kernel(t, rho, policy) - want) <= policy.tol(want)
+    # at t = 0.1 the tail past c = 1, about K/5 = 0.14, passes any sixteenth of a tolerance
+    assert (cuts == [1.0]) == (name == "floor" and t >= 1.0)

@@ -167,14 +167,12 @@ def test_gauss_rule_sums_one_np_sum():
 
 
 def test_cylinder_sums_rows_of_rules():
-    # the s-rule along axis 2, the outer rule along axis 1 and np.sum of the
-    # rows: each level's allowance is charged in its own share
-    a = _adversarial().reshape(10, 36, 100)
-    kern = np.sum(a, axis=2)
-    rows = np.sum(kern, axis=1)
+    # the s-rule along axis 1 of each block of kept (n, sigma) points, then one
+    # np.sum over all of them: the s-rule's allowance, and one its share pays
+    a = _adversarial().reshape(360, 100)
+    kern = np.sum(a, axis=1)
     mass = math.fsum(a.ravel())
-    allowance = _rounding(mass, 100) + _rounding(mass, 36) + _rounding(mass, 10)
-    _covers(float(np.sum(rows)), a.ravel(), allowance)
+    _covers(float(np.sum(kern)), a.ravel(), _rounding(mass, 100) + _rounding(mass, 360))
 
 
 def test_taylor_build_sums_pairwise_along_rows():
